@@ -6,9 +6,12 @@ or one element at a time produces bit-identical values per element. That
 property is what lets structural passes re-partition work while the
 interpreter contract stays bit-exact; tests/test_interp.py pins it.
 
-Reductions fold in ascending index order. numpy's own reductions use
-pairwise summation, which is faster but order-different, so they are never
-used on the interpreter path (the float64 test oracles may use them).
+Reductions fold strictly left to right in ascending index order. They are
+built on the ufunc's `accumulate`, which combines element k with the running
+result of elements 0..k-1, one f32 op at a time. `ufunc.reduce` (and so
+`np.sum`) is never used on the interpreter path: it sums pairwise, which is
+faster but order-different (the float64 test oracles may use it).
+tests/test_numerics.py checks the fold against a plain Python loop.
 """
 
 from __future__ import annotations
@@ -76,16 +79,26 @@ _COMBINE = {"sum": np.add, "max": np.maximum}
 def ordered_fold(values: np.ndarray, axes: Sequence[int], kind: str, init: float) -> np.ndarray:
     """Fold `values` over `axes` in ascending index order, starting from init.
 
-    Equivalent to visiting the reduced coordinates lexicographically per
-    output point, which fixes the fp accumulation order.
+    Per output point the reduced coordinates are visited lexicographically,
+    and the result is ((init op x0) op x1) op ... in f32, which fixes the fp
+    accumulation order. `init` is combined first, so a -0.0 first element
+    summed from init 0.0 folds to +0.0.
+
+    NaN contract: every non-NaN result is bit-identical to that sequential
+    loop, and a result is NaN exactly where the loop's is. Where two NaNs
+    meet (say `inf + -inf` followed by an input NaN), which one propagates is
+    left unspecified by IEEE 754 and numpy's SIMD operand order decides it,
+    so the sign and payload bits of such a NaN may differ from the loop's.
+    Every pipeline stage uses this same fold, so stage-vs-stage bit-exact
+    verification is unaffected.
     """
     axes = tuple(axes)
     keep = [d for d in range(values.ndim) if d not in axes]
     moved = np.transpose(values, keep + list(axes))
     par_shape = moved.shape[: len(keep)]
     flat = moved.reshape(par_shape + (-1,))
-    fn = _COMBINE[kind]
-    acc = np.full(par_shape, F32(init), dtype=np.float32)
-    for k in range(flat.shape[-1]):
-        acc = fn(acc, flat[..., k])
-    return acc
+    buf = np.empty(par_shape + (flat.shape[-1] + 1,), dtype=np.float32)
+    buf[..., 0] = F32(init)
+    buf[..., 1:] = flat
+    _COMBINE[kind].accumulate(buf, axis=-1, out=buf)
+    return buf[..., -1].copy()

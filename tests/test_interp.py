@@ -153,6 +153,32 @@ def test_compare_reltol_worst_offender():
     assert compare_outputs(a, b, ("reltol", 0.2)).ok
 
 
+def test_bitexact_failure_report_prints_bits():
+    rep = compare_outputs({"y": np.array([1.0, -0.0], np.float32)},
+                          {"y": np.array([1.0, 0.0], np.float32)}, "bitexact")
+    assert not rep.ok and rep.rel_err is None
+    assert str(rep) == ("compare(bitexact): FAIL worst %y[1] "
+                        "got -0.0 (0x80000000) want 0.0 (0x00000000)")
+
+
+@pytest.mark.parametrize("got,want,ok", [
+    (np.nan, 2.0, False),
+    (np.inf, 2.0, False),
+    (np.inf, -np.inf, False),
+    (2.0, np.nan, False),
+    (np.nan, np.nan, True),
+    (-np.inf, -np.inf, True),
+])
+def test_compare_reltol_nonfinite(got, want, ok):
+    a = {"y": np.array([1.0, got], np.float32)}
+    b = {"y": np.array([1.0, want], np.float32)}
+    rep = compare_outputs(a, b, ("reltol", 1e-4))
+    assert rep.ok == ok
+    if not ok:
+        assert rep.worst_index == (1,) and rep.rel_err == np.inf
+        assert "rel_err inf" in str(rep)
+
+
 def test_compare_shape_mismatch_raises():
     with pytest.raises(ValueError, match="shape"):
         compare_outputs({"y": np.zeros(2, np.float32)}, {"y": np.zeros(3, np.float32)},
