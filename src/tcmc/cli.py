@@ -3,7 +3,7 @@ and run them on tensor files.
 
 Exit codes:
   0  success
-  2  kernel parse error
+  2  kernel or machine config parse error
   3  invalid pipeline spec or pass failure
   4  differential verification failure
   5  missing file or other I/O error
@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
+    except (ParseError, perf.MachineConfigError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (SpecError, PassError, ValueError) as e:

@@ -391,7 +391,6 @@ class ForOp:
     ub: Extent
     step: Extent
     body: tuple["Op", ...]
-    iter_args: tuple[str, ...] = ()  # accepted for structural fidelity; must stay empty
     annotations: frozenset[str] = frozenset()
 
 
@@ -796,8 +795,6 @@ class _Verifier:
             if isinstance(op, GenericOp):
                 self.check_generic(op, where, scope)
             elif isinstance(op, ForOp):
-                if op.iter_args:
-                    self.fail(where, "iter-args", "non-empty iter_args unsupported")
                 self.check_extents_defined(where, (op.lb, op.ub, op.step), scope)
                 child = _Scope(scope)
                 child.ivars.add(op.var)

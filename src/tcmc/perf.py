@@ -2,7 +2,13 @@
 
 The simulator walks a program's schedule concretely (loops iterate, guards
 evaluate, toggles flip) but accounts time analytically instead of emulating
-instructions:
+instructions. It does each distinct piece of cost work once per `simulate`
+call: a generic's payload cycles and vector width are computed on its first
+visit, and a loop whose body is self-contained (see `_LoopPlan`) walks its
+body once per iteration class, the iterations that agree on the toggles and
+loop-var-dependent extents the cost reads, and replays the cached sum for
+the others. The replay repeats the walk's float additions in order, so the
+report is bit-identical to walking every iteration. The rules:
 
 - data movement (copy / insert_slice across memory spaces, dma_start) costs
   latency + bytes/bandwidth; dma_wait itself is free;
@@ -25,14 +31,14 @@ overlapped_cycles is the concurrency saving compute + transfer + overhead
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterable, Optional
 
 from . import ir
 from .ir import (
     AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, CopyOp,
     DeallocOp, DmaStartOp, DmaWaitOp, ExtractSliceOp, ForallOp, ForOp,
-    GenericOp, IfOp, InsertSliceOp, KernelProgram, Op, StoreToggleOp,
+    GenericOp, IBin, IfOp, InsertSliceOp, KernelProgram, Op, StoreToggleOp,
 )
 
 DEFAULT_OP_CYCLES: dict[str, float] = {
@@ -42,6 +48,10 @@ DEFAULT_OP_CYCLES: dict[str, float] = {
     "exp": 12.0, "tanh": 12.0, "sqrt": 6.0, "rsqrt": 6.0,
     "exp_approx": 6.0, "tanh_approx": 8.0, "rsqrt_fast": 3.0,
 }
+
+
+class MachineConfigError(ValueError):
+    """A machine config with an unknown key or a value the model cannot use."""
 
 
 @dataclass
@@ -57,12 +67,15 @@ class MachineConfig:
     scalar_op_cycles: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_OP_CYCLES))
 
     def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "scalar_op_cycles"}
+        values.update((f"op.{k}", v) for k, v in self.scalar_op_cycles.items())
+        for name, v in values.items():
+            if not (math.isfinite(v) and v >= 0):
+                raise MachineConfigError(f"MachineConfig: {name} = {v} must be finite and >= 0")
         if self.dma_bandwidth_bytes_per_cycle <= 0 or self.num_hvx_contexts < 1:
-            raise ValueError("MachineConfig: bandwidth and contexts must be positive")
-        if min(self.dma_latency_cycles, self.thread_spawn_cycles, self.barrier_cycles) < 0:
-            raise ValueError("MachineConfig: negative overhead cycles")
+            raise MachineConfigError("MachineConfig: bandwidth and contexts must be positive")
         if self.tcm_bytes < 1 or self.compute_window_bytes < 1 or self.window_miss_factor < 1:
-            raise ValueError("MachineConfig: capacities and miss factor must be >= 1")
+            raise MachineConfigError("MachineConfig: capacities and miss factor must be >= 1")
 
     def op_cost(self, kind: str) -> float:
         return self.scalar_op_cycles.get(kind, 1.0)
@@ -84,26 +97,30 @@ class MachineConfig:
 
     @staticmethod
     def from_text(text: str) -> "MachineConfig":
-        cfg = MachineConfig()
+        """Parse `key = value` lines: the scalar fields and `op.<kind>` costs."""
+        types = {f.name: f.type for f in fields(MachineConfig) if f.name != "scalar_op_cycles"}
+        values: dict[str, float] = {}
         ops = dict(DEFAULT_OP_CYCLES)
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"machine config line {lineno}: expected key = value")
+                raise MachineConfigError(f"machine config line {lineno}: expected key = value")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key.startswith("op."):
-                ops[key[3:]] = float(val)
-            elif key in ("num_hvx_contexts", "tcm_bytes", "compute_window_bytes"):
-                setattr(cfg, key, int(val))
-            elif hasattr(cfg, key):
-                setattr(cfg, key, float(val))
+            kind = key[3:] if key.startswith("op.") else None
+            if not kind and key not in types:
+                raise MachineConfigError(f"machine config line {lineno}: unknown key {key!r}")
+            try:
+                num = int(val) if types.get(key) == "int" else float(val)
+            except ValueError:
+                raise MachineConfigError(
+                    f"machine config line {lineno}: bad value {val!r} for {key}") from None
+            if kind:
+                ops[kind] = num
             else:
-                raise ValueError(f"machine config line {lineno}: unknown key {key!r}")
-        cfg.scalar_op_cycles = ops
-        cfg.__post_init__()
-        return cfg
+                values[key] = num
+        return MachineConfig(**values, scalar_op_cycles=ops)
 
 
 @dataclass(frozen=True)
@@ -173,6 +190,124 @@ class SimulationError(Exception):
     pass
 
 
+_UNSET = object()  # a toggle cell with no stored value yet
+
+
+def _balanced(ops) -> bool:
+    """True when a loop body's effects on groups, tokens and prologue pools stay inside it.
+
+    Every group it awaits or adds to, it created first; every token it adds,
+    it issued first; and it leaves neither open. It holds no `db_prologue`
+    guard and no nested `db_generic` loop, which feed and drain the prologue
+    pools across loop boundaries. (A group or token of the same name that
+    is live when the loop starts is consumed by the first, walked, iteration
+    either way.)
+    """
+    groups: set[str] = set()
+    tokens: set[str] = set()
+    for op, _ in ir.walk_ops(ops):
+        if isinstance(op, AsyncGroupOp):
+            groups.add(op.group)
+        elif isinstance(op, AsyncExecuteOp):
+            tokens.add(op.token)
+        elif isinstance(op, AddToGroupOp):
+            if op.group not in groups or op.token not in tokens:
+                return False
+            tokens.remove(op.token)
+        elif isinstance(op, AwaitAllOp):
+            if op.group not in groups:
+                return False
+            groups.remove(op.group)
+        elif isinstance(op, IfOp) and "db_prologue" in op.annotations:
+            return False
+        elif isinstance(op, ForOp) and ir.annotation_value(op.annotations, "db_generic") is not None:
+            return False
+    return not groups and not tokens
+
+
+class _LoopPlan:
+    """Everything a balanced loop body's cost depends on that varies per iteration.
+
+    Two iterations that agree on `key` walk the body identically: same _Acc,
+    same toggles left behind. The key holds the entry values of the toggle
+    cells the body touches and the values of its cost atoms. An atom is a
+    maximal subexpression that mentions the loop var and no var bound inside
+    the body, taken from the extents the walker reads (generic domains, inner
+    loop bounds, slice/alloc/dma sizes, guard sides); a guard with no inner
+    var is one boolean atom. Offsets are never read, so they are left out.
+    """
+
+    __slots__ = ("cells", "extents", "preds")
+
+    def __init__(self, loop: ForOp):
+        inner = {op.var for op, _ in ir.walk_ops(loop.body) if isinstance(op, (ForOp, ForallOp))}
+        cells: dict[str, None] = {}
+        extents: dict[ir.Extent, None] = {}
+        preds: dict[ir.CmpPred, None] = {}
+
+        def scan(e: ir.Extent) -> None:
+            if isinstance(e, int):
+                return
+            names = ir._extent_vars(e)
+            if loop.var not in names:
+                return
+            if not names & inner:
+                extents[e] = None
+            elif isinstance(e, IBin):
+                scan(e.lhs)
+                scan(e.rhs)
+
+        for op, _ in ir.walk_ops(loop.body):
+            exts: tuple = ()
+            if isinstance(op, GenericOp):
+                exts = op.domain
+            elif isinstance(op, ForOp):
+                exts = (op.lb, op.ub, op.step)
+            elif isinstance(op, (ExtractSliceOp, AllocOp, InsertSliceOp, DmaStartOp)):
+                exts = op.sizes
+            elif isinstance(op, StoreToggleOp):
+                cells[op.cell] = None
+            elif isinstance(op, IfOp) and isinstance(op.pred, ir.TogglePred):
+                cells[op.pred.cell] = None
+            elif isinstance(op, IfOp):
+                names = ir._extent_vars(op.pred.lhs) | ir._extent_vars(op.pred.rhs)
+                if names & inner:
+                    exts = (op.pred.lhs, op.pred.rhs)
+                elif loop.var in names:
+                    preds[op.pred] = None
+            for e in exts:
+                scan(e)
+        self.cells = tuple(cells)
+        self.extents = tuple(extents)
+        self.preds = tuple(preds)
+
+    def bind(self, sim: "_Sim", env, var: str) -> Optional[Callable[[dict], Optional[tuple]]]:
+        """Iteration-key function for one execution of the loop in `env`.
+
+        The atoms are specialised once to the enclosing env's values, which
+        leaves only the loop var to evaluate per iteration. Where an atom
+        fails to evaluate there is no key and the iteration is walked: the
+        walk may never reach that atom.
+        """
+        outer = {k: v for k, v in env.items() if k != var}
+        sub = ir.substitute_extent
+        try:
+            extents = [sub(e, outer) for e in self.extents]
+            preds = [ir.CmpPred(p.op, sub(p.lhs, outer), sub(p.rhs, outer)) for p in self.preds]
+        except ArithmeticError:
+            return None
+        cells, toggles = self.cells, sim.toggles
+
+        def key(env) -> Optional[tuple]:
+            try:
+                return (*[toggles.get(c, _UNSET) for c in cells],
+                        *[ir.eval_extent(e, env) for e in extents],
+                        *[sim.eval_pred(p, env) for p in preds])
+            except (KeyError, ArithmeticError):
+                return None
+        return key
+
+
 class _Sim:
     def __init__(self, program: KernelProgram, config: MachineConfig):
         self.program = program
@@ -181,6 +316,10 @@ class _Sim:
         self.groups: dict[str, _Group] = {}
         self.pending_token: dict[str, _Acc] = {}
         self.prologue_pool: dict[str, float] = {}
+        # per-op invariants, keyed by id() while holding the op alive:
+        # GenericOp -> (op, payload cycles, vector width); ForOp -> (op, _LoopPlan | None)
+        self.generic_info: dict[int, tuple[GenericOp, float, int]] = {}
+        self.loop_plans: dict[int, tuple[ForOp, Optional[_LoopPlan]]] = {}
 
     # -- environment -------------------------------------------------------
 
@@ -194,16 +333,19 @@ class _Sim:
         return float(n * (2 if narrow else 4))
 
     def generic_cost(self, op: GenericOp, env, buffers) -> float:
+        info = self.generic_info.get(id(op))
+        if info is None:
+            cost = 0.0
+            for payload, red in zip(op.payloads, op.reductions):
+                for node in payload.walk():
+                    cost += self.cfg.op_cost(node.kind)
+                if red is not None:
+                    cost += self.cfg.op_cost("add" if red.kind == "sum" else "max2")
+            info = self.generic_info[id(op)] = (op, cost, ir.vector_width(op.annotations) or 1)
+        _, cost, width = info
         points = 1
         for e in op.domain:
             points *= ir.eval_extent(e, env)
-        cost = 0.0
-        for payload, red in zip(op.payloads, op.reductions):
-            for node in payload.walk():
-                cost += self.cfg.op_cost(node.kind)
-            if red is not None:
-                cost += self.cfg.op_cost("add" if red.kind == "sum" else "max2")
-        width = ir.vector_width(op.annotations) or 1
         narrow = any(buffers[n].narrow for n in op.inputs + op.outputs if n in buffers)
         if narrow:
             width *= 2
@@ -245,11 +387,27 @@ class _Sim:
             lb = ir.eval_extent(op.lb, env)
             ub = ir.eval_extent(op.ub, env)
             step = ir.eval_extent(op.step, env)
+            trips = range(lb, ub, step)
+            # below 3 trips, scanning the body costs more than replay saves
+            plan = self.loop_plan(op) if len(trips) >= 3 else None
+            key_of = None if plan is None else plan.bind(self, env, op.var)
             body_acc = _Acc()
-            for i in range(lb, ub, step):
-                child_env = dict(env)
+            child_env = dict(env)
+            seen: dict[tuple, tuple[_Acc, dict[str, bool]]] = {}
+            for i in trips:
                 child_env[op.var] = i
-                body_acc.add(self.walk_block(op.body, child_env, dict(buffers), in_prefetch))
+                key = None if key_of is None else key_of(child_env)
+                if key is None:
+                    body_acc.add(self.walk_block(op.body, child_env, dict(buffers), in_prefetch))
+                    continue
+                hit = seen.get(key)
+                if hit is None:
+                    hit = seen[key] = (
+                        self.walk_block(op.body, child_env, dict(buffers), in_prefetch),
+                        {c: self.toggles[c] for c in plan.cells if c in self.toggles})
+                else:
+                    self.toggles.update(hit[1])
+                body_acc.add(hit[0])
             if gid is not None:
                 # double-buffered loop: prologue + prefetch transfers overlap
                 # the compute side; stores and overheads already in .time
@@ -330,6 +488,13 @@ class _Sim:
             else:
                 self.toggles[op.cell] = op.value
         # remaining ops are free
+
+    def loop_plan(self, op: ForOp) -> Optional[_LoopPlan]:
+        entry = self.loop_plans.get(id(op))
+        if entry is None:
+            plan = _LoopPlan(op) if _balanced(op.body) else None
+            entry = self.loop_plans[id(op)] = (op, plan)
+        return entry[1]
 
     def eval_pred(self, pred, env) -> bool:
         if isinstance(pred, ir.CmpPred):

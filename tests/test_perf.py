@@ -1,0 +1,269 @@
+"""Cost model: golden TimingReports, the loop-costing mechanism, machine configs.
+
+`tests/golden/perf_reports.txt` holds one line per case: the case id and the
+five `TimingReport` fields as `float.hex()`, so a match is bit for bit.
+Regenerate it only for a deliberate change to the cost model:
+
+    PYTHONPATH=src python tests/test_perf.py --write
+"""
+
+import sys
+from dataclasses import fields
+
+import pytest
+
+from tcmc import cli, oracles, perf, pipeline
+from tcmc.ir import (
+    AffineIndexMap, AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, CopyOp,
+    DeallocOp, ExtractSliceOp, ForOp, GenericOp, IBin, IfOp, IVar, InsertSliceOp, KernelProgram,
+    Payload, StoreToggleOp, TensorDecl, TogglePred,
+)
+from tcmc.passes import db_dma, db_structural
+
+from conftest import ALL_KERNELS, ROOT, kernel_path
+
+GOLDEN = ROOT / "tests" / "golden" / "perf_reports.txt"
+
+# non-integer costs make float rounding depend on the order of additions
+ODD_CONFIG = perf.MachineConfig(
+    dma_bandwidth_bytes_per_cycle=3.0, dma_latency_cycles=7.3, window_miss_factor=1.7,
+    scalar_op_cycles={**perf.DEFAULT_OP_CYCLES, "add": 0.3})
+
+RANDOM_SEEDS = range(50)
+REMAINDER_N = 16397  # not a multiple of any tile, chunk or vector width
+
+
+def _final(kernel, passes, opts, dims=None):
+    spec = pipeline.PipelineSpec(tuple(passes), opts, "off")
+    return pipeline.run_pipeline(kernel_path(kernel), spec, dims=dims).final
+
+
+FULL_PASSES = pipeline.PASS_ORDER[:6]
+# without vectorize's main/epilogue split, mt also fires when N is not a multiple of W
+NO_VEC_PASSES = ("fuse", "tile", "mt", "async", "db")
+
+
+def _dist_cases(kernels, tiles_of, dists, dims, pass_lists=(FULL_PASSES,)):
+    size = ",".join(f"{k}={v}" for k, v in dims.items()) if dims else "default"
+    for kernel in kernels:
+        for passes in pass_lists:
+            for tiles in tiles_of(kernel):
+                for dist_kind, chunk in dists:
+                    for math_mode in ("exact", "approx"):
+                        opts = pipeline.PipelineOptions(tile_sizes=tiles, dist_kind=dist_kind,
+                                                        dist_chunk=chunk, mt_threshold=1)
+                        tile = "default" if tiles is None else "x".join(map(str, tiles))
+                        dist = "block" if dist_kind == "block" else f"cyclic:{chunk}"
+                        vec = "" if "vectorize" in passes else "novec/"
+                        full = passes + (("math-approx",) if math_mode == "approx" else ())
+                        yield (f"grid/{kernel}/{size}/{vec}tile={tile}/{dist}/{math_mode}",
+                               _final(kernel, full, opts, dims), opts.machine)
+
+
+def _small_tiles(kernel):
+    if kernel == "softmax":
+        return (None,)  # its single dim is a reduction
+    if kernel in ("rmsnorm", "vecadd2d"):
+        return (None, (4, 0))
+    return (None, (4096,))
+
+
+def _remainder_tiles(kernel):
+    return (None,) if kernel == "softmax" else (None, (1024,))
+
+
+def golden_cases():
+    """Yield (case id, program, machine config) for every golden report."""
+    yield from _dist_cases(ALL_KERNELS, _small_tiles,
+                           (("block", 1), ("block_cyclic", 1024)), None)
+    yield from _dist_cases(("gelu", "silu", "expseries", "softmax"), _remainder_tiles,
+                           (("block_cyclic", 7), ("block_cyclic", 1)), {"N": REMAINDER_N},
+                           (FULL_PASSES, NO_VEC_PASSES))
+    default = perf.MachineConfig()
+    for kernel in ALL_KERNELS:
+        for ladder, passes in perf.PASS_LADDERS.items():
+            prog = pipeline.build_staged(kernel_path(kernel), passes, None, default)
+            yield f"ladder/{kernel}/{ladder}", prog, default
+            yield f"ladder/{kernel}/{ladder}/odd", prog, ODD_CONFIG
+    for size in perf.SIZE_SWEEP:
+        dims = {"N": size}
+        yield (f"size/gelu/{size}/vec",
+               pipeline.build_staged(kernel_path("gelu"), perf.PASS_LADDERS["vec"], dims, default),
+               default)
+        yield (f"size/gelu/{size}/vec_mt",
+               pipeline.build_staged(kernel_path("gelu"), perf.PASS_LADDERS["vec_mt"], dims,
+                                     default, mt_threshold=1),
+               default)
+    for m in (0.0, 0.25, 0.5, 0.75, 1.0):
+        prog, cfg = perf.overlap_probe(m)
+        yield f"m/{m:g}/base", prog, cfg
+        db1 = db_structural(prog)
+        yield f"m/{m:g}/db", (db_dma(db1) if db1 is not prog else db1), cfg
+    for seed in RANDOM_SEEDS:
+        program = oracles.gen_random_program(oracles.RandomProgramSpec(seed))
+        for threshold in (1, 32768):
+            opts = pipeline.PipelineOptions(mt_threshold=threshold)
+            current = program
+            for k, name in enumerate(pipeline.PASS_ORDER[:6]):
+                current = pipeline.apply_pass(name, current, opts)
+                if threshold != 1 and k < 3:
+                    continue  # the prefixes before mt do not depend on the threshold
+                prefix = ",".join(pipeline.PASS_ORDER[:k + 1])
+                yield f"random/{seed}/mt={threshold}/{prefix}", current, default
+                yield f"random/{seed}/mt={threshold}/{prefix}/odd", current, ODD_CONFIG
+
+
+def report_line(case_id, rep):
+    return " ".join([case_id] + [float(getattr(rep, f.name)).hex() for f in fields(rep)])
+
+
+def golden_lines():
+    return [report_line(cid, perf.simulate(prog, cfg)) for cid, prog, cfg in golden_cases()]
+
+
+def test_reports_match_golden_bit_for_bit():
+    want = GOLDEN.read_text().splitlines()
+    got = golden_lines()
+    assert [line.split()[0] for line in got] == [line.split()[0] for line in want]
+    diff = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not diff, f"{len(diff)} reports differ, first: got {diff[0][0]} want {diff[0][1]}"
+
+
+
+# -- loop costing: cached iterations replay, the rest is walked ----------------
+
+def _full_walk(monkeypatch, program, cfg):
+    with monkeypatch.context() as m:
+        m.setattr(perf._Sim, "loop_plan", lambda self, op: None)
+        return perf.simulate(program, cfg)
+
+
+def _count_body_walks(monkeypatch, body):
+    walks = [0]
+    real = perf._Sim.walk_block
+
+    def spy(self, ops, *args, **kwargs):
+        walks[0] += ops is body
+        return real(self, ops, *args, **kwargs)
+
+    monkeypatch.setattr(perf._Sim, "walk_block", spy)
+    return walks
+
+
+def test_tiled_loop_body_is_walked_once_per_iteration_class(monkeypatch):
+    opts = pipeline.PipelineOptions(tile_sizes=(4096,), mt_threshold=1)
+    program = _final("gelu", FULL_PASSES, opts)
+    loop = next(op for op in program.ops if isinstance(op, ForOp))
+    assert "tiled_generic" in loop.annotations
+    assert len(range(loop.lb, loop.ub, loop.step)) == 256
+    full = _full_walk(monkeypatch, program, ODD_CONFIG)
+    walks = _count_body_walks(monkeypatch, loop.body)
+    assert perf.simulate(program, ODD_CONFIG) == full
+    # ping, pong, and the last iteration whose prefetch guard is false
+    assert walks[0] <= 4
+
+
+def _tcm_loop(domain, size, trips=8):
+    i = IVar("i")
+    decls = (TensorDecl("x", (64,), role="input"), TensorDecl("y", (64,), role="output"))
+    body = (
+        ExtractSliceOp("s", "x", (i,), (size,)),
+        AllocOp("t", (size,), "tcm"),
+        CopyOp("s", "t"),
+        GenericOp("g", (domain,), ("t",), ("t",), (AffineIndexMap.identity(1),) * 2,
+                  ("parallel",), (Payload.binary("add", Payload.arg(0), Payload.const(1.0)),)),
+        InsertSliceOp("t", "y", (i,), (size,)),
+        DeallocOp("t"),
+    )
+    loop = ForOp("i", 0, trips, 1, body)
+    return KernelProgram("t", decls, (loop,)), loop
+
+
+@pytest.mark.parametrize("where", ["domain", "alloc"])
+def test_distinct_keys_walk_every_iteration(monkeypatch, where):
+    plus_one = IBin("add", IVar("i"), 1)
+    program, loop = _tcm_loop(plus_one if where == "domain" else 4,
+                              plus_one if where == "alloc" else 4)
+    full = _full_walk(monkeypatch, program, ODD_CONFIG)
+    walks = _count_body_walks(monkeypatch, loop.body)
+    assert perf.simulate(program, ODD_CONFIG) == full
+    assert walks[0] == 8
+
+
+def test_constant_body_is_walked_once(monkeypatch):
+    program, loop = _tcm_loop(4, 4)
+    full = _full_walk(monkeypatch, program, ODD_CONFIG)
+    walks = _count_body_walks(monkeypatch, loop.body)
+    assert perf.simulate(program, ODD_CONFIG) == full
+    assert walks[0] == 1
+
+
+def test_toggle_alternation_is_replayed(monkeypatch):
+    # ping costs more than pong, and the cell's exit value gates one more generic
+    def work(n):
+        return GenericOp("g", (n,), ("x",), ("y",), (AffineIndexMap.identity(1),) * 2,
+                         ("parallel",), (Payload.binary("add", Payload.arg(0), Payload.arg(0)),))
+
+    body = (IfOp(TogglePred("tog", True), (work(64),)),
+            IfOp(TogglePred("tog", False), (work(3),)),
+            StoreToggleOp("tog", None))
+    loop = ForOp("i", 0, 7, 1, body)
+    ops = (StoreToggleOp("tog", True), loop, IfOp(TogglePred("tog", False), (work(5),)))
+    program = KernelProgram("t", (TensorDecl("x", (64,), role="input"),
+                                  TensorDecl("y", (64,), role="output")), ops)
+    cfg = perf.MachineConfig()
+    full = _full_walk(monkeypatch, program, cfg)
+    walks = _count_body_walks(monkeypatch, body)
+    assert perf.simulate(program, cfg) == full
+    assert full.compute_cycles == 4 * 64 + 3 * 3 + 5
+    assert walks[0] == 2
+
+
+def test_spawn_loop_adding_to_outer_group_is_walked_in_full(monkeypatch):
+    _, inner = _tcm_loop(4, 4)
+    spawn = ForOp("th", 0, 4, 1, (AsyncExecuteOp("tok", (inner,)), AddToGroupOp("grp", "tok")))
+    program = KernelProgram("t", (TensorDecl("x", (64,), role="input"),
+                                  TensorDecl("y", (64,), role="output")),
+                            (AsyncGroupOp("grp", 4), spawn, AwaitAllOp("grp")))
+    full = _full_walk(monkeypatch, program, ODD_CONFIG)
+    walks = _count_body_walks(monkeypatch, spawn.body)
+    assert perf.simulate(program, ODD_CONFIG) == full
+    assert walks[0] == 4
+
+
+# -- machine configs -----------------------------------------------------------
+
+def test_default_config_round_trips_through_text():
+    cfg = perf.MachineConfig()
+    assert perf.MachineConfig.from_text(cfg.to_text()) == cfg
+    assert perf.MachineConfig.from_text((ROOT / "configs" / "default.machine").read_text()) == cfg
+
+
+BAD_LINES = [
+    "op_cost = 1", "to_text = 2", "scalar_op_cycles = 3", "op. = 1", "nonsense = 1",
+    "no equals sign", "num_hvx_contexts = 2.5", "dma_latency_cycles = fast",
+    "op.add = nan", "op.exp = inf", "op.mul = -1",
+    "window_miss_factor = nan", "dma_latency_cycles = inf", "barrier_cycles = -1",
+    "dma_bandwidth_bytes_per_cycle = 0", "num_hvx_contexts = 0", "window_miss_factor = 0.5",
+    "tcm_bytes = 0",
+]
+
+
+@pytest.mark.parametrize("line", BAD_LINES)
+def test_bad_config_line_is_rejected(line):
+    with pytest.raises(perf.MachineConfigError):
+        perf.MachineConfig.from_text(line + "\n")
+
+
+def test_bench_with_bad_machine_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.machine"
+    bad.write_text("window_miss_factor = nan\n")
+    argv = ["bench", "--sweep", "passes", "--kernels", kernel_path("gelu"), "--machine", str(bad)]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert "window_miss_factor = nan" in capsys.readouterr().err
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_perf.py --write")
+    GOLDEN.write_text("\n".join(golden_lines()) + "\n")
+    print(f"wrote {GOLDEN}")
