@@ -12,15 +12,16 @@ are deliberately rigid:
 - DMA data becomes visible in the destination only at dma_wait; reading a
   buffer with an in-flight fill, waiting on an idle tag, or starting a tag
   twice is a hard ExecutionFault;
-- async bodies run sequentially in issue order by default. The threaded mode
-  runs forall/async bodies on real threads; it is only legal because pass
-  output guarantees disjoint writes, and differential tests check it against
-  sequential mode.
+- forall and async bodies run sequentially in issue order, each to
+  completion before the next op; await_all only checks group discipline.
+
+Execution dispatches each op through a table keyed by its exact type. Each
+scope carries one flat dict of the index vars in scope, which extents
+evaluate against directly (see ir.IBin for their compiled closures).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -65,14 +66,18 @@ class _Buffer:
 
 
 class _Env:
-    """Lexical binding scope; physical arrays are shared across scopes."""
+    """Lexical binding scope; physical arrays are shared across scopes.
 
-    __slots__ = ("parent", "buffers", "ivals")
+    `idx` maps every index var in scope to its value, the enclosing scopes'
+    included, so an extent evaluates against it directly.
+    """
 
-    def __init__(self, parent: Optional["_Env"] = None):
+    __slots__ = ("parent", "buffers", "idx")
+
+    def __init__(self, parent: Optional["_Env"], idx: dict[str, int]):
         self.parent = parent
         self.buffers: dict[str, _Buffer] = {}
-        self.ivals: dict[str, int] = {}
+        self.idx = idx
 
     def lookup(self, name: str) -> _Buffer:
         env = self
@@ -83,14 +88,6 @@ class _Env:
             env = env.parent
         raise ExecutionFault(f"undefined buffer %{name}")
 
-    def ival(self, name: str) -> int:
-        env = self
-        while env is not None:
-            if name in env.ivals:
-                return env.ivals[name]
-            env = env.parent
-        raise ExecutionFault(f"unbound index variable %{name}")
-
     def unbind(self, name: str) -> None:
         env = self
         while env is not None:
@@ -99,17 +96,6 @@ class _Env:
                 return
             env = env.parent
         raise ExecutionFault(f"dealloc of undefined buffer %{name}")
-
-    def index_env(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        chain = []
-        env = self
-        while env is not None:
-            chain.append(env)
-            env = env.parent
-        for env in reversed(chain):
-            out.update(env.ivals)
-        return out
 
 
 @dataclass
@@ -123,40 +109,34 @@ class _Pending:
 class ExecEnv:
     """Machine-wide execution state: DMA ledger, toggles, tokens, groups."""
 
-    def __init__(self, threaded: bool = False, trace: Optional[list] = None):
-        self.threaded = threaded
-        self.trace = trace
+    def __init__(self):
         self.dma: dict[int, _Pending] = {}
         self.toggles: dict[str, bool] = {}
-        self.tokens: dict[str, object] = {}
-        self.groups: dict[str, list] = {}
-        self.pool: Optional[ThreadPoolExecutor] = None
+        self.tokens: set[str] = set()  # issued, not yet added to a group
+        self.groups: set[str] = set()  # created, not yet awaited
         self.dma_starts = 0
         self.dma_waits = 0
 
-    def emit(self, event: tuple) -> None:
-        if self.trace is not None:
-            self.trace.append(event)
 
-
-def _read(buf: _Buffer, what: str) -> np.ndarray:
+def _read(buf: _Buffer, name: str) -> np.ndarray:
     if buf.pending_tag is not None:
         raise ExecutionFault(
-            f"read of {what} before dma_wait(tag=%{buf.pending_tag}) completed its fill")
+            f"read of %{name} before dma_wait(tag=%{buf.pending_tag}) completed its fill")
     return buf.data
 
 
-def _region(buf: _Buffer, offsets, sizes, env_idx, what: str) -> tuple[slice, ...]:
+def _region(buf: _Buffer, offsets, sizes, idx, what: str, name: str) -> tuple[slice, ...]:
+    """Slices of `buf` for one slice op; faults name it as `<what> %<name>`."""
     shape = buf.data.shape
     if len(offsets) != len(shape) or len(sizes) != len(shape):
-        raise ExecutionFault(f"{what}: slice rank mismatch")
+        raise ExecutionFault(f"{what} %{name}: slice rank mismatch")
     sl = []
     for d, (o, s) in enumerate(zip(offsets, sizes)):
-        ov = ir.eval_extent(o, env_idx)
-        sv = ir.eval_extent(s, env_idx)
+        ov = ir.eval_extent(o, idx)
+        sv = ir.eval_extent(s, idx)
         if ov < 0 or sv < 1 or ov + sv > shape[d]:
-            raise ExecutionFault(
-                f"{what}: out-of-bounds slice dim {d}: offset {ov} size {sv} extent {shape[d]}")
+            raise ExecutionFault(f"{what} %{name}: out-of-bounds slice dim {d}: "
+                                 f"offset {ov} size {sv} extent {shape[d]}")
         sl.append(slice(ov, ov + sv))
     return tuple(sl)
 
@@ -185,158 +165,165 @@ def _gather(arr: np.ndarray, m: ir.AffineIndexMap, domain: tuple[int, ...], name
 
 
 class _Interp:
+    """Executes ops in order; `run_block` dispatches each op by its exact type."""
+
     def __init__(self, program: ir.KernelProgram, state: ExecEnv):
         self.program = program
         self.state = state
 
-    # -- op dispatch ---------------------------------------------------------
-
     def run_block(self, ops, env: _Env) -> None:
+        handlers = _HANDLERS
         for op in ops:
-            self.run_op(op, env)
+            handler = handlers.get(type(op))
+            if handler is None:  # pragma: no cover
+                raise TypeError(f"unknown op {type(op)}")
+            handler(self, op, env)
 
-    def run_op(self, op: ir.Op, env: _Env) -> None:
-        if isinstance(op, ir.GenericOp):
-            self.run_generic(op, env)
-        elif isinstance(op, ir.ForOp):
-            idx = env.index_env()
-            lb = ir.eval_extent(op.lb, idx)
-            ub = ir.eval_extent(op.ub, idx)
-            step = ir.eval_extent(op.step, idx)
-            if step < 1:
-                raise ExecutionFault(f"for %{op.var}: step {step} < 1")
-            for i in range(lb, ub, step):
-                child = _Env(env)
-                child.ivals[op.var] = i
-                self.run_block(op.body, child)
-        elif isinstance(op, ir.ForallOp):
-            if self.state.threaded:
-                self._run_parallel([(t, op.body) for t in range(op.threads)], op.var, env)
-            else:
-                for t in range(op.threads):
-                    child = _Env(env)
-                    child.ivals[op.var] = t
-                    self.run_block(op.body, child)
-        elif isinstance(op, ir.IfOp):
-            if self.eval_pred(op.pred, env):
-                self.state.emit(("if", tuple(sorted(op.annotations))))
-                self.run_block(op.body, _Env(env))
-        elif isinstance(op, ir.ExtractSliceOp):
-            src = env.lookup(op.source)
-            region = _region(src, op.offsets, op.sizes, env.index_env(), f"extract_slice %{op.source}")
-            data = _read(src, f"%{op.source}")[region].copy()
-            env.buffers[op.result] = _Buffer(data, src.space)
-        elif isinstance(op, ir.InsertSliceOp):
-            src = env.lookup(op.source)
-            dst = env.lookup(op.dest)
-            if dst.pending_tag is not None:
-                raise ExecutionFault(
-                    f"insert_slice into %{op.dest} while dma tag=%{dst.pending_tag} is in flight")
-            region = _region(dst, op.offsets, op.sizes, env.index_env(), f"insert_slice %{op.dest}")
-            dst.data[region] = _read(src, f"%{op.source}")
-        elif isinstance(op, ir.CopyOp):
-            src = env.lookup(op.source)
-            dst = env.lookup(op.dest)
-            if dst.pending_tag is not None:
-                raise ExecutionFault(
-                    f"copy into %{op.dest} while dma tag=%{dst.pending_tag} is in flight")
-            if src.data.shape != dst.data.shape:
-                raise ExecutionFault(f"copy %{op.source}->%{op.dest}: shape mismatch")
-            dst.data[...] = _read(src, f"%{op.source}")
-        elif isinstance(op, ir.AllocOp):
-            idx = env.index_env()
-            shape = tuple(ir.eval_extent(s, idx) for s in op.sizes)
-            if any(s < 1 for s in shape):
-                raise ExecutionFault(f"alloc %{op.result}: non-positive extent {shape}")
-            env.buffers[op.result] = _Buffer(np.zeros(shape, dtype=np.float32), op.space)
-        elif isinstance(op, ir.DeallocOp):
-            buf = env.lookup(op.target)
-            if buf.pending_tag is not None:
-                raise ExecutionFault(
-                    f"dealloc %{op.target} while dma tag=%{buf.pending_tag} is in flight")
-            env.unbind(op.target)
-        elif isinstance(op, ir.DmaStartOp):
-            self.run_dma_start(op, env)
-        elif isinstance(op, ir.DmaWaitOp):
-            tag = env.lookup(op.tag)
-            pending = self.state.dma.pop(id(tag), None)
-            if pending is None:
-                raise ExecutionFault(f"dma_wait on idle tag %{op.tag} (no dma_start in flight)")
-            pending.dest.data[pending.region] = pending.data
-            pending.dest.pending_tag = None
-            self.state.dma_waits += 1
-        elif isinstance(op, ir.AsyncGroupOp):
-            self.state.groups[op.group] = []
-        elif isinstance(op, ir.AsyncExecuteOp):
-            child = _Env(env)
-            if self.state.threaded:
-                self.state.tokens[op.token] = ("deferred", op.body, child)
-            else:
-                self.run_block(op.body, child)
-                self.state.tokens[op.token] = ("done", None, None)
-        elif isinstance(op, ir.AddToGroupOp):
-            if op.group not in self.state.groups:
-                raise ExecutionFault(f"add_to_group: unknown group %{op.group}")
-            tok = self.state.tokens.pop(op.token, None)
-            if tok is None:
-                raise ExecutionFault(f"add_to_group: token %{op.token} not issued")
-            self.state.groups[op.group].append(tok)
-        elif isinstance(op, ir.AwaitAllOp):
-            members = self.state.groups.pop(op.group, None)
-            if members is None:
-                raise ExecutionFault(f"await_all on unknown group %{op.group}")
-            deferred = [(body, env_) for kind, body, env_ in members if kind == "deferred"]
-            if deferred:
-                self._join(deferred)
-        elif isinstance(op, ir.StoreToggleOp):
-            if op.value is None:
-                if op.cell not in self.state.toggles:
-                    raise ExecutionFault(f"store_toggle flip of unset cell %{op.cell}")
-                self.state.toggles[op.cell] = not self.state.toggles[op.cell]
-            else:
-                self.state.toggles[op.cell] = op.value
-            self.state.emit(("toggle", op.cell, self.state.toggles[op.cell]))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown op {type(op)}")
+    # -- control flow -----------------------------------------------------------
 
-    # -- pieces ---------------------------------------------------------------
+    def run_for(self, op: ir.ForOp, env: _Env) -> None:
+        idx = env.idx
+        lb = ir.eval_extent(op.lb, idx)
+        ub = ir.eval_extent(op.ub, idx)
+        step = ir.eval_extent(op.step, idx)
+        if step < 1:
+            raise ExecutionFault(f"for %{op.var}: step {step} < 1")
+        self._iterate(op.var, range(lb, ub, step), op.body, env)
+
+    def run_forall(self, op: ir.ForallOp, env: _Env) -> None:
+        self._iterate(op.var, range(op.threads), op.body, env)
+
+    def _iterate(self, var: str, values: range, body, env: _Env) -> None:
+        # one index dict serves every iteration: bodies run to completion in order
+        idx = dict(env.idx)
+        for i in values:
+            idx[var] = i
+            self.run_block(body, _Env(env, idx))
+
+    def run_if(self, op: ir.IfOp, env: _Env) -> None:
+        if self.eval_pred(op.pred, env):
+            self.run_block(op.body, _Env(env, env.idx))
 
     def eval_pred(self, pred: ir.Pred, env: _Env) -> bool:
         if isinstance(pred, ir.CmpPred):
-            idx = env.index_env()
+            idx = env.idx
             return ir._CMP_FNS[pred.op](ir.eval_extent(pred.lhs, idx), ir.eval_extent(pred.rhs, idx))
         if pred.cell not in self.state.toggles:
             raise ExecutionFault(f"toggle %{pred.cell} read before any store")
         return self.state.toggles[pred.cell] == pred.value
 
+    # -- buffers ------------------------------------------------------------------
+
+    def run_extract_slice(self, op: ir.ExtractSliceOp, env: _Env) -> None:
+        src = env.lookup(op.source)
+        region = _region(src, op.offsets, op.sizes, env.idx, "extract_slice", op.source)
+        data = _read(src, op.source)[region].copy()
+        env.buffers[op.result] = _Buffer(data, src.space)
+
+    def run_insert_slice(self, op: ir.InsertSliceOp, env: _Env) -> None:
+        src = env.lookup(op.source)
+        dst = env.lookup(op.dest)
+        if dst.pending_tag is not None:
+            raise ExecutionFault(
+                f"insert_slice into %{op.dest} while dma tag=%{dst.pending_tag} is in flight")
+        region = _region(dst, op.offsets, op.sizes, env.idx, "insert_slice", op.dest)
+        dst.data[region] = _read(src, op.source)
+
+    def run_copy(self, op: ir.CopyOp, env: _Env) -> None:
+        src = env.lookup(op.source)
+        dst = env.lookup(op.dest)
+        if dst.pending_tag is not None:
+            raise ExecutionFault(
+                f"copy into %{op.dest} while dma tag=%{dst.pending_tag} is in flight")
+        if src.data.shape != dst.data.shape:
+            raise ExecutionFault(f"copy %{op.source}->%{op.dest}: shape mismatch")
+        dst.data[...] = _read(src, op.source)
+
+    def run_alloc(self, op: ir.AllocOp, env: _Env) -> None:
+        idx = env.idx
+        shape = tuple(ir.eval_extent(s, idx) for s in op.sizes)
+        if any(s < 1 for s in shape):
+            raise ExecutionFault(f"alloc %{op.result}: non-positive extent {shape}")
+        env.buffers[op.result] = _Buffer(np.zeros(shape, dtype=np.float32), op.space)
+
+    def run_dealloc(self, op: ir.DeallocOp, env: _Env) -> None:
+        buf = env.lookup(op.target)
+        if buf.pending_tag is not None:
+            raise ExecutionFault(
+                f"dealloc %{op.target} while dma tag=%{buf.pending_tag} is in flight")
+        env.unbind(op.target)
+
+    # -- DMA ----------------------------------------------------------------------
+
     def run_dma_start(self, op: ir.DmaStartOp, env: _Env) -> None:
-        idx = env.index_env()
+        idx = env.idx
         tag = env.lookup(op.tag)
         src = env.lookup(op.source)
         dst = env.lookup(op.dest)
         src_off = op.src_offsets or (0,) * src.data.ndim
         dst_off = op.dst_offsets or (0,) * dst.data.ndim
-        src_region = _region(src, src_off, op.sizes, idx, f"dma_start src %{op.source}")
-        dst_region = _region(dst, dst_off, op.sizes, idx, f"dma_start dst %{op.dest}")
+        src_region = _region(src, src_off, op.sizes, idx, "dma_start src", op.source)
+        dst_region = _region(dst, dst_off, op.sizes, idx, "dma_start dst", op.dest)
         if id(tag) in self.state.dma:
             raise ExecutionFault(f"dma_start on tag %{op.tag} already in flight (start/start)")
         if dst.pending_tag is not None:
             raise ExecutionFault(
                 f"dma_start into %{op.dest} while tag=%{dst.pending_tag} is in flight")
-        snapshot = _read(src, f"%{op.source}")[src_region].copy()
+        snapshot = _read(src, op.source)[src_region].copy()
         self.state.dma[id(tag)] = _Pending(dst, dst_region, snapshot, op.tag)
         dst.pending_tag = op.tag
         self.state.dma_starts += 1
 
+    def run_dma_wait(self, op: ir.DmaWaitOp, env: _Env) -> None:
+        tag = env.lookup(op.tag)
+        pending = self.state.dma.pop(id(tag), None)
+        if pending is None:
+            raise ExecutionFault(f"dma_wait on idle tag %{op.tag} (no dma_start in flight)")
+        pending.dest.data[pending.region] = pending.data
+        pending.dest.pending_tag = None
+        self.state.dma_waits += 1
+
+    # -- async threads and toggles --------------------------------------------------
+
+    def run_async_group(self, op: ir.AsyncGroupOp, env: _Env) -> None:
+        self.state.groups.add(op.group)
+
+    def run_async_execute(self, op: ir.AsyncExecuteOp, env: _Env) -> None:
+        self.run_block(op.body, _Env(env, env.idx))
+        self.state.tokens.add(op.token)
+
+    def run_add_to_group(self, op: ir.AddToGroupOp, env: _Env) -> None:
+        if op.group not in self.state.groups:
+            raise ExecutionFault(f"add_to_group: unknown group %{op.group}")
+        if op.token not in self.state.tokens:
+            raise ExecutionFault(f"add_to_group: token %{op.token} not issued")
+        self.state.tokens.remove(op.token)
+
+    def run_await_all(self, op: ir.AwaitAllOp, env: _Env) -> None:
+        if op.group not in self.state.groups:
+            raise ExecutionFault(f"await_all on unknown group %{op.group}")
+        self.state.groups.remove(op.group)
+
+    def run_store_toggle(self, op: ir.StoreToggleOp, env: _Env) -> None:
+        toggles = self.state.toggles
+        if op.value is None:
+            if op.cell not in toggles:
+                raise ExecutionFault(f"store_toggle flip of unset cell %{op.cell}")
+            toggles[op.cell] = not toggles[op.cell]
+        else:
+            toggles[op.cell] = op.value
+
+    # -- compute ------------------------------------------------------------------
+
     def run_generic(self, op: ir.GenericOp, env: _Env) -> None:
-        idx = env.index_env()
+        idx = env.idx
         domain = tuple(ir.eval_extent(e, idx) for e in op.domain)
         if any(d < 1 for d in domain):
             raise ExecutionFault(f"generic @{op.name}: empty domain {domain}")
         views = []
         for name, m in zip(op.inputs, op.input_maps()):
             buf = env.lookup(name)
-            views.append(_gather(_read(buf, f"%{name}"), m, domain, name))
+            views.append(_gather(_read(buf, name), m, domain, name))
         red_axes = op.reduction_dims()
         par_dims = [d for d in range(len(domain)) if d not in red_axes]
         for name, m, payload, red in zip(op.outputs, op.output_maps(), op.payloads, op.reductions):
@@ -364,44 +351,40 @@ class _Interp:
                     placed = np.expand_dims(placed, j)
             out.data[tuple(idx_out)] = placed
 
-    # -- threading -------------------------------------------------------------
 
-    def _pool(self) -> ThreadPoolExecutor:
-        if self.state.pool is None:
-            self.state.pool = ThreadPoolExecutor(max_workers=8)
-        return self.state.pool
-
-    def _run_parallel(self, bodies, var: str, env: _Env) -> None:
-        def run_one(t_body):
-            t, body = t_body
-            child = _Env(env)
-            child.ivals[var] = t
-            self.run_block(body, child)
-
-        list(self._pool().map(run_one, bodies))
-
-    def _join(self, deferred) -> None:
-        def run_one(item):
-            body, env_ = item
-            self.run_block(body, env_)
-
-        list(self._pool().map(run_one, deferred))
+# Handlers are plain methods looked up per op; the numerics they call
+# (eval_payload, ordered_fold) stay module globals resolved at call time.
+_HANDLERS = {
+    ir.GenericOp: _Interp.run_generic,
+    ir.ForOp: _Interp.run_for,
+    ir.ForallOp: _Interp.run_forall,
+    ir.IfOp: _Interp.run_if,
+    ir.ExtractSliceOp: _Interp.run_extract_slice,
+    ir.InsertSliceOp: _Interp.run_insert_slice,
+    ir.CopyOp: _Interp.run_copy,
+    ir.AllocOp: _Interp.run_alloc,
+    ir.DeallocOp: _Interp.run_dealloc,
+    ir.DmaStartOp: _Interp.run_dma_start,
+    ir.DmaWaitOp: _Interp.run_dma_wait,
+    ir.AsyncGroupOp: _Interp.run_async_group,
+    ir.AsyncExecuteOp: _Interp.run_async_execute,
+    ir.AddToGroupOp: _Interp.run_add_to_group,
+    ir.AwaitAllOp: _Interp.run_await_all,
+    ir.StoreToggleOp: _Interp.run_store_toggle,
+}
 
 
 def interpret(
     program: ir.KernelProgram,
     inputs: Mapping[str, Union[np.ndarray, TensorValue]],
-    *,
-    threaded: bool = False,
-    trace: Optional[list] = None,
 ) -> dict[str, np.ndarray]:
     """Execute `program` on named inputs; returns its named outputs.
 
     Deterministic: two interpretations of the same (program, inputs) are
-    bit-identical, in either execution mode.
+    bit-identical.
     """
-    state = ExecEnv(threaded=threaded, trace=trace)
-    root = _Env()
+    state = ExecEnv()
+    root = _Env(None, {})
     for d in program.decls:
         if d.role == "input":
             if d.name not in inputs:
@@ -414,14 +397,10 @@ def interpret(
         else:
             data = np.zeros(d.shape, dtype=np.float32)
         root.buffers[d.name] = _Buffer(data, d.space)
-    try:
-        _Interp(program, state).run_block(program.ops, root)
-        if state.dma:
-            tags = sorted(p.tag_name for p in state.dma.values())
-            raise ExecutionFault(f"program ended with un-waited dma tags: {tags}")
-    finally:
-        if state.pool is not None:
-            state.pool.shutdown(wait=True)
+    _Interp(program, state).run_block(program.ops, root)
+    if state.dma:
+        tags = sorted(p.tag_name for p in state.dma.values())
+        raise ExecutionFault(f"program ended with un-waited dma tags: {tags}")
     return {d.name: root.buffers[d.name].data for d in program.decls if d.role == "output"}
 
 

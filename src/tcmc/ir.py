@@ -15,8 +15,9 @@ blocks). Index arithmetic inside loops uses a small expression language
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Literal, Optional, Union
+from typing import Callable, Iterator, Literal, Mapping, Optional, Union
 
 import numpy as np
 
@@ -32,11 +33,32 @@ class IVar:
     name: str
 
 
+def _derived():
+    """A cache slot on an IBin: filled on first use, outside ==, hash and repr."""
+    return field(init=False, compare=False, hash=False, repr=False)
+
+
 @dataclass(frozen=True, slots=True)
 class IBin:
+    """Binary index expression.
+
+    A node also caches three facts about itself, each derived on first use
+    and set with object.__setattr__: `_eval`, a closure that evaluates it
+    against an index dict; `_free`, the frozenset of variable names it
+    mentions; and `_bounds`, its last interval bound together with the
+    ranges of `_free` that bound was computed for. Equality, hashing, repr
+    and the printer see only `op`, `lhs` and `rhs`.
+    """
+
     op: Literal["add", "sub", "mul", "floordiv", "min", "max"]
     lhs: "Extent"
     rhs: "Extent"
+    _eval: Callable[[Mapping[str, int]], int] = _derived()
+    _free: frozenset[str] = _derived()
+    _bounds: tuple = _derived()
+
+    def __reduce__(self):  # pickle and copy the expression, never the caches
+        return IBin, (self.op, self.lhs, self.rhs)
 
 
 Extent = Union[int, IVar, IBin]
@@ -95,24 +117,42 @@ def ix_max(a: Extent, b: Extent) -> Extent:
 
 
 _IBIN_FNS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "floordiv": lambda a, b: a // b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "floordiv": operator.floordiv,
     "min": min,
     "max": max,
 }
 
+def _compile(e: Extent) -> Callable[[Mapping[str, int]], int]:
+    """Closure evaluating any extent: a node's own, a var lookup or a constant."""
+    if isinstance(e, IBin):
+        return _evaluator(e)
+    if isinstance(e, IVar):
+        return operator.itemgetter(e.name)
+    return lambda env: e
 
-def eval_extent(e: Extent, env: dict[str, int]) -> int:
+
+def _evaluator(e: IBin) -> Callable[[Mapping[str, int]], int]:
+    fn = getattr(e, "_eval", None)
+    if fn is None:
+        f, a, b = _IBIN_FNS[e.op], _compile(e.lhs), _compile(e.rhs)
+        fn = lambda env: f(a(env), b(env))
+        object.__setattr__(e, "_eval", fn)
+    return fn
+
+
+def eval_extent(e: Extent, env: Mapping[str, int]) -> int:
+    """Value of `e` under `env`; KeyError names the first unbound variable."""
     if isinstance(e, int):
         return e
-    if isinstance(e, IVar):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise KeyError(f"unbound index variable {e.name}") from None
-    return _IBIN_FNS[e.op](eval_extent(e.lhs, env), eval_extent(e.rhs, env))
+    try:
+        if isinstance(e, IBin):
+            return _evaluator(e)(env)
+        return env[e.name]
+    except KeyError as err:
+        raise KeyError(f"unbound index variable {err.args[0]}") from None
 
 
 def substitute_extent(e: Extent, mapping: dict[str, Extent]) -> Extent:
@@ -125,32 +165,58 @@ def substitute_extent(e: Extent, mapping: dict[str, Extent]) -> Extent:
     return ctor(substitute_extent(e.lhs, mapping), substitute_extent(e.rhs, mapping))
 
 
-def extent_bounds(e: Extent, ranges: dict[str, tuple[int, int]]) -> Optional[tuple[int, int]]:
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _extent_vars(e: Extent) -> frozenset[str]:
+    if isinstance(e, int):
+        return _NO_VARS
+    if isinstance(e, IVar):
+        return frozenset((e.name,))
+    free = getattr(e, "_free", None)
+    if free is None:
+        free = _extent_vars(e.lhs) | _extent_vars(e.rhs)
+        object.__setattr__(e, "_free", free)
+    return free
+
+
+def extent_bounds(e: Extent, ranges: Mapping[str, tuple[int, int]]) -> Optional[tuple[int, int]]:
     """Inclusive interval bound of `e` given per-variable (lo, hi) ranges.
 
-    Returns None when a variable has no known range.
+    Returns None when a variable has no known range. An IBin remembers its
+    last result with the ranges of its free variables, so bounding it again
+    under the same ranges is one dict lookup per free variable.
     """
     if isinstance(e, int):
         return (e, e)
     if isinstance(e, IVar):
         return ranges.get(e.name)
-    lb = extent_bounds(e.lhs, ranges)
-    rb = extent_bounds(e.rhs, ranges)
+    key = tuple([ranges.get(v) for v in _extent_vars(e)])
+    memo = getattr(e, "_bounds", None)
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    result = _ibin_bounds(e.op, extent_bounds(e.lhs, ranges), extent_bounds(e.rhs, ranges))
+    object.__setattr__(e, "_bounds", (key, result))
+    return result
+
+
+def _ibin_bounds(op: str, lb: Optional[tuple[int, int]],
+                 rb: Optional[tuple[int, int]]) -> Optional[tuple[int, int]]:
     if lb is None or rb is None:
         return None
-    if e.op == "add":
+    if op == "add":
         return (lb[0] + rb[0], lb[1] + rb[1])
-    if e.op == "sub":
+    if op == "sub":
         return (lb[0] - rb[1], lb[1] - rb[0])
-    if e.op == "mul":
+    if op == "mul":
         c = [a * b for a in lb for b in rb]
         return (min(c), max(c))
-    if e.op == "floordiv":
+    if op == "floordiv":
         if rb[0] <= 0:
             return None
         c = [a // b for a in lb for b in rb]
         return (min(c), max(c))
-    if e.op == "min":
+    if op == "min":
         return (min(lb[0], rb[0]), min(lb[1], rb[1]))
     return (max(lb[0], rb[0]), max(lb[1], rb[1]))
 
@@ -592,12 +658,17 @@ class VerifyReport:
 
 
 class _Scope:
-    """Lexical environment: buffer shapes, index vars, toggles, tokens, groups."""
+    """Lexical environment: buffer shapes and spaces, and the index vars in scope.
 
-    def __init__(self, parent: Optional["_Scope"] = None):
+    `ivars` holds every index var visible here, the enclosing scopes' included.
+    """
+
+    def __init__(self, parent: Optional["_Scope"] = None, ivar: Optional[str] = None):
         self.parent = parent
         self.buffers: dict[str, tuple[Extent, ...]] = {}
-        self.ivars: set[str] = set()
+        self.ivars: frozenset[str] = parent.ivars if parent is not None else _NO_VARS
+        if ivar is not None:
+            self.ivars = self.ivars | {ivar}
         self.spaces: dict[str, str] = {}
 
     def lookup(self, name: str) -> Optional[tuple[Extent, ...]]:
@@ -616,28 +687,12 @@ class _Scope:
             s = s.parent
         return None
 
-    def has_ivar(self, name: str) -> bool:
-        s = self
-        while s is not None:
-            if name in s.ivars:
-                return True
-            s = s.parent
-        return False
-
     def define(self, name: str, shape: tuple[Extent, ...], space: str) -> bool:
         if self.lookup(name) is not None:
             return False
         self.buffers[name] = shape
         self.spaces[name] = space
         return True
-
-
-def _extent_vars(e: Extent) -> set[str]:
-    if isinstance(e, int):
-        return set()
-    if isinstance(e, IVar):
-        return {e.name}
-    return _extent_vars(e.lhs) | _extent_vars(e.rhs)
 
 
 class _Verifier:
@@ -658,8 +713,9 @@ class _Verifier:
 
     def check_extents_defined(self, where: str, exts: tuple[Extent, ...], scope: _Scope) -> None:
         for e in exts:
-            for v in _extent_vars(e):
-                if not scope.has_ivar(v):
+            free = _extent_vars(e)
+            if not free <= scope.ivars:
+                for v in sorted(free - scope.ivars):
                     self.fail(where, "unbound-index", f"index variable %{v} not in scope")
 
     def static_shape(self, shape: tuple[Extent, ...]) -> Optional[tuple[int, ...]]:
@@ -796,8 +852,7 @@ class _Verifier:
                 self.check_generic(op, where, scope)
             elif isinstance(op, ForOp):
                 self.check_extents_defined(where, (op.lb, op.ub, op.step), scope)
-                child = _Scope(scope)
-                child.ivars.add(op.var)
+                child = _Scope(scope, op.var)
                 lb = extent_bounds(op.lb, self.var_ranges)
                 ub = extent_bounds(op.ub, self.var_ranges)
                 saved = self.var_ranges.get(op.var)
@@ -811,8 +866,7 @@ class _Verifier:
             elif isinstance(op, ForallOp):
                 if op.threads < 1:
                     self.fail(where, "thread count", f"forall threads {op.threads} < 1")
-                child = _Scope(scope)
-                child.ivars.add(op.var)
+                child = _Scope(scope, op.var)
                 saved = self.var_ranges.get(op.var)
                 self.var_ranges[op.var] = (0, op.threads - 1)
                 self.walk_block(op.body, child, where + ".body")

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcmc import ir
+from tcmc import cli, ir
 from tcmc.frontend import lower_to_generics, parse_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,6 +20,9 @@ BENCH_DIMS = {
 }
 
 ALL_KERNELS = tuple(BENCH_DIMS)
+
+# the pass list `tcmc compile` runs by default
+DEFAULT_PASSES = tuple(cli.DEFAULT_PASSES.split(","))
 
 
 def kernel_source(name: str) -> str:

@@ -1,9 +1,21 @@
+"""Reference interpreter: values, determinism, faults, golden digests, comparison.
+
+`tests/golden/interp_outputs.txt` holds one line per case: the case id and
+the sha256 of each output's raw f32 bits, so a match is bit for bit.
+Regenerate it only for a deliberate change to the interpreter's semantics:
+
+    PYTHONPATH=src python tests/test_interp.py --write
+"""
+
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcmc import interp, ir
+from tcmc import interp, ir, oracles, pipeline
 from tcmc.frontend import lower_to_generics, parse_kernel
 from tcmc.interp import ExecutionFault, TensorValue, compare_outputs, interpret
 from tcmc.ir import (
@@ -11,7 +23,9 @@ from tcmc.ir import (
     InsertSliceOp, KernelProgram, TensorDecl,
 )
 
-from conftest import bitexact, kernel_inputs, kernel_source, lower
+from conftest import (
+    ALL_KERNELS, DEFAULT_PASSES, ROOT, bitexact, kernel_inputs, kernel_source, lower,
+)
 
 
 def run_kernel(name, dims, inputs):
@@ -91,39 +105,49 @@ def dma_program(with_wait=True, read_before_wait=False):
     return KernelProgram("dma", decls, tuple(ops))
 
 
+def fault_message(program, inputs) -> str:
+    with pytest.raises(ExecutionFault) as info:
+        interpret(program, inputs)
+    return str(info.value)
+
+
 def test_dma_read_before_wait_faults():
     x = {"x": np.arange(8, dtype=np.float32)}
     ok = interpret(dma_program(), x)
     np.testing.assert_array_equal(ok["y"], x["x"])
-    with pytest.raises(ExecutionFault, match="before dma_wait"):
-        interpret(dma_program(read_before_wait=True), x)
+    assert fault_message(dma_program(read_before_wait=True), x) == (
+        "read of %tile before dma_wait(tag=%tag) completed its fill")
 
 
 def test_dma_unbalanced_tag_faults():
     x = {"x": np.arange(8, dtype=np.float32)}
-    with pytest.raises(ExecutionFault, match="un-waited|in flight"):
-        interpret(dma_program(with_wait=False), x)
+    assert fault_message(dma_program(with_wait=False), x) == (
+        "dealloc %tile while dma tag=%tag is in flight")
+    no_deallocs = dma_program(with_wait=False)
+    no_deallocs = no_deallocs.with_ops(no_deallocs.ops[:3])
+    assert fault_message(no_deallocs, x) == (
+        "program ended with un-waited dma tags: ['tag']")
     # double start on one tag
     p = dma_program()
     ops = list(p.ops)
     ops.insert(3, ops[2])
-    with pytest.raises(ExecutionFault, match="already in flight"):
-        interpret(p.with_ops(tuple(ops)), x)
+    assert fault_message(p.with_ops(tuple(ops)), x) == (
+        "dma_start on tag %tag already in flight (start/start)")
 
 
 def test_wait_on_idle_tag_faults():
     decls = (TensorDecl("x", (8,), role="input"), TensorDecl("y", (8,), role="output"))
     ops = (AllocOp("tag", (1,), "ddr"), DmaWaitOp("tag"), DeallocOp("tag"),
            CopyOp("x", "y"))
-    with pytest.raises(ExecutionFault, match="idle tag"):
-        interpret(KernelProgram("p", decls, ops), {"x": np.zeros(8, np.float32)})
+    assert fault_message(KernelProgram("p", decls, ops), {"x": np.zeros(8, np.float32)}) == (
+        "dma_wait on idle tag %tag (no dma_start in flight)")
 
 
 def test_out_of_bounds_slice_faults():
     decls = (TensorDecl("x", (8,), role="input"), TensorDecl("y", (8,), role="output"))
     ops = (ExtractSliceOp("s", "x", (4,), (8,)), InsertSliceOp("s", "y", (0,), (8,)))
-    with pytest.raises(ExecutionFault, match="out-of-bounds"):
-        interpret(KernelProgram("p", decls, ops), {"x": np.zeros(8, np.float32)})
+    assert fault_message(KernelProgram("p", decls, ops), {"x": np.zeros(8, np.float32)}) == (
+        "extract_slice %x: out-of-bounds slice dim 0: offset 4 size 8 extent 8")
 
 
 def test_missing_input_rejected():
@@ -132,6 +156,61 @@ def test_missing_input_rejected():
         interpret(p, {})
     with pytest.raises(ValueError, match="shape"):
         interpret(p, {"x": np.zeros(9, np.float32)})
+
+
+# -- golden digests -------------------------------------------------------------
+
+GOLDEN = ROOT / "tests" / "golden" / "interp_outputs.txt"
+RANDOM_SEEDS = range(50)
+MT_THRESHOLDS = (1, 32768)
+
+
+def _staged(program, passes, opts):
+    """Yield (stage id, program) for the input and every pass prefix."""
+    yield "00_input", program
+    for k, name in enumerate(passes, 1):
+        program = pipeline.apply_pass(name, program, opts)
+        yield f"{k:02d}_{name}", program
+
+
+def golden_cases():
+    """Yield (case id, program, inputs) for every golden digest.
+
+    The kernels' stages with math-approx appended extend those without it,
+    so one staged run per kernel covers both pipelines.
+    """
+    for kernel in ALL_KERNELS:
+        program = lower(kernel)
+        inputs = kernel_inputs(program, kernel)
+        for stage, staged in _staged(program, DEFAULT_PASSES + ("math-approx",),
+                                     pipeline.PipelineOptions()):
+            yield f"kernel/{kernel}/{stage}", staged, inputs
+    for seed in RANDOM_SEEDS:
+        program = oracles.gen_random_program(oracles.RandomProgramSpec(seed))
+        inputs = oracles.random_inputs_for(program, seed)
+        for threshold in MT_THRESHOLDS:
+            opts = pipeline.PipelineOptions(mt_threshold=threshold)
+            for stage, staged in _staged(program, DEFAULT_PASSES, opts):
+                yield f"random/{seed}/mt={threshold}/{stage}", staged, inputs
+
+
+def digest_line(case_id: str, outputs: dict) -> str:
+    digests = " ".join(
+        f"{name}={hashlib.sha256(np.ascontiguousarray(outputs[name], np.float32).tobytes()).hexdigest()}"
+        for name in sorted(outputs))
+    return f"{case_id} {digests}"
+
+
+def golden_lines():
+    return [digest_line(cid, interpret(prog, inputs)) for cid, prog, inputs in golden_cases()]
+
+
+def test_outputs_match_golden_bit_for_bit():
+    want = GOLDEN.read_text().splitlines()
+    got = golden_lines()
+    assert len(got) == len(want)
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not bad, f"{len(bad)} digests differ, first: {bad[0]}"
 
 
 # -- compare_outputs -----------------------------------------------------------
@@ -210,3 +289,9 @@ def test_interpret_accepts_tensor_values():
     tv = TensorValue.from_array(np.zeros(4, np.float32))
     out = interpret(p, {"x": tv})
     np.testing.assert_array_equal(out["y"], np.zeros(4, np.float32))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_interp.py --write")
+    GOLDEN.write_text("\n".join(golden_lines()) + "\n")

@@ -1,11 +1,16 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcmc import ir
 from tcmc.ir import (
-    AffineIndexMap, AllocOp, DeallocOp, GenericOp, IBin, IVar, KernelProgram,
-    Payload, Reduction, TensorDecl, count_ops, eval_extent, extent_bounds,
-    extent_divisible, ix_add, ix_min, ix_mul, ix_sub, print_ir, verify,
+    AffineIndexMap, AllocOp, DeallocOp, ExtractSliceOp, ForOp, GenericOp, IBin, IVar,
+    KernelProgram, Payload, Reduction, TensorDecl, Violation, count_ops, eval_extent,
+    extent_bounds, extent_divisible, ix_add, ix_min, ix_mul, ix_sub, print_extent, print_ir,
+    verify,
 )
 
 from conftest import lower
@@ -50,6 +55,137 @@ def test_extent_divisibility():
 def test_unbound_variable_raises():
     with pytest.raises(KeyError):
         eval_extent(IVar("nope"), {})
+
+
+# -- extents: compiled forms against the plain recursive definitions ----------
+
+# The recursive walkers IBin's cached closure, free-var set and bound memo
+# replaced, kept verbatim as the oracle.
+
+def old_eval(e, env):
+    if isinstance(e, int):
+        return e
+    if isinstance(e, IVar):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise KeyError(f"unbound index variable {e.name}") from None
+    return ir._IBIN_FNS[e.op](old_eval(e.lhs, env), old_eval(e.rhs, env))
+
+
+def old_vars(e):
+    if isinstance(e, int):
+        return set()
+    if isinstance(e, IVar):
+        return {e.name}
+    return old_vars(e.lhs) | old_vars(e.rhs)
+
+
+def old_bounds(e, ranges):
+    if isinstance(e, int):
+        return (e, e)
+    if isinstance(e, IVar):
+        return ranges.get(e.name)
+    lb = old_bounds(e.lhs, ranges)
+    rb = old_bounds(e.rhs, ranges)
+    if lb is None or rb is None:
+        return None
+    if e.op == "add":
+        return (lb[0] + rb[0], lb[1] + rb[1])
+    if e.op == "sub":
+        return (lb[0] - rb[1], lb[1] - rb[0])
+    if e.op == "mul":
+        c = [a * b for a in lb for b in rb]
+        return (min(c), max(c))
+    if e.op == "floordiv":
+        if rb[0] <= 0:
+            return None
+        c = [a // b for a in lb for b in rb]
+        return (min(c), max(c))
+    if e.op == "min":
+        return (min(lb[0], rb[0]), min(lb[1], rb[1]))
+    return (max(lb[0], rb[0]), max(lb[1], rb[1]))
+
+
+def rebuild(e):
+    """A structurally equal tree made of fresh nodes (no caches filled)."""
+    if isinstance(e, IBin):
+        return IBin(e.op, rebuild(e.lhs), rebuild(e.rhs))
+    return e
+
+
+OPS = ("add", "sub", "mul", "floordiv", "min", "max")
+VARS = ("i", "j", "k")
+leaves = st.one_of(st.integers(-40, 40), st.sampled_from(VARS).map(IVar))
+
+
+def nodes(sub):
+    # floordiv only by positive constants, so evaluation never divides by zero
+    return st.sampled_from(OPS).flatmap(lambda op: st.builds(
+        IBin, st.just(op), sub, st.integers(1, 9) if op == "floordiv" else sub))
+
+
+extents = st.recursive(leaves, nodes, max_leaves=12)
+envs = st.fixed_dictionaries({v: st.integers(-50, 50) for v in VARS})
+intervals = st.tuples(st.integers(-30, 30), st.integers(0, 20)).map(lambda t: (t[0], t[0] + t[1]))
+# edits applied in turn to one ranges dict: set a var's range, or drop it
+range_edits = st.lists(st.tuples(st.sampled_from(VARS), st.none() | intervals),
+                       min_size=1, max_size=8)
+
+
+@given(extents, st.lists(envs, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_compiled_eval_matches_recursive(e, env_list):
+    for env in env_list:
+        assert eval_extent(e, env) == old_eval(e, env)
+
+
+@given(extents)
+@settings(max_examples=100, deadline=None)
+def test_free_vars_match_recursive(e):
+    assert ir._extent_vars(e) == old_vars(e)
+    assert ir._extent_vars(e) == old_vars(e)  # cached the second time
+
+
+@given(extents, st.fixed_dictionaries({v: intervals for v in VARS}), range_edits)
+@settings(max_examples=100, deadline=None)
+def test_bounds_memo_follows_changing_ranges(e, ranges, edits):
+    # one dict edited in place, one var at a time, as the verifier does on
+    # loop entry and exit: a memo keyed on anything less than the ranges of
+    # every free var goes stale
+    assert extent_bounds(e, ranges) == old_bounds(e, ranges)
+    for var, interval in edits:
+        if interval is None:
+            ranges.pop(var, None)
+        else:
+            ranges[var] = interval
+        assert extent_bounds(e, ranges) == old_bounds(e, ranges)
+
+
+@given(extents, envs, st.dictionaries(st.sampled_from(VARS), intervals))
+@settings(max_examples=100, deadline=None)
+def test_caches_stay_out_of_equality_hash_and_print(e, env, ranges):
+    fresh = rebuild(e)
+    text = print_extent(e)
+    eval_extent(e, env)
+    extent_bounds(e, ranges)
+    ir._extent_vars(e)
+    assert e == fresh and hash(e) == hash(fresh)
+    assert print_extent(e) == text and repr(e) == repr(fresh)
+    assert pickle.loads(pickle.dumps(e)) == e
+
+
+@given(extents.filter(lambda e: old_vars(e)), envs, st.data())
+@settings(max_examples=100, deadline=None)
+def test_unbound_variable_named_in_key_error(e, env, data):
+    missing = data.draw(st.sampled_from(sorted(old_vars(e))))
+    env = {k: v for k, v in env.items() if k != missing}
+    with pytest.raises(KeyError) as want:
+        old_eval(e, env)
+    with pytest.raises(KeyError) as got:
+        eval_extent(e, env)
+    assert str(got.value) == str(want.value)
+    assert f"unbound index variable {missing}" in str(got.value)
 
 
 # -- verifier ----------------------------------------------------------------
@@ -114,6 +250,47 @@ def test_map_bounds_checked():
     decls = (TensorDecl("x", (4,), role="input"), TensorDecl("y", (8,), role="output"))
     rep = verify(program([elementwise(domain=(8,))], decls))
     assert any(v.rule == "map bounds" for v in rep.violations)
+
+
+def slice_loop(var, lb, ub, step, offset, size, result="s"):
+    """for %var = lb to ub step step { %result = extract_slice %x[offset][size] }"""
+    return ForOp(var, lb, ub, step, (ExtractSliceOp(result, "x", (offset,), (size,)),))
+
+
+def test_unbound_index_after_its_loop_closed():
+    ops = [slice_loop("i", 0, 8, 4, IVar("i"), 4),
+           ExtractSliceOp("t", "x", (IVar("i"),), (4,))]
+    assert verify(program(ops)).violations == (
+        Violation("ops[1]", "unbound-index", "index variable %i not in scope"),)
+
+
+def test_unbound_index_from_sibling_loop():
+    ops = [slice_loop("i", 0, 8, 4, IVar("i"), 4),
+           slice_loop("j", 0, 8, 4, ix_add(IVar("j"), IVar("i")), 4, result="t")]
+    assert verify(program(ops)).violations == (
+        Violation("ops[1].body[0]", "unbound-index", "index variable %i not in scope"),)
+    inner = ForOp("j", 0, 2, 1, (ExtractSliceOp("t", "x", (ix_add(IVar("i"), IVar("j")),), (4,)),))
+    assert verify(program([ForOp("i", 0, 4, 4, (inner,))])).ok
+
+
+def test_slice_bounds_reports_definite_overflow_only():
+    definite = verify(program([slice_loop("i", 0, 8, 4, ix_add(IVar("i"), 8), 4)]))
+    assert definite.violations == (
+        Violation("ops[0].body[0]", "slice bounds", "slice of %x dim 0: offset+size exceeds extent"),)
+    # %i = 4 overflows at run time, but %i = 0 fits: possible, not definite
+    assert verify(program([slice_loop("i", 0, 8, 4, IVar("i"), 5)])).ok
+
+
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_sibling_loops_bound_one_node_under_their_own_ranges(bad_first):
+    offset = ix_add(IVar("i"), 4)  # one node object, sliced in both loops
+    fits = slice_loop("i", 0, 4, 1, offset, 4)           # %i in [0, 3]: ends <= 8
+    overflows = slice_loop("i", 6, 8, 1, offset, 4, "t")  # %i in [6, 7]: starts past 8
+    ops = [overflows, fits] if bad_first else [fits, overflows]
+    bad = 0 if bad_first else 1
+    assert verify(program(ops)).violations == (
+        Violation(f"ops[{bad}].body[0]", "slice bounds",
+                  "slice of %x dim 0: offset+size exceeds extent"),)
 
 
 # -- printer -----------------------------------------------------------------
