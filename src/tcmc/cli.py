@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import interp, ir, perf, pipeline, tensorio
@@ -158,12 +159,10 @@ def cmd_bench(args) -> int:
     sizes = _parse_ints(args.sizes)
     rows = pipeline.bench(kernels, machine, axis, ladders=ladders, sizes=sizes,
                           dims=_parse_shapes(args.shape))
-    out = csv.DictWriter(
-        open(args.csv, "w", newline="") if args.csv else sys.stdout,
-        fieldnames=list(perf.CSV_COLUMNS))
-    out.writeheader()
-    for row in rows:
-        out.writerow(row)
+    with open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout) as stream:
+        out = csv.DictWriter(stream, fieldnames=list(perf.CSV_COLUMNS))
+        out.writeheader()
+        out.writerows(rows)
     if args.csv:
         print(f"wrote {len(rows)} rows to {args.csv}")
     return EXIT_OK

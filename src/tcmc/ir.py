@@ -440,15 +440,6 @@ class GenericOp:
     def is_all_parallel(self) -> bool:
         return all(it == "parallel" for it in self.iterators)
 
-    def domain_points_upper(self, ranges: dict[str, tuple[int, int]] | None = None) -> Optional[int]:
-        total = 1
-        for e in self.domain:
-            u = extent_upper(e, ranges)
-            if u is None:
-                return None
-            total *= u
-        return total
-
 
 @dataclass(frozen=True)
 class ForOp:
@@ -606,6 +597,25 @@ def walk_ops(ops: tuple[Op, ...], path: str = "ops") -> Iterator[tuple[Op, str]]
         yield op, where
         if isinstance(op, _BODY_OPS):
             yield from walk_ops(op.body, where + ".body")
+
+
+def map_ops(ops: tuple[Op, ...], fn: Callable[[Op], Optional[tuple[Op, ...]]]) -> tuple[Op, ...]:
+    """Rewrite `ops` in order, pre-order.
+
+    `fn(op)` returns the ops that replace `op` (possibly none), or None to
+    keep `op` and map its body, if it has one, the same way. The ops `fn`
+    returns are not visited again.
+    """
+    out: list[Op] = []
+    for op in ops:
+        new = fn(op)
+        if new is not None:
+            out.extend(new)
+        elif isinstance(op, _BODY_OPS):
+            out.append(replace(op, body=map_ops(op.body, fn)))
+        else:
+            out.append(op)
+    return tuple(out)
 
 
 def count_ops(program: KernelProgram, predicate: Callable[[Op], bool]) -> int:

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal, Union
+from typing import Literal
 
 import numpy as np
 
-from .ir import (
-    AsyncExecuteOp, ForallOp, ForOp, GenericOp, IfOp, KernelProgram, Op, Payload,
-)
+from .ir import GenericOp, KernelProgram, Payload, map_ops
 
 _F32 = np.float32
 
@@ -148,20 +146,14 @@ def _rewrite_payload(p: Payload, policy: ApproxPolicy) -> Payload:
     return p
 
 
-def _rewrite_ops(ops: tuple[Op, ...], policy: ApproxPolicy) -> tuple[Op, ...]:
-    out = []
-    for op in ops:
-        if isinstance(op, GenericOp):
-            out.append(replace(op, payloads=tuple(_rewrite_payload(p, policy) for p in op.payloads)))
-        elif isinstance(op, (ForOp, ForallOp, IfOp, AsyncExecuteOp)):
-            out.append(replace(op, body=_rewrite_ops(op.body, policy)))
-        else:
-            out.append(op)
-    return tuple(out)
-
-
 def expand_math_ops(program: KernelProgram, policy: ApproxPolicy) -> KernelProgram:
     """Rewrite exp/tanh/rsqrt payload nodes to their approximated evaluators."""
     if policy.mode == "exact":
         return program
-    return replace(program, ops=_rewrite_ops(program.ops, policy), stage="math-approx")
+
+    def rewrite(op):
+        if isinstance(op, GenericOp):
+            return (replace(op, payloads=tuple(_rewrite_payload(p, policy) for p in op.payloads)),)
+        return None
+
+    return replace(program, ops=map_ops(program.ops, rewrite), stage="math-approx")

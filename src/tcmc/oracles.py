@@ -11,8 +11,8 @@ comparisons stay bit-exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -283,20 +283,16 @@ def regions_disjoint(bodies: list[list[tuple[str, tuple[int, ...], tuple[int, ..
 
 def remove_first_wait(program: KernelProgram) -> KernelProgram:
     """Mutation fixture: drop the first dma_wait so the hazard checker fires."""
-    removed = [False]
+    removed = False
 
-    def rebuild(ops):
-        out = []
-        for op in ops:
-            if isinstance(op, DmaWaitOp) and not removed[0]:
-                removed[0] = True
-                continue
-            if isinstance(op, (ForOp, ForallOp, IfOp, AsyncExecuteOp)):
-                op = replace(op, body=rebuild(op.body))
-            out.append(op)
-        return tuple(out)
+    def drop_first_wait(op):
+        nonlocal removed
+        if isinstance(op, DmaWaitOp) and not removed:
+            removed = True
+            return ()
+        return None
 
-    ops = rebuild(program.ops)
-    if not removed[0]:
+    ops = ir.map_ops(program.ops, drop_first_wait)
+    if not removed:
         raise ValueError("program has no dma_wait to remove")
     return program.with_ops(ops, stage=program.stage + "-mutated")

@@ -1,8 +1,25 @@
-"""Shared pass plumbing: errors and deterministic name allocation."""
+"""Shared pass plumbing.
+
+- `PassError`: a pass rejected its input.
+- `NameAllocator`: deterministic fresh names that never collide with the
+  program's existing ones.
+- `BufInfo`: the shape and memory space of every buffer seen so far in a
+  walk, for passes that slice operands.
+- `const_upper` / `const_uppers`: constant upper bounds of extents, as far
+  as ints and `min` allow.
+- `split_generic`: restrict one dim of a generic to an `[offset, offset +
+  size)` range, slicing its operands; vectorize and mt both split this way.
+"""
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Optional, Sequence
+
 from .. import ir
+from ..ir import (
+    AllocOp, DeallocOp, Extent, ExtractSliceOp, GenericOp, InsertSliceOp, KernelProgram, Op,
+)
 
 
 class PassError(Exception):
@@ -12,7 +29,7 @@ class PassError(Exception):
 class NameAllocator:
     """Fresh SSA-style names that never collide with existing program names."""
 
-    def __init__(self, program: ir.KernelProgram):
+    def __init__(self, program: KernelProgram):
         self.taken = {d.name for d in program.decls}
         for op, _ in ir.walk_ops(program.ops):
             for attr in ("result", "var", "token", "group", "cell", "target"):
@@ -30,3 +47,83 @@ class NameAllocator:
                 self.counters[prefix] = n
                 self.taken.add(name)
                 return name
+
+
+class BufInfo:
+    """Shape and space of the decls and of every buffer `learn` has seen."""
+
+    def __init__(self, program: KernelProgram):
+        self.shapes: dict[str, tuple[Extent, ...]] = {d.name: d.shape for d in program.decls}
+        self.spaces: dict[str, str] = {d.name: d.space for d in program.decls}
+
+    def learn(self, op: Op) -> None:
+        if isinstance(op, AllocOp):
+            self.shapes[op.result] = op.sizes
+            self.spaces[op.result] = op.space
+        elif isinstance(op, ExtractSliceOp):
+            self.shapes[op.result] = op.sizes
+            self.spaces[op.result] = self.spaces.get(op.source, "ddr")
+
+
+def const_upper(e: Extent) -> Optional[int]:
+    """A constant upper bound of `e`: an int, or the least bounded side of a
+    `min`; None for anything else."""
+    if isinstance(e, int):
+        return e
+    if isinstance(e, ir.IBin) and e.op == "min":
+        cands = [c for c in (const_upper(e.lhs), const_upper(e.rhs)) if c is not None]
+        return min(cands) if cands else None
+    return None
+
+
+def const_uppers(extents: Sequence[Extent]) -> Optional[tuple[int, ...]]:
+    """`const_upper` of every extent, or None if one has no bound."""
+    uppers = tuple(const_upper(e) for e in extents)
+    return None if None in uppers else uppers
+
+
+def split_generic(g: GenericOp, dim: int, offset: Extent, size: Extent,
+                  names: NameAllocator, info: BufInfo, view_prefix: str,
+                  sub_prefix: str) -> tuple[tuple[Op, ...], GenericOp, tuple[Op, ...]]:
+    """Restrict dim `dim` of `g` to `[offset, offset + size)`.
+
+    Returns (head, generic, tail). The head slices every input that reads
+    `dim` into a fresh `view_prefix` view and allocates one fresh
+    `sub_prefix` buffer per output, in the output's space. The tail inserts
+    every sub-output back into its output, then deallocates them all, both
+    in output order. `generic` is `g` on the views and sub-outputs with the
+    narrowed domain; the caller names and annotates it. Every new buffer is
+    recorded in `info`.
+    """
+
+    def narrowed(name: str, m: ir.AffineIndexMap) -> tuple[tuple, tuple]:
+        shape = info.shapes.get(name, ())
+        offs, szs = [0] * len(shape), list(shape)
+        j = m.results.index(dim)
+        offs[j], szs[j] = offset, size
+        return tuple(offs), tuple(szs)
+
+    head: list[Op] = []
+    inputs: list[str] = []
+    for name, m in zip(g.inputs, g.input_maps()):
+        if dim not in m.used_dims():
+            inputs.append(name)
+            continue
+        offs, szs = narrowed(name, m)
+        view = names.fresh(view_prefix)
+        head.append(ExtractSliceOp(view, name, offs, szs))
+        info.learn(head[-1])
+        inputs.append(view)
+    outputs: list[str] = []
+    inserts: list[Op] = []
+    for name, m in zip(g.outputs, g.output_maps()):
+        offs, szs = narrowed(name, m)
+        sub = names.fresh(sub_prefix)
+        head.append(AllocOp(sub, szs, info.spaces.get(name, "ddr")))
+        info.learn(head[-1])
+        inserts.append(InsertSliceOp(sub, name, offs, szs))
+        outputs.append(sub)
+    domain = g.domain[:dim] + (size,) + g.domain[dim + 1:]
+    generic = replace(g, domain=domain, inputs=tuple(inputs), outputs=tuple(outputs))
+    tail = tuple(inserts) + tuple(DeallocOp(sub) for sub in outputs)
+    return tuple(head), generic, tail

@@ -31,8 +31,7 @@ from ..ir import (
     Extent, ExtractSliceOp, ForallOp, ForOp, GenericOp, IfOp, InsertSliceOp,
     IVar, KernelProgram, Op, StoreToggleOp, TogglePred, ix_add, substitute_extent,
 )
-from .common import NameAllocator, PassError
-from .tiling import _const_upper
+from .common import NameAllocator, PassError, const_uppers
 
 log = logging.getLogger(__name__)
 
@@ -81,22 +80,17 @@ def _rename_ops(ops: tuple[Op, ...], mapping: dict[str, str]) -> tuple[Op, ...]:
     def rn(name: str) -> str:
         return mapping.get(name, name)
 
-    out: list[Op] = []
-    for op in ops:
+    def fn(op: Op) -> Optional[tuple[Op, ...]]:
         if isinstance(op, GenericOp):
-            out.append(replace(op, inputs=tuple(rn(n) for n in op.inputs),
-                               outputs=tuple(rn(n) for n in op.outputs)))
-        elif isinstance(op, ExtractSliceOp):
-            out.append(replace(op, source=rn(op.source)))
-        elif isinstance(op, InsertSliceOp):
-            out.append(replace(op, source=rn(op.source), dest=rn(op.dest)))
-        elif isinstance(op, CopyOp):
-            out.append(replace(op, source=rn(op.source), dest=rn(op.dest)))
-        elif isinstance(op, (ForOp, ForallOp, IfOp, AsyncExecuteOp)):
-            out.append(replace(op, body=_rename_ops(op.body, mapping)))
-        else:
-            out.append(op)
-    return tuple(out)
+            return (replace(op, inputs=tuple(rn(n) for n in op.inputs),
+                            outputs=tuple(rn(n) for n in op.outputs)),)
+        if isinstance(op, ExtractSliceOp):
+            return (replace(op, source=rn(op.source)),)
+        if isinstance(op, (InsertSliceOp, CopyOp)):
+            return (replace(op, source=rn(op.source), dest=rn(op.dest)),)
+        return None
+
+    return ir.map_ops(ops, fn)
 
 
 def _subst_ops_var(ops: tuple[Op, ...], var: str, repl: Extent) -> tuple[Op, ...]:
@@ -119,13 +113,11 @@ def _subst_ops_var(ops: tuple[Op, ...], var: str, repl: Extent) -> tuple[Op, ...
 
 
 def _full_sizes(alloc: AllocOp) -> tuple[int, ...]:
-    sizes = []
-    for s in alloc.sizes:
-        u = _const_upper(s)
-        if u is None:
-            raise PassError(f"tile %{alloc.result}: cannot bound size {ir.print_extent(s)}")
-        sizes.append(u)
-    return tuple(sizes)
+    sizes = const_uppers(alloc.sizes)
+    if sizes is None:
+        shown = ", ".join(ir.print_extent(s) for s in alloc.sizes)
+        raise PassError(f"tile %{alloc.result}: cannot bound sizes ({shown})")
+    return sizes
 
 
 def _preload_ops(nf: NormalFormLoop, dest_of: dict[str, str], at: Extent,
@@ -147,73 +139,62 @@ def db_structural(program: KernelProgram) -> KernelProgram:
     """Stage 1: rewrite normal-form tiled loops into guarded ping-pong form."""
     names = NameAllocator(program)
     found = 0
-    next_id = [0]
 
-    def rebuild(ops: tuple[Op, ...]) -> tuple[Op, ...]:
+    def expand(op: Op) -> Optional[tuple[Op, ...]]:
         nonlocal found
+        nf = recognize_normal_form(op) if isinstance(op, ForOp) else None
+        if nf is None:
+            return None
+        tag = f"db_generic={found}"
+        found += 1
         out: list[Op] = []
-        for op in ops:
-            if isinstance(op, (IfOp, ForallOp, AsyncExecuteOp)):
-                out.append(replace(op, body=rebuild(op.body)))
-                continue
-            if not isinstance(op, ForOp):
-                out.append(op)
-                continue
-            nf = recognize_normal_form(op)
-            if nf is None:
-                out.append(replace(op, body=rebuild(op.body)))
-                continue
-            found += 1
-            k = next_id[0]
-            next_id[0] += 1
-            tag = f"db_generic={k}"
-            loop = nf.loop
-            ping_of: dict[str, str] = {}
-            pong_of: dict[str, str] = {}
-            for t in nf.triplets:
-                full = _full_sizes(t.alloc)
-                ping = names.fresh("ping")
-                pong = names.fresh("pong")
-                ping_of[t.alloc.result] = ping
-                pong_of[t.alloc.result] = pong
-                out.append(AllocOp(ping, full, "tcm", narrow=t.alloc.narrow))
-                out.append(AllocOp(pong, full, "tcm", narrow=t.alloc.narrow))
-            toggle = names.fresh("tog")
-            out.append(StoreToggleOp(toggle, True))
+        loop = nf.loop
+        ping_of: dict[str, str] = {}
+        pong_of: dict[str, str] = {}
+        for t in nf.triplets:
+            full = _full_sizes(t.alloc)
+            ping = names.fresh("ping")
+            pong = names.fresh("pong")
+            ping_of[t.alloc.result] = ping
+            pong_of[t.alloc.result] = pong
+            out.append(AllocOp(ping, full, "tcm", narrow=t.alloc.narrow))
+            out.append(AllocOp(pong, full, "tcm", narrow=t.alloc.narrow))
+        toggle = names.fresh("tog")
+        out.append(StoreToggleOp(toggle, True))
 
-            view_names = {t.extract.result: names.fresh("pre") for t in nf.triplets}
-            prologue = IfOp(
-                CmpPred("lt", loop.lb, loop.ub),
-                _preload_ops(nf, ping_of, loop.lb, view_names),
-                annotations=frozenset({"db_prologue", tag}),
+        view_names = {t.extract.result: names.fresh("pre") for t in nf.triplets}
+        prologue = IfOp(
+            CmpPred("lt", loop.lb, loop.ub),
+            _preload_ops(nf, ping_of, loop.lb, view_names),
+            annotations=frozenset({"db_prologue", tag}),
+        )
+        out.append(prologue)
+
+        def sub_kernel(cur: dict[str, str], nxt: dict[str, str], which: str) -> IfOp:
+            pf_names = {t.extract.result: names.fresh("pf") for t in nf.triplets}
+            prefetch = IfOp(
+                CmpPred("lt", ix_add(IVar(loop.var), loop.step), loop.ub),
+                _preload_ops(nf, nxt, ix_add(IVar(loop.var), loop.step), pf_names),
+                annotations=frozenset({"db_prefetch"}),
             )
-            out.append(prologue)
+            body = (prefetch,) + _rename_ops(nf.compute, cur)
+            return IfOp(TogglePred(toggle, which == "ping"), body,
+                        annotations=frozenset({f"db_{which}_kernel"}))
 
-            def sub_kernel(cur: dict[str, str], nxt: dict[str, str], which: str) -> IfOp:
-                pf_names = {t.extract.result: names.fresh("pf") for t in nf.triplets}
-                prefetch = IfOp(
-                    CmpPred("lt", ix_add(IVar(loop.var), loop.step), loop.ub),
-                    _preload_ops(nf, nxt, ix_add(IVar(loop.var), loop.step), pf_names),
-                    annotations=frozenset({"db_prefetch"}),
-                )
-                body = (prefetch,) + _rename_ops(nf.compute, cur)
-                return IfOp(TogglePred(toggle, which == "ping"), body,
-                            annotations=frozenset({f"db_{which}_kernel"}))
-
-            new_loop = ForOp(
-                loop.var, loop.lb, loop.ub, loop.step,
-                (sub_kernel(ping_of, pong_of, "ping"),
-                 sub_kernel(pong_of, ping_of, "pong"),
-                 StoreToggleOp(toggle, None)),
-                annotations=loop.annotations | {tag},
-            )
-            out.append(new_loop)
-            for t in nf.triplets:
-                out.append(DeallocOp(ping_of[t.alloc.result]))
-                out.append(DeallocOp(pong_of[t.alloc.result]))
+        new_loop = ForOp(
+            loop.var, loop.lb, loop.ub, loop.step,
+            (sub_kernel(ping_of, pong_of, "ping"),
+             sub_kernel(pong_of, ping_of, "pong"),
+             StoreToggleOp(toggle, None)),
+            annotations=loop.annotations | {tag},
+        )
+        out.append(new_loop)
+        for t in nf.triplets:
+            out.append(DeallocOp(ping_of[t.alloc.result]))
+            out.append(DeallocOp(pong_of[t.alloc.result]))
         return tuple(out)
 
-    ops = rebuild(program.ops)
+    ops = ir.map_ops(program.ops, expand)
     if found == 0:
         log.info("db_structural: no normal-form tiled loop found; pass is a no-op")
         return program

@@ -13,16 +13,16 @@ the group, then await the whole group before dependent work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from .. import ir
 from ..ir import (
-    AddToGroupOp, AllocOp, AsyncExecuteOp, AsyncGroupOp, AwaitAllOp, CmpPred,
-    DeallocOp, ExtractSliceOp, ForallOp, ForOp, GenericOp, IfOp, InsertSliceOp,
-    IVar, KernelProgram, Op, ix_add, ix_floordiv, ix_min, ix_mul, ix_sub,
+    AddToGroupOp, AsyncExecuteOp, AsyncGroupOp, AwaitAllOp, CmpPred, ForallOp, ForOp,
+    GenericOp, IfOp, IVar, KernelProgram, Op, ix_add, ix_floordiv, ix_min, ix_mul, ix_sub,
 )
-from .common import NameAllocator, PassError
-from .tiling import _BufInfo, _const_upper
+from .common import BufInfo, NameAllocator, PassError, const_uppers, split_generic
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,8 @@ class ProfitabilityHeuristic:
             raise PassError("min_domain_points must be >= 1")
 
 
-def _points_upper(g: GenericOp) -> int | None:
-    total = 1
-    for e in g.domain:
-        u = _const_upper(e)
-        if u is None:
-            return None
-        total *= u
-    return total
-
-
 def _wrap_generic(g: GenericOp, policy: DistributionPolicy, names: NameAllocator,
-                  info: _BufInfo) -> Op:
+                  info: BufInfo) -> Op:
     dim = 0  # distribute the outermost dim; callers ensure it is parallel
     n = g.domain[dim]
     tvar = names.fresh("th")
@@ -70,44 +60,9 @@ def _wrap_generic(g: GenericOp, policy: DistributionPolicy, names: NameAllocator
     width = ir.vector_width(g.annotations)
     align = width if (width and dim == len(g.domain) - 1) else 1
 
-    def body_at(offset, size) -> list[Op]:
-        ops: list[Op] = []
-        sub_inputs = []
-        for name, m in zip(g.inputs, g.input_maps()):
-            if dim in m.used_dims():
-                shape = info.shapes.get(name, ())
-                offs = [0] * len(shape)
-                szs = list(shape)
-                j = m.results.index(dim)
-                offs[j], szs[j] = offset, size
-                view = names.fresh("p")
-                ops.append(ExtractSliceOp(view, name, tuple(offs), tuple(szs)))
-                info.shapes[view] = tuple(szs)
-                info.spaces[view] = info.spaces.get(name, "ddr")
-                sub_inputs.append(view)
-            else:
-                sub_inputs.append(name)
-        sub_outputs = []
-        tail: list[Op] = []
-        for name, m in zip(g.outputs, g.output_maps()):
-            shape = info.shapes.get(name, ())
-            offs = [0] * len(shape)
-            szs = list(shape)
-            j = m.results.index(dim)
-            offs[j], szs[j] = offset, size
-            space = info.spaces.get(name, "ddr")
-            sub = names.fresh("q")
-            ops.append(AllocOp(sub, tuple(szs), space))
-            info.shapes[sub] = tuple(szs)
-            info.spaces[sub] = space
-            tail.append(InsertSliceOp(sub, name, tuple(offs), tuple(szs)))
-            tail.append(DeallocOp(sub))
-            sub_outputs.append(sub)
-        dom = (size,) + g.domain[1:]
-        ops.append(replace(g, name=f"{g.name}_{tvar}", domain=dom,
-                           inputs=tuple(sub_inputs), outputs=tuple(sub_outputs)))
-        ops.extend(tail)
-        return ops
+    def body_at(offset, size) -> tuple[Op, ...]:
+        head, sub, tail = split_generic(g, dim, offset, size, names, info, "p", "q")
+        return head + (replace(sub, name=f"{g.name}_{tvar}"),) + tail
 
     threads = policy.num_threads
     if policy.kind == "block":
@@ -120,7 +75,7 @@ def _wrap_generic(g: GenericOp, policy: DistributionPolicy, names: NameAllocator
             chunk = ix_floordiv(ix_add(n, threads - 1), threads)
         offset = ix_mul(IVar(tvar), chunk)
         size = ix_min(chunk, ix_sub(n, offset))
-        guarded = IfOp(CmpPred("lt", offset, n), tuple(body_at(offset, size)))
+        guarded = IfOp(CmpPred("lt", offset, n), body_at(offset, size))
         return ForallOp(tvar, threads, (guarded,), annotations=frozenset({"virtual_threads"}))
 
     cvar = names.fresh("c")
@@ -128,31 +83,25 @@ def _wrap_generic(g: GenericOp, policy: DistributionPolicy, names: NameAllocator
     nchunks = ix_floordiv(ix_add(n, chunk - 1), chunk)
     offset = ix_mul(IVar(cvar), chunk)
     size = ix_min(chunk, ix_sub(n, offset))
-    inner = ForOp(cvar, IVar(tvar), nchunks, threads, tuple(body_at(offset, size)))
+    inner = ForOp(cvar, IVar(tvar), nchunks, threads, body_at(offset, size))
     return ForallOp(tvar, threads, (inner,), annotations=frozenset({"virtual_threads"}))
 
 
 def _walk_tiled(ops: tuple[Op, ...], in_tiled: bool, policy, heuristic,
-                names: NameAllocator, info: _BufInfo) -> tuple[Op, ...]:
-    out: list[Op] = []
-    for op in ops:
+                names: NameAllocator, info: BufInfo) -> tuple[Op, ...]:
+    def fn(op: Op) -> Optional[tuple[Op, ...]]:
         if isinstance(op, GenericOp):
             if in_tiled and op.iterators and op.iterators[0] == "parallel":
-                pts = _points_upper(op)
-                if pts is not None and pts >= heuristic.min_domain_points:
-                    out.append(_wrap_generic(op, policy, names, info))
-                    continue
-            out.append(op)
-            continue
+                uppers = const_uppers(op.domain)
+                if uppers is not None and math.prod(uppers) >= heuristic.min_domain_points:
+                    return (_wrap_generic(op, policy, names, info),)
+            return None
         info.learn(op)
-        if isinstance(op, ForOp):
-            tiled = in_tiled or "tiled_generic" in op.annotations
-            out.append(replace(op, body=_walk_tiled(op.body, tiled, policy, heuristic, names, info)))
-        elif isinstance(op, IfOp):
-            out.append(replace(op, body=_walk_tiled(op.body, in_tiled, policy, heuristic, names, info)))
-        else:
-            out.append(op)
-    return tuple(out)
+        if not in_tiled and isinstance(op, ForOp) and "tiled_generic" in op.annotations:
+            return (replace(op, body=_walk_tiled(op.body, True, policy, heuristic, names, info)),)
+        return None
+
+    return ir.map_ops(ops, fn)
 
 
 def form_virtual_threads(
@@ -162,7 +111,7 @@ def form_virtual_threads(
 ) -> KernelProgram:
     """Wrap profitable tiled inner generics in forall (virtual threads)."""
     names = NameAllocator(program)
-    info = _BufInfo(program)
+    info = BufInfo(program)
     ops = _walk_tiled(program.ops, False, policy, heuristic, names, info)
     return program.with_ops(ops, stage="virtual-threads")
 
@@ -181,19 +130,9 @@ def _lower_forall(op: ForallOp, names: NameAllocator) -> tuple[Op, ...]:
     return (AsyncGroupOp(group, op.threads), spawn, AwaitAllOp(group))
 
 
-def _walk_async(ops: tuple[Op, ...], names: NameAllocator) -> tuple[Op, ...]:
-    out: list[Op] = []
-    for op in ops:
-        if isinstance(op, ForallOp):
-            out.extend(_lower_forall(op, names))
-        elif isinstance(op, (ForOp, IfOp, AsyncExecuteOp)):
-            out.append(replace(op, body=_walk_async(op.body, names)))
-        else:
-            out.append(op)
-    return tuple(out)
-
-
 def form_async_threads(program: KernelProgram) -> KernelProgram:
     """Rewrite every forall into the async fork-join pattern."""
     names = NameAllocator(program)
-    return program.with_ops(_walk_async(program.ops, names), stage="async-threads")
+    ops = ir.map_ops(
+        program.ops, lambda op: _lower_forall(op, names) if isinstance(op, ForallOp) else None)
+    return program.with_ops(ops, stage="async-threads")

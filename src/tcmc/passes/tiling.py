@@ -16,6 +16,7 @@ unchanged either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -23,9 +24,9 @@ from .. import ir
 from ..ir import (
     AffineIndexMap, AllocOp, CopyOp, DeallocOp, Extent, ExtractSliceOp, ForOp,
     GenericOp, IfOp, InsertSliceOp, IVar, KernelProgram, Op, CmpPred,
-    ix_add, ix_floordiv, ix_min, ix_mul, ix_sub,
+    ix_floordiv, ix_min, ix_mul, ix_sub,
 )
-from .common import NameAllocator, PassError
+from .common import BufInfo, NameAllocator, PassError, const_uppers, split_generic
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,7 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
         body.append(CopyOp(view, tile))
         deallocs.append(DeallocOp(tile))
         new_inputs.append(tile)
-        b = _tile_set_bytes(sizes, narrow)
-        if b is not None:
-            live_tile_bytes += b
+        live_tile_bytes += _tile_set_bytes(sizes, narrow)
 
     inner_domain = tuple(tile_size.get(d, generic.domain[d]) for d in range(rank))
     new_outputs: list[str] = []
@@ -148,9 +147,7 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
         writebacks.append(InsertSliceOp(otile, name, offsets, sizes))
         deallocs.append(DeallocOp(otile))
         new_outputs.append(otile)
-        b = _tile_set_bytes(sizes, narrow)
-        if b is not None:
-            live_tile_bytes += b
+        live_tile_bytes += _tile_set_bytes(sizes, narrow)
 
     if tcm_bytes is not None and live_tile_bytes > tcm_bytes:
         raise PassError(
@@ -179,25 +176,10 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     return loop
 
 
-def _tile_set_bytes(sizes, narrow: bool) -> Optional[int]:
-    total = 2 if narrow else 4
-    for s in sizes:
-        u = _const_upper(s)
-        if u is None:
-            return None
-        total *= u
-    return total
-
-
-def _const_upper(e: Extent) -> Optional[int]:
-    if isinstance(e, int):
-        return e
-    if isinstance(e, ir.IBin) and e.op == "min":
-        lo = _const_upper(e.lhs)
-        hi = _const_upper(e.rhs)
-        cands = [c for c in (lo, hi) if c is not None]
-        return min(cands) if cands else None
-    return None
+def _tile_set_bytes(sizes, narrow: bool) -> int:
+    """Bytes of one tile, or 0 when a size has no constant bound."""
+    uppers = const_uppers(sizes)
+    return 0 if uppers is None else (2 if narrow else 4) * math.prod(uppers)
 
 
 def tile_generic(
@@ -245,22 +227,8 @@ def tile_generic(
 # ---------------------------------------------------------------------------
 
 
-class _BufInfo:
-    def __init__(self, program: KernelProgram):
-        self.shapes: dict[str, tuple[Extent, ...]] = {d.name: d.shape for d in program.decls}
-        self.spaces: dict[str, str] = {d.name: d.space for d in program.decls}
-
-    def learn(self, op: Op) -> None:
-        if isinstance(op, AllocOp):
-            self.shapes[op.result] = op.sizes
-            self.spaces[op.result] = op.space
-        elif isinstance(op, ExtractSliceOp):
-            self.shapes[op.result] = op.sizes
-            self.spaces[op.result] = self.spaces.get(op.source, "ddr")
-
-
 def _vectorize_generic(g: GenericOp, width: int, names: NameAllocator,
-                       info: _BufInfo, div_vars: frozenset[str]) -> tuple[Op, ...]:
+                       info: BufInfo, div_vars: frozenset[str]) -> tuple[Op, ...]:
     last = len(g.domain) - 1
     if g.iterators[last] != "parallel":
         return (g,)
@@ -273,49 +241,10 @@ def _vectorize_generic(g: GenericOp, width: int, names: NameAllocator,
     main = ix_mul(ix_floordiv(n, width), width)
     rem = ix_sub(n, main)
 
-    def part(offset: Extent, size: Extent, tag: str) -> list[Op]:
-        ops: list[Op] = []
-        sub_inputs, sub_outputs = [], []
-        inserts: list[Op] = []
-        deallocs: list[Op] = []
-        for name, m in zip(g.inputs, g.input_maps()):
-            if last in m.used_dims():
-                shape = info.shapes.get(name, ())
-                offs = [0] * len(shape)
-                szs = list(shape)
-                j = m.results.index(last)
-                offs[j] = offset
-                szs[j] = size
-                view = names.fresh("v")
-                ops.append(ExtractSliceOp(view, name, tuple(offs), tuple(szs)))
-                info.shapes[view] = tuple(szs)
-                info.spaces[view] = info.spaces.get(name, "ddr")
-                sub_inputs.append(view)
-            else:
-                sub_inputs.append(name)
-        for name, m in zip(g.outputs, g.output_maps()):
-            shape = info.shapes.get(name, ())
-            offs = [0] * len(shape)
-            szs = list(shape)
-            j = m.results.index(last)
-            offs[j] = offset
-            szs[j] = size
-            space = info.spaces.get(name, "ddr")
-            sub = names.fresh("w")
-            ops.append(AllocOp(sub, tuple(szs), space))
-            info.shapes[sub] = tuple(szs)
-            info.spaces[sub] = space
-            inserts.append(InsertSliceOp(sub, name, tuple(offs), tuple(szs)))
-            deallocs.append(DeallocOp(sub))
-            sub_outputs.append(sub)
-        dom = g.domain[:last] + (size,)
+    def part(offset: Extent, size: Extent, tag: str) -> tuple[Op, ...]:
+        head, sub, tail = split_generic(g, last, offset, size, names, info, "v", "w")
         ann = g.annotations | ({f"vectorized({width})"} if tag == "main" else {"vec_epilogue"})
-        ops.append(replace(g, name=f"{g.name}_{tag}", domain=dom,
-                           inputs=tuple(sub_inputs), outputs=tuple(sub_outputs),
-                           annotations=ann))
-        ops.extend(inserts)
-        ops.extend(deallocs)
-        return ops
+        return head + (replace(sub, name=f"{g.name}_{tag}", annotations=ann),) + tail
 
     out: list[Op] = []
     if isinstance(main, int):
@@ -324,30 +253,24 @@ def _vectorize_generic(g: GenericOp, width: int, names: NameAllocator,
         if isinstance(rem, int) and rem > 0:
             out.extend(part(main, rem, "epi"))
     else:
-        out.append(IfOp(CmpPred("lt", 0, main), tuple(part(0, main, "main"))))
-        out.append(IfOp(CmpPred("lt", main, n), tuple(part(main, rem, "epi"))))
+        out.append(IfOp(CmpPred("lt", 0, main), part(0, main, "main")))
+        out.append(IfOp(CmpPred("lt", main, n), part(main, rem, "epi")))
     return tuple(out)
 
 
 def _vectorize_block(ops: tuple[Op, ...], width: int, names: NameAllocator,
-                     info: _BufInfo, div_vars: frozenset[str]) -> tuple[Op, ...]:
-    out: list[Op] = []
-    for op in ops:
+                     info: BufInfo, div_vars: frozenset[str]) -> tuple[Op, ...]:
+    def fn(op: Op) -> Optional[tuple[Op, ...]]:
         if isinstance(op, GenericOp):
-            out.extend(_vectorize_generic(op, width, names, info, div_vars))
-            continue
+            return _vectorize_generic(op, width, names, info, div_vars)
         info.learn(op)
-        if isinstance(op, ForOp):
-            child_div = div_vars
-            if (ir.extent_divisible(op.lb, width, div_vars)
-                    and ir.extent_divisible(op.step, width, div_vars)):
-                child_div = div_vars | {op.var}
-            out.append(replace(op, body=_vectorize_block(op.body, width, names, info, child_div)))
-        elif isinstance(op, (ir.ForallOp, IfOp, ir.AsyncExecuteOp)):
-            out.append(replace(op, body=_vectorize_block(op.body, width, names, info, div_vars)))
-        else:
-            out.append(op)
-    return tuple(out)
+        if (isinstance(op, ForOp) and ir.extent_divisible(op.lb, width, div_vars)
+                and ir.extent_divisible(op.step, width, div_vars)):
+            body = _vectorize_block(op.body, width, names, info, div_vars | {op.var})
+            return (replace(op, body=body),)
+        return None
+
+    return ir.map_ops(ops, fn)
 
 
 def vectorize_innermost(program: KernelProgram, width: int) -> KernelProgram:
@@ -359,6 +282,6 @@ def vectorize_innermost(program: KernelProgram, width: int) -> KernelProgram:
     if width < 1:
         raise PassError(f"vector width must be >= 1, got {width}")
     names = NameAllocator(program)
-    info = _BufInfo(program)
+    info = BufInfo(program)
     ops = _vectorize_block(program.ops, width, names, info, frozenset())
     return program.with_ops(ops, stage="vectorized")

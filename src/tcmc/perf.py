@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from . import ir
 from .ir import (
@@ -588,7 +588,7 @@ def overlap_probe(m: float, n_tiles: int = 8, tile_elems: int = 1024,
 
 
 # ---------------------------------------------------------------------------
-# Sweeps
+# Sweep axes and CSV columns of `pipeline.bench`
 # ---------------------------------------------------------------------------
 
 CSV_COLUMNS = ("kernel", "size", "passes", "cycles", "compute", "transfer",
@@ -603,64 +603,3 @@ PASS_LADDERS: dict[str, tuple[str, ...]] = {
 }
 
 SIZE_SWEEP = (8192, 16384, 32768, 65536, 131072, 262144, 524288, 1048576)
-
-
-def _row(kernel: str, size, passes: str, rep: TimingReport, baseline: Optional[float]) -> dict:
-    speedup = (baseline / rep.total_cycles) if baseline else 1.0
-    return {
-        "kernel": kernel, "size": size, "passes": passes,
-        "cycles": f"{rep.total_cycles:.6g}", "compute": f"{rep.compute_cycles:.6g}",
-        "transfer": f"{rep.transfer_cycles:.6g}", "overhead": f"{rep.overhead_cycles:.6g}",
-        "m": f"{rep.memory_fraction:.6g}", "speedup": f"{speedup:.6g}",
-    }
-
-
-def sweep(kernel_path: Optional[str], config: MachineConfig, axis: str,
-          sizes: Iterable[int] = SIZE_SWEEP,
-          ladders: Iterable[str] = ("scalar", "vec", "vec_mt", "vec_mt_db"),
-          m_points: Iterable[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-          dims: Optional[dict[str, int]] = None) -> list[dict]:
-    """Emit CSV rows for one sweep axis: size (ST vs MT), passes, or memory_fraction."""
-    from . import pipeline
-    from .passes import db_dma, db_structural
-
-    rows: list[dict] = []
-    if axis == "memory_fraction":
-        for m in m_points:
-            prog, cfg = overlap_probe(m)
-            base = simulate(prog, cfg)
-            db1 = db_structural(prog)
-            db = db_dma(db1) if db1 is not prog else db1
-            rep = simulate(db, cfg)
-            rows.append(_row("overlap_probe", f"{m:g}", "db", rep, base.total_cycles))
-        return rows
-
-    if kernel_path is None:
-        raise ValueError(f"sweep axis {axis!r} needs a kernel file")
-    name = pipeline.kernel_name(kernel_path)
-
-    if axis == "size":
-        # ST vs forced MT at every size, mirroring the measured crossover runs
-        for size in sizes:
-            st = pipeline.build_staged(kernel_path, PASS_LADDERS["vec"], {"N": size}, config)
-            mt = pipeline.build_staged(kernel_path, PASS_LADDERS["vec_mt"], {"N": size}, config,
-                                       mt_threshold=1)
-            st_rep = simulate(st, config)
-            mt_rep = simulate(mt, config)
-            rows.append(_row(name, size, "vec", st_rep, st_rep.total_cycles))
-            rows.append(_row(name, size, "vec_mt", mt_rep, st_rep.total_cycles))
-        return rows
-
-    if axis == "passes":
-        baseline: Optional[float] = None
-        size_label = "x".join(str(v) for v in dims.values()) if dims else "default"
-        for ladder in ladders:
-            passes = PASS_LADDERS[ladder]
-            prog = pipeline.build_staged(kernel_path, passes, dims, config)
-            rep = simulate(prog, config)
-            if baseline is None:
-                baseline = rep.total_cycles
-            rows.append(_row(name, size_label, ladder, rep, baseline))
-        return rows
-
-    raise ValueError(f"unknown sweep axis {axis!r}")

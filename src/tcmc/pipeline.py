@@ -10,7 +10,7 @@ contract).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -245,6 +245,17 @@ def build_staged(
     return program
 
 
+def _row(kernel: str, size, passes: str, rep: perf.TimingReport,
+         baseline: Optional[float]) -> dict:
+    speedup = (baseline / rep.total_cycles) if baseline else 1.0
+    return {
+        "kernel": kernel, "size": size, "passes": passes,
+        "cycles": f"{rep.total_cycles:.6g}", "compute": f"{rep.compute_cycles:.6g}",
+        "transfer": f"{rep.transfer_cycles:.6g}", "overhead": f"{rep.overhead_cycles:.6g}",
+        "m": f"{rep.memory_fraction:.6g}", "speedup": f"{speedup:.6g}",
+    }
+
+
 def bench(
     kernels: Sequence[Union[str, Path]],
     config: perf.MachineConfig,
@@ -253,17 +264,46 @@ def bench(
     sizes: Optional[Sequence[int]] = None,
     dims: Optional[Mapping[str, int]] = None,
 ) -> list[dict]:
-    """Run perf sweeps for each kernel and concatenate the CSV rows."""
+    """Cost-model sweep rows (`perf.CSV_COLUMNS`) for each kernel in turn.
+
+    - `passes`: each of `ladders` (default scalar, vec, vec_mt, vec_mt_db)
+      at `dims`; speedups are over the first ladder.
+    - `size`: vec against vec_mt with mt forced on, at N in `sizes`
+      (default `perf.SIZE_SWEEP`); speedups are over vec.
+    - `memory_fraction`: the db passes on `perf.overlap_probe` at m = 0,
+      0.25, 0.5, 0.75, 1, against the undoubled probe; ignores `kernels`.
+
+    None or empty `ladders`, `sizes` and `dims` mean the defaults.
+    """
     rows: list[dict] = []
     if axis == "memory_fraction":
-        return perf.sweep(None, config, "memory_fraction")
+        for m in (0.0, 0.25, 0.5, 0.75, 1.0):
+            prog, cfg = perf.overlap_probe(m)
+            base = perf.simulate(prog, cfg)
+            db1 = db_structural(prog)
+            rep = perf.simulate(db_dma(db1) if db1 is not prog else db1, cfg)
+            rows.append(_row("overlap_probe", f"{m:g}", "db", rep, base.total_cycles))
+        return rows
+    if axis not in ("size", "passes"):
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    dims = dims or None
     for k in kernels:
-        kw: dict = {}
-        if ladders:
-            kw["ladders"] = tuple(ladders)
-        if sizes:
-            kw["sizes"] = tuple(sizes)
-        if dims:
-            kw["dims"] = dict(dims)
-        rows.extend(perf.sweep(str(k), config, axis, **kw))
+        name = kernel_name(k)
+        if axis == "size":
+            for size in sizes or perf.SIZE_SWEEP:
+                st = build_staged(k, perf.PASS_LADDERS["vec"], {"N": size}, config)
+                mt = build_staged(k, perf.PASS_LADDERS["vec_mt"], {"N": size}, config,
+                                  mt_threshold=1)
+                st_rep = perf.simulate(st, config)
+                mt_rep = perf.simulate(mt, config)
+                rows.append(_row(name, size, "vec", st_rep, st_rep.total_cycles))
+                rows.append(_row(name, size, "vec_mt", mt_rep, st_rep.total_cycles))
+            continue
+        baseline: Optional[float] = None
+        size_label = "x".join(str(v) for v in dims.values()) if dims else "default"
+        for ladder in ladders or ("scalar", "vec", "vec_mt", "vec_mt_db"):
+            rep = perf.simulate(build_staged(k, perf.PASS_LADDERS[ladder], dims, config), config)
+            if baseline is None:
+                baseline = rep.total_cycles
+            rows.append(_row(name, size_label, ladder, rep, baseline))
     return rows

@@ -1,5 +1,7 @@
 """tcmc command line: one test per documented exit code."""
 
+import gc
+import warnings
 from dataclasses import replace
 
 from tcmc import cli, ir, pipeline
@@ -55,3 +57,17 @@ def test_softmax_verifies_at_default_dims():
     # loop in the fold made this take over 20 s
     argv = ["compile", kernel_path("softmax"), "--verify", "bitexact"]
     assert cli.main(argv) == cli.EXIT_OK
+
+
+def test_bench_csv_file_equals_stdout_and_is_closed(tmp_path, capsys):
+    argv = ["bench", "--sweep", "passes", "--kernels", kernel_path("vecadd2d")]
+    assert cli.main(argv) == cli.EXIT_OK
+    want = capsys.readouterr().out
+    out = tmp_path / "rows.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv + ["--csv", str(out)]) == cli.EXIT_OK
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert out.read_bytes() == want.encode()
+    assert capsys.readouterr().out == f"wrote 4 rows to {out}\n"

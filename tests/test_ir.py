@@ -1,19 +1,34 @@
+"""IR: index expressions, the verifier, the printer, golden IR digests.
+
+`tests/golden/ir_digests.txt` holds one line per case: the case id and the
+sha256 of `print_ir` after a pass (or of a `tcmc bench` CSV), so any change
+to the IR a pass emits shows as a changed line. Regenerate it only for a
+deliberate change to what a pass emits:
+
+    PYTHONPATH=src python tests/test_ir.py --write
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
 import pickle
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcmc import ir
+from tcmc import cli, ir, oracles, perf, pipeline
 from tcmc.ir import (
-    AffineIndexMap, AllocOp, DeallocOp, ExtractSliceOp, ForOp, GenericOp, IBin, IVar,
-    KernelProgram, Payload, Reduction, TensorDecl, Violation, count_ops, eval_extent,
-    extent_bounds, extent_divisible, ix_add, ix_min, ix_mul, ix_sub, print_extent, print_ir,
-    verify,
+    AffineIndexMap, AllocOp, AsyncExecuteOp, CmpPred, DeallocOp, ExtractSliceOp, ForallOp,
+    ForOp, GenericOp, IBin, IfOp, IVar, KernelProgram, Payload, Reduction, TensorDecl,
+    Violation, count_ops, eval_extent, extent_bounds, extent_divisible, ix_add, ix_min, ix_mul,
+    ix_sub, print_extent, print_ir, verify,
 )
 
-from conftest import lower
+from conftest import ALL_KERNELS, DEFAULT_PASSES, ROOT, kernel_path, lower
 
 
 def elementwise(name="g0", domain=(8,), inputs=("x",), outputs=("y",), maps=None):
@@ -352,3 +367,153 @@ def test_count_ops_recurses_into_bodies():
     p = tile_generic(fuse_elementwise(lower("gelu")))
     assert count_ops(p, lambda o: isinstance(o, GenericOp)) == 1
     assert count_ops(p, lambda o: isinstance(o, ir.CopyOp)) == 1
+
+
+# -- map_ops -----------------------------------------------------------------
+
+def nested_ops():
+    """One op per body kind, each holding a dealloc, around two top-level leaves."""
+    return (
+        DeallocOp("a"),
+        ForOp("i", 0, 4, 1, (DeallocOp("b"), IfOp(CmpPred("lt", IVar("i"), 2), (DeallocOp("c"),)))),
+        ForallOp("t", 2, (DeallocOp("d"),)),
+        AsyncExecuteOp("tok", (DeallocOp("e"),)),
+        DeallocOp("f"),
+    )
+
+
+def label(op):
+    return getattr(op, "target", None) or type(op).__name__
+
+
+def test_map_ops_visits_pre_order_and_keeps_what_fn_declines():
+    seen = []
+    ops = nested_ops()
+
+    def fn(op):
+        seen.append(label(op))
+        return None
+
+    assert ir.map_ops(ops, fn) == ops
+    assert seen == ["a", "ForOp", "b", "IfOp", "c", "ForallOp", "d", "AsyncExecuteOp", "e", "f"]
+
+
+def test_map_ops_does_not_visit_what_fn_replaced():
+    seen = []
+
+    def fn(op):
+        seen.append(label(op))
+        return (op,) if isinstance(op, ForOp) else None
+
+    ops = nested_ops()
+    assert ir.map_ops(ops, fn) == ops
+    assert "b" not in seen and "c" not in seen and "d" in seen
+
+
+def test_map_ops_deletes_and_expands_in_every_body_kind():
+    def fn(op):
+        if isinstance(op, DeallocOp) and op.target in "bdf":
+            return ()
+        if isinstance(op, DeallocOp):
+            return (op, DeallocOp(op.target * 2))
+        return None
+
+    out = ir.map_ops(nested_ops(), fn)
+    assert [label(op) for op in out] == ["a", "aa", "ForOp", "ForallOp", "AsyncExecuteOp"]
+    loop, forall, spawn = out[2:]
+    assert [label(op) for op in loop.body] == ["IfOp"]
+    assert [label(op) for op in loop.body[0].body] == ["c", "cc"]
+    assert forall.body == () and [label(op) for op in spawn.body] == ["e", "ee"]
+    assert (loop.var, loop.ub, forall.threads, spawn.token) == ("i", 4, 2, "tok")
+
+
+# -- golden IR digests -------------------------------------------------------
+
+GOLDEN = ROOT / "tests" / "golden" / "ir_digests.txt"
+RANDOM_SEEDS = range(60)
+MT_THRESHOLDS = (1, 32768)
+DISTS = (("block", 1), ("block_cyclic", 7))
+REMAINDER_N = 16397  # not a multiple of any tile, chunk or vector width
+# without vectorize's main/epilogue split, mt also fires when N is not a multiple of W
+NO_VEC_PASSES = ("fuse", "tile", "mt", "async", "db")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _stage_digests(case, program, passes, opts):
+    """Yield one line for the input and for every pass prefix."""
+    yield f"{case}/00_input {_digest(print_ir(program))}"
+    for k, name in enumerate(passes, 1):
+        program = pipeline.apply_pass(name, program, opts)
+        yield f"{case}/{k:02d}_{name} {_digest(print_ir(program))}"
+
+
+def _kernel_digests(kernels, dims_of, tiles_of, pass_lists=(DEFAULT_PASSES,)):
+    for kernel, base_passes in itertools.product(kernels, pass_lists):
+        dims = dims_of(kernel)
+        program = lower(kernel, dims)
+        size = ",".join(f"{k}={v}" for k, v in dims.items()) if dims else "bench_dims"
+        for tiles in tiles_of(kernel):
+            tile = "default" if tiles is None else "x".join(map(str, tiles))
+            for math_mode in ("exact", "approx"):
+                passes = base_passes + (("math-approx",) if math_mode == "approx" else ())
+                for threshold in MT_THRESHOLDS:
+                    for dist_kind, chunk in DISTS:
+                        dist = "block" if dist_kind == "block" else f"cyclic:{chunk}"
+                        opts = pipeline.PipelineOptions(
+                            tile_sizes=tiles, mt_threshold=threshold, dist_kind=dist_kind,
+                            dist_chunk=chunk)
+                        case = (f"kernel/{kernel}/{size}/{','.join(base_passes)}/tile={tile}"
+                                f"/{math_mode}/mt={threshold}/{dist}")
+                        yield from _stage_digests(case, program, passes, opts)
+
+
+def _bench_digests():
+    kernels = {"passes": ",".join(kernel_path(k) for k in ALL_KERNELS),
+               "size": kernel_path("gelu"), "m": ""}
+    ladders = ",".join(perf.PASS_LADDERS)
+    for sweep, kernel_arg in kernels.items():
+        for with_ladders in (False, True):
+            for with_sizes in (False, True):
+                argv = ["bench", "--sweep", sweep, "--kernels", kernel_arg]
+                argv += ["--ladders", ladders] if with_ladders else []
+                argv += ["--sizes", "8192,40000"] if with_sizes else []
+                yield f"bench/{sweep}/ladders={with_ladders}/sizes={with_sizes}", argv
+    yield "bench/passes/shape", ["bench", "--sweep", "passes", "--shape", f"N={REMAINDER_N}",
+                                 "--kernels", f"{kernel_path('gelu')},{kernel_path('softmax')}"]
+
+
+def golden_lines():
+    yield from _kernel_digests(ALL_KERNELS, lambda k: None, lambda k: (None,))
+    yield from _kernel_digests(("gelu", "silu", "expseries", "softmax"),
+                               lambda k: {"N": REMAINDER_N},
+                               lambda k: (None,) if k == "softmax" else (None, (1024,)),
+                               (DEFAULT_PASSES, NO_VEC_PASSES))
+    for seed in RANDOM_SEEDS:
+        program = oracles.gen_random_program(oracles.RandomProgramSpec(seed))
+        for threshold in MT_THRESHOLDS:
+            opts = pipeline.PipelineOptions(mt_threshold=threshold)
+            yield from _stage_digests(f"random/{seed}/mt={threshold}", program,
+                                      DEFAULT_PASSES, opts)
+    for case, argv in _bench_digests():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == cli.EXIT_OK
+        yield f"{case} {_digest(out.getvalue())}"
+
+
+def test_ir_matches_golden_digests():
+    want = GOLDEN.read_text().splitlines()
+    got = list(golden_lines())
+    assert len(got) == len(want)
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not bad, f"{len(bad)} digests differ, first: {bad[0]}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_ir.py --write")
+    GOLDEN.write_text("\n".join(golden_lines()) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -1,0 +1,88 @@
+"""The structural oracles in `tcmc.oracles`, run against real pass output.
+
+`thread_write_intervals` + `regions_disjoint` check the mt race-freedom
+contract, `enumerate_tiles` checks tiling geometry against
+`tile_partition`, and `remove_first_wait` is the mutation that the
+interpreter's DMA hazard checker must catch. `regions_disjoint` is
+quadratic in the writes per forall execution, so block-cyclic chunks of 7
+run only at small N.
+"""
+
+import pytest
+
+from tcmc import interp, oracles, perf, pipeline
+from tcmc.interp import ExecutionFault
+from tcmc.passes import fuse_elementwise, tile_generic
+
+from conftest import ALL_KERNELS, BENCH_DIMS, kernel_inputs, kernel_path, lower
+
+MT_PASSES = ("fuse", "tile", "vectorize", "mt")
+
+
+def mt_output(kernel, dims, opts, passes=MT_PASSES):
+    spec = pipeline.PipelineSpec(passes, opts, "off")
+    return pipeline.run_pipeline(kernel_path(kernel), spec, dims=dims).final
+
+
+def forall_executions(program):
+    return [bodies for execs in oracles.thread_write_intervals(program).values()
+            for bodies in execs]
+
+
+@pytest.mark.parametrize("mt_threshold", [1, 32768])
+@pytest.mark.parametrize("dist_kind,chunk", [("block", 1), ("block_cyclic", 1024)])
+@pytest.mark.parametrize("kernel", ALL_KERNELS)
+def test_thread_bodies_write_disjoint_regions(kernel, dist_kind, chunk, mt_threshold):
+    opts = pipeline.PipelineOptions(dist_kind=dist_kind, dist_chunk=chunk,
+                                    mt_threshold=mt_threshold)
+    executions = forall_executions(mt_output(kernel, BENCH_DIMS[kernel], opts))
+    if mt_threshold == 1:
+        assert executions, f"mt did not fire on {kernel}"
+    for bodies in executions:
+        assert len(bodies) == opts.threads and any(bodies)
+        assert oracles.regions_disjoint(bodies)
+
+
+# vectorize leaves a tile that W does not divide unthreaded (its domain has no
+# constant bound), so the vectorized case runs at a multiple of the tile
+@pytest.mark.parametrize("n,passes,tiles", [(3001, ("fuse", "tile", "mt"), 3),
+                                             (4096, MT_PASSES, 4)])
+@pytest.mark.parametrize("kernel", ["gelu", "silu", "expseries"])
+def test_thread_bodies_disjoint_under_small_cyclic_chunks(kernel, n, passes, tiles):
+    opts = pipeline.PipelineOptions(tile_sizes=(1024,), dist_kind="block_cyclic",
+                                    dist_chunk=7, mt_threshold=1)
+    executions = forall_executions(mt_output(kernel, {"N": n}, opts, passes))
+    assert len(executions) == tiles
+    for bodies in executions:
+        assert oracles.regions_disjoint(bodies)
+
+
+def test_regions_disjoint_reports_an_overlap():
+    assert not oracles.regions_disjoint([[("y", (0,), (8,))], [("y", (7,), (8,))]])
+    assert oracles.regions_disjoint([[("y", (0,), (8,))], [("y", (8,), (8,))]])
+    assert oracles.regions_disjoint([[("y", (0,), (8,))], [("z", (0,), (8,))]])
+
+
+def test_removing_first_dma_wait_faults():
+    opts = pipeline.PipelineOptions(tile_sizes=(1024,))
+    program = mt_output("gelu", {"N": 4096}, opts, ("fuse", "tile", "db"))
+    inputs = kernel_inputs(program, "gelu")
+    interp.interpret(program, inputs)
+    with pytest.raises(ExecutionFault):
+        interp.interpret(oracles.remove_first_wait(program), inputs)
+    with pytest.raises(ValueError, match="no dma_wait"):
+        oracles.remove_first_wait(lower("gelu", {"N": 4096}))
+
+
+def test_enumerated_tiles_match_reference_partition():
+    n, tile = 16397, 4096
+    program = tile_generic(fuse_elementwise(lower("gelu", {"N": n})), tile_sizes=(tile,))
+    (tiles,) = oracles.enumerate_tiles(program).values()
+    assert [(o[0], s[0]) for o, s in tiles] == oracles.tile_partition(n, tile)
+
+
+def test_memory_fraction_sweep_reaches_ideal_overlap():
+    rows = pipeline.bench([], perf.MachineConfig(), "memory_fraction")
+    assert [r["size"] for r in rows] == ["0", "0.25", "0.5", "0.75", "1"]
+    for r in rows:
+        assert r["speedup"] == f"{perf.ideal_overlap_speedup(float(r['size'])):.6g}"
