@@ -34,7 +34,7 @@ class IVar:
 
 
 def _derived():
-    """A cache slot on an IBin: filled on first use, outside ==, hash and repr."""
+    """A cache slot on an IBin or Payload: filled on first use, outside ==, hash and repr."""
     return field(init=False, compare=False, hash=False, repr=False)
 
 
@@ -294,6 +294,12 @@ class Payload:
     Leaves are `arg(i)` (the i-th input operand's element) and `const(v)`
     (an f32 immediate). The *_approx kinds carry a `param` (Taylor degree
     or Newton iteration count) and are produced by the math expansion pass.
+
+    Rewrites share structure: `substitute_args` returns the node itself
+    when nothing under it changes, and otherwise rebuilds only the nodes
+    whose children changed. A node also keeps `_max_arg`, its
+    `max_arg_index`, derived on first use like an IBin's caches and, like
+    them, outside `==`, `hash`, `repr` and pickling.
     """
 
     kind: str
@@ -301,6 +307,10 @@ class Payload:
     value: Optional[float] = None
     index: Optional[int] = None
     param: Optional[int] = None
+    _max_arg: int = _derived()
+
+    def __reduce__(self):  # pickle and copy the expression, never the memo
+        return Payload, (self.kind, self.args, self.value, self.index, self.param)
 
     @staticmethod
     def arg(i: int) -> "Payload":
@@ -326,25 +336,38 @@ class Payload:
             yield from a.walk()
 
     def max_arg_index(self) -> int:
-        best = -1
-        for n in self.walk():
-            if n.kind == "arg":
-                best = max(best, n.index)
+        """Largest `arg` index in the tree, or -1 when it reads no input."""
+        best = getattr(self, "_max_arg", None)
+        if best is None:
+            if self.kind == "arg":
+                best = self.index
+            else:
+                best = max([a.max_arg_index() for a in self.args], default=-1)
+            object.__setattr__(self, "_max_arg", best)
         return best
 
-    def map_args(self, remap: dict[int, int]) -> "Payload":
-        if self.kind == "arg":
-            return Payload.arg(remap[self.index])
-        if not self.args:
-            return self
-        return replace(self, args=tuple(a.map_args(remap) for a in self.args))
+    def substitute_args(self, table: Mapping[int, "Payload"]) -> "Payload":
+        """Replace every `arg(i)` with `table[i]`; args not in `table` stay.
 
-    def substitute_arg(self, index: int, expr: "Payload") -> "Payload":
-        if self.kind == "arg":
-            return expr if self.index == index else self
-        if not self.args:
+        Returns `self` when no arg the tree reads is in `table`. Otherwise
+        only the nodes above a replaced arg are rebuilt: the result shares
+        every other subtree, and each `table` value, with the inputs.
+        """
+        top = self.max_arg_index()
+        if not any([i <= top for i in table]):
             return self
-        return replace(self, args=tuple(a.substitute_arg(index, expr) for a in self.args))
+        return self._substitute(table)
+
+    def _substitute(self, table: Mapping[int, "Payload"]) -> "Payload":
+        if self.kind == "arg":
+            return table.get(self.index, self)
+        return self._with_args([a._substitute(table) for a in self.args])
+
+    def _with_args(self, args: list["Payload"]) -> "Payload":
+        """This node over `args`: itself when they are its own children."""
+        if all(map(operator.is_, args, self.args)):
+            return self
+        return Payload(self.kind, tuple(args), self.value, self.index, self.param)
 
 
 # ---------------------------------------------------------------------------
@@ -604,18 +627,24 @@ def map_ops(ops: tuple[Op, ...], fn: Callable[[Op], Optional[tuple[Op, ...]]]) -
 
     `fn(op)` returns the ops that replace `op` (possibly none), or None to
     keep `op` and map its body, if it has one, the same way. The ops `fn`
-    returns are not visited again.
+    returns are not visited again. An op whose body maps to itself is kept
+    as it is, and `ops` itself is returned when nothing in it changed.
     """
     out: list[Op] = []
+    changed = False
     for op in ops:
         new = fn(op)
         if new is not None:
             out.extend(new)
-        elif isinstance(op, _BODY_OPS):
-            out.append(replace(op, body=map_ops(op.body, fn)))
-        else:
-            out.append(op)
-    return tuple(out)
+            changed = True
+            continue
+        if isinstance(op, _BODY_OPS):
+            body = map_ops(op.body, fn)
+            if body is not op.body:
+                op = replace(op, body=body)
+                changed = True
+        out.append(op)
+    return tuple(out) if changed else ops
 
 
 def count_ops(program: KernelProgram, predicate: Callable[[Op], bool]) -> int:
@@ -705,6 +734,20 @@ class _Scope:
         return True
 
 
+class _Block:
+    """What the verifier tracks across one block: its allocs (name -> where)
+    and deallocs, the token of an `async_execute` not yet added to a group,
+    and the groups it created with their await counts."""
+
+    __slots__ = ("allocs", "deallocs", "token", "groups")
+
+    def __init__(self):
+        self.allocs: dict[str, str] = {}
+        self.deallocs: set[str] = set()
+        self.token: Optional[str] = None
+        self.groups: dict[str, int] = {}
+
+
 class _Verifier:
     def __init__(self, program: KernelProgram, tcm_bytes: Optional[int]):
         self.program = program
@@ -744,7 +787,7 @@ class _Verifier:
 
     # -- generic ------------------------------------------------------------
 
-    def check_generic(self, op: GenericOp, where: str, scope: _Scope) -> None:
+    def check_generic(self, op: GenericOp, where: str, scope: _Scope, block: _Block) -> None:
         n_operands = len(op.inputs) + len(op.outputs)
         if len(op.maps) != n_operands:
             self.fail(where, "operand/map arity",
@@ -812,9 +855,10 @@ class _Verifier:
                               f"generic @{op.name}: parallel dims {missing} missing from output map of %{name}")
 
         for pi, (payload, red) in enumerate(zip(op.payloads, op.reductions)):
-            if payload.max_arg_index() >= len(op.inputs):
+            top = payload.max_arg_index()
+            if top >= len(op.inputs):
                 self.fail(where, "payload args",
-                          f"generic @{op.name}: payload {pi} references arg{payload.max_arg_index()}, "
+                          f"generic @{op.name}: payload {pi} references arg{top}, "
                           f"only {len(op.inputs)} inputs")
             if red_dims and red is None:
                 self.fail(where, "missing combinator",
@@ -846,127 +890,146 @@ class _Verifier:
                 self.fail(where, "slice size", f"slice of %{source} dim {j}: size {s} < 1")
 
     def walk_block(self, ops: tuple[Op, ...], scope: _Scope, path: str) -> None:
-        allocs_here: dict[str, str] = {}
-        deallocs_here: set[str] = set()
-        tokens_pending: Optional[str] = None
-        groups_here: dict[str, int] = {}
-
+        block = _Block()
+        handlers = _VERIFY_HANDLERS
         for i, op in enumerate(ops):
             where = f"{path}[{i}]"
-            if tokens_pending is not None and not isinstance(op, AddToGroupOp):
+            kind = type(op)
+            if block.token is not None and kind is not AddToGroupOp:
                 self.fail(where, "token discipline",
-                          f"token %{tokens_pending} not added to a group immediately")
-                tokens_pending = None
+                          f"token %{block.token} not added to a group immediately")
+                block.token = None
+            handler = handlers.get(kind)
+            if handler is not None:
+                handler(self, op, where, scope, block)
 
-            if isinstance(op, GenericOp):
-                self.check_generic(op, where, scope)
-            elif isinstance(op, ForOp):
-                self.check_extents_defined(where, (op.lb, op.ub, op.step), scope)
-                child = _Scope(scope, op.var)
-                lb = extent_bounds(op.lb, self.var_ranges)
-                ub = extent_bounds(op.ub, self.var_ranges)
-                saved = self.var_ranges.get(op.var)
-                if lb and ub:
-                    self.var_ranges[op.var] = (lb[0], max(lb[0], ub[1] - 1))
-                self.walk_block(op.body, child, where + ".body")
-                if saved is not None:
-                    self.var_ranges[op.var] = saved
-                else:
-                    self.var_ranges.pop(op.var, None)
-            elif isinstance(op, ForallOp):
-                if op.threads < 1:
-                    self.fail(where, "thread count", f"forall threads {op.threads} < 1")
-                child = _Scope(scope, op.var)
-                saved = self.var_ranges.get(op.var)
-                self.var_ranges[op.var] = (0, op.threads - 1)
-                self.walk_block(op.body, child, where + ".body")
-                if saved is not None:
-                    self.var_ranges[op.var] = saved
-                else:
-                    self.var_ranges.pop(op.var, None)
-            elif isinstance(op, IfOp):
-                if isinstance(op.pred, CmpPred):
-                    self.check_extents_defined(where, (op.pred.lhs, op.pred.rhs), scope)
-                elif isinstance(op.pred, TogglePred) and op.pred.cell not in self.toggles:
-                    self.fail(where, "toggle before store", f"toggle %{op.pred.cell} read before any store")
-                self.walk_block(op.body, _Scope(scope), where + ".body")
-            elif isinstance(op, AsyncExecuteOp):
-                self.walk_block(op.body, _Scope(scope), where + ".body")
-                tokens_pending = op.token
-            elif isinstance(op, ExtractSliceOp):
-                self.check_slice(where, op.source, op.offsets, op.sizes, scope)
-                space = scope.space_of(op.source) or "ddr"
-                if not scope.define(op.result, tuple(op.sizes), space):
-                    self.fail(where, "redefinition", f"%{op.result} already defined")
-            elif isinstance(op, InsertSliceOp):
-                if scope.lookup(op.source) is None:
-                    self.fail(where, "undefined-buffer", f"insert_slice source %{op.source} undefined")
-                self.check_slice(where, op.dest, op.offsets, op.sizes, scope)
-            elif isinstance(op, CopyOp):
-                for n in (op.source, op.dest):
-                    if scope.lookup(n) is None:
-                        self.fail(where, "undefined-buffer", f"copy references undefined %{n}")
-                src, dst = scope.lookup(op.source), scope.lookup(op.dest)
-                if src and dst:
-                    ss, ds = self.static_shape(src), self.static_shape(dst)
-                    if ss and ds and ss != ds:
-                        self.fail(where, "copy shape", f"copy %{op.source}->%{op.dest}: {ss} vs {ds}")
-            elif isinstance(op, AllocOp):
-                self.check_extents_defined(where, op.sizes, scope)
-                if not scope.define(op.result, tuple(op.sizes), op.space):
-                    self.fail(where, "redefinition", f"%{op.result} already defined")
-                allocs_here[op.result] = where
-                if op.space == "tcm":
-                    b = self.buffer_bytes_upper(op.sizes)
-                    if b is not None:
-                        if op.narrow:
-                            b //= 2
-                        self.tcm_counted[op.result] = b
-                        self.live_tcm += b
-                        self.max_live_tcm = max(self.max_live_tcm, self.live_tcm)
-            elif isinstance(op, DeallocOp):
-                if op.target not in allocs_here:
-                    self.fail(where, "dealloc pairing",
-                              f"dealloc %{op.target} without alloc in the same block")
-                elif op.target in deallocs_here:
-                    self.fail(where, "double dealloc", f"%{op.target} deallocated twice")
-                else:
-                    deallocs_here.add(op.target)
-                    self.live_tcm -= self.tcm_counted.pop(op.target, 0)
-            elif isinstance(op, DmaStartOp):
-                for n in (op.source, op.dest):
-                    if scope.lookup(n) is None:
-                        self.fail(where, "undefined-buffer", f"dma_start references undefined %{n}")
-                if scope.lookup(op.tag) is None:
-                    self.fail(where, "undefined-buffer", f"dma tag %{op.tag} undefined")
-            elif isinstance(op, DmaWaitOp):
-                if scope.lookup(op.tag) is None:
-                    self.fail(where, "undefined-buffer", f"dma tag %{op.tag} undefined")
-            elif isinstance(op, AsyncGroupOp):
-                groups_here[op.group] = 0
-            elif isinstance(op, AddToGroupOp):
-                if tokens_pending != op.token:
-                    self.fail(where, "token discipline",
-                              f"add_to_group of %{op.token} does not follow its async_execute")
-                tokens_pending = None
-            elif isinstance(op, AwaitAllOp):
-                if op.group in groups_here:
-                    groups_here[op.group] += 1
-                else:
-                    self.fail(where, "group scope", f"await_all on %{op.group}: group not created in this block")
-            elif isinstance(op, StoreToggleOp):
-                if op.value is None and op.cell not in self.toggles:
-                    self.fail(where, "toggle before store", f"toggle %{op.cell} flipped before any store")
-                self.toggles.add(op.cell)
-
-        if tokens_pending is not None:
-            self.fail(path, "token discipline", f"token %{tokens_pending} never added to a group")
-        for name, w in allocs_here.items():
-            if name not in deallocs_here:
+        if block.token is not None:
+            self.fail(path, "token discipline", f"token %{block.token} never added to a group")
+        for name, w in block.allocs.items():
+            if name not in block.deallocs:
                 self.fail(w, "alloc pairing", f"alloc %{name} has no dealloc in its block")
-        for g, awaited in groups_here.items():
+        for g, awaited in block.groups.items():
             if awaited != 1:
                 self.fail(path, "group discipline", f"group %{g} awaited {awaited} times (want 1)")
+
+    # -- one handler per op type, dispatched by `walk_block` ------------------
+
+    def check_for(self, op: ForOp, where: str, scope: _Scope, block: _Block) -> None:
+        self.check_extents_defined(where, (op.lb, op.ub, op.step), scope)
+        lb = extent_bounds(op.lb, self.var_ranges)
+        ub = extent_bounds(op.ub, self.var_ranges)
+        self.walk_loop_body(op.var, (lb[0], max(lb[0], ub[1] - 1)) if lb and ub else None,
+                            op.body, scope, where)
+
+    def check_forall(self, op: ForallOp, where: str, scope: _Scope, block: _Block) -> None:
+        if op.threads < 1:
+            self.fail(where, "thread count", f"forall threads {op.threads} < 1")
+        self.walk_loop_body(op.var, (0, op.threads - 1), op.body, scope, where)
+
+    def walk_loop_body(self, var: str, rng: Optional[tuple[int, int]], body: tuple[Op, ...],
+                       scope: _Scope, where: str) -> None:
+        """Walk `body` with `var` in scope, ranging over `rng` (None: unknown)."""
+        saved = self.var_ranges.get(var)
+        if rng is not None:
+            self.var_ranges[var] = rng
+        self.walk_block(body, _Scope(scope, var), where + ".body")
+        if saved is not None:
+            self.var_ranges[var] = saved
+        else:
+            self.var_ranges.pop(var, None)
+
+    def check_if(self, op: IfOp, where: str, scope: _Scope, block: _Block) -> None:
+        if isinstance(op.pred, CmpPred):
+            self.check_extents_defined(where, (op.pred.lhs, op.pred.rhs), scope)
+        elif isinstance(op.pred, TogglePred) and op.pred.cell not in self.toggles:
+            self.fail(where, "toggle before store", f"toggle %{op.pred.cell} read before any store")
+        self.walk_block(op.body, _Scope(scope), where + ".body")
+
+    def check_async_execute(self, op: AsyncExecuteOp, where: str, scope: _Scope,
+                            block: _Block) -> None:
+        self.walk_block(op.body, _Scope(scope), where + ".body")
+        block.token = op.token
+
+    def check_extract_slice(self, op: ExtractSliceOp, where: str, scope: _Scope,
+                            block: _Block) -> None:
+        self.check_slice(where, op.source, op.offsets, op.sizes, scope)
+        space = scope.space_of(op.source) or "ddr"
+        if not scope.define(op.result, tuple(op.sizes), space):
+            self.fail(where, "redefinition", f"%{op.result} already defined")
+
+    def check_insert_slice(self, op: InsertSliceOp, where: str, scope: _Scope,
+                           block: _Block) -> None:
+        if scope.lookup(op.source) is None:
+            self.fail(where, "undefined-buffer", f"insert_slice source %{op.source} undefined")
+        self.check_slice(where, op.dest, op.offsets, op.sizes, scope)
+
+    def check_copy(self, op: CopyOp, where: str, scope: _Scope, block: _Block) -> None:
+        for n in (op.source, op.dest):
+            if scope.lookup(n) is None:
+                self.fail(where, "undefined-buffer", f"copy references undefined %{n}")
+        src, dst = scope.lookup(op.source), scope.lookup(op.dest)
+        if src and dst:
+            ss, ds = self.static_shape(src), self.static_shape(dst)
+            if ss and ds and ss != ds:
+                self.fail(where, "copy shape", f"copy %{op.source}->%{op.dest}: {ss} vs {ds}")
+
+    def check_alloc(self, op: AllocOp, where: str, scope: _Scope, block: _Block) -> None:
+        self.check_extents_defined(where, op.sizes, scope)
+        if not scope.define(op.result, tuple(op.sizes), op.space):
+            self.fail(where, "redefinition", f"%{op.result} already defined")
+        block.allocs[op.result] = where
+        if op.space == "tcm":
+            b = self.buffer_bytes_upper(op.sizes)
+            if b is not None:
+                if op.narrow:
+                    b //= 2
+                self.tcm_counted[op.result] = b
+                self.live_tcm += b
+                self.max_live_tcm = max(self.max_live_tcm, self.live_tcm)
+
+    def check_dealloc(self, op: DeallocOp, where: str, scope: _Scope, block: _Block) -> None:
+        if op.target not in block.allocs:
+            self.fail(where, "dealloc pairing",
+                      f"dealloc %{op.target} without alloc in the same block")
+        elif op.target in block.deallocs:
+            self.fail(where, "double dealloc", f"%{op.target} deallocated twice")
+        else:
+            block.deallocs.add(op.target)
+            self.live_tcm -= self.tcm_counted.pop(op.target, 0)
+
+    def check_dma_start(self, op: DmaStartOp, where: str, scope: _Scope, block: _Block) -> None:
+        for n in (op.source, op.dest):
+            if scope.lookup(n) is None:
+                self.fail(where, "undefined-buffer", f"dma_start references undefined %{n}")
+        self.check_dma_wait(op, where, scope, block)
+
+    def check_dma_wait(self, op: Union[DmaStartOp, DmaWaitOp], where: str, scope: _Scope,
+                       block: _Block) -> None:
+        if scope.lookup(op.tag) is None:
+            self.fail(where, "undefined-buffer", f"dma tag %{op.tag} undefined")
+
+    def check_async_group(self, op: AsyncGroupOp, where: str, scope: _Scope,
+                          block: _Block) -> None:
+        block.groups[op.group] = 0
+
+    def check_add_to_group(self, op: AddToGroupOp, where: str, scope: _Scope,
+                           block: _Block) -> None:
+        if block.token != op.token:
+            self.fail(where, "token discipline",
+                      f"add_to_group of %{op.token} does not follow its async_execute")
+        block.token = None
+
+    def check_await_all(self, op: AwaitAllOp, where: str, scope: _Scope, block: _Block) -> None:
+        if op.group in block.groups:
+            block.groups[op.group] += 1
+        else:
+            self.fail(where, "group scope", f"await_all on %{op.group}: group not created in this block")
+
+    def check_store_toggle(self, op: StoreToggleOp, where: str, scope: _Scope,
+                           block: _Block) -> None:
+        if op.value is None and op.cell not in self.toggles:
+            self.fail(where, "toggle before store", f"toggle %{op.cell} flipped before any store")
+        self.toggles.add(op.cell)
 
     def run(self) -> VerifyReport:
         scope = _Scope()
@@ -988,6 +1051,26 @@ class _Verifier:
             self.fail("program", "tcm budget",
                       f"peak live TCM {self.max_live_tcm} bytes exceeds budget {self.tcm_bytes}")
         return VerifyReport(tuple(self.violations))
+
+
+_VERIFY_HANDLERS: dict[type, Callable[..., None]] = {
+    GenericOp: _Verifier.check_generic,
+    ForOp: _Verifier.check_for,
+    ForallOp: _Verifier.check_forall,
+    IfOp: _Verifier.check_if,
+    ExtractSliceOp: _Verifier.check_extract_slice,
+    InsertSliceOp: _Verifier.check_insert_slice,
+    CopyOp: _Verifier.check_copy,
+    AllocOp: _Verifier.check_alloc,
+    DeallocOp: _Verifier.check_dealloc,
+    DmaStartOp: _Verifier.check_dma_start,
+    DmaWaitOp: _Verifier.check_dma_wait,
+    AsyncGroupOp: _Verifier.check_async_group,
+    AsyncExecuteOp: _Verifier.check_async_execute,
+    AddToGroupOp: _Verifier.check_add_to_group,
+    AwaitAllOp: _Verifier.check_await_all,
+    StoreToggleOp: _Verifier.check_store_toggle,
+}
 
 
 def verify(program: KernelProgram, *, tcm_bytes: Optional[int] = None) -> VerifyReport:

@@ -13,8 +13,8 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Sequence
+from dataclasses import fields, replace
+from typing import Optional, Sequence, get_args
 
 from .. import ir
 from ..ir import (
@@ -31,12 +31,16 @@ class NameAllocator:
 
     def __init__(self, program: KernelProgram):
         self.taken = {d.name for d in program.decls}
-        for op, _ in ir.walk_ops(program.ops):
-            for attr in ("result", "var", "token", "group", "cell", "target"):
-                v = getattr(op, attr, None)
-                if isinstance(v, str):
-                    self.taken.add(v)
+        self._collect(program.ops)
         self.counters: dict[str, int] = {}
+
+    def _collect(self, ops: tuple[Op, ...]) -> None:
+        for op in ops:
+            for attr in _NAME_ATTRS[type(op)]:
+                self.taken.add(getattr(op, attr))
+            body = getattr(op, "body", None)
+            if body is not None:
+                self._collect(body)
 
     def fresh(self, prefix: str) -> str:
         n = self.counters.get(prefix, 0)
@@ -47,6 +51,15 @@ class NameAllocator:
                 self.counters[prefix] = n
                 self.taken.add(name)
                 return name
+
+
+# the attributes of each op type that name something: a buffer, a loop or
+# thread var, a token, a group or a toggle cell
+_NAME_ATTRS: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls)
+               if f.name in ("result", "var", "token", "group", "cell", "target"))
+    for cls in get_args(Op)
+}
 
 
 class BufInfo:

@@ -81,6 +81,10 @@ def _rename_ops(ops: tuple[Op, ...], mapping: dict[str, str]) -> tuple[Op, ...]:
         return mapping.get(name, name)
 
     def fn(op: Op) -> Optional[tuple[Op, ...]]:
+        names = op.inputs + op.outputs if isinstance(op, GenericOp) else (
+            getattr(op, "source", None), getattr(op, "dest", None))
+        if not any(n in mapping for n in names):
+            return None  # nothing to rename: keep the op as it is
         if isinstance(op, GenericOp):
             return (replace(op, inputs=tuple(rn(n) for n in op.inputs),
                             outputs=tuple(rn(n) for n in op.outputs)),)

@@ -7,15 +7,36 @@ producer's output map (identity, transpose). Broadcasting reads and
 recomputation-based fusion are rejected; reduction producers are rejected.
 The consumer itself may be a reduction, reading the produced value as a
 plain input.
+
+The pass walks the program once, into a use-count map: one count per read
+of a tensor, anywhere in the program, nested ops included (a generic reads
+its inputs, every other op its `source` and `dest`). Each splice updates
+the map: the producer's and the consumer's reads leave it and the fused
+generic's enter it.
+
+Candidates are tried consumer-first: the top-level generics in program
+order, each one's inputs in order. After a splice the scan resumes at the
+fused consumer, not at the first op, and still finds the fusions a restart
+would, in the same order. A splice changes only the consumer's inputs, and
+it lowers only the use counts of tensors the producer read, because reads
+of one tensor through one map merge into one. Every candidate before the
+consumer was illegal, and none turns legal: the fused consumer reads each
+such tensor, so an earlier generic that also reads it keeps it at two uses
+or more.
+
+A splice rebuilds only the consumer's payload and shares the producer's
+(`Payload.substitute_args`). When the producer's args keep their numbers
+in the fused generic, as along expseries' chain, each splice costs the
+same however long the chain has grown; otherwise the producer's payload
+is rebuilt along its paths to the renumbered args.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
-from .. import ir
-from ..ir import AffineIndexMap, GenericOp, KernelProgram
+from ..ir import AffineIndexMap, GenericOp, KernelProgram, Op, Payload
 
 
 @dataclass(frozen=True)
@@ -32,16 +53,29 @@ class FusionRejection:
     detail: str
 
 
-def _use_count(program: KernelProgram, tensor: str) -> int:
-    uses = 0
-    for op, _ in ir.walk_ops(program.ops):
+def _count_uses(ops: tuple[Op, ...], uses: dict[str, int]) -> dict[str, int]:
+    """Add one to `uses[t]` per read of tensor `t` in `ops`, bodies included."""
+    for op in ops:
         if isinstance(op, GenericOp):
-            uses += sum(1 for n in op.inputs if n == tensor)
-        else:
-            for attr in ("source", "dest"):
-                if getattr(op, attr, None) == tensor:
-                    uses += 1
+            for name in op.inputs:
+                uses[name] = uses.get(name, 0) + 1
+            continue
+        for attr in ("source", "dest"):
+            name = getattr(op, attr, None)
+            if name is not None:
+                uses[name] = uses.get(name, 0) + 1
+        body = getattr(op, "body", None)
+        if body is not None:
+            _count_uses(body, uses)
     return uses
+
+
+def _roles(program: KernelProgram) -> dict[str, str]:
+    """Each tensor's role, as `program.decl` finds it (the first decl wins)."""
+    roles: dict[str, str] = {}
+    for d in program.decls:
+        roles.setdefault(d.name, d.role)
+    return roles
 
 
 def fusion_legal(
@@ -51,6 +85,12 @@ def fusion_legal(
     operand: int,
 ) -> Union[FusionCandidate, FusionRejection]:
     """Decide legality of fusing `producer` into `consumer` at input `operand`."""
+    return _legal(_roles(program), _count_uses(program.ops, {}),
+                  producer, consumer, operand)
+
+
+def _legal(roles: Mapping[str, str], uses: Mapping[str, int], producer: GenericOp,
+           consumer: GenericOp, operand: int) -> Union[FusionCandidate, FusionRejection]:
     tensor = consumer.inputs[operand]
     assert tensor in producer.outputs, "operand is not produced by this producer"
 
@@ -59,10 +99,9 @@ def fusion_legal(
                                f"@{producer.name} has reduction iterators")
     if len(producer.outputs) != 1:
         return FusionRejection("map_mismatch", f"@{producer.name} has multiple outputs")
-    decl = program.decl(tensor)
-    if decl is not None and decl.role != "temp":
+    if roles.get(tensor, "temp") != "temp":
         return FusionRejection("multi_use", f"%{tensor} is a program output")
-    if _use_count(program, tensor) != 1:
+    if uses.get(tensor, 0) != 1:
         return FusionRejection("multi_use", f"%{tensor} has multiple uses")
 
     pmap = producer.output_maps()[0]
@@ -86,56 +125,54 @@ def fusion_legal(
     return FusionCandidate(producer.name, consumer.name, operand, tuple(relabel))
 
 
-_HOLE = -1  # sentinel arg index while renumbering around the fused operand
-
-
 def _splice(producer: GenericOp, consumer: GenericOp, cand: FusionCandidate) -> GenericOp:
-    kept: list[tuple[str, AffineIndexMap]] = []
-    consumer_renumber: dict[int, int] = {}
-    for i, (name, m) in enumerate(zip(consumer.inputs, consumer.input_maps())):
-        if i == cand.operand:
-            consumer_renumber[i] = _HOLE
-        else:
-            consumer_renumber[i] = len(kept)
-            kept.append((name, m))
+    """`consumer` with `producer`'s payload in place of input `cand.operand`.
 
-    prod_renumber: dict[int, int] = {}
-    for i, (name, m) in enumerate(zip(producer.inputs, producer.input_maps())):
-        relabeled = AffineIndexMap(
-            tuple(None if r is None else cand.relabel[r] for r in m.results))
-        idx = next((k for k, (n2, m2) in enumerate(kept) if n2 == name and m2 == relabeled), None)
-        if idx is None:
-            idx = len(kept)
-            kept.append((name, relabeled))
-        prod_renumber[i] = idx
+    The fused generic reads the consumer's other inputs, in order, then
+    each producer input it does not already read through the same map.
+    """
+    operand = cand.operand
+    kept = list(zip(consumer.inputs, consumer.maps))
+    del kept[operand]
+    # the consumer's inputs after `operand` move down one
+    consumer_args = {i: Payload.arg(i - 1) for i in range(operand + 1, len(consumer.inputs))}
 
-    producer_expr = producer.payloads[0].map_args(prod_renumber)
-    new_payloads = tuple(
-        p.map_args(consumer_renumber).substitute_arg(_HOLE, producer_expr)
-        for p in consumer.payloads)
+    first: dict[tuple[str, AffineIndexMap], int] = {}
+    for k, key in enumerate(kept):
+        first.setdefault(key, k)
+    relabel = cand.relabel
+    producer_args: dict[int, Payload] = {}
+    for i, (name, m) in enumerate(zip(producer.inputs, producer.maps)):
+        key = (name, AffineIndexMap(tuple([None if r is None else relabel[r] for r in m.results])))
+        k = first.setdefault(key, len(kept))
+        if k == len(kept):
+            kept.append(key)
+        if k != i:
+            producer_args[i] = Payload.arg(k)
+
+    consumer_args[operand] = producer.payloads[0].substitute_args(producer_args)
     return replace(
         consumer,
         inputs=tuple(n for n, _ in kept),
         maps=tuple(m for _, m in kept) + consumer.output_maps(),
-        payloads=new_payloads,
+        payloads=tuple(p.substitute_args(consumer_args) for p in consumer.payloads),
     )
 
 
-def _first_candidate(program: KernelProgram) -> Optional[tuple[int, int, FusionCandidate]]:
-    generics = [(i, op) for i, op in enumerate(program.ops) if isinstance(op, GenericOp)]
-    producer_of: dict[str, tuple[int, GenericOp]] = {}
-    for i, g in generics:
-        for out in g.outputs:
-            producer_of[out] = (i, g)
-    for ci, consumer in generics:
-        for oi, name in enumerate(consumer.inputs):
-            hit = producer_of.get(name)
-            if hit is None or hit[0] == ci:
-                continue
-            pi, producer = hit
-            cand = fusion_legal(program, producer, consumer, oi)
-            if isinstance(cand, FusionCandidate):
-                return pi, ci, cand
+def _candidate(ops: list[Optional[Op]], ci: int, writers: dict[str, list[int]],
+               roles: Mapping[str, str],
+               uses: Mapping[str, int]) -> Optional[tuple[int, FusionCandidate]]:
+    """The first legal fusion into `ops[ci]`, by input order, and its producer's index."""
+    consumer = ops[ci]
+    if not isinstance(consumer, GenericOp):
+        return None
+    for oi, name in enumerate(consumer.inputs):
+        written = writers.get(name)
+        if not written or written[-1] == ci:  # the last writer is the producer
+            continue
+        cand = _legal(roles, uses, ops[written[-1]], consumer, oi)
+        if isinstance(cand, FusionCandidate):
+            return written[-1], cand
     return None
 
 
@@ -145,17 +182,32 @@ def fuse_elementwise(program: KernelProgram) -> KernelProgram:
     Each fired fusion removes one generic and the materialized intermediate
     tensor decl. No-op when nothing is legal.
     """
-    current = program
-    while True:
-        hit = _first_candidate(current)
+    ops: list[Optional[Op]] = list(program.ops)  # a fused-away producer leaves None
+    roles = _roles(program)
+    uses = _count_uses(program.ops, {})
+    writers: dict[str, list[int]] = {}  # tensor -> indices of the generics writing it
+    for i, op in enumerate(ops):
+        if isinstance(op, GenericOp):
+            for out in op.outputs:
+                writers.setdefault(out, []).append(i)
+    removed: set[str] = set()
+    ci = 0
+    while ci < len(ops):
+        hit = _candidate(ops, ci, writers, roles, uses)
         if hit is None:
-            break
-        pi, ci, cand = hit
-        consumer = current.ops[ci]
-        fused = _splice(current.ops[pi], consumer, cand)
-        tensor = consumer.inputs[cand.operand]
-        ops = tuple(fused if op is consumer else op
-                    for op in current.ops if op is not current.ops[pi])
-        decls = tuple(d for d in current.decls if d.name != tensor)
-        current = replace(current, decls=decls, ops=ops, stage="fused")
-    return current
+            ci += 1
+            continue
+        pi, cand = hit
+        producer, consumer = ops[pi], ops[ci]
+        fused = _splice(producer, consumer, cand)
+        for name in producer.inputs + consumer.inputs:
+            uses[name] -= 1
+        for name in fused.inputs:
+            uses[name] += 1
+        writers[producer.outputs[0]].remove(pi)
+        ops[pi], ops[ci] = None, fused
+        removed.add(consumer.inputs[cand.operand])
+    if not removed:
+        return program
+    return replace(program, decls=tuple(d for d in program.decls if d.name not in removed),
+                   ops=tuple(op for op in ops if op is not None), stage="fused")

@@ -138,10 +138,11 @@ def _read_source(source: Union[str, Path]) -> str:
     return str(source)
 
 
-def resolve_kernel(source: Union[str, Path],
+def resolve_kernel(source: Union[str, Path, KernelAst],
                    dims: Optional[Mapping[str, int]] = None,
                    inputs: Optional[Mapping[str, np.ndarray]] = None) -> tuple[KernelAst, dict]:
-    ast = parse_kernel(_read_source(source))
+    """The kernel's AST (parsed unless `source` is one) and its bound dims."""
+    ast = source if isinstance(source, KernelAst) else parse_kernel(_read_source(source))
     bound: dict[str, int] = {}
     if inputs:
         bound.update(infer_dims_from_inputs(ast, inputs))
@@ -223,7 +224,7 @@ def run_pipeline(
 
 
 def build_staged(
-    source: Union[str, Path],
+    source: Union[str, Path, KernelAst],
     passes: Sequence[str],
     dims: Optional[Mapping[str, int]],
     config: perf.MachineConfig,
@@ -269,7 +270,8 @@ def bench(
     - `passes`: each of `ladders` (default scalar, vec, vec_mt, vec_mt_db)
       at `dims`; speedups are over the first ladder.
     - `size`: vec against vec_mt with mt forced on, at N in `sizes`
-      (default `perf.SIZE_SWEEP`); speedups are over vec.
+      (default `perf.SIZE_SWEEP`); speedups are over vec. A kernel with no
+      dimension `N` raises SpecError.
     - `memory_fraction`: the db passes on `perf.overlap_probe` at m = 0,
       0.25, 0.5, 0.75, 1, against the undoubled probe; ignores `kernels`.
 
@@ -290,9 +292,13 @@ def bench(
     for k in kernels:
         name = kernel_name(k)
         if axis == "size":
+            ast = parse_kernel(_read_source(k))
+            if not any(d == "N" for p in ast.params for d in p.dims):
+                raise SpecError(f"kernel {name} has no dimension N to sweep; "
+                                "--sweep size sets N only")
             for size in sizes or perf.SIZE_SWEEP:
-                st = build_staged(k, perf.PASS_LADDERS["vec"], {"N": size}, config)
-                mt = build_staged(k, perf.PASS_LADDERS["vec_mt"], {"N": size}, config,
+                st = build_staged(ast, perf.PASS_LADDERS["vec"], {"N": size}, config)
+                mt = build_staged(ast, perf.PASS_LADDERS["vec_mt"], {"N": size}, config,
                                   mt_threshold=1)
                 st_rep = perf.simulate(st, config)
                 mt_rep = perf.simulate(mt, config)

@@ -4,10 +4,12 @@ import gc
 import warnings
 from dataclasses import replace
 
-from tcmc import cli, ir, pipeline
+import numpy as np
+
+from tcmc import cli, interp, ir, pipeline, tensorio
 from tcmc.ir import Payload
 
-from conftest import kernel_path
+from conftest import bitexact, kernel_inputs, kernel_path, lower
 
 
 def test_exit_ok_gelu(capsys):
@@ -71,3 +73,28 @@ def test_bench_csv_file_equals_stdout_and_is_closed(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert out.read_bytes() == want.encode()
     assert capsys.readouterr().out == f"wrote 4 rows to {out}\n"
+
+
+def test_bench_size_sweep_rejects_a_kernel_without_n(capsys):
+    # rmsnorm's dims are R and C: every size row would be the same schedule
+    argv = ["bench", "--sweep", "size", "--kernels", kernel_path("rmsnorm"),
+            "--sizes", "8192,65536"]
+    assert cli.main(argv) == cli.EXIT_SPEC
+    captured = capsys.readouterr()
+    assert "kernel rmsnorm has no dimension N" in captured.err
+    assert captured.out == ""
+
+
+def test_run_writes_the_interpreted_outputs(tmp_path, capsys):
+    program = lower("gelu", {"N": 4096})
+    inputs = kernel_inputs(program, "gelu")
+    tensorio.save_dir(tmp_path / "in", inputs)
+    argv = ["run", kernel_path("gelu"), "--inputs", str(tmp_path / "in"),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'out' / 'y'}.bin shape=(4096,)\n"
+    written = tensorio.load_dir(tmp_path / "out", ["y"])
+    want = interp.interpret(program, inputs)
+    assert written["y"].shape == (4096,)
+    assert bitexact(written, want)
+    assert np.isfinite(written["y"]).all()

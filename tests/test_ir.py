@@ -14,6 +14,7 @@ import io
 import itertools
 import pickle
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -236,6 +237,77 @@ def test_payload_arg_out_of_range():
                     ("parallel",), (Payload.arg(1),))
     rep = verify(program([bad]))
     assert any(v.rule == "payload args" for v in rep.violations)
+
+
+def test_block_rules_keep_their_messages_and_order():
+    # the text the verifier printed before it dispatched by a type table
+    ops = (
+        ir.AsyncGroupOp("grp", 2),
+        AsyncExecuteOp("tok0", (elementwise(),)),
+        ir.CopyOp("x", "y"),
+        ir.AddToGroupOp("grp", "tok9"),
+        ir.AwaitAllOp("grp"), ir.AwaitAllOp("grp"),
+        ir.AwaitAllOp("nogroup"),
+        IfOp(ir.TogglePred("tog", True), ()),
+        ir.StoreToggleOp("tog2", None),
+        AllocOp("t", (8,), "tcm"), DeallocOp("t"), DeallocOp("t"), DeallocOp("u"),
+        AllocOp("v", (8,), "tcm"),
+        ir.DmaStartOp("tagx", "x", (0,), "ghost", (0,), (8,)),
+        ir.DmaWaitOp("tagx"),
+        ForallOp("th", 0, (ExtractSliceOp("s", "x", (IVar("th"),), (4,)),)),
+        ForOp("i", 0, 8, 4, (ir.InsertSliceOp("nope", "y", (IVar("j"),), (4,)),)),
+        AsyncExecuteOp("tok1", ()),
+    )
+    assert str(verify(program(ops))) == """verify: 16 violation(s)
+  [token discipline] ops[2]: token %tok0 not added to a group immediately
+  [token discipline] ops[3]: add_to_group of %tok9 does not follow its async_execute
+  [group scope] ops[6]: await_all on %nogroup: group not created in this block
+  [toggle before store] ops[7]: toggle %tog read before any store
+  [toggle before store] ops[8]: toggle %tog2 flipped before any store
+  [double dealloc] ops[11]: %t deallocated twice
+  [dealloc pairing] ops[12]: dealloc %u without alloc in the same block
+  [undefined-buffer] ops[14]: dma_start references undefined %ghost
+  [undefined-buffer] ops[14]: dma tag %tagx undefined
+  [undefined-buffer] ops[15]: dma tag %tagx undefined
+  [thread count] ops[16]: forall threads 0 < 1
+  [undefined-buffer] ops[17].body[0]: insert_slice source %nope undefined
+  [unbound-index] ops[17].body[0]: index variable %j not in scope
+  [token discipline] ops: token %tok1 never added to a group
+  [alloc pairing] ops[13]: alloc %v has no dealloc in its block
+  [group discipline] ops: group %grp awaited 2 times (want 1)"""
+
+
+def test_every_op_type_has_a_verifier_and_an_interpreter_handler():
+    from tcmc import interp
+    op_types = set(typing.get_args(ir.Op))
+    assert len(op_types) == 16
+    assert set(ir._VERIFY_HANDLERS) == op_types
+    assert set(interp._HANDLERS) == op_types
+
+
+def test_payload_memo_stays_out_of_equality_hash_and_print():
+    def tree():
+        return Payload.binary("add", Payload.arg(2), Payload.unary("exp", Payload.arg(0)))
+
+    p, fresh = tree(), tree()
+    assert p.max_arg_index() == 2 and p._max_arg == 2
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and getattr(copy, "_max_arg", None) is None
+    assert Payload.const(1.0).max_arg_index() == -1
+
+
+def test_substitute_args_shares_what_it_does_not_change():
+    x = Payload.unary("exp", Payload.arg(0))
+    p = Payload.binary("mul", x, Payload.arg(1))
+    assert p.substitute_args({}) is p
+    assert p.substitute_args({2: Payload.arg(0)}) is p  # p never reads arg 2
+    swapped = p.substitute_args({1: x})
+    assert swapped.args[0] is x and swapped.args[1] is x
+    assert ir.print_payload(swapped) == "mul(exp(a0), exp(a0))"
+    renumbered = p.substitute_args({0: Payload.arg(3)})
+    assert renumbered.args[1] is p.args[1]
+    assert ir.print_payload(renumbered) == "mul(exp(a3), a1)"
 
 
 def test_undefined_buffer_and_duplicate_decl():

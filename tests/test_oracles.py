@@ -1,5 +1,7 @@
 """The structural oracles in `tcmc.oracles`, run against real pass output.
 
+`oracle_eval` is the float64 reference every shipped kernel's compiled
+output must match within an allclose bound.
 `thread_write_intervals` + `regions_disjoint` check the mt race-freedom
 contract, `enumerate_tiles` checks tiling geometry against
 `tile_partition`, and `remove_first_wait` is the mutation that the
@@ -8,13 +10,16 @@ quadratic in the writes per forall execution, so block-cyclic chunks of 7
 run only at small N.
 """
 
+import numpy as np
 import pytest
 
 from tcmc import interp, oracles, perf, pipeline
 from tcmc.interp import ExecutionFault
 from tcmc.passes import fuse_elementwise, tile_generic
 
-from conftest import ALL_KERNELS, BENCH_DIMS, kernel_inputs, kernel_path, lower
+from conftest import (
+    ALL_KERNELS, BENCH_DIMS, DEFAULT_PASSES, kernel_inputs, kernel_path, lower,
+)
 
 MT_PASSES = ("fuse", "tile", "vectorize", "mt")
 
@@ -86,3 +91,28 @@ def test_memory_fraction_sweep_reaches_ideal_overlap():
     assert [r["size"] for r in rows] == ["0", "0.25", "0.5", "0.75", "1"]
     for r in rows:
         assert r["speedup"] == f"{perf.ideal_overlap_speedup(float(r['size'])):.6g}"
+
+
+# below BENCH_DIMS, so the interpreter stays fast; still several tiles each
+ORACLE_DIMS = {"softmax": {"N": 8192}, "gelu": {"N": 65536}, "silu": {"N": 65536},
+               "rmsnorm": {"R": 33, "C": 257}, "vecadd2d": {"R": 16, "C": 4096},
+               "expseries": {"N": 65536}}
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS)
+def test_compiled_kernel_matches_float64_oracle(kernel):
+    # the benchmark's output check: |got - want| <= 1e-6 * max|want| + 1e-4 * |want|
+    dims = ORACLE_DIMS[kernel]
+    inputs = kernel_inputs(lower(kernel, dims), kernel)
+    spec = pipeline.PipelineSpec(DEFAULT_PASSES, pipeline.PipelineOptions(), "off")
+    final = pipeline.run_pipeline(kernel_path(kernel), spec, inputs=inputs, dims=dims).final
+    got = interp.interpret(final, inputs)["y"].astype(np.float64)
+    want = oracles.oracle_eval(kernel, inputs)["y"].astype(np.float64)
+    assert got.shape == want.shape
+    tol = 1e-6 * np.max(np.abs(want)) + 1e-4 * np.abs(want)
+    assert np.all(np.abs(got - want) <= tol)
+
+
+def test_oracle_eval_rejects_an_unknown_kernel():
+    with pytest.raises(KeyError, match="unknown kernel"):
+        oracles.oracle_eval("matmul", {})
