@@ -42,10 +42,6 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", default="block", help="block or cyclic:CHUNK")
     p.add_argument("--mt-threshold", type=int, default=32768,
                    help="min domain points before multi-threading is profitable")
-    p.add_argument("--double-buffer", action="store_true",
-                   help="ensure the db pass (both stages) is in the pipeline")
-    p.add_argument("--db-stage1-only", action="store_true",
-                   help="stop double buffering after the structural stage")
     p.add_argument("--math", choices=("exact", "approx"), default="exact")
     p.add_argument("--machine", default=None, help="machine config file (key = value)")
     p.add_argument("--shape", action="append", default=[],
@@ -81,8 +77,6 @@ def _parse_shapes(items: list[str]) -> dict[str, int]:
 
 def _build_spec(args) -> PipelineSpec:
     passes = [p.strip() for p in args.passes.split(",") if p.strip()]
-    if args.double_buffer and "db" not in passes:
-        passes.append("db")
     if args.math == "approx" and "math-approx" not in passes:
         passes.append("math-approx")
     dist_kind, chunk = _parse_dist(args.dist)
@@ -97,7 +91,6 @@ def _build_spec(args) -> PipelineSpec:
         dist_kind=dist_kind,
         dist_chunk=chunk,
         mt_threshold=args.mt_threshold,
-        db_stage1_only=args.db_stage1_only,
         machine=machine,
     )
     verify = getattr(args, "verify", "off")

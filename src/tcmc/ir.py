@@ -1113,14 +1113,27 @@ def print_pred(p: Pred) -> str:
 
 
 def print_payload(p: Payload) -> str:
-    if p.kind == "arg":
-        return f"a{p.index}"
-    if p.kind == "const":
-        return fmt_f32(p.value)
-    inner = ", ".join(print_payload(a) for a in p.args)
-    if p.param is not None:
-        return f"{p.kind}[{p.param}]({inner})"
-    return f"{p.kind}({inner})"
+    # an explicit stack of nodes and literal text: a fused chain nests far
+    # deeper than Python's recursion limit
+    parts: list[str] = []
+    stack: list[Union[Payload, str]] = [p]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif node.kind == "arg":
+            parts.append(f"a{node.index}")
+        elif node.kind == "const":
+            parts.append(fmt_f32(node.value))
+        else:
+            parts.append(node.kind if node.param is None else f"{node.kind}[{node.param}]")
+            parts.append("(")
+            stack.append(")")
+            for k in range(len(node.args) - 1, -1, -1):
+                stack.append(node.args[k])
+                if k:
+                    stack.append(", ")
+    return "".join(parts)
 
 
 def _print_map(m: AffineIndexMap) -> str:

@@ -11,12 +11,12 @@ from .tiling import TileSpec, default_tile_sizes, tile_generic, vectorize_innerm
 from .threading import (
     DistributionPolicy, ProfitabilityHeuristic, form_async_threads, form_virtual_threads,
 )
-from .double_buffer import db_dma, db_structural
+from .double_buffer import double_buffer_loops
 
 __all__ = [
     "PassError",
     "FusionCandidate", "fusion_legal", "fuse_elementwise",
     "TileSpec", "default_tile_sizes", "tile_generic", "vectorize_innermost",
     "DistributionPolicy", "ProfitabilityHeuristic", "form_virtual_threads", "form_async_threads",
-    "db_structural", "db_dma",
+    "double_buffer_loops",
 ]

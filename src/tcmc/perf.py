@@ -531,7 +531,7 @@ def overlap_probe(m: float, n_tiles: int = 8, tile_elems: int = 1024,
 
     Transfer per tile is tile bytes / bandwidth; compute is one mul per point
     (zero at m = 1). At m = 0 the input is TCM-resident and there is nothing
-    to overlap, so the db passes are a no-op by construction.
+    to overlap, so the db pass is a no-op by construction.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"m={m} outside [0, 1]")

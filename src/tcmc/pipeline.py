@@ -1,7 +1,8 @@
 """Pass-pipeline driver: composition, stage dumps, differential verification.
 
 The pipeline is a composition of passes applied in user order (dependency
-checked): fuse, tile, vectorize, mt, async, db, math-approx. With
+checked): fuse, tile, vectorize, mt, async, db, math-approx. Each is one
+function; db emits the DMA ping-pong form of each tiled loop directly. With
 verification on, the program is interpreted after every pass and compared
 against the stage-0 interpretation: bit-exact for structural passes, within
 reltol 1e-4 from the math expansion onward (its documented accuracy
@@ -20,7 +21,7 @@ from . import interp, ir, perf
 from .frontend import KernelAst, infer_dims_from_inputs, lower_to_generics, parse_kernel
 from .mathlib import ApproxPolicy, expand_math_ops
 from .passes import (
-    DistributionPolicy, PassError, ProfitabilityHeuristic, db_dma, db_structural,
+    DistributionPolicy, PassError, ProfitabilityHeuristic, double_buffer_loops,
     form_async_threads, form_virtual_threads, fuse_elementwise, tile_generic,
     vectorize_innermost,
 )
@@ -55,7 +56,6 @@ class PipelineOptions:
     mt_threshold: int = 32768
     exp_degree: int = 6
     rsqrt_iters: int = 1
-    db_stage1_only: bool = False
     machine: perf.MachineConfig = field(default_factory=perf.MachineConfig)
 
 
@@ -97,10 +97,7 @@ def apply_pass(name: str, program: ir.KernelProgram, opts: PipelineOptions) -> i
     if name == "async":
         return form_async_threads(program)
     if name == "db":
-        staged = db_structural(program)
-        if opts.db_stage1_only or staged is program:
-            return staged
-        return db_dma(staged)
+        return double_buffer_loops(program)
     if name == "math-approx":
         policy = ApproxPolicy("approx", exp_degree=opts.exp_degree,
                               rsqrt_iters=opts.rsqrt_iters)
@@ -272,7 +269,7 @@ def bench(
     - `size`: vec against vec_mt with mt forced on, at N in `sizes`
       (default `perf.SIZE_SWEEP`); speedups are over vec. A kernel with no
       dimension `N` raises SpecError.
-    - `memory_fraction`: the db passes on `perf.overlap_probe` at m = 0,
+    - `memory_fraction`: the db pass on `perf.overlap_probe` at m = 0,
       0.25, 0.5, 0.75, 1, against the undoubled probe; ignores `kernels`.
 
     None or empty `ladders`, `sizes` and `dims` mean the defaults.
@@ -282,8 +279,7 @@ def bench(
         for m in (0.0, 0.25, 0.5, 0.75, 1.0):
             prog, cfg = perf.overlap_probe(m)
             base = perf.simulate(prog, cfg)
-            db1 = db_structural(prog)
-            rep = perf.simulate(db_dma(db1) if db1 is not prog else db1, cfg)
+            rep = perf.simulate(double_buffer_loops(prog), cfg)
             rows.append(_row("overlap_probe", f"{m:g}", "db", rep, base.total_cycles))
         return rows
     if axis not in ("size", "passes"):

@@ -1,10 +1,11 @@
-"""tcmc command line: one test per documented exit code."""
+"""tcmc command line: one test per documented exit code, and the options it rejects."""
 
 import gc
 import warnings
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from tcmc import cli, interp, ir, pipeline, tensorio
 from tcmc.ir import Payload
@@ -98,3 +99,27 @@ def test_run_writes_the_interpreted_outputs(tmp_path, capsys):
     assert written["y"].shape == (4096,)
     assert bitexact(written, want)
     assert np.isfinite(written["y"]).all()
+
+
+def test_emit_final_prints_a_200_link_fused_chain(tmp_path, capsys):
+    # fusion nests the chain into one payload 600 levels deep
+    links = ["    t0 = 1.0 + xv * 0.5"]
+    links += [f"    t{k} = 1.0 + xv * t{k - 1} * 0.5" for k in range(1, 200)]
+    src = tmp_path / "chain.tk"
+    src.write_text("kernel chain(x: f32[N], y: f32[N]) {\n    xv = load(x)\n"
+                   + "\n".join(links) + "\n    store(y, t199)\n}\n")
+    argv = ["compile", str(src), "--shape", "N=4096", "--emit-final"]
+    assert cli.main(argv) == cli.EXIT_OK
+    payload = "add(1.0, mul(a0, 0.5))"
+    for _ in range(199):
+        payload = f"add(1.0, mul(mul(a0, {payload}), 0.5))"
+    # once in each of the ping and pong sub-kernels
+    assert capsys.readouterr().out.count(f"yield {payload}\n") == 2
+
+
+@pytest.mark.parametrize("flag", ["--double-buffer", "--db-stage1-only"])
+def test_removed_double_buffer_flags_are_rejected(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["compile", kernel_path("gelu"), flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -574,6 +574,13 @@ def golden_lines():
         with contextlib.redirect_stdout(out):
             assert cli.main(argv) == cli.EXIT_OK
         yield f"{case} {_digest(out.getvalue())}"
+    for m in (0.0, 0.25, 0.5, 0.75, 1.0):
+        probe, _ = perf.overlap_probe(m)
+        yield from _stage_digests(f"probe/m={m:g}", probe, ("db",), pipeline.PipelineOptions())
+    # softmax is 1-D: it gets the same point count, and ignores the 2-D tile
+    yield from _kernel_digests(("softmax", "rmsnorm", "vecadd2d"),
+                               lambda k: {"N": 33 * 257} if k == "softmax" else {"R": 33, "C": 257},
+                               lambda k: (None, (7, 0)))
 
 
 def test_ir_matches_golden_digests():

@@ -1,4 +1,4 @@
-"""Shared pass helpers: `split_generic` and the constant extent bounds."""
+"""Shared pass helpers (`split_generic`, the constant extent bounds) and the db pass."""
 
 from dataclasses import replace
 
@@ -8,9 +8,10 @@ import pytest
 from tcmc import ir
 from tcmc.interp import interpret
 from tcmc.ir import (
-    AffineIndexMap, AllocOp, DeallocOp, ExtractSliceOp, GenericOp, InsertSliceOp, IVar,
-    KernelProgram, Payload, TensorDecl, ix_min, ix_sub,
+    AffineIndexMap, AllocOp, CopyOp, DeallocOp, ExtractSliceOp, ForOp, GenericOp, InsertSliceOp,
+    IVar, KernelProgram, Payload, TensorDecl, ix_min, ix_sub,
 )
+from tcmc.passes import double_buffer_loops as db
 from tcmc.passes.common import BufInfo, NameAllocator, const_upper, const_uppers, split_generic
 
 from conftest import bitexact
@@ -91,3 +92,147 @@ def test_const_upper_bounds_ints_and_min_only():
     assert const_uppers((3, ix_min(5, ix_sub(9, i)))) == (3, 5)
     assert const_uppers((3, ix_sub(9, i))) is None
     assert const_uppers(()) == ()
+
+
+# -- db: double buffering ------------------------------------------------------
+
+DB_N, DB_T = 40, 16  # 40 is not a multiple of the tile: the last tile is partial
+
+
+def tiled_loop_program(normal_form: bool = True) -> KernelProgram:
+    """y1 = x + w and y2 = x * w, tiled by DB_T, both inputs staged into TCM.
+
+    With `normal_form` off the generic reads the DDR views directly, so the
+    body has no extract -> alloc -> copy prefix for db to double-buffer.
+    """
+    i = IVar("i")
+    size = ix_min(DB_T, ix_sub(DB_N, i))
+    ident = AffineIndexMap.identity(1)
+    body: list = []
+    ins = []
+    for name in ("x", "w"):
+        body.append(ExtractSliceOp(f"{name}_s", name, (i,), (size,)))
+        if normal_form:
+            body += [AllocOp(f"{name}_t", (size,), "tcm"), CopyOp(f"{name}_s", f"{name}_t")]
+        ins.append(f"{name}_t" if normal_form else f"{name}_s")
+    body += [
+        AllocOp("o1", (size,), "tcm"), AllocOp("o2", (size,), "tcm"),
+        GenericOp("g", (size,), tuple(ins), ("o1", "o2"), (ident,) * 4, ("parallel",),
+                  (Payload.binary("add", Payload.arg(0), Payload.arg(1)),
+                   Payload.binary("mul", Payload.arg(0), Payload.arg(1)))),
+        InsertSliceOp("o1", "y1", (i,), (size,)),
+        InsertSliceOp("o2", "y2", (i,), (size,)),
+    ]
+    body += [DeallocOp(n) for n in (*(["x_t", "w_t"] if normal_form else []), "o1", "o2")]
+    loop = ForOp("i", 0, DB_N, DB_T, tuple(body),
+                 annotations=frozenset({"tiled_generic", "all_parallel"}))
+    decls = tuple(TensorDecl(n, (DB_N,), space="ddr", role=role)
+                  for n, role in (("x", "input"), ("w", "input"),
+                                  ("y1", "output"), ("y2", "output")))
+    return KernelProgram("db_probe", decls, (loop,), stage="tiled")
+
+
+# pins the ping/pong/tog/tag/stag/pre/pf names and the op order
+DB_EXPECTED = """\
+program @db_probe stage=db-dma {
+  tensor %x: f32[40] @ddr role=input
+  tensor %w: f32[40] @ddr role=input
+  tensor %y1: f32[40] @ddr role=output
+  tensor %y2: f32[40] @ddr role=output
+  %ping0 = alloc f32[16] @tcm
+  %pong0 = alloc f32[16] @tcm
+  %ping1 = alloc f32[16] @tcm
+  %pong1 = alloc f32[16] @tcm
+  store_toggle %tog0 = ping
+  %tag0 = alloc f32[1] @ddr {dma_tag}
+  %tag1 = alloc f32[1] @ddr {dma_tag}
+  %tag2 = alloc f32[1] @ddr {dma_tag}
+  %tag3 = alloc f32[1] @ddr {dma_tag}
+  %stag0 = alloc f32[1] @ddr {dma_tag}
+  %stag1 = alloc f32[1] @ddr {dma_tag}
+  if (0 < 40) {db_generic=0, db_prologue} {
+    %pre0 = extract_slice %x[0][16]
+    dma_start tag=%tag0 %pre0[0] -> %ping0[0] sizes=[16]
+    %pre1 = extract_slice %w[0][16]
+    dma_start tag=%tag1 %pre1[0] -> %ping1[0] sizes=[16]
+  }
+  for %i = 0 to 40 step 16 {all_parallel, db_generic=0, tiled_generic} {
+    if (load_toggle %tog0 == ping) {db_ping_kernel} {
+      if ((%i + 16) < 40) {db_prefetch} {
+        %pf0 = extract_slice %x[(%i + 16)][min(16, (40 - (%i + 16)))]
+        dma_start tag=%tag2 %pf0[0] -> %pong0[0] sizes=[min(16, (40 - (%i + 16)))]
+        %pf1 = extract_slice %w[(%i + 16)][min(16, (40 - (%i + 16)))]
+        dma_start tag=%tag3 %pf1[0] -> %pong1[0] sizes=[min(16, (40 - (%i + 16)))]
+      }
+      dma_wait tag=%tag0
+      dma_wait tag=%tag1
+      %o1 = alloc f32[min(16, (40 - %i))] @tcm
+      %o2 = alloc f32[min(16, (40 - %i))] @tcm
+      generic @g domain=[min(16, (40 - %i))] iters=[parallel]
+          ins(%ping0: (d0) %ping1: (d0)) outs(%o1: (d0) %o2: (d0))
+          yield add(a0, a1)
+          yield mul(a0, a1)
+      dma_start tag=%stag0 %o1[0] -> %y1[%i] sizes=[min(16, (40 - %i))]
+      dma_wait tag=%stag0
+      dma_start tag=%stag1 %o2[0] -> %y2[%i] sizes=[min(16, (40 - %i))]
+      dma_wait tag=%stag1
+      dealloc %o1
+      dealloc %o2
+    }
+    if (load_toggle %tog0 == pong) {db_pong_kernel} {
+      if ((%i + 16) < 40) {db_prefetch} {
+        %pf2 = extract_slice %x[(%i + 16)][min(16, (40 - (%i + 16)))]
+        dma_start tag=%tag0 %pf2[0] -> %ping0[0] sizes=[min(16, (40 - (%i + 16)))]
+        %pf3 = extract_slice %w[(%i + 16)][min(16, (40 - (%i + 16)))]
+        dma_start tag=%tag1 %pf3[0] -> %ping1[0] sizes=[min(16, (40 - (%i + 16)))]
+      }
+      dma_wait tag=%tag2
+      dma_wait tag=%tag3
+      %o1 = alloc f32[min(16, (40 - %i))] @tcm
+      %o2 = alloc f32[min(16, (40 - %i))] @tcm
+      generic @g domain=[min(16, (40 - %i))] iters=[parallel]
+          ins(%pong0: (d0) %pong1: (d0)) outs(%o1: (d0) %o2: (d0))
+          yield add(a0, a1)
+          yield mul(a0, a1)
+      dma_start tag=%stag0 %o1[0] -> %y1[%i] sizes=[min(16, (40 - %i))]
+      dma_wait tag=%stag0
+      dma_start tag=%stag1 %o2[0] -> %y2[%i] sizes=[min(16, (40 - %i))]
+      dma_wait tag=%stag1
+      dealloc %o1
+      dealloc %o2
+    }
+    store_toggle %tog0 = flip
+  }
+  dealloc %tag0
+  dealloc %tag1
+  dealloc %tag2
+  dealloc %tag3
+  dealloc %stag0
+  dealloc %stag1
+  dealloc %ping0
+  dealloc %pong0
+  dealloc %ping1
+  dealloc %pong1
+}
+"""
+
+
+def test_db_emits_the_pinned_ping_pong_dma_form():
+    program = tiled_loop_program()
+    out = db(program)
+    assert ir.verify(program).ok and ir.verify(out).ok
+    assert ir.print_ir(out) == DB_EXPECTED
+    rng = np.random.default_rng(0)
+    inputs = {d.name: rng.standard_normal(d.shape).astype(np.float32) for d in program.inputs()}
+    assert bitexact(interpret(out, inputs), interpret(program, inputs))
+
+
+def test_db_leaves_a_loop_outside_normal_form_as_it_is():
+    program = tiled_loop_program(normal_form=False)
+    assert ir.verify(program).ok
+    assert db(program) is program
+
+
+def test_db_twice_equals_db_once():
+    once = db(tiled_loop_program())
+    assert db(once) is once

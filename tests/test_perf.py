@@ -18,7 +18,7 @@ from tcmc.ir import (
     DeallocOp, ExtractSliceOp, ForOp, GenericOp, IBin, IfOp, IVar, InsertSliceOp, KernelProgram,
     Payload, StoreToggleOp, TensorDecl, TogglePred,
 )
-from tcmc.passes import db_dma, db_structural
+from tcmc.passes import double_buffer_loops
 
 from conftest import ALL_KERNELS, ROOT, kernel_path
 
@@ -97,8 +97,7 @@ def golden_cases():
     for m in (0.0, 0.25, 0.5, 0.75, 1.0):
         prog, cfg = perf.overlap_probe(m)
         yield f"m/{m:g}/base", prog, cfg
-        db1 = db_structural(prog)
-        yield f"m/{m:g}/db", (db_dma(db1) if db1 is not prog else db1), cfg
+        yield f"m/{m:g}/db", double_buffer_loops(prog), cfg
     for seed in RANDOM_SEEDS:
         program = oracles.gen_random_program(oracles.RandomProgramSpec(seed))
         for threshold in (1, 32768):
