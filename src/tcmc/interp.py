@@ -15,6 +15,26 @@ are deliberately rigid:
 - forall and async bodies run sequentially in issue order, each to
   completion before the next op; await_all only checks group discipline.
 
+Tensor storage: every buffer owns its own f32 array. `alloc` storage reads
+as zeros; `extract_slice` and the `dma_start` snapshot copy their region at
+the op, so neither is a view of its source. These arrays, the copies of the
+inputs and the root temporaries come from one per-thread buffer pool that
+outlives each `interpret` call, so the allocator does not hand large arrays
+back to the OS for the next buffer to fault in again. Output arrays
+returned to the caller never come from it. Storage goes back to the pool
+only from a binding that is going away:
+
+- at `dealloc`;
+- the buffers still bound when a `for`/`forall` iteration, an `if` body or
+  an `async_execute` body ends;
+- a snapshot, at its `dma_wait`;
+- the non-output root buffers, when `interpret` returns.
+
+A buffer with a DMA fill in flight is never given back, and nothing is
+given back when an ExecutionFault is raised. The pool keeps free arrays in
+lists keyed by element count and retains at most POOL_RETAIN_BYTES of them;
+an array that would exceed that is dropped.
+
 Execution dispatches each op through a table keyed by its exact type. Each
 scope carries one flat dict of the index vars in scope, which extents
 evaluate against directly (see ir.IBin for their compiled closures).
@@ -22,6 +42,8 @@ evaluate against directly (see ir.IBin for their compiled closures).
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -31,8 +53,76 @@ from . import ir
 from .numerics import F32, eval_payload, ordered_fold
 
 
+# Most bytes of free storage the buffer pool retains, per thread. A larger
+# bound saved no more page faults on the verify workloads and raised peak RSS.
+POOL_RETAIN_BYTES = 4 * 1024 * 1024
+
+
 class ExecutionFault(Exception):
     """Invariant breach during execution (hazard, bad tag, out-of-bounds)."""
+
+
+class _BufferPool:
+    """Free f32 arrays in lists keyed by element count.
+
+    `retained` counts the bytes of the free arrays, which stays within
+    POOL_RETAIN_BYTES. Each thread has its own pool (`_pool`).
+    """
+
+    def __init__(self):
+        self.free: dict[int, list[np.ndarray]] = {}
+        self.retained = 0
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous f32 array of `shape`; its contents are unspecified."""
+        arrays = self.free.get(math.prod(shape))
+        if not arrays:
+            return self._new(shape)
+        arr = arrays.pop()
+        self.retained -= arr.nbytes
+        return arr if arr.shape == shape else arr.reshape(shape)
+
+    def zeros(self, shape: tuple[int, ...]) -> np.ndarray:
+        arr = self.take(shape)
+        arr.fill(0)
+        return arr
+
+    def copy_of(self, region: np.ndarray) -> np.ndarray:
+        arr = self.take(region.shape)
+        arr[...] = region
+        return arr
+
+    def give(self, arr: np.ndarray) -> None:
+        """Take back `arr`, an array from `take` that nothing reads again."""
+        nbytes = arr.nbytes
+        if self.retained + nbytes <= POOL_RETAIN_BYTES:
+            self.retained += nbytes
+            arrays = self.free.get(arr.size)
+            if arrays is None:
+                self.free[arr.size] = [arr]
+            else:
+                arrays.append(arr)
+
+    def give_all(self, buffers: Mapping[str, "_Buffer"]) -> None:
+        """Give back the storage of `buffers`, except those with a fill in flight."""
+        for buf in buffers.values():
+            if buf.pending_tag is None:
+                self.give(buf.data)
+
+    @staticmethod
+    def _new(shape: tuple[int, ...]) -> np.ndarray:
+        return np.empty(shape, dtype=np.float32)
+
+
+_LOCAL = threading.local()
+
+
+def _pool() -> _BufferPool:
+    """This thread's buffer pool, made on first use."""
+    pool = getattr(_LOCAL, "pool", None)
+    if pool is None:
+        pool = _LOCAL.pool = _BufferPool()
+    return pool
 
 
 @dataclass(frozen=True)
@@ -167,9 +257,10 @@ def _gather(arr: np.ndarray, m: ir.AffineIndexMap, domain: tuple[int, ...], name
 class _Interp:
     """Executes ops in order; `run_block` dispatches each op by its exact type."""
 
-    def __init__(self, program: ir.KernelProgram, state: ExecEnv):
+    def __init__(self, program: ir.KernelProgram, state: ExecEnv, pool: _BufferPool):
         self.program = program
         self.state = state
+        self.pool = pool
 
     def run_block(self, ops, env: _Env) -> None:
         handlers = _HANDLERS
@@ -198,11 +289,16 @@ class _Interp:
         idx = dict(env.idx)
         for i in values:
             idx[var] = i
-            self.run_block(body, _Env(env, idx))
+            self._run_scope(body, _Env(env, idx))
+
+    def _run_scope(self, body, scope: _Env) -> None:
+        self.run_block(body, scope)
+        if scope.buffers:
+            self.pool.give_all(scope.buffers)
 
     def run_if(self, op: ir.IfOp, env: _Env) -> None:
         if self.eval_pred(op.pred, env):
-            self.run_block(op.body, _Env(env, env.idx))
+            self._run_scope(op.body, _Env(env, env.idx))
 
     def eval_pred(self, pred: ir.Pred, env: _Env) -> bool:
         if isinstance(pred, ir.CmpPred):
@@ -217,7 +313,7 @@ class _Interp:
     def run_extract_slice(self, op: ir.ExtractSliceOp, env: _Env) -> None:
         src = env.lookup(op.source)
         region = _region(src, op.offsets, op.sizes, env.idx, "extract_slice", op.source)
-        data = _read(src, op.source)[region].copy()
+        data = self.pool.copy_of(_read(src, op.source)[region])
         env.buffers[op.result] = _Buffer(data, src.space)
 
     def run_insert_slice(self, op: ir.InsertSliceOp, env: _Env) -> None:
@@ -244,7 +340,7 @@ class _Interp:
         shape = tuple(ir.eval_extent(s, idx) for s in op.sizes)
         if any(s < 1 for s in shape):
             raise ExecutionFault(f"alloc %{op.result}: non-positive extent {shape}")
-        env.buffers[op.result] = _Buffer(np.zeros(shape, dtype=np.float32), op.space)
+        env.buffers[op.result] = _Buffer(self.pool.zeros(shape), op.space)
 
     def run_dealloc(self, op: ir.DeallocOp, env: _Env) -> None:
         buf = env.lookup(op.target)
@@ -252,6 +348,7 @@ class _Interp:
             raise ExecutionFault(
                 f"dealloc %{op.target} while dma tag=%{buf.pending_tag} is in flight")
         env.unbind(op.target)
+        self.pool.give(buf.data)
 
     # -- DMA ----------------------------------------------------------------------
 
@@ -269,7 +366,7 @@ class _Interp:
         if dst.pending_tag is not None:
             raise ExecutionFault(
                 f"dma_start into %{op.dest} while tag=%{dst.pending_tag} is in flight")
-        snapshot = _read(src, op.source)[src_region].copy()
+        snapshot = self.pool.copy_of(_read(src, op.source)[src_region])
         self.state.dma[id(tag)] = _Pending(dst, dst_region, snapshot, op.tag)
         dst.pending_tag = op.tag
         self.state.dma_starts += 1
@@ -281,6 +378,7 @@ class _Interp:
             raise ExecutionFault(f"dma_wait on idle tag %{op.tag} (no dma_start in flight)")
         pending.dest.data[pending.region] = pending.data
         pending.dest.pending_tag = None
+        self.pool.give(pending.data)
         self.state.dma_waits += 1
 
     # -- async threads and toggles --------------------------------------------------
@@ -289,7 +387,7 @@ class _Interp:
         self.state.groups.add(op.group)
 
     def run_async_execute(self, op: ir.AsyncExecuteOp, env: _Env) -> None:
-        self.run_block(op.body, _Env(env, env.idx))
+        self._run_scope(op.body, _Env(env, env.idx))
         self.state.tokens.add(op.token)
 
     def run_add_to_group(self, op: ir.AddToGroupOp, env: _Env) -> None:
@@ -384,6 +482,7 @@ def interpret(
     bit-identical.
     """
     state = ExecEnv()
+    pool = _pool()
     root = _Env(None, {})
     for d in program.decls:
         if d.role == "input":
@@ -393,15 +492,20 @@ def interpret(
             arr = raw.to_array() if isinstance(raw, TensorValue) else np.asarray(raw)
             if tuple(arr.shape) != d.shape:
                 raise ValueError(f"input %{d.name}: shape {tuple(arr.shape)} != declared {d.shape}")
-            data = np.ascontiguousarray(arr, dtype=np.float32).copy()
-        else:
+            data = pool.take(d.shape)
+            data[...] = arr
+        elif d.role == "output":
             data = np.zeros(d.shape, dtype=np.float32)
+        else:
+            data = pool.zeros(d.shape)
         root.buffers[d.name] = _Buffer(data, d.space)
-    _Interp(program, state).run_block(program.ops, root)
+    _Interp(program, state, pool).run_block(program.ops, root)
     if state.dma:
         tags = sorted(p.tag_name for p in state.dma.values())
         raise ExecutionFault(f"program ended with un-waited dma tags: {tags}")
-    return {d.name: root.buffers[d.name].data for d in program.decls if d.role == "output"}
+    outputs = {d.name: root.buffers.pop(d.name).data for d in program.outputs()}
+    pool.give_all(root.buffers)
+    return outputs
 
 
 # ---------------------------------------------------------------------------

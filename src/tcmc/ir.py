@@ -297,9 +297,10 @@ class Payload:
 
     Rewrites share structure: `substitute_args` returns the node itself
     when nothing under it changes, and otherwise rebuilds only the nodes
-    whose children changed. A node also keeps `_max_arg`, its
-    `max_arg_index`, derived on first use like an IBin's caches and, like
-    them, outside `==`, `hash`, `repr` and pickling.
+    whose children changed, so a payload may be a DAG. A node also keeps
+    `_max_arg`, its `max_arg_index`, and `_shared`, its `shared_reads`,
+    derived on first use like an IBin's caches and, like them, outside
+    `==`, `hash`, `repr` and pickling.
     """
 
     kind: str
@@ -308,6 +309,7 @@ class Payload:
     index: Optional[int] = None
     param: Optional[int] = None
     _max_arg: int = _derived()
+    _shared: dict[int, int] = _derived()
 
     def __reduce__(self):  # pickle and copy the expression, never the memo
         return Payload, (self.kind, self.args, self.value, self.index, self.param)
@@ -345,6 +347,28 @@ class Payload:
                 best = max([a.max_arg_index() for a in self.args], default=-1)
             object.__setattr__(self, "_max_arg", best)
         return best
+
+    def shared_reads(self) -> dict[int, int]:
+        """`{id(node): reads}` for each operation node under this one that
+        more than one parent reads (leaves are not counted); empty for a
+        tree. The dict is shared: copy it before changing it."""
+        shared = getattr(self, "_shared", None)
+        if shared is None:
+            reads: dict[int, int] = {}
+            stack = [self]
+            while stack:
+                for child in stack.pop().args:
+                    if not child.args:
+                        continue
+                    key = id(child)
+                    if key in reads:
+                        reads[key] += 1
+                    else:
+                        reads[key] = 1
+                        stack.append(child)
+            shared = {key: n for key, n in reads.items() if n > 1}
+            object.__setattr__(self, "_shared", shared)
+        return shared
 
     def substitute_args(self, table: Mapping[int, "Payload"]) -> "Payload":
         """Replace every `arg(i)` with `table[i]`; args not in `table` stay.

@@ -16,7 +16,7 @@ tests/test_numerics.py checks the fold against a plain Python loop.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,14 +63,36 @@ def apply_binary(kind: str, a, b):
 
 
 def eval_payload(p: Payload, args: Sequence[np.ndarray]):
-    """Evaluate a payload tree over f32 arrays (vectorized, f32 throughout)."""
-    if p.kind == "arg":
-        return args[p.index]
-    if p.kind == "const":
-        return F32(p.value)
-    if len(p.args) == 1:
-        return apply_unary(p.kind, eval_payload(p.args[0], args), p.param)
-    return apply_binary(p.kind, eval_payload(p.args[0], args), eval_payload(p.args[1], args))
+    """Evaluate a payload over f32 arrays (vectorized, f32 throughout).
+
+    Fusion shares a producer's payload node between the consumer's reads of
+    it, so a payload may be a DAG (`Payload.shared_reads`). Each shared node
+    is evaluated once per call, and its value is kept only until its last
+    reader has taken it.
+    """
+    shared = p.shared_reads()
+    return _eval(p, args, dict(shared) if shared else None, {})
+
+
+def _eval(node: Payload, args, reads: Optional[dict[int, int]], memo: dict[int, object]):
+    key = None
+    if reads is not None and id(node) in reads:
+        key = id(node)
+        reads[key] -= 1
+        if key in memo:
+            return memo[key] if reads[key] else memo.pop(key)
+    if node.kind == "arg":
+        v = args[node.index]
+    elif node.kind == "const":
+        v = F32(node.value)
+    elif len(node.args) == 1:
+        v = apply_unary(node.kind, _eval(node.args[0], args, reads, memo), node.param)
+    else:
+        v = apply_binary(node.kind, _eval(node.args[0], args, reads, memo),
+                         _eval(node.args[1], args, reads, memo))
+    if key is not None and reads[key]:
+        memo[key] = v
+    return v
 
 
 _COMBINE = {"sum": np.add, "max": np.maximum}

@@ -163,6 +163,17 @@ def random_inputs(program: ir.KernelProgram, seed: int = 0) -> dict[str, np.ndar
     return out
 
 
+def _check_tile_rank(program: ir.KernelProgram, tile_sizes: Optional[tuple[int, ...]]) -> None:
+    """Reject tile sizes that `tile_generic` would apply to no generic."""
+    if tile_sizes is None:
+        return
+    ranks = {len(op.domain) for op in program.ops if isinstance(op, ir.GenericOp)}
+    if len(tile_sizes) not in ranks:
+        raise SpecError(f"tile sizes {list(tile_sizes)} have rank {len(tile_sizes)}, but the "
+                        f"generics of {program.name} have rank "
+                        f"{', '.join(map(str, sorted(ranks))) or 'none'}")
+
+
 def run_pipeline(
     source: Union[str, Path],
     spec: PipelineSpec,
@@ -173,11 +184,20 @@ def run_pipeline(
 ) -> PipelineResult:
     """Lower, run the pass list in order, dump stages, verify differentially.
 
+    A `dims` symbol the kernel does not declare, or `tile_sizes` whose length
+    is the rank of no generic reaching `tile`, is a SpecError: either would
+    otherwise compile a schedule other than the one asked for.
+
     Raises ParseError, SpecError, PassError, or VerifyFailure; the CLI maps
     each to a distinct exit code.
     """
     passes = validate_passes(spec.passes)
     ast, bound = resolve_kernel(source, dims, inputs)
+    declared = {d for p in ast.params for d in p.dims if isinstance(d, str)}
+    unknown = sorted(set(dims or ()) - declared)
+    if unknown:
+        raise SpecError(f"kernel {ast.name} has no dimension {unknown[0]!r} "
+                        f"(it declares {', '.join(sorted(declared)) or 'none'})")
     program = lower_to_generics(ast, bound)
     structural = ir.verify(program, tcm_bytes=spec.options.machine.tcm_bytes)
     if not structural.ok:
@@ -186,6 +206,8 @@ def run_pipeline(
     stages = [StageResult("input", program)]
     for name in passes:
         before = stages[-1].program
+        if name == "tile":
+            _check_tile_rank(before, spec.options.tile_sizes)
         after = apply_pass(name, before, spec.options)
         rep = ir.verify(after, tcm_bytes=spec.options.machine.tcm_bytes)
         if not rep.ok:

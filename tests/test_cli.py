@@ -123,3 +123,31 @@ def test_removed_double_buffer_flags_are_rejected(flag, capsys):
         cli.main(["compile", kernel_path("gelu"), flag])
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_verify_evaluates_a_shared_24_link_chain(tmp_path, capsys):
+    # fusion shares t{k-1}'s payload between both operands of t{k}, so the
+    # payload is a DAG of 2^24 root-to-leaf paths; evaluated as a tree it
+    # never finished
+    links = ["    t0 = xv * xv + 0.25"]
+    links += [f"    t{k} = t{k - 1} * t{k - 1} + 0.25" for k in range(1, 24)]
+    src = tmp_path / "squares.tk"
+    src.write_text("kernel squares(x: f32[N], y: f32[N]) {\n    xv = load(x)\n"
+                   + "\n".join(links) + "\n    store(y, t23)\n}\n")
+    argv = ["compile", str(src), "--shape", "N=64", "--verify", "bitexact"]
+    with np.errstate(over="ignore"):
+        assert cli.main(argv) == cli.EXIT_OK
+    assert "db           generics=2  [compare(bitexact): pass]" in capsys.readouterr().out
+
+
+def test_exit_spec_shape_symbol_the_kernel_does_not_declare(capsys):
+    argv = ["compile", kernel_path("softmax"), "--shape", "N=8481", "--shape", "R=33"]
+    assert cli.main(argv) == cli.EXIT_SPEC
+    assert "kernel softmax has no dimension 'R' (it declares N)" in capsys.readouterr().err
+
+
+def test_exit_spec_tile_size_rank_of_no_generic(capsys):
+    argv = ["compile", kernel_path("softmax"), "--shape", "N=8481", "--tile-size", "7,0"]
+    assert cli.main(argv) == cli.EXIT_SPEC
+    assert ("tile sizes [7, 0] have rank 2, but the generics of softmax have rank 1"
+            in capsys.readouterr().err)

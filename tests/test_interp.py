@@ -9,6 +9,7 @@ Regenerate it only for a deliberate change to the interpreter's semantics:
 
 import hashlib
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ from tcmc import interp, ir, oracles, pipeline
 from tcmc.frontend import lower_to_generics, parse_kernel
 from tcmc.interp import ExecutionFault, TensorValue, compare_outputs, interpret
 from tcmc.ir import (
-    AllocOp, CopyOp, DeallocOp, DmaStartOp, DmaWaitOp, ExtractSliceOp,
-    InsertSliceOp, KernelProgram, TensorDecl,
+    AllocOp, CmpPred, CopyOp, DeallocOp, DmaStartOp, DmaWaitOp, ExtractSliceOp,
+    IfOp, InsertSliceOp, KernelProgram, TensorDecl,
 )
 
 from conftest import (
     ALL_KERNELS, DEFAULT_PASSES, ROOT, bitexact, kernel_inputs, kernel_source, lower,
 )
+from test_fuzz import FUZZ_SEEDS, fuzz_failures
 
 
 def run_kernel(name, dims, inputs):
@@ -205,12 +207,159 @@ def golden_lines():
     return [digest_line(cid, interpret(prog, inputs)) for cid, prog, inputs in golden_cases()]
 
 
-def test_outputs_match_golden_bit_for_bit():
+def assert_golden_digests():
     want = GOLDEN.read_text().splitlines()
     got = golden_lines()
     assert len(got) == len(want)
     bad = [(g, w) for g, w in zip(got, want) if g != w]
     assert not bad, f"{len(bad)} digests differ, first: {bad[0]}"
+
+
+def assert_pool_within_bound():
+    pool = interp._pool()
+    assert pool.retained == sum(a.nbytes for arrays in pool.free.values() for a in arrays)
+    assert pool.retained <= interp.POOL_RETAIN_BYTES
+
+
+def test_outputs_match_golden_bit_for_bit():
+    assert_golden_digests()
+    assert_pool_within_bound()
+
+
+# -- buffer pool ------------------------------------------------------------------
+
+POISON_BITS = 0x7FA5A5A5  # a NaN
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """An empty pool for this thread, so what a test gives back is retained."""
+    monkeypatch.setattr(interp._LOCAL, "pool", interp._BufferPool(), raising=False)
+
+
+def poison_released_storage(monkeypatch):
+    give = interp._BufferPool.give
+
+    def poisoning_give(pool, arr):
+        arr.view(np.uint32).fill(POISON_BITS)
+        give(pool, arr)
+
+    monkeypatch.setattr(interp._BufferPool, "give", poisoning_give)
+
+
+def test_released_storage_is_never_read(monkeypatch):
+    # a read after release, or a buffer that does not fully initialise the
+    # array it takes, changes some output bits
+    poison_released_storage(monkeypatch)
+    assert_golden_digests()
+    for threshold in MT_THRESHOLDS:
+        failures = [f for seed in FUZZ_SEEDS for f in fuzz_failures(seed, threshold)]
+        assert not failures, "\n".join(failures)
+    assert_pool_within_bound()
+
+
+def test_alloc_reads_as_zeros_from_reused_storage(monkeypatch, fresh_pool):
+    poison_released_storage(monkeypatch)
+    decls = (TensorDecl("x", (8,), role="input"), TensorDecl("y", (8,), role="output"))
+    ops = (AllocOp("t", (8,)), CopyOp("t", "y"), DeallocOp("t"))
+    program = KernelProgram("p", decls, ops)
+    x = {"x": np.ones(8, np.float32)}
+    for _ in range(2):  # the second call's alloc reuses a poisoned array
+        np.testing.assert_array_equal(interpret(program, x)["y"], np.zeros(8, np.float32))
+
+
+def test_a_buffer_with_a_fill_in_flight_is_not_given_back(fresh_pool):
+    # %s goes out of scope at the end of the if body with its fill in
+    # flight; had it been given back, %t would take its array and the
+    # wait would fill %t
+    decls = (TensorDecl("x", (8,), role="input"), TensorDecl("y", (8,), role="output"))
+    ops = (
+        AllocOp("tag", (1,), "ddr"),
+        AllocOp("d", (8,)),
+        IfOp(CmpPred("lt", 0, 1), (
+            ExtractSliceOp("s", "d", (0,), (8,)),
+            DmaStartOp("tag", "x", (0,), "s", (0,), (8,)),
+        )),
+        AllocOp("t", (8,)),
+        DmaWaitOp("tag"),
+        CopyOp("t", "y"),
+        DeallocOp("t"), DeallocOp("d"), DeallocOp("tag"),
+    )
+    out = interpret(KernelProgram("p", decls, ops), {"x": np.ones(8, np.float32)})
+    np.testing.assert_array_equal(out["y"], np.zeros(8, np.float32))
+
+
+def db_program():
+    opts = pipeline.PipelineOptions(tile_sizes=(1024,), mt_threshold=1)
+    program = lower("gelu", {"N": 4096 + 37})
+    for name in DEFAULT_PASSES:
+        program = pipeline.apply_pass(name, program, opts)
+    return program
+
+
+def test_outputs_and_inputs_are_never_pool_storage():
+    program = db_program()
+    inputs = kernel_inputs(program, "gelu")
+    inputs["x"].flags.writeable = False  # a write into the caller's array raises
+    x_bits = inputs["x"].view(np.uint32).copy()
+    out = interpret(program, inputs)
+    y_bits = out["y"].view(np.uint32).copy()
+    for seed in range(50):
+        other = oracles.gen_random_program(oracles.RandomProgramSpec(seed))
+        interpret(other, oracles.random_inputs_for(other, seed))
+    assert np.array_equal(out["y"].view(np.uint32), y_bits)
+    assert np.array_equal(inputs["x"].view(np.uint32), x_bits)
+
+
+def test_second_call_takes_all_storage_from_the_pool(monkeypatch, fresh_pool):
+    fresh = []
+    new = interp._BufferPool._new
+
+    def counting_new(shape):
+        fresh.append(shape)
+        return new(shape)
+
+    monkeypatch.setattr(interp._BufferPool, "_new", staticmethod(counting_new))
+    program = db_program()
+    kinds = {type(op) for op, _ in ir.walk_ops(program.ops)}
+    assert {AllocOp, ExtractSliceOp, DmaStartOp} <= kinds
+    inputs = kernel_inputs(program, "gelu")
+    first = interpret(program, inputs)
+    assert fresh
+    fresh.clear()
+    second = interpret(program, inputs)
+    assert fresh == []
+    assert bitexact(first, second)
+    assert_pool_within_bound()
+
+
+def test_each_thread_has_its_own_pool():
+    programs = [lower(k, {"N": 2048}) for k in ("gelu", "silu", "expseries", "softmax")]
+    cases = [(p, kernel_inputs(p, p.name)) for p in programs]
+    want = [interpret(p, x) for p, x in cases]
+    results: dict[int, list] = {}
+    pools: dict[int, interp._BufferPool] = {}
+
+    def work(k):
+        pools[k] = interp._pool()
+        p, x = cases[k]
+        results[k] = [interpret(p, x) for _ in range(20)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(len(cases)))
+    assert len({id(pool) for pool in pools.values()} | {id(interp._pool())}) == len(cases) + 1
+    for k, runs in results.items():
+        assert all(bitexact(got, want[k]) for got in runs)
 
 
 # -- compare_outputs -----------------------------------------------------------

@@ -1,11 +1,14 @@
-"""numerics.ordered_fold against the sequential Python loop it replaces."""
+"""numerics.ordered_fold against the sequential Python loop it replaces, and
+eval_payload on payloads that share nodes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcmc.numerics import F32, _COMBINE, ordered_fold
+from tcmc import numerics
+from tcmc.ir import Payload
+from tcmc.numerics import F32, _COMBINE, eval_payload, ordered_fold
 
 SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, 1e38, -1e38, 1e-45)
 
@@ -78,3 +81,26 @@ def test_fold_over_every_axis_is_0d():
     values = np.arange(6, dtype=np.float32).reshape(2, 3)
     got = assert_matches_loop(values, (1, 0), "sum", 0.0)
     assert got.shape == () and got == F32(15.0)
+
+
+def test_eval_payload_evaluates_each_shared_node_once(monkeypatch):
+    # t{k} = t{k-1} * t{k-1} + 0.25, as fusion builds it: both operands of
+    # each mul are one node, so the tree has 2^31 paths but 62 operations
+    t = Payload.arg(0)
+    for _ in range(31):
+        t = Payload.binary("add", Payload.binary("mul", t, t), Payload.const(0.25))
+    calls = []
+    apply_binary = numerics.apply_binary
+
+    def counting(kind, a, b):
+        calls.append(kind)
+        return apply_binary(kind, a, b)
+
+    monkeypatch.setattr(numerics, "apply_binary", counting)
+    x = np.linspace(-0.5, 0.5, 65, dtype=np.float32)  # stays within [0, 0.5]
+    got = eval_payload(t, [x])
+    want = x
+    for _ in range(31):
+        want = want * want + F32(0.25)
+    assert len(calls) == 62
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
