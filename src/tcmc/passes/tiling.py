@@ -197,29 +197,38 @@ def tile_generic(
     names = NameAllocator(program)
     new_ops: list[Op] = []
     for op in program.ops:
-        if not isinstance(op, GenericOp):
-            new_ops.append(op)
-            continue
-        spec: Optional[TileSpec] = None
-        if tile_sizes is not None and len(tile_sizes) == len(op.domain):
-            sizes = list(tile_sizes)
-            for d, t in enumerate(sizes):
-                if t > 0 and op.iterators[d] == "reduction":
-                    raise PassError(f"@{op.name}: cannot tile reduction dim d{d}")
-                if t < 0:
-                    raise PassError(f"@{op.name}: negative tile size")
-            if any(t > 0 for t in sizes):
-                spec = TileSpec(tuple(sizes), interchange)
-        if spec is None:
-            spec = default_tile_sizes(op, program, tcm_bytes)
-            if spec is not None and interchange is not None and len(
-                    [t for t in spec.sizes if t > 0]) == len(interchange):
-                spec = replace(spec, interchange=interchange)
-        if spec is None:
-            new_ops.append(op)
-            continue
-        new_ops.append(_tile_one(op, spec, program, names, tcm_bytes))
+        spec = None
+        if isinstance(op, GenericOp):
+            spec = tile_spec(op, program, tile_sizes, interchange, tcm_bytes)
+        new_ops.append(op if spec is None else _tile_one(op, spec, program, names, tcm_bytes))
     return program.with_ops(tuple(new_ops), stage="tiled")
+
+
+def tile_spec(
+    op: GenericOp,
+    program: KernelProgram,
+    tile_sizes: Optional[tuple[int, ...]],
+    interchange: Optional[tuple[int, ...]],
+    tcm_bytes: int,
+) -> Optional[TileSpec]:
+    """The tiling `tile_generic` gives `op`, or None when it leaves `op` whole.
+
+    `interchange` rides on explicit `tile_sizes` of `op`'s rank, and on a
+    default tiling only when it tiles as many dims as `interchange` names.
+    """
+    if tile_sizes is not None and len(tile_sizes) == len(op.domain):
+        for d, t in enumerate(tile_sizes):
+            if t > 0 and op.iterators[d] == "reduction":
+                raise PassError(f"@{op.name}: cannot tile reduction dim d{d}")
+            if t < 0:
+                raise PassError(f"@{op.name}: negative tile size")
+        if any(t > 0 for t in tile_sizes):
+            return TileSpec(tuple(tile_sizes), interchange)
+    spec = default_tile_sizes(op, program, tcm_bytes)
+    if spec is not None and interchange is not None and len(
+            [t for t in spec.sizes if t > 0]) == len(interchange):
+        spec = replace(spec, interchange=interchange)
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,18 @@ overlapped_cycles is the concurrency saving compute + transfer + overhead
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from . import ir
 from .ir import (
     AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, CopyOp,
     DeallocOp, DmaStartOp, DmaWaitOp, ExtractSliceOp, ForallOp, ForOp,
-    GenericOp, IBin, IfOp, InsertSliceOp, KernelProgram, Op, StoreToggleOp,
+    GenericOp, IBin, IfOp, InsertSliceOp, IVar, KernelProgram, Op, StoreToggleOp,
 )
 
 DEFAULT_OP_CYCLES: dict[str, float] = {
@@ -228,9 +231,10 @@ def _balanced(ops) -> bool:
 class _LoopPlan:
     """Everything a balanced loop body's cost depends on that varies per iteration.
 
-    Two iterations that agree on `key` walk the body identically: same _Acc,
-    same toggles left behind. The key holds the entry values of the toggle
-    cells the body touches and the values of its cost atoms. An atom is a
+    Two iterations that agree on their key walk the body identically: same
+    _Acc, same toggles left behind. The key holds the entry values of the
+    toggle cells the body touches and the class id `class_ids` gives the
+    values of its cost atoms. An atom is a
     maximal subexpression that mentions the loop var and no var bound inside
     the body, taken from the extents the walker reads (generic domains, inner
     loop bounds, slice/alloc/dma sizes, guard sides); a guard with no inner
@@ -281,31 +285,107 @@ class _LoopPlan:
         self.extents = tuple(extents)
         self.preds = tuple(preds)
 
-    def bind(self, sim: "_Sim", env, var: str) -> Optional[Callable[[dict], Optional[tuple]]]:
-        """Iteration-key function for one execution of the loop in `env`.
+    def class_ids(self, env, var: str, trips: range) -> Iterator[Optional[int]]:
+        """Each trip's iteration class apart from the toggles, or None for no key.
 
-        The atoms are specialised once to the enclosing env's values, which
-        leaves only the loop var to evaluate per iteration. Where an atom
-        fails to evaluate there is no key and the iteration is walked: the
-        walk may never reach that atom.
+        Every atom and guard is evaluated over a block of up to `_BLOCK`
+        trips at once, in the enclosing env, as an exact int64 array; where
+        a bound on some node's magnitude reaches 2**62 (int64 might
+        overflow), as Python ints instead. Trips that agree on all of them
+        get the same id. A trip where a floordiv divisor is 0 gets None and
+        is walked: the walk may never reach that atom. An unbound var, or a
+        divisor of 0 that does not depend on `var`, leaves every trip
+        without a key.
         """
-        outer = {k: v for k, v in env.items() if k != var}
-        sub = ir.substitute_extent
-        try:
-            extents = [sub(e, outer) for e in self.extents]
-            preds = [ir.CmpPred(p.op, sub(p.lhs, outer), sub(p.rhs, outer)) for p in self.preds]
-        except ArithmeticError:
-            return None
-        cells, toggles = self.cells, sim.toggles
+        if not self.extents and not self.preds:
+            return itertools.repeat(0, len(trips))  # nothing to evaluate: one class
+        index: dict[tuple, int] = {}
+        return itertools.chain.from_iterable(
+            self._block_ids(env, var, trips[start:start + _BLOCK], start, index)
+            for start in range(0, len(trips), _BLOCK))
 
-        def key(env) -> Optional[tuple]:
+    def _block_ids(self, env, var: str, block: range, start: int,
+                   index: dict[tuple, int]) -> list[Optional[int]]:
+        """`class_ids` for the trips of `block`, the first of which is trip `start`."""
+        try:
             try:
-                return (*[toggles.get(c, _UNSET) for c in cells],
-                        *[ir.eval_extent(e, env) for e in extents],
-                        *[sim.eval_pred(p, env) for p in preds])
-            except (KeyError, ArithmeticError):
-                return None
-        return key
+                columns, zero = self._columns(env, var, block, np.int64)
+            except _Inexact:
+                columns, zero = self._columns(env, var, block, object)
+        except (KeyError, ArithmeticError):
+            return [None] * len(block)
+        ids: list[Optional[int]] = [index.setdefault(r, start + k)
+                                    for k, r in enumerate(zip(*columns))]
+        for k in zero:
+            ids[k] = None
+        return ids
+
+    def _columns(self, env, var: str, trips: range, dtype) -> tuple[list[list], list[int]]:
+        """The values of each atom and guard over `trips`, and the trips with a zero divisor."""
+        bound = max(abs(trips[0]), abs(trips[-1]))
+        limit = _INT64_EXACT if dtype is np.int64 else math.inf
+        if bound >= limit:
+            raise _Inexact
+        env = {**env, var: (np.arange(trips.start, trips.stop, trips.step, dtype=dtype), bound)}
+        zeros: list[np.ndarray] = []
+        columns = [_range_eval(e, env, limit, zeros)[0] for e in self.extents]
+        for p in self.preds:
+            columns.append(ir._CMP_FNS[p.op](_range_eval(p.lhs, env, limit, zeros)[0],
+                                             _range_eval(p.rhs, env, limit, zeros)[0]))
+        zero = np.flatnonzero(np.logical_or.reduce(zeros)).tolist() if zeros else []
+        return [c.tolist() for c in columns], zero
+
+
+_INT64_EXACT = 1 << 62
+_BLOCK = 1 << 16  # trips keyed per numpy pass, which bounds the arrays' memory
+
+_RANGE_FNS = {
+    "add": np.add, "sub": np.subtract, "mul": np.multiply,
+    "floordiv": np.floor_divide, "min": np.minimum, "max": np.maximum,
+}
+
+
+class _Inexact(Exception):
+    """A node's magnitude bound reaches 2**62, where int64 arithmetic might overflow."""
+
+
+def _range_eval(e: ir.Extent, env, limit: float, zeros: list):
+    """`e` over a trip range, and a bound on its magnitude.
+
+    `env` maps a name to an int, or the loop var to (array of its values,
+    magnitude bound). A node that mixes in an array raises _Inexact when
+    its operands' or its own bound reaches `limit`. Where an array divisor
+    is 0 its mask goes to `zeros` and the trip divides by 1 instead. Nodes
+    without arrays are Python ints and raise as usual, a divisor of 0
+    included.
+    """
+    if isinstance(e, int):
+        return e, abs(e)
+    if isinstance(e, IVar):
+        v = env[e.name]
+        return v if isinstance(v, tuple) else (v, abs(v))
+    a, a_bound = _range_eval(e.lhs, env, limit, zeros)
+    b, b_bound = _range_eval(e.rhs, env, limit, zeros)
+    if isinstance(a, int) and isinstance(b, int):
+        v = ir._IBIN_FNS[e.op](a, b)
+        return v, abs(v)
+    if e.op in ("add", "sub"):
+        bound = a_bound + b_bound
+    elif e.op == "mul":
+        bound = a_bound * b_bound
+    elif e.op == "floordiv":
+        bound = a_bound  # |a // b| <= |a| for every nonzero int b
+        if isinstance(b, int):
+            if b == 0:
+                raise ZeroDivisionError("integer division by zero")
+        elif (mask := b == 0).any():
+            zeros.append(mask)
+            b = np.where(mask, 1, b)
+    else:
+        bound = max(a_bound, b_bound)
+    if max(a_bound, b_bound, bound) >= limit:
+        raise _Inexact
+    return _RANGE_FNS[e.op](a, b), bound
 
 
 class _Sim:
@@ -387,27 +467,7 @@ class _Sim:
             lb = ir.eval_extent(op.lb, env)
             ub = ir.eval_extent(op.ub, env)
             step = ir.eval_extent(op.step, env)
-            trips = range(lb, ub, step)
-            # below 3 trips, scanning the body costs more than replay saves
-            plan = self.loop_plan(op) if len(trips) >= 3 else None
-            key_of = None if plan is None else plan.bind(self, env, op.var)
-            body_acc = _Acc()
-            child_env = dict(env)
-            seen: dict[tuple, tuple[_Acc, dict[str, bool]]] = {}
-            for i in trips:
-                child_env[op.var] = i
-                key = None if key_of is None else key_of(child_env)
-                if key is None:
-                    body_acc.add(self.walk_block(op.body, child_env, dict(buffers), in_prefetch))
-                    continue
-                hit = seen.get(key)
-                if hit is None:
-                    hit = seen[key] = (
-                        self.walk_block(op.body, child_env, dict(buffers), in_prefetch),
-                        {c: self.toggles[c] for c in plan.cells if c in self.toggles})
-                else:
-                    self.toggles.update(hit[1])
-                body_acc.add(hit[0])
+            body_acc = self.walk_trips(op, range(lb, ub, step), env, buffers, in_prefetch)
             if gid is not None:
                 # double-buffered loop: prologue + prefetch transfers overlap
                 # the compute side; stores and overheads already in .time
@@ -488,6 +548,39 @@ class _Sim:
             else:
                 self.toggles[op.cell] = op.value
         # remaining ops are free
+
+    def walk_trips(self, op: ForOp, trips: range, env, buffers, in_prefetch: bool) -> _Acc:
+        """The body's _Acc summed over `trips` in order, each iteration class walked once."""
+        # below 3 trips replay saves at most one body walk, no more than the
+        # body scan and the entry's fixed numpy key cost
+        plan = self.loop_plan(op) if len(trips) >= 3 else None
+        body_acc = _Acc()
+        child_env = dict(env)
+
+        def walk(i: int) -> _Acc:
+            child_env[op.var] = i
+            return self.walk_block(op.body, child_env, dict(buffers), in_prefetch)
+
+        if plan is None:
+            for i in trips:
+                body_acc.add(walk(i))
+        else:
+            # a body without toggle cells is keyed by its class id alone and
+            # restores nothing: the tuple and the restore cost about 0.5 us a trip
+            cells, toggles = plan.cells, self.toggles
+            seen: dict[object, tuple[_Acc, dict[str, bool]]] = {}
+            for i, cid in zip(trips, plan.class_ids(env, op.var, trips)):
+                if cid is None:
+                    body_acc.add(walk(i))
+                    continue
+                key = (*[toggles.get(c, _UNSET) for c in cells], cid) if cells else cid
+                hit = seen.get(key)
+                if hit is None:
+                    hit = seen[key] = (walk(i), {c: toggles[c] for c in cells if c in toggles})
+                elif cells:
+                    toggles.update(hit[1])
+                body_acc.add(hit[0])
+        return body_acc
 
     def loop_plan(self, op: ForOp) -> Optional[_LoopPlan]:
         entry = self.loop_plans.get(id(op))

@@ -22,7 +22,7 @@ from .frontend import KernelAst, infer_dims_from_inputs, lower_to_generics, pars
 from .mathlib import ApproxPolicy, expand_math_ops
 from .passes import (
     DistributionPolicy, PassError, ProfitabilityHeuristic, double_buffer_loops,
-    form_async_threads, form_virtual_threads, fuse_elementwise, tile_generic,
+    form_async_threads, form_virtual_threads, fuse_elementwise, tile_generic, tile_spec,
     vectorize_innermost,
 )
 
@@ -163,15 +163,24 @@ def random_inputs(program: ir.KernelProgram, seed: int = 0) -> dict[str, np.ndar
     return out
 
 
-def _check_tile_rank(program: ir.KernelProgram, tile_sizes: Optional[tuple[int, ...]]) -> None:
-    """Reject tile sizes that `tile_generic` would apply to no generic."""
-    if tile_sizes is None:
-        return
-    ranks = {len(op.domain) for op in program.ops if isinstance(op, ir.GenericOp)}
-    if len(tile_sizes) not in ranks:
-        raise SpecError(f"tile sizes {list(tile_sizes)} have rank {len(tile_sizes)}, but the "
-                        f"generics of {program.name} have rank "
-                        f"{', '.join(map(str, sorted(ranks))) or 'none'}")
+def _check_tile_options(program: ir.KernelProgram, opts: PipelineOptions) -> None:
+    """Reject tile sizes or an interchange that `tile_generic` would apply to no generic."""
+    generics = [op for op in program.ops if isinstance(op, ir.GenericOp)]
+    if opts.tile_sizes is not None:
+        ranks = {len(op.domain) for op in generics}
+        if len(opts.tile_sizes) not in ranks:
+            raise SpecError(f"tile sizes {list(opts.tile_sizes)} have rank "
+                            f"{len(opts.tile_sizes)}, but the generics of {program.name} have "
+                            f"rank {', '.join(map(str, sorted(ranks))) or 'none'}")
+    if opts.interchange is not None:
+        specs = [tile_spec(op, program, opts.tile_sizes, opts.interchange,
+                           opts.machine.tcm_bytes) for op in generics]
+        if not any(s is not None and s.interchange is not None for s in specs):
+            tiled = sorted({sum(t > 0 for t in s.sizes) for s in specs if s is not None})
+            raise SpecError(f"interchange {list(opts.interchange)} applies to no generic of "
+                            f"{program.name}: it permutes {len(opts.interchange)} tiled dims, "
+                            + (f"and the tiled generics have {' or '.join(map(str, tiled))}"
+                               if tiled else "and no generic is tiled"))
 
 
 def run_pipeline(
@@ -184,9 +193,10 @@ def run_pipeline(
 ) -> PipelineResult:
     """Lower, run the pass list in order, dump stages, verify differentially.
 
-    A `dims` symbol the kernel does not declare, or `tile_sizes` whose length
-    is the rank of no generic reaching `tile`, is a SpecError: either would
-    otherwise compile a schedule other than the one asked for.
+    A `dims` symbol the kernel does not declare, `tile_sizes` whose length is
+    the rank of no generic reaching `tile`, or an `interchange` that `tile`
+    applies to no generic is a SpecError: each would otherwise compile a
+    schedule other than the one asked for.
 
     Raises ParseError, SpecError, PassError, or VerifyFailure; the CLI maps
     each to a distinct exit code.
@@ -207,7 +217,7 @@ def run_pipeline(
     for name in passes:
         before = stages[-1].program
         if name == "tile":
-            _check_tile_rank(before, spec.options.tile_sizes)
+            _check_tile_options(before, spec.options)
         after = apply_pass(name, before, spec.options)
         rep = ir.verify(after, tcm_bytes=spec.options.machine.tcm_bytes)
         if not rep.ok:
@@ -258,11 +268,27 @@ def build_staged(
                            tile_sizes=tile_sizes)
     if mt_threshold is not None:
         opts.mt_threshold = mt_threshold
+    return _staged(_lowered(source, dims), passes, opts)
+
+
+def _lowered(source: Union[str, Path, KernelAst],
+             dims: Optional[Mapping[str, int]]) -> dict[tuple[str, ...], ir.KernelProgram]:
+    """A pass-prefix memo for `_staged` that holds the lowered kernel."""
     ast, bound = resolve_kernel(source, dims)
-    program = lower_to_generics(ast, bound)
-    for name in validate_passes(tuple(passes)):
-        program = apply_pass(name, program, opts)
-    return program
+    return {(): lower_to_generics(ast, bound)}
+
+
+def _staged(programs: dict[tuple[str, ...], ir.KernelProgram], passes: Sequence[str],
+            opts: PipelineOptions) -> ir.KernelProgram:
+    """The program after `passes`, applying each prefix not yet in `programs` once.
+
+    Every entry of `programs` must come from the same `opts`.
+    """
+    passes = validate_passes(passes)
+    for k, name in enumerate(passes):
+        if passes[:k + 1] not in programs:
+            programs[passes[:k + 1]] = apply_pass(name, programs[passes[:k]], opts)
+    return programs[passes]
 
 
 def _row(kernel: str, size, passes: str, rep: perf.TimingReport,
@@ -287,15 +313,25 @@ def bench(
     """Cost-model sweep rows (`perf.CSV_COLUMNS`) for each kernel in turn.
 
     - `passes`: each of `ladders` (default scalar, vec, vec_mt, vec_mt_db)
-      at `dims`; speedups are over the first ladder.
+      at `dims`; speedups are over the first ladder. A ladder not in
+      `perf.PASS_LADDERS` raises SpecError.
     - `size`: vec against vec_mt with mt forced on, at N in `sizes`
       (default `perf.SIZE_SWEEP`); speedups are over vec. A kernel with no
       dimension `N` raises SpecError.
     - `memory_fraction`: the db pass on `perf.overlap_probe` at m = 0,
       0.25, 0.5, 0.75, 1, against the undoubled probe; ignores `kernels`.
 
+    Each kernel is parsed once and lowered once per size, and each distinct
+    pass prefix of the ladders is applied once: the five ladders cost 7 pass
+    runs, not 20. The programs are shared within this call only, so a second
+    call compiles everything again.
+
     None or empty `ladders`, `sizes` and `dims` mean the defaults.
     """
+    unknown = [name for name in ladders or () if name not in perf.PASS_LADDERS]
+    if unknown:
+        raise SpecError(f"unknown ladder {unknown[0]!r} (perf.PASS_LADDERS has "
+                        f"{', '.join(perf.PASS_LADDERS)})")
     rows: list[dict] = []
     if axis == "memory_fraction":
         for m in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -307,6 +343,9 @@ def bench(
     if axis not in ("size", "passes"):
         raise ValueError(f"unknown sweep axis {axis!r}")
     dims = dims or None
+    opts = PipelineOptions(machine=config)
+    if axis == "size":
+        opts.mt_threshold = 1  # vec never reaches mt, so these options serve both ladders
     for k in kernels:
         name = kernel_name(k)
         if axis == "size":
@@ -315,18 +354,18 @@ def bench(
                 raise SpecError(f"kernel {name} has no dimension N to sweep; "
                                 "--sweep size sets N only")
             for size in sizes or perf.SIZE_SWEEP:
-                st = build_staged(ast, perf.PASS_LADDERS["vec"], {"N": size}, config)
-                mt = build_staged(ast, perf.PASS_LADDERS["vec_mt"], {"N": size}, config,
-                                  mt_threshold=1)
-                st_rep = perf.simulate(st, config)
-                mt_rep = perf.simulate(mt, config)
+                programs = _lowered(ast, {"N": size})
+                st_rep = perf.simulate(_staged(programs, perf.PASS_LADDERS["vec"], opts), config)
+                mt_rep = perf.simulate(_staged(programs, perf.PASS_LADDERS["vec_mt"], opts),
+                                       config)
                 rows.append(_row(name, size, "vec", st_rep, st_rep.total_cycles))
                 rows.append(_row(name, size, "vec_mt", mt_rep, st_rep.total_cycles))
             continue
         baseline: Optional[float] = None
         size_label = "x".join(str(v) for v in dims.values()) if dims else "default"
+        programs = _lowered(k, dims)
         for ladder in ladders or ("scalar", "vec", "vec_mt", "vec_mt_db"):
-            rep = perf.simulate(build_staged(k, perf.PASS_LADDERS[ladder], dims, config), config)
+            rep = perf.simulate(_staged(programs, perf.PASS_LADDERS[ladder], opts), config)
             if baseline is None:
                 baseline = rep.total_cycles
             rows.append(_row(name, size_label, ladder, rep, baseline))

@@ -151,3 +151,32 @@ def test_exit_spec_tile_size_rank_of_no_generic(capsys):
     assert cli.main(argv) == cli.EXIT_SPEC
     assert ("tile sizes [7, 0] have rank 2, but the generics of softmax have rank 1"
             in capsys.readouterr().err)
+
+
+def test_exit_spec_interchange_of_no_generic(capsys):
+    # rmsnorm's generics tile one dim each, so a 2-dim interchange changed nothing
+    argv = ["compile", kernel_path("rmsnorm"), "--interchange", "5,7", "--emit-final"]
+    assert cli.main(argv) == cli.EXIT_SPEC
+    captured = capsys.readouterr()
+    assert ("interchange [5, 7] applies to no generic of rmsnorm: it permutes 2 tiled dims, "
+            "and the tiled generics have 1" in captured.err)
+    assert captured.out == ""
+
+
+def test_interchange_that_applies_reorders_the_tile_loops(capsys):
+    argv = ["compile", kernel_path("vecadd2d"), "--shape", "R=8", "--shape", "C=128",
+            "--tile-size", "4,64", "--passes", "fuse,tile", "--emit-final"]
+    assert cli.main(argv + ["--interchange", "1,0"]) == cli.EXIT_OK
+    assert "\n  for %i1 = 0 to 128 step 64 " in capsys.readouterr().out
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "\n  for %i0 = 0 to 8 step 4 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ladders, name", [("foo", "foo"), (",", "")])
+def test_bench_exit_spec_unknown_ladder(ladders, name, capsys):
+    argv = ["bench", "--sweep", "passes", "--kernels", kernel_path("gelu"), "--ladders", ladders]
+    assert cli.main(argv) == cli.EXIT_SPEC
+    captured = capsys.readouterr()
+    assert (f"unknown ladder {name!r} (perf.PASS_LADDERS has scalar, vec, vec_db, vec_mt, "
+            "vec_mt_db)" in captured.err)
+    assert captured.out == ""

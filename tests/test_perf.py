@@ -8,13 +8,14 @@ Regenerate it only for a deliberate change to the cost model:
 """
 
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from tcmc import cli, oracles, perf, pipeline
 from tcmc.ir import (
-    AffineIndexMap, AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, CopyOp,
+    AffineIndexMap, AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, CmpPred, CopyOp,
     DeallocOp, ExtractSliceOp, ForOp, GenericOp, IBin, IfOp, IVar, InsertSliceOp, KernelProgram,
     Payload, StoreToggleOp, TensorDecl, TogglePred,
 )
@@ -133,7 +134,7 @@ def test_reports_match_golden_bit_for_bit():
 
 def _full_walk(monkeypatch, program, cfg):
     with monkeypatch.context() as m:
-        m.setattr(perf._Sim, "loop_plan", lambda self, op: None)
+        m.setattr(perf, "_balanced", lambda ops: False)
         return perf.simulate(program, cfg)
 
 
@@ -216,6 +217,70 @@ def test_toggle_alternation_is_replayed(monkeypatch):
     assert perf.simulate(program, cfg) == full
     assert full.compute_cycles == 4 * 64 + 3 * 3 + 5
     assert walks[0] == 2
+
+
+def _guarded_loop(pred, domain, lb=0, ub=8):
+    """A loop whose body runs a generic over `domain` when `pred` holds."""
+    work = GenericOp("g", (domain,), ("x",), ("y",), (AffineIndexMap.identity(1),) * 2,
+                     ("parallel",), (Payload.binary("add", Payload.arg(0), Payload.arg(0)),))
+    loop = ForOp("i", lb, ub, 1, (IfOp(pred, (work,)),))
+    decls = (TensorDecl("x", (64,), role="input"), TensorDecl("y", (64,), role="output"))
+    return KernelProgram("t", decls, (loop,)), loop
+
+
+def test_zero_divisor_trip_is_walked_and_the_rest_replayed(monkeypatch):
+    # 64 // (i - 3) divides by 0 at i = 3, where the guard keeps the walk off
+    # it; dividing by 1 there instead would give trip 4's key
+    i = IVar("i")
+    off = IBin("sub", i, 3)
+    guard = CmpPred("ne", IBin("mul", off, IBin("sub", i, 4)), 0)
+    program, loop = _guarded_loop(guard, IBin("floordiv", 64, off), ub=12)
+    full = _full_walk(monkeypatch, program, ODD_CONFIG)
+    walks = _count_body_walks(monkeypatch, loop.body)
+    assert perf.simulate(program, ODD_CONFIG) == full
+    # distinct (domain, guard) keys over the other 11 trips, plus trip 3
+    keys = {(64 // (k - 3), k not in (3, 4)) for k in range(12) if k != 3}
+    assert walks[0] == len(keys) + 1
+
+
+def test_atoms_past_two_to_the_62_keep_exact_keys(monkeypatch):
+    # i * 2**62 wraps in int64 from i = 2 on, where the guard turns false
+    i = IVar("i")
+    program, loop = _guarded_loop(CmpPred("lt", IBin("mul", i, 1 << 62), 1 << 63), 4, ub=5)
+    dtypes = []
+    real = perf._LoopPlan._columns
+
+    def spy(self, env, var, trips, dtype):
+        dtypes.append(dtype)
+        return real(self, env, var, trips, dtype)
+
+    full = _full_walk(monkeypatch, program, ODD_CONFIG)
+    monkeypatch.setattr(perf._LoopPlan, "_columns", spy)
+    walks = _count_body_walks(monkeypatch, loop.body)
+    assert perf.simulate(program, ODD_CONFIG) == full
+    assert full.compute_cycles == pytest.approx(2 * 4 * 0.3)  # trips 0 and 1 only
+    assert dtypes == [np.int64, object]
+    assert walks[0] == 2
+
+
+@pytest.mark.parametrize("block", [perf._BLOCK, 3])
+@pytest.mark.parametrize("toggled", [False, True])
+def test_body_walks_equal_distinct_keys(monkeypatch, toggled, block):
+    # min(4, 10 - i) takes 4 values; a toggle flipped every trip pairs with
+    # them; keys taken in blocks of 3 trips still match across blocks
+    monkeypatch.setattr(perf, "_BLOCK", block)
+    i = IVar("i")
+    program, loop = _tcm_loop(IBin("min", 4, IBin("sub", 10, i)), 4, trips=10)
+    keys = {min(4, 10 - k) for k in range(10)}
+    if toggled:
+        body = loop.body + (StoreToggleOp("tog", None),)
+        loop = replace(loop, body=body)
+        program = replace(program, ops=(StoreToggleOp("tog", True), loop))
+        keys = {(k % 2, min(4, 10 - k)) for k in range(10)}
+    full = _full_walk(monkeypatch, program, ODD_CONFIG)
+    walks = _count_body_walks(monkeypatch, loop.body)
+    assert perf.simulate(program, ODD_CONFIG) == full
+    assert walks[0] == len(keys)
 
 
 def test_spawn_loop_adding_to_outer_group_is_walked_in_full(monkeypatch):
