@@ -13,7 +13,10 @@ are deliberately rigid:
   buffer with an in-flight fill, waiting on an idle tag, or starting a tag
   twice is a hard ExecutionFault;
 - forall and async bodies run sequentially in issue order, each to
-  completion before the next op; await_all only checks group discipline.
+  completion before the next op; await_all only checks group discipline;
+- loop trips, guards and toggle cells follow `ir.ControlState`, the one
+  definition the cost model and the oracles share (docs/ir_format.md,
+  "Concrete execution").
 
 Tensor storage: every buffer owns its own f32 array. `alloc` storage reads
 as zeros; `extract_slice` and the `dma_start` snapshot copy their region at
@@ -50,16 +53,13 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from . import ir
+from .ir import ExecutionFault
 from .numerics import F32, eval_payload, ordered_fold
 
 
 # Most bytes of free storage the buffer pool retains, per thread. A larger
 # bound saved no more page faults on the verify workloads and raised peak RSS.
 POOL_RETAIN_BYTES = 4 * 1024 * 1024
-
-
-class ExecutionFault(Exception):
-    """Invariant breach during execution (hazard, bad tag, out-of-bounds)."""
 
 
 class _BufferPool:
@@ -197,11 +197,10 @@ class _Pending:
 
 
 class ExecEnv:
-    """Machine-wide execution state: DMA ledger, toggles, tokens, groups."""
+    """Machine-wide execution state: DMA ledger, tokens, groups."""
 
     def __init__(self):
         self.dma: dict[int, _Pending] = {}
-        self.toggles: dict[str, bool] = {}
         self.tokens: set[str] = set()  # issued, not yet added to a group
         self.groups: set[str] = set()  # created, not yet awaited
         self.dma_starts = 0
@@ -261,6 +260,7 @@ class _Interp:
         self.program = program
         self.state = state
         self.pool = pool
+        self.control = ir.ControlState()  # loop trips, guards and toggle cells
 
     def run_block(self, ops, env: _Env) -> None:
         handlers = _HANDLERS
@@ -272,22 +272,11 @@ class _Interp:
 
     # -- control flow -----------------------------------------------------------
 
-    def run_for(self, op: ir.ForOp, env: _Env) -> None:
-        idx = env.idx
-        lb = ir.eval_extent(op.lb, idx)
-        ub = ir.eval_extent(op.ub, idx)
-        step = ir.eval_extent(op.step, idx)
-        if step < 1:
-            raise ExecutionFault(f"for %{op.var}: step {step} < 1")
-        self._iterate(op.var, range(lb, ub, step), op.body, env)
-
-    def run_forall(self, op: ir.ForallOp, env: _Env) -> None:
-        self._iterate(op.var, range(op.threads), op.body, env)
-
-    def _iterate(self, var: str, values: range, body, env: _Env) -> None:
+    def run_loop(self, op: Union[ir.ForOp, ir.ForallOp], env: _Env) -> None:
         # one index dict serves every iteration: bodies run to completion in order
         idx = dict(env.idx)
-        for i in values:
+        var, body = op.var, op.body
+        for i in self.control.trips(op, env.idx):
             idx[var] = i
             self._run_scope(body, _Env(env, idx))
 
@@ -297,16 +286,8 @@ class _Interp:
             self.pool.give_all(scope.buffers)
 
     def run_if(self, op: ir.IfOp, env: _Env) -> None:
-        if self.eval_pred(op.pred, env):
+        if self.control.holds(op.pred, env.idx):
             self._run_scope(op.body, _Env(env, env.idx))
-
-    def eval_pred(self, pred: ir.Pred, env: _Env) -> bool:
-        if isinstance(pred, ir.CmpPred):
-            idx = env.idx
-            return ir._CMP_FNS[pred.op](ir.eval_extent(pred.lhs, idx), ir.eval_extent(pred.rhs, idx))
-        if pred.cell not in self.state.toggles:
-            raise ExecutionFault(f"toggle %{pred.cell} read before any store")
-        return self.state.toggles[pred.cell] == pred.value
 
     # -- buffers ------------------------------------------------------------------
 
@@ -403,13 +384,7 @@ class _Interp:
         self.state.groups.remove(op.group)
 
     def run_store_toggle(self, op: ir.StoreToggleOp, env: _Env) -> None:
-        toggles = self.state.toggles
-        if op.value is None:
-            if op.cell not in toggles:
-                raise ExecutionFault(f"store_toggle flip of unset cell %{op.cell}")
-            toggles[op.cell] = not toggles[op.cell]
-        else:
-            toggles[op.cell] = op.value
+        self.control.store(op)
 
     # -- compute ------------------------------------------------------------------
 
@@ -454,8 +429,8 @@ class _Interp:
 # (eval_payload, ordered_fold) stay module globals resolved at call time.
 _HANDLERS = {
     ir.GenericOp: _Interp.run_generic,
-    ir.ForOp: _Interp.run_for,
-    ir.ForallOp: _Interp.run_forall,
+    ir.ForOp: _Interp.run_loop,
+    ir.ForallOp: _Interp.run_loop,
     ir.IfOp: _Interp.run_if,
     ir.ExtractSliceOp: _Interp.run_extract_slice,
     ir.InsertSliceOp: _Interp.run_insert_slice,

@@ -1,4 +1,4 @@
-"""Structured tensor IR: types, ops, verifier, and the deterministic printer.
+"""Structured tensor IR: types, ops, control flow, verifier, deterministic printer.
 
 Position in the stack:
 
@@ -693,6 +693,58 @@ def vector_width(annotations: frozenset[str]) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
+# Concrete execution
+# ---------------------------------------------------------------------------
+
+
+class ExecutionFault(Exception):
+    """Invariant breach during execution (hazard, bad tag, out-of-bounds)."""
+
+
+class ControlState:
+    """Concrete control flow: loop trips, guard values and the toggle cells.
+
+    The interpreter, the cost model and the structural oracles each run a
+    schedule through one of these, so they agree on every trip and guard
+    (docs/ir_format.md, "Concrete execution"). `idx` maps each index var in
+    scope to its value; `toggles` maps each cell stored so far to its value.
+    """
+
+    __slots__ = ("toggles",)
+
+    def __init__(self):
+        self.toggles: dict[str, bool] = {}
+
+    def trips(self, op: Union[ForOp, ForallOp], idx: Mapping[str, int]) -> range:
+        """The values a `for` or `forall` binds its var to, in order."""
+        if type(op) is ForallOp:
+            return range(op.threads)
+        lb = eval_extent(op.lb, idx)
+        ub = eval_extent(op.ub, idx)
+        step = eval_extent(op.step, idx)
+        if step < 1:
+            raise ExecutionFault(f"for %{op.var}: step {step} < 1")
+        return range(lb, ub, step)
+
+    def holds(self, pred: Pred, idx: Mapping[str, int]) -> bool:
+        if type(pred) is CmpPred:
+            return _CMP_FNS[pred.op](eval_extent(pred.lhs, idx), eval_extent(pred.rhs, idx))
+        value = self.toggles.get(pred.cell)
+        if value is None:
+            raise ExecutionFault(f"toggle %{pred.cell} read before any store")
+        return value == pred.value
+
+    def store(self, op: StoreToggleOp) -> None:
+        if op.value is not None:
+            self.toggles[op.cell] = op.value
+            return
+        value = self.toggles.get(op.cell)
+        if value is None:
+            raise ExecutionFault(f"store_toggle flip of unset cell %{op.cell}")
+        self.toggles[op.cell] = not value
+
+
+# ---------------------------------------------------------------------------
 # Verifier
 # ---------------------------------------------------------------------------
 
@@ -940,6 +992,9 @@ class _Verifier:
 
     def check_for(self, op: ForOp, where: str, scope: _Scope, block: _Block) -> None:
         self.check_extents_defined(where, (op.lb, op.ub, op.step), scope)
+        step = extent_bounds(op.step, self.var_ranges)
+        if step is not None and step[1] < 1:  # definite only, like slice bounds
+            self.fail(where, "loop step", f"for %{op.var}: step {print_extent(op.step)} < 1")
         lb = extent_bounds(op.lb, self.var_ranges)
         ub = extent_bounds(op.ub, self.var_ranges)
         self.walk_loop_body(op.var, (lb[0], max(lb[0], ub[1] - 1)) if lb and ub else None,

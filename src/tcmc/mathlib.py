@@ -15,8 +15,7 @@ for scalar and array calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Literal
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,6 +32,11 @@ _INV_LN2 = _F32(1.4426950408889634)
 # Beyond these, eps would leave the reduced range; f32 exp is inf/0 anyway.
 _EXP_OVER = _F32(89.0)
 _EXP_UNDER = _F32(-105.0)
+
+# The Taylor degree of exp_approx and tanh_approx and the Newton steps of
+# inv_sqrt_fast that the math expansion writes into each payload's `param`.
+EXP_DEGREE = 6
+RSQRT_ITERS = 1
 
 _EXP_COEFS = {d: tuple(_F32(1.0 / math.factorial(k)) for k in range(d + 1)) for d in range(2, 13)}
 
@@ -55,7 +59,7 @@ def _exp_core(x: np.ndarray, degree: int) -> np.ndarray:
     return np.where(x > _EXP_OVER, _F32(np.inf), np.where(x < _EXP_UNDER, _F32(0.0), out))
 
 
-def exp_approx(x, degree: int = 6):
+def exp_approx(x, degree: int = EXP_DEGREE):
     """Approximate e^x; relative error <= 1e-6 on [-10, 10] at degree 6."""
     if degree < 2:
         raise ValueError("exp_approx: degree must be >= 2")
@@ -73,7 +77,7 @@ def _expm1_core(x: np.ndarray, degree: int) -> np.ndarray:
     return x * inner
 
 
-def inv_sqrt_fast(x, iters: int = 1):
+def inv_sqrt_fast(x, iters: int = RSQRT_ITERS):
     """Bit-trick 1/sqrt(x) with `iters` Newton refinements.
 
     Relative error <= 2e-3 at one iteration, <= 5e-6 at two, over
@@ -96,7 +100,7 @@ _TANH_SMALL = _F32(0.17)  # inside the n == 0 band of the exp reduction
 _TANH_SAT = _F32(10.0)
 
 
-def tanh_approx(x, degree: int = 6):
+def tanh_approx(x, degree: int = EXP_DEGREE):
     """Approximate tanh; relative error <= 1e-5 on [-5, 5], saturates beyond |x| > 10."""
     arr, scalar = _as_f32_array(x)
     t2 = _F32(2.0) * arr
@@ -116,44 +120,25 @@ def tanh_approx(x, degree: int = 6):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApproxPolicy:
-    mode: Literal["exact", "approx"] = "exact"
-    ops: frozenset[str] = frozenset({"exp", "tanh", "rsqrt"})
-    exp_degree: int = 6
-    rsqrt_iters: int = 1
-
-    def __post_init__(self):
-        if self.exp_degree < 2:
-            raise ValueError("ApproxPolicy: exp degree must be >= 2")
-        if self.rsqrt_iters not in (1, 2):
-            raise ValueError("ApproxPolicy: rsqrt iterations must be 1 or 2")
-        unknown = self.ops - {"exp", "tanh", "rsqrt"}
-        if unknown:
-            raise ValueError(f"ApproxPolicy: unknown ops {sorted(unknown)}")
-
-
-def _rewrite_payload(p: Payload, policy: ApproxPolicy) -> Payload:
-    args = tuple(_rewrite_payload(a, policy) for a in p.args)
-    if p.kind == "exp" and "exp" in policy.ops:
-        return Payload("exp_approx", args, param=policy.exp_degree)
-    if p.kind == "tanh" and "tanh" in policy.ops:
-        return Payload("tanh_approx", args, param=policy.exp_degree)
-    if p.kind == "rsqrt" and "rsqrt" in policy.ops:
-        return Payload("rsqrt_fast", args, param=policy.rsqrt_iters)
+def _rewrite_payload(p: Payload) -> Payload:
+    args = tuple(_rewrite_payload(a) for a in p.args)
+    if p.kind == "exp":
+        return Payload("exp_approx", args, param=EXP_DEGREE)
+    if p.kind == "tanh":
+        return Payload("tanh_approx", args, param=EXP_DEGREE)
+    if p.kind == "rsqrt":
+        return Payload("rsqrt_fast", args, param=RSQRT_ITERS)
     if args != p.args:
         return replace(p, args=args)
     return p
 
 
-def expand_math_ops(program: KernelProgram, policy: ApproxPolicy) -> KernelProgram:
+def expand_math_ops(program: KernelProgram) -> KernelProgram:
     """Rewrite exp/tanh/rsqrt payload nodes to their approximated evaluators."""
-    if policy.mode == "exact":
-        return program
 
     def rewrite(op):
         if isinstance(op, GenericOp):
-            return (replace(op, payloads=tuple(_rewrite_payload(p, policy) for p in op.payloads)),)
+            return (replace(op, payloads=tuple(_rewrite_payload(p) for p in op.payloads)),)
         return None
 
     return replace(program, ops=map_ops(program.ops, rewrite), stage="math-approx")

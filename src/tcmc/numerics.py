@@ -50,11 +50,11 @@ _BINARY = {
 
 def apply_unary(kind: str, x, param=None):
     if kind == "exp_approx":
-        return mathlib.exp_approx(x, degree=param or 6)
+        return mathlib.exp_approx(x, degree=param or mathlib.EXP_DEGREE)
     if kind == "tanh_approx":
-        return mathlib.tanh_approx(x, degree=param or 6)
+        return mathlib.tanh_approx(x, degree=param or mathlib.EXP_DEGREE)
     if kind == "rsqrt_fast":
-        return mathlib.inv_sqrt_fast(x, iters=param or 1)
+        return mathlib.inv_sqrt_fast(x, iters=param or mathlib.RSQRT_ITERS)
     return _UNARY[kind](x)
 
 

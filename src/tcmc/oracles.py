@@ -3,9 +3,10 @@
 Everything here deliberately avoids the interpreter's code paths: formula
 oracles evaluate the kernels' definitions in float64 (numpy reductions,
 pairwise order) and round once at the end; the structural walkers re-derive
-tile and thread slice geometry straight from the IR. Pipeline-vs-oracle
-comparisons therefore use a reltol (1e-6), while pipeline-vs-pipeline
-comparisons stay bit-exact.
+tile and thread slice geometry straight from the IR, and share with the
+interpreter only the IR's own definition of loop trips, guards and toggles
+(`ir.ControlState`). Pipeline-vs-oracle comparisons therefore use a reltol
+(1e-6), while pipeline-vs-pipeline comparisons stay bit-exact.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 from . import ir
 from .ir import (
     AffineIndexMap, AsyncExecuteOp, DmaWaitOp, ExtractSliceOp, ForallOp, ForOp,
-    GenericOp, IfOp, InsertSliceOp, KernelProgram, Op, Payload, Reduction, TensorDecl,
+    GenericOp, IfOp, InsertSliceOp, KernelProgram, Op, Payload, Reduction, StoreToggleOp,
+    TensorDecl,
 )
 
 # ---------------------------------------------------------------------------
@@ -174,37 +176,60 @@ def tile_partition(extent: int, tile: int) -> list[tuple[int, int]]:
     return [(o, min(tile, extent - o)) for o in range(0, extent, tile)]
 
 
+def _walk_schedule(program: KernelProgram) -> tuple[dict, dict]:
+    """Run `program`'s control flow concretely and record its slice geometry.
+
+    Loops, guards and toggle cells go through one `ir.ControlState`, so the
+    walk enters exactly the bodies the schedule runs. Returns the results
+    of `enumerate_tiles` and `thread_write_intervals`.
+    """
+    control = ir.ControlState()
+    tiles: dict[str, list] = {}
+    threads: dict[str, list[list[list]]] = {}
+
+    def at(exts, env) -> tuple[int, ...]:
+        return tuple(ir.eval_extent(e, env) for e in exts)
+
+    def walk(ops, env, sink) -> None:
+        """`sink` collects the writes of the enclosing forall thread, if any."""
+        for op in ops:
+            if isinstance(op, InsertSliceOp):
+                if sink is not None:
+                    sink.append((op.dest, at(op.offsets, env), at(op.sizes, env)))
+            elif isinstance(op, ForOp):
+                first = None
+                if "tiled_generic" in op.annotations:
+                    rec = tiles.setdefault(op.var, [])
+                    first = next((o for o in op.body if isinstance(o, ExtractSliceOp)), None)
+                for i in control.trips(op, env):
+                    inner = {**env, op.var: i}
+                    if first is not None:
+                        rec.append((at(first.offsets, inner), at(first.sizes, inner)))
+                    walk(op.body, inner, sink)
+            elif isinstance(op, ForallOp):
+                bodies: list[list] = []
+                for t in control.trips(op, env):
+                    bodies.append([])
+                    walk(op.body, {**env, op.var: t}, bodies[-1])
+                threads.setdefault(op.var, []).append(bodies)
+                if sink is not None:
+                    sink.extend(w for body in bodies for w in body)
+            elif isinstance(op, IfOp):
+                if control.holds(op.pred, env):
+                    walk(op.body, env, sink)
+            elif isinstance(op, AsyncExecuteOp):
+                walk(op.body, env, sink)
+            elif isinstance(op, StoreToggleOp):
+                control.store(op)
+
+    walk(program.ops, {}, None)
+    return tiles, threads
+
+
 def enumerate_tiles(program: KernelProgram) -> dict[str, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Per tiled loop (keyed by loop var), the evaluated (offsets, sizes) of
     its first operand slice at every iteration."""
-    out: dict[str, list] = {}
-
-    def walk(ops, env):
-        for op in ops:
-            if isinstance(op, ForOp) and "tiled_generic" in op.annotations:
-                first_slice = next((o for o in op.body if isinstance(o, ExtractSliceOp)), None)
-                rec = out.setdefault(op.var, [])
-                for i in range(ir.eval_extent(op.lb, env), ir.eval_extent(op.ub, env),
-                               ir.eval_extent(op.step, env)):
-                    env2 = dict(env)
-                    env2[op.var] = i
-                    if first_slice is not None:
-                        rec.append((
-                            tuple(ir.eval_extent(o, env2) for o in first_slice.offsets),
-                            tuple(ir.eval_extent(s, env2) for s in first_slice.sizes),
-                        ))
-                    walk(op.body, env2)
-            elif isinstance(op, ForOp):
-                for i in range(ir.eval_extent(op.lb, env), ir.eval_extent(op.ub, env),
-                               ir.eval_extent(op.step, env)):
-                    env2 = dict(env)
-                    env2[op.var] = i
-                    walk(op.body, env2)
-            elif isinstance(op, (IfOp, ForallOp, AsyncExecuteOp)):
-                pass  # tile loops of interest sit above these
-
-    walk(program.ops, {})
-    return out
+    return _walk_schedule(program)[0]
 
 
 def thread_write_intervals(program: KernelProgram) -> dict[str, list[list[list]]]:
@@ -215,54 +240,7 @@ def thread_write_intervals(program: KernelProgram) -> dict[str, list[list[list]]
     the race-freedom contract: distinct thread bodies must write pairwise
     disjoint regions of every shared buffer.
     """
-    results: dict[str, list[list[list]]] = {}
-
-    def eval_pred(pred, env) -> bool:
-        if isinstance(pred, ir.CmpPred):
-            return ir._CMP_FNS[pred.op](ir.eval_extent(pred.lhs, env),
-                                        ir.eval_extent(pred.rhs, env))
-        raise ValueError("toggle predicates not expected under forall bodies")
-
-    def collect(ops, env, sink):
-        for op in ops:
-            if isinstance(op, InsertSliceOp):
-                offs = tuple(ir.eval_extent(o, env) for o in op.offsets)
-                sizes = tuple(ir.eval_extent(s, env) for s in op.sizes)
-                sink.append((op.dest, offs, sizes))
-            elif isinstance(op, IfOp):
-                if eval_pred(op.pred, env):
-                    collect(op.body, env, sink)
-            elif isinstance(op, ForOp):
-                for i in range(ir.eval_extent(op.lb, env), ir.eval_extent(op.ub, env),
-                               ir.eval_extent(op.step, env)):
-                    env2 = dict(env)
-                    env2[op.var] = i
-                    collect(op.body, env2, sink)
-            elif isinstance(op, AsyncExecuteOp):
-                collect(op.body, env, sink)
-
-    def walk(ops, env):
-        for op in ops:
-            if isinstance(op, ForallOp):
-                per_thread = []
-                for t in range(op.threads):
-                    env2 = dict(env)
-                    env2[op.var] = t
-                    sink: list = []
-                    collect(op.body, env2, sink)
-                    per_thread.append(sink)
-                results.setdefault(op.var, []).append(per_thread)
-            elif isinstance(op, ForOp):
-                for i in range(ir.eval_extent(op.lb, env), ir.eval_extent(op.ub, env),
-                               ir.eval_extent(op.step, env)):
-                    env2 = dict(env)
-                    env2[op.var] = i
-                    walk(op.body, env2)
-            elif isinstance(op, (IfOp, AsyncExecuteOp)):
-                walk(op.body, env)
-
-    walk(program.ops, {})
-    return results
+    return _walk_schedule(program)[1]
 
 
 def regions_disjoint(bodies: list[list[tuple[str, tuple[int, ...], tuple[int, ...]]]]) -> bool:

@@ -1,14 +1,16 @@
 """Analytic cycle cost model over staged programs.
 
 The simulator walks a program's schedule concretely (loops iterate, guards
-evaluate, toggles flip) but accounts time analytically instead of emulating
-instructions. It does each distinct piece of cost work once per `simulate`
-call: a generic's payload cycles and vector width are computed on its first
-visit, and a loop whose body is self-contained (see `_LoopPlan`) walks its
-body once per iteration class, the iterations that agree on the toggles and
-loop-var-dependent extents the cost reads, and replays the cached sum for
-the others. The replay repeats the walk's float additions in order, so the
-report is bit-identical to walking every iteration. The rules:
+evaluate, toggles flip, all through `ir.ControlState` as in the interpreter:
+docs/ir_format.md, "Concrete execution") but accounts time analytically
+instead of emulating instructions. It does each distinct piece of cost work
+once per `simulate` call: a generic's payload cycles and vector width are
+computed on its first visit, and a loop whose body is self-contained (see
+`_LoopPlan`) walks its body once per iteration class, the iterations that
+agree on the toggles and loop-var-dependent extents the cost reads, and
+replays the cached sum for the others. The replay repeats the walk's float
+additions in order, so the report is bit-identical to walking every
+iteration. The rules:
 
 - data movement (copy / insert_slice across memory spaces, dma_start) costs
   latency + bytes/bandwidth; dma_wait itself is free;
@@ -40,8 +42,8 @@ import numpy as np
 from . import ir
 from .ir import (
     AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, CopyOp,
-    DeallocOp, DmaStartOp, DmaWaitOp, ExtractSliceOp, ForallOp, ForOp,
-    GenericOp, IBin, IfOp, InsertSliceOp, IVar, KernelProgram, Op, StoreToggleOp,
+    DeallocOp, DmaStartOp, DmaWaitOp, ExecutionFault, ExtractSliceOp, ForallOp, ForOp,
+    GenericOp, IBin, IfOp, InsertSliceOp, IVar, KernelProgram, Op, StoreToggleOp, TogglePred,
 )
 
 DEFAULT_OP_CYCLES: dict[str, float] = {
@@ -189,101 +191,23 @@ class _Group:
         self.bodies: list[_Acc] = []
 
 
-class SimulationError(Exception):
-    pass
-
-
-_UNSET = object()  # a toggle cell with no stored value yet
-
-
-def _balanced(ops) -> bool:
-    """True when a loop body's effects on groups, tokens and prologue pools stay inside it.
-
-    Every group it awaits or adds to, it created first; every token it adds,
-    it issued first; and it leaves neither open. It holds no `db_prologue`
-    guard and no nested `db_generic` loop, which feed and drain the prologue
-    pools across loop boundaries. (A group or token of the same name that
-    is live when the loop starts is consumed by the first, walked, iteration
-    either way.)
-    """
-    groups: set[str] = set()
-    tokens: set[str] = set()
-    for op, _ in ir.walk_ops(ops):
-        if isinstance(op, AsyncGroupOp):
-            groups.add(op.group)
-        elif isinstance(op, AsyncExecuteOp):
-            tokens.add(op.token)
-        elif isinstance(op, AddToGroupOp):
-            if op.group not in groups or op.token not in tokens:
-                return False
-            tokens.remove(op.token)
-        elif isinstance(op, AwaitAllOp):
-            if op.group not in groups:
-                return False
-            groups.remove(op.group)
-        elif isinstance(op, IfOp) and "db_prologue" in op.annotations:
-            return False
-        elif isinstance(op, ForOp) and ir.annotation_value(op.annotations, "db_generic") is not None:
-            return False
-    return not groups and not tokens
-
-
+@dataclass(slots=True)
 class _LoopPlan:
     """Everything a balanced loop body's cost depends on that varies per iteration.
 
     Two iterations that agree on their key walk the body identically: same
     _Acc, same toggles left behind. The key holds the entry values of the
-    toggle cells the body touches and the class id `class_ids` gives the
-    values of its cost atoms. An atom is a
-    maximal subexpression that mentions the loop var and no var bound inside
-    the body, taken from the extents the walker reads (generic domains, inner
-    loop bounds, slice/alloc/dma sizes, guard sides); a guard with no inner
-    var is one boolean atom. Offsets are never read, so they are left out.
+    toggle cells the body touches (`cells`) and the class id `class_ids`
+    gives the values of its cost atoms. An atom is a maximal subexpression
+    that mentions the loop var and no var of an inner loop around it, taken
+    from the extents the walker reads (generic domains, inner loop bounds,
+    slice/alloc/dma sizes, guard sides); a guard with no inner var is one
+    boolean atom. Offsets are never read, so they are left out.
     """
 
-    __slots__ = ("cells", "extents", "preds")
-
-    def __init__(self, loop: ForOp):
-        inner = {op.var for op, _ in ir.walk_ops(loop.body) if isinstance(op, (ForOp, ForallOp))}
-        cells: dict[str, None] = {}
-        extents: dict[ir.Extent, None] = {}
-        preds: dict[ir.CmpPred, None] = {}
-
-        def scan(e: ir.Extent) -> None:
-            if isinstance(e, int):
-                return
-            names = ir._extent_vars(e)
-            if loop.var not in names:
-                return
-            if not names & inner:
-                extents[e] = None
-            elif isinstance(e, IBin):
-                scan(e.lhs)
-                scan(e.rhs)
-
-        for op, _ in ir.walk_ops(loop.body):
-            exts: tuple = ()
-            if isinstance(op, GenericOp):
-                exts = op.domain
-            elif isinstance(op, ForOp):
-                exts = (op.lb, op.ub, op.step)
-            elif isinstance(op, (ExtractSliceOp, AllocOp, InsertSliceOp, DmaStartOp)):
-                exts = op.sizes
-            elif isinstance(op, StoreToggleOp):
-                cells[op.cell] = None
-            elif isinstance(op, IfOp) and isinstance(op.pred, ir.TogglePred):
-                cells[op.pred.cell] = None
-            elif isinstance(op, IfOp):
-                names = ir._extent_vars(op.pred.lhs) | ir._extent_vars(op.pred.rhs)
-                if names & inner:
-                    exts = (op.pred.lhs, op.pred.rhs)
-                elif loop.var in names:
-                    preds[op.pred] = None
-            for e in exts:
-                scan(e)
-        self.cells = tuple(cells)
-        self.extents = tuple(extents)
-        self.preds = tuple(preds)
+    cells: tuple[str, ...]
+    extents: tuple[ir.Extent, ...]
+    preds: tuple[ir.CmpPred, ...]
 
     def class_ids(self, env, var: str, trips: range) -> Iterator[Optional[int]]:
         """Each trip's iteration class apart from the toggles, or None for no key.
@@ -334,6 +258,89 @@ class _LoopPlan:
                                              _range_eval(p.rhs, env, limit, zeros)[0]))
         zero = np.flatnonzero(np.logical_or.reduce(zeros)).tolist() if zeros else []
         return [c.tolist() for c in columns], zero
+
+
+def _scan_loop(loop: ForOp) -> Optional[_LoopPlan]:
+    """The `_LoopPlan` of `loop` from one scan of its body, or None when the body is unbalanced.
+
+    A balanced body keeps its effects on groups, tokens and prologue pools
+    inside it. Every group it awaits or adds to, it created first; every
+    token it adds, it issued first; and it leaves neither open. It holds no
+    `db_prologue` guard and no nested `db_generic` loop, which feed and
+    drain the prologue pools across loop boundaries. (A group or token of
+    the same name that is live when the loop starts is consumed by the
+    first, walked, iteration either way.)
+    """
+    var = loop.var
+    cells: dict[str, None] = {}
+    extents: dict[ir.Extent, None] = {}
+    preds: dict[ir.CmpPred, None] = {}
+    groups: set[str] = set()
+    tokens: set[str] = set()
+
+    def atoms(e: ir.Extent, inner: frozenset[str]) -> None:
+        if isinstance(e, int):
+            return
+        names = ir._extent_vars(e)
+        if var not in names:
+            return
+        if not names & inner:
+            extents[e] = None
+        elif isinstance(e, IBin):
+            atoms(e.lhs, inner)
+            atoms(e.rhs, inner)
+
+    def scan(ops, inner: frozenset[str]) -> bool:
+        """Collect the cells and atoms of `ops`, whose loops bind `inner`; False if unbalanced."""
+        for op in ops:
+            kind = type(op)
+            exts: tuple = ()
+            if kind is GenericOp:
+                exts = op.domain
+            elif kind is ForOp:
+                if ir.annotation_value(op.annotations, "db_generic") is not None:
+                    return False
+                exts = (op.lb, op.ub, op.step)
+            elif kind in (ExtractSliceOp, AllocOp, InsertSliceOp, DmaStartOp):
+                exts = op.sizes
+            elif kind is StoreToggleOp:
+                cells[op.cell] = None
+            elif kind is IfOp:
+                if "db_prologue" in op.annotations:
+                    return False
+                pred = op.pred
+                if type(pred) is TogglePred:
+                    cells[pred.cell] = None
+                else:
+                    names = ir._extent_vars(pred.lhs) | ir._extent_vars(pred.rhs)
+                    if names & inner:
+                        exts = (pred.lhs, pred.rhs)
+                    elif var in names:
+                        preds[pred] = None
+            elif kind is AsyncGroupOp:
+                groups.add(op.group)
+            elif kind is AsyncExecuteOp:
+                tokens.add(op.token)
+            elif kind is AddToGroupOp:
+                if op.group not in groups or op.token not in tokens:
+                    return False
+                tokens.remove(op.token)
+            elif kind is AwaitAllOp:
+                if op.group not in groups:
+                    return False
+                groups.remove(op.group)
+            for e in exts:
+                atoms(e, inner)
+            if kind is ForOp or kind is ForallOp:
+                if not scan(op.body, inner | {op.var}):
+                    return False
+            elif (kind is IfOp or kind is AsyncExecuteOp) and not scan(op.body, inner):
+                return False
+        return True
+
+    if not scan(loop.body, frozenset()) or groups or tokens:
+        return None
+    return _LoopPlan(tuple(cells), tuple(extents), tuple(preds))
 
 
 _INT64_EXACT = 1 << 62
@@ -392,7 +399,7 @@ class _Sim:
     def __init__(self, program: KernelProgram, config: MachineConfig):
         self.program = program
         self.cfg = config
-        self.toggles: dict[str, bool] = {}
+        self.control = ir.ControlState()
         self.groups: dict[str, _Group] = {}
         self.pending_token: dict[str, _Acc] = {}
         self.prologue_pool: dict[str, float] = {}
@@ -464,10 +471,7 @@ class _Sim:
             acc.time += c
         elif isinstance(op, ForOp):
             gid = ir.annotation_value(op.annotations, "db_generic")
-            lb = ir.eval_extent(op.lb, env)
-            ub = ir.eval_extent(op.ub, env)
-            step = ir.eval_extent(op.step, env)
-            body_acc = self.walk_trips(op, range(lb, ub, step), env, buffers, in_prefetch)
+            body_acc = self.walk_trips(op, self.control.trips(op, env), env, buffers, in_prefetch)
             if gid is not None:
                 # double-buffered loop: prologue + prefetch transfers overlap
                 # the compute side; stores and overheads already in .time
@@ -479,12 +483,10 @@ class _Sim:
             else:
                 acc.add(body_acc)
         elif isinstance(op, ForallOp):
-            for t in range(op.threads):
-                child_env = dict(env)
-                child_env[op.var] = t
-                acc.add(self.walk_block(op.body, child_env, dict(buffers), in_prefetch))
+            for t in self.control.trips(op, env):
+                acc.add(self.walk_block(op.body, {**env, op.var: t}, dict(buffers), in_prefetch))
         elif isinstance(op, IfOp):
-            if not self.eval_pred(op.pred, env):
+            if not self.control.holds(op.pred, env):
                 return
             prologue = "db_prologue" in op.annotations
             prefetching = in_prefetch or prologue or "db_prefetch" in op.annotations
@@ -524,14 +526,17 @@ class _Sim:
             acc.time += cfg.thread_spawn_cycles
             acc.overhead += cfg.thread_spawn_cycles
         elif isinstance(op, AddToGroupOp):
+            group = self.groups.get(op.group)
+            if group is None:
+                raise ExecutionFault(f"add_to_group: unknown group %{op.group}")
             body = self.pending_token.pop(op.token, None)
             if body is None:
-                raise SimulationError(f"token %{op.token} not issued")
-            self.groups[op.group].bodies.append(body)
+                raise ExecutionFault(f"add_to_group: token %{op.token} not issued")
+            group.bodies.append(body)
         elif isinstance(op, AwaitAllOp):
             group = self.groups.pop(op.group, None)
             if group is None:
-                raise SimulationError(f"await on unknown group %{op.group}")
+                raise ExecutionFault(f"await_all on unknown group %{op.group}")
             free = [0.0] * cfg.num_hvx_contexts
             for body in group.bodies:
                 k = min(range(len(free)), key=lambda i: (free[i], i))
@@ -543,10 +548,7 @@ class _Sim:
             acc.time += max(free) + cfg.barrier_cycles
             acc.overhead += cfg.barrier_cycles
         elif isinstance(op, StoreToggleOp):
-            if op.value is None:
-                self.toggles[op.cell] = not self.toggles[op.cell]
-            else:
-                self.toggles[op.cell] = op.value
+            self.control.store(op)
         # remaining ops are free
 
     def walk_trips(self, op: ForOp, trips: range, env, buffers, in_prefetch: bool) -> _Acc:
@@ -567,13 +569,13 @@ class _Sim:
         else:
             # a body without toggle cells is keyed by its class id alone and
             # restores nothing: the tuple and the restore cost about 0.5 us a trip
-            cells, toggles = plan.cells, self.toggles
+            cells, toggles = plan.cells, self.control.toggles
             seen: dict[object, tuple[_Acc, dict[str, bool]]] = {}
             for i, cid in zip(trips, plan.class_ids(env, op.var, trips)):
                 if cid is None:
                     body_acc.add(walk(i))
                     continue
-                key = (*[toggles.get(c, _UNSET) for c in cells], cid) if cells else cid
+                key = (*[toggles.get(c) for c in cells], cid) if cells else cid
                 hit = seen.get(key)
                 if hit is None:
                     hit = seen[key] = (walk(i), {c: toggles[c] for c in cells if c in toggles})
@@ -585,15 +587,9 @@ class _Sim:
     def loop_plan(self, op: ForOp) -> Optional[_LoopPlan]:
         entry = self.loop_plans.get(id(op))
         if entry is None:
-            plan = _LoopPlan(op) if _balanced(op.body) else None
+            plan = _scan_loop(op)
             entry = self.loop_plans[id(op)] = (op, plan)
         return entry[1]
-
-    def eval_pred(self, pred, env) -> bool:
-        if isinstance(pred, ir.CmpPred):
-            return ir._CMP_FNS[pred.op](ir.eval_extent(pred.lhs, env),
-                                        ir.eval_extent(pred.rhs, env))
-        return self.toggles[pred.cell] == pred.value
 
 
 def simulate(program: KernelProgram, config: MachineConfig) -> TimingReport:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import interp, ir, perf
 from .frontend import KernelAst, infer_dims_from_inputs, lower_to_generics, parse_kernel
-from .mathlib import ApproxPolicy, expand_math_ops
+from .mathlib import expand_math_ops
 from .passes import (
     DistributionPolicy, PassError, ProfitabilityHeuristic, double_buffer_loops,
     form_async_threads, form_virtual_threads, fuse_elementwise, tile_generic, tile_spec,
@@ -54,8 +54,6 @@ class PipelineOptions:
     dist_kind: str = "block"
     dist_chunk: int = 1
     mt_threshold: int = 32768
-    exp_degree: int = 6
-    rsqrt_iters: int = 1
     machine: perf.MachineConfig = field(default_factory=perf.MachineConfig)
 
 
@@ -99,9 +97,7 @@ def apply_pass(name: str, program: ir.KernelProgram, opts: PipelineOptions) -> i
     if name == "db":
         return double_buffer_loops(program)
     if name == "math-approx":
-        policy = ApproxPolicy("approx", exp_degree=opts.exp_degree,
-                              rsqrt_iters=opts.rsqrt_iters)
-        return expand_math_ops(program, policy)
+        return expand_math_ops(program)
     raise SpecError(f"unknown pass {name!r}")
 
 
@@ -326,8 +322,16 @@ def bench(
     runs, not 20. The programs are shared within this call only, so a second
     call compiles everything again.
 
-    None or empty `ladders`, `sizes` and `dims` mean the defaults.
+    None or empty `ladders`, `sizes` and `dims` mean the defaults. Each is a
+    SpecError on an axis that never reads it (`dims` and `ladders` on any
+    axis but `passes`, `sizes` on any but `size`), since it would be dropped.
     """
+    if axis not in ("passes", "size", "memory_fraction"):
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    for flag, value, reader in (("--shape", dims, "passes"), ("--sizes", sizes, "size"),
+                                ("--ladders", ladders, "passes")):
+        if value and axis != reader:
+            raise SpecError(f"{flag} does not apply to the {axis} sweep, only to the {reader} sweep")
     unknown = [name for name in ladders or () if name not in perf.PASS_LADDERS]
     if unknown:
         raise SpecError(f"unknown ladder {unknown[0]!r} (perf.PASS_LADDERS has "
@@ -340,8 +344,6 @@ def bench(
             rep = perf.simulate(double_buffer_loops(prog), cfg)
             rows.append(_row("overlap_probe", f"{m:g}", "db", rep, base.total_cycles))
         return rows
-    if axis not in ("size", "passes"):
-        raise ValueError(f"unknown sweep axis {axis!r}")
     dims = dims or None
     opts = PipelineOptions(machine=config)
     if axis == "size":

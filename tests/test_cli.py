@@ -180,3 +180,17 @@ def test_bench_exit_spec_unknown_ladder(ladders, name, capsys):
     assert (f"unknown ladder {name!r} (perf.PASS_LADDERS has scalar, vec, vec_db, vec_mt, "
             "vec_mt_db)" in captured.err)
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("sweep, option, reader", [
+    ("size", ["--sizes", "8192", "--shape", "N=65536"], "passes"),
+    ("passes", ["--sizes", "8192"], "size"),
+    ("size", ["--ladders", "vec"], "passes"),
+])
+def test_bench_exit_spec_option_the_sweep_never_reads(sweep, option, reader, capsys):
+    argv = ["bench", "--sweep", sweep, "--kernels", kernel_path("gelu")] + option
+    assert cli.main(argv) == cli.EXIT_SPEC
+    captured = capsys.readouterr()
+    flag = option[-2]
+    assert f"{flag} does not apply to the {sweep} sweep, only to the {reader} sweep" in captured.err
+    assert captured.out == ""

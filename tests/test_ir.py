@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcmc import cli, ir, oracles, perf, pipeline
+from tcmc.interp import interpret
 from tcmc.ir import (
     AffineIndexMap, AllocOp, AsyncExecuteOp, CmpPred, DeallocOp, ExtractSliceOp, ForallOp,
     ForOp, GenericOp, IBin, IfOp, IVar, KernelProgram, Payload, Reduction, TensorDecl,
@@ -368,6 +369,25 @@ def test_slice_bounds_reports_definite_overflow_only():
     assert verify(program([slice_loop("i", 0, 8, 4, IVar("i"), 5)])).ok
 
 
+@pytest.mark.parametrize("step", [0, -1])
+def test_loop_step_below_one_is_reported(step):
+    assert verify(program([slice_loop("i", 0, 8, step, IVar("i"), 1)])).violations == (
+        Violation("ops[0]", "loop step", f"for %i: step {step} < 1"),)
+    # %j - 3 is at most -1 over %j in [0, 2]
+    inner = slice_loop("i", 0, 8, ix_sub(IVar("j"), 3), IVar("i"), 1)
+    assert verify(program([ForOp("j", 0, 3, 1, (inner,))])).violations == (
+        Violation("ops[0].body[0]", "loop step", "for %i: step (%j - 3) < 1"),)
+
+
+def test_loop_step_that_may_drop_below_one_faults_at_run_time():
+    # 2 - %j is 0 only at %j = 2: possible, not definite
+    inner = slice_loop("i", 0, 8, ix_sub(2, IVar("j")), IVar("i"), 1)
+    p = program([ForOp("j", 0, 3, 1, (inner,))])
+    assert verify(p).ok
+    with pytest.raises(ir.ExecutionFault, match="^for %i: step 0 < 1$"):
+        interpret(p, {"x": np.zeros(8, np.float32)})
+
+
 @pytest.mark.parametrize("bad_first", [False, True])
 def test_sibling_loops_bound_one_node_under_their_own_ranges(bad_first):
     offset = ix_add(IVar("i"), 4)  # one node object, sliced in both loops
@@ -543,6 +563,11 @@ def _kernel_digests(kernels, dims_of, tiles_of, pass_lists=(DEFAULT_PASSES,)):
 
 
 def _bench_digests():
+    """(case id, argv, argv plus the options its sweep never reads, or None).
+
+    Such an option is a SpecError, so the case runs without it: its digest
+    was recorded when the option was dropped without a word.
+    """
     kernels = {"passes": ",".join(kernel_path(k) for k in ALL_KERNELS),
                "size": kernel_path("gelu"), "m": ""}
     ladders = ",".join(perf.PASS_LADDERS)
@@ -550,11 +575,16 @@ def _bench_digests():
         for with_ladders in (False, True):
             for with_sizes in (False, True):
                 argv = ["bench", "--sweep", sweep, "--kernels", kernel_arg]
-                argv += ["--ladders", ladders] if with_ladders else []
-                argv += ["--sizes", "8192,40000"] if with_sizes else []
-                yield f"bench/{sweep}/ladders={with_ladders}/sizes={with_sizes}", argv
-    yield "bench/passes/shape", ["bench", "--sweep", "passes", "--shape", f"N={REMAINDER_N}",
-                                 "--kernels", f"{kernel_path('gelu')},{kernel_path('softmax')}"]
+                unread: list[str] = []
+                if with_ladders:
+                    (argv if sweep == "passes" else unread).extend(["--ladders", ladders])
+                if with_sizes:
+                    (argv if sweep == "size" else unread).extend(["--sizes", "8192,40000"])
+                yield (f"bench/{sweep}/ladders={with_ladders}/sizes={with_sizes}", argv,
+                       argv + unread if unread else None)
+    yield ("bench/passes/shape", ["bench", "--sweep", "passes", "--shape", f"N={REMAINDER_N}",
+                                  "--kernels", f"{kernel_path('gelu')},{kernel_path('softmax')}"],
+           None)
 
 
 def golden_lines():
@@ -569,9 +599,11 @@ def golden_lines():
             opts = pipeline.PipelineOptions(mt_threshold=threshold)
             yield from _stage_digests(f"random/{seed}/mt={threshold}", program,
                                       DEFAULT_PASSES, opts)
-    for case, argv in _bench_digests():
+    for case, argv, rejected in _bench_digests():
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            if rejected is not None:
+                assert cli.main(rejected) == cli.EXIT_SPEC
             assert cli.main(argv) == cli.EXIT_OK
         yield f"{case} {_digest(out.getvalue())}"
     for m in (0.0, 0.25, 0.5, 0.75, 1.0):

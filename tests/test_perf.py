@@ -134,7 +134,7 @@ def test_reports_match_golden_bit_for_bit():
 
 def _full_walk(monkeypatch, program, cfg):
     with monkeypatch.context() as m:
-        m.setattr(perf, "_balanced", lambda ops: False)
+        m.setattr(perf, "_scan_loop", lambda loop: None)
         return perf.simulate(program, cfg)
 
 
