@@ -5,10 +5,13 @@ are deliberately rigid:
 
 - generic ops evaluate their payload over the whole iteration domain in f32;
   reductions fold strictly left to right in ascending index order
-  (numerics.ordered_fold, one vectorized sequential accumulate), which is the
-  same fp order at every pipeline stage because passes never split reduction
-  dimensions. Only the sign and payload bits of a NaN folded from two NaNs
-  are left unspecified (see ordered_fold), and those too match across stages;
+  (numerics.ordered_fold: a row-by-row `np.add.reduce` across 16 or more
+  independent output lanes, an order-free `np.maximum.reduce` whose result
+  has one bit pattern unless it is ±0 or NaN, and a sequential `accumulate`
+  otherwise), which is the same fp order at every pipeline stage because
+  passes never split reduction dimensions. Only the sign and payload bits of
+  a NaN folded from two NaNs are left unspecified (see ordered_fold), and
+  those too match across stages;
 - DMA data becomes visible in the destination only at dma_wait; reading a
   buffer with an in-flight fill, waiting on an idle tag, or starting a tag
   twice is a hard ExecutionFault;
@@ -40,7 +43,13 @@ an array that would exceed that is dropped.
 
 Execution dispatches each op through a table keyed by its exact type. Each
 scope carries one flat dict of the index vars in scope, which extents
-evaluate against directly (see ir.IBin for their compiled closures).
+evaluate against directly (see ir.IBin for their compiled closures). A
+generic op keeps its execution plan (`_GenericPlan`: compiled domain,
+operand maps, reduction axes, output placement) on the op itself, built on
+its first execution and reused by later iterations and by every stage that
+shares the op. An identity-mapped operand whose shape is the domain is read
+as it is; any other is read through a view with extent 1 on the domain dims
+its map skips, which the payload's ufuncs broadcast.
 """
 
 from __future__ import annotations
@@ -231,6 +240,9 @@ def _region(buf: _Buffer, offsets, sizes, idx, what: str, name: str) -> tuple[sl
 
 
 def _gather(arr: np.ndarray, m: ir.AffineIndexMap, domain: tuple[int, ...], name: str) -> np.ndarray:
+    """A view of `arr` through `m` with one axis per domain dim, in domain
+    order: extent 1 on each dim `m` does not read, which the payload's
+    ufuncs broadcast."""
     idx = []
     present: list[int] = []
     for j, r in enumerate(m.results):
@@ -246,11 +258,8 @@ def _gather(arr: np.ndarray, m: ir.AffineIndexMap, domain: tuple[int, ...], name
             present.append(r)
     sub = arr[tuple(idx)]
     order = sorted(range(len(present)), key=lambda k: present[k])
-    sub = sub.transpose(order)
-    for d in range(len(domain)):
-        if d not in present:
-            sub = np.expand_dims(sub, d)
-    return np.broadcast_to(sub, domain)
+    return sub.transpose(order).reshape([domain[d] if d in present else 1
+                                         for d in range(len(domain))])
 
 
 class _Interp:
@@ -389,40 +398,76 @@ class _Interp:
     # -- compute ------------------------------------------------------------------
 
     def run_generic(self, op: ir.GenericOp, env: _Env) -> None:
+        plan = getattr(op, "_plan", None)
+        if plan is None:  # first execution: keep the plan on the op
+            plan = _GenericPlan(op)
+            object.__setattr__(op, "_plan", plan)
         idx = env.idx
-        domain = tuple(ir.eval_extent(e, idx) for e in op.domain)
+        try:
+            domain = plan.domain(idx)
+        except KeyError:  # eval_extent names the unbound variable
+            domain = tuple(ir.eval_extent(e, idx) for e in op.domain)
         if any(d < 1 for d in domain):
             raise ExecutionFault(f"generic @{op.name}: empty domain {domain}")
         views = []
-        for name, m in zip(op.inputs, op.input_maps()):
-            buf = env.lookup(name)
-            views.append(_gather(_read(buf, name), m, domain, name))
-        red_axes = op.reduction_dims()
-        par_dims = [d for d in range(len(domain)) if d not in red_axes]
-        for name, m, payload, red in zip(op.outputs, op.output_maps(), op.payloads, op.reductions):
+        for name, m, identity in plan.inputs:
+            arr = _read(env.lookup(name), name)
+            views.append(arr if identity and arr.shape == domain else _gather(arr, m, domain, name))
+        red_axes = plan.red_axes
+        for name, results, payload, red, perm, reshape in plan.outputs:
             out = env.lookup(name)
             if out.pending_tag is not None:
                 raise ExecutionFault(
                     f"generic @{op.name} writes %{name} while dma tag=%{out.pending_tag} in flight")
             vals = eval_payload(payload, views)
-            if np.ndim(vals) == 0:
-                vals = np.broadcast_to(np.float32(vals), domain)
+            if np.shape(vals) != domain:  # it reads no operand that spans the domain
+                vals = np.broadcast_to(vals, domain)
             if red_axes:
                 vals = ordered_fold(vals, red_axes, red.kind, red.init)
-            # vals axes now correspond to parallel dims in ascending order
-            idx_out = []
-            perm = []
-            for j, r in enumerate(m.results):
-                if r is None:
-                    idx_out.append(slice(0, 1))
-                else:
-                    idx_out.append(slice(0, domain[r]))
-                    perm.append(par_dims.index(r))
-            placed = vals.transpose(perm)
-            for j, r in enumerate(m.results):
-                if r is None:
-                    placed = np.expand_dims(placed, j)
-            out.data[tuple(idx_out)] = placed
+            # vals axes are the parallel dims in ascending order
+            extents = [1 if r is None else domain[r] for r in results]
+            if perm is not None:
+                vals = vals.transpose(perm)
+            if reshape:
+                vals = vals.reshape(extents)
+            out.data[tuple([slice(0, e) for e in extents])] = vals
+
+
+class _GenericPlan:
+    """What executing one GenericOp needs beyond the index values in scope.
+
+    `domain` evaluates the iteration domain against an index dict. Each
+    input is (name, map, whether the map is the identity): an identity-mapped
+    operand whose shape is the domain is read as it is, and any other goes
+    through `_gather`. Each output is (name, map results, payload,
+    reduction, placement permutation or None when the parallel dims are
+    already in map order, whether its broadcast dims need a reshape).
+    """
+
+    __slots__ = ("domain", "inputs", "red_axes", "outputs")
+
+    def __init__(self, op: ir.GenericOp):
+        if all(isinstance(e, int) for e in op.domain):
+            static = tuple(op.domain)
+            self.domain = lambda idx: static
+        else:
+            fns = [ir._compile(e) for e in op.domain]
+            self.domain = lambda idx: tuple([f(idx) for f in fns])
+        identity = tuple(range(len(op.domain)))
+        self.inputs = tuple((name, m, m.results == identity)
+                            for name, m in zip(op.inputs, op.input_maps()))
+        self.red_axes = op.reduction_dims()
+        par_dims = [d for d in identity if d not in self.red_axes]
+        outputs = []
+        for name, m, payload, red in zip(op.outputs, op.output_maps(), op.payloads,
+                                         op.reductions):
+            perm = [par_dims.index(r) for r in m.results if r is not None]
+            # numpy's assignment broadcasts leading unit dims, not later ones
+            reshape = any(r is None for r in m.results[len(m.results) - len(perm):])
+            outputs.append((name, m.results, payload, red,
+                            None if perm == list(range(len(par_dims))) else tuple(perm),
+                            reshape))
+        self.outputs = tuple(outputs)
 
 
 # Handlers are plain methods looked up per op; the numerics they call

@@ -34,7 +34,8 @@ class IVar:
 
 
 def _derived():
-    """A cache slot on an IBin or Payload: filled on first use, outside ==, hash and repr."""
+    """A cache slot on an IBin, Payload or GenericOp: filled on first use,
+    outside ==, hash and repr."""
     return field(init=False, compare=False, hash=False, repr=False)
 
 
@@ -459,6 +460,10 @@ class GenericOp:
     matching `reductions` entry gives the combinator and its init value (the
     payload computes the per-point update that the combinator folds in
     ascending index order).
+
+    `_plan` is the interpreter's execution plan for the op, derived on its
+    first execution like an IBin's caches and, like them, outside `==`,
+    `hash`, `repr` and pickling.
     """
 
     name: str
@@ -470,10 +475,15 @@ class GenericOp:
     payloads: tuple[Payload, ...]
     reductions: tuple[Optional[Reduction], ...] = ()
     annotations: frozenset[str] = frozenset()
+    _plan: object = _derived()
 
     def __post_init__(self):
         if not self.reductions:
             object.__setattr__(self, "reductions", (None,) * len(self.outputs))
+
+    def __reduce__(self):  # pickle and copy the op, never the plan
+        return GenericOp, (self.name, self.domain, self.inputs, self.outputs, self.maps,
+                           self.iterators, self.payloads, self.reductions, self.annotations)
 
     def input_maps(self) -> tuple[AffineIndexMap, ...]:
         return self.maps[: len(self.inputs)]

@@ -120,17 +120,42 @@ def tanh_approx(x, degree: int = EXP_DEGREE):
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_payload(p: Payload) -> Payload:
-    args = tuple(_rewrite_payload(a) for a in p.args)
-    if p.kind == "exp":
-        return Payload("exp_approx", args, param=EXP_DEGREE)
-    if p.kind == "tanh":
-        return Payload("tanh_approx", args, param=EXP_DEGREE)
-    if p.kind == "rsqrt":
-        return Payload("rsqrt_fast", args, param=RSQRT_ITERS)
-    if args != p.args:
-        return replace(p, args=args)
-    return p
+# exact kind -> (approximated kind, the param the expansion writes)
+_APPROX_OF = {
+    "exp": ("exp_approx", EXP_DEGREE),
+    "tanh": ("tanh_approx", EXP_DEGREE),
+    "rsqrt": ("rsqrt_fast", RSQRT_ITERS),
+}
+
+
+# on the rewrite's stack: the node below it has every child rewritten
+_CHILDREN_DONE = object()
+
+
+def _rewrite_payload(root: Payload) -> Payload:
+    """`root` with each exact transcendental node replaced by its approximation.
+
+    Iterative post-order with one memo entry per operation node: a node
+    that several parents read (fusion shares them, see
+    `Payload.shared_reads`) is rewritten once, so it stays shared, and
+    chains of any depth rewrite. A node none of whose descendants changed
+    is kept as it is.
+    """
+    done: dict[int, Payload] = {}  # a leaf stays itself
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is _CHILDREN_DONE:
+            node = stack.pop()
+            args = [done.get(id(a), a) for a in node.args]
+            approx = _APPROX_OF.get(node.kind)
+            if approx is None:
+                done[id(node)] = node._with_args(args)
+            else:
+                done[id(node)] = Payload(approx[0], tuple(args), param=approx[1])
+        elif node.args and id(node) not in done:
+            stack += (node, _CHILDREN_DONE, *node.args)
+    return done.get(id(root), root)
 
 
 def expand_math_ops(program: KernelProgram) -> KernelProgram:

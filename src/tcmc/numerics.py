@@ -6,16 +6,21 @@ or one element at a time produces bit-identical values per element. That
 property is what lets structural passes re-partition work while the
 interpreter contract stays bit-exact; tests/test_interp.py pins it.
 
-Reductions fold strictly left to right in ascending index order. They are
-built on the ufunc's `accumulate`, which combines element k with the running
-result of elements 0..k-1, one f32 op at a time. `ufunc.reduce` (and so
-`np.sum`) is never used on the interpreter path: it sums pairwise, which is
-faster but order-different (the float64 test oracles may use it).
-tests/test_numerics.py checks the fold against a plain Python loop.
+Reductions fold strictly left to right in ascending index order
+(`ordered_fold`). Along the fast axis `np.add.reduce` (and so `np.sum`)
+sums pairwise, which is order-different, so a sum runs either as the
+ufunc's `accumulate` along the reduced axis or as `np.add.reduce` down the
+slow axis of a (reduced, lanes) array, where numpy adds one row at a time.
+A max runs as `np.maximum.reduce` in any order, whose result has one bit
+pattern except where it is ±0 or NaN; those calls take `accumulate`.
+tests/test_numerics.py checks every path against a plain Python loop and
+guards the row-by-row numpy behaviour. The float64 test oracles may sum
+pairwise.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,6 +102,11 @@ def _eval(node: Payload, args, reads: Optional[dict[int, int]], memo: dict[int, 
 
 _COMBINE = {"sum": np.add, "max": np.maximum}
 
+# Fewest output lanes a sum folds row by row (see ordered_fold). Below about
+# 12 lanes at 513 reduced elements the per-row ufunc calls cost more than
+# the serial accumulate they replace.
+_SUM_LANES = 16
+
 
 def ordered_fold(values: np.ndarray, axes: Sequence[int], kind: str, init: float) -> np.ndarray:
     """Fold `values` over `axes` in ascending index order, starting from init.
@@ -105,6 +115,23 @@ def ordered_fold(values: np.ndarray, axes: Sequence[int], kind: str, init: float
     and the result is ((init op x0) op x1) op ... in f32, which fixes the fp
     accumulation order. `init` is combined first, so a -0.0 first element
     summed from init 0.0 folds to +0.0.
+
+    Three paths give that result, picked from the shape and the values:
+
+    - A sum over at least _SUM_LANES output points (lanes) lays the reduced
+      elements out as the rows of a C-contiguous (K, lanes) array and calls
+      `np.add.reduce(rows, axis=0, initial=init)`. Along an axis that is not
+      the fast one, numpy adds one row at a time into an accumulator that
+      starts at `initial`; it sums pairwise only along the fast axis. So
+      every lane still adds in index order, from `init` even when that is
+      -0.0. tests/test_numerics.py guards this numpy behaviour.
+    - A max takes `np.maximum.reduce(..., initial=init)` per lane, in
+      whatever order numpy picks. A maximum that is neither zero nor NaN has
+      one bit pattern whatever the order, so the call falls back to the path
+      below when any lane's result is ±0 or NaN.
+    - Every other fold, a 1-D sum among them, runs the ufunc's `accumulate`
+      along a buffer seeded with init, which combines element k with the
+      running result of elements 0..k-1, one f32 op at a time.
 
     NaN contract: every non-NaN result is bit-identical to that sequential
     loop, and a result is NaN exactly where the loop's is. Where two NaNs
@@ -116,9 +143,17 @@ def ordered_fold(values: np.ndarray, axes: Sequence[int], kind: str, init: float
     """
     axes = tuple(axes)
     keep = [d for d in range(values.ndim) if d not in axes]
-    moved = np.transpose(values, keep + list(axes))
-    par_shape = moved.shape[: len(keep)]
-    flat = moved.reshape(par_shape + (-1,))
+    par_shape = tuple(values.shape[d] for d in keep)
+    lanes = math.prod(par_shape)
+    if kind == "sum" and lanes >= _SUM_LANES:
+        rows = np.ascontiguousarray(np.transpose(values, list(axes) + keep))
+        total = np.add.reduce(rows.reshape(-1, lanes), axis=0, initial=F32(init))
+        return total.reshape(par_shape)
+    flat = np.transpose(values, keep + list(axes)).reshape(par_shape + (-1,))
+    if kind == "max":
+        top = np.maximum.reduce(flat, axis=-1, initial=F32(init), keepdims=True)
+        if np.minimum.reduce(np.abs(top), axis=None) > 0:  # no lane is ±0 or NaN
+            return top.reshape(par_shape)
     buf = np.empty(par_shape + (flat.shape[-1] + 1,), dtype=np.float32)
     buf[..., 0] = F32(init)
     buf[..., 1:] = flat

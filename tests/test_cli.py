@@ -101,20 +101,30 @@ def test_run_writes_the_interpreted_outputs(tmp_path, capsys):
     assert np.isfinite(written["y"]).all()
 
 
-def test_emit_final_prints_a_200_link_fused_chain(tmp_path, capsys):
-    # fusion nests the chain into one payload 600 levels deep
+def chain_200(tmp_path):
+    """A kernel of 200 links that fusion nests into one payload 600 levels deep."""
     links = ["    t0 = 1.0 + xv * 0.5"]
     links += [f"    t{k} = 1.0 + xv * t{k - 1} * 0.5" for k in range(1, 200)]
     src = tmp_path / "chain.tk"
     src.write_text("kernel chain(x: f32[N], y: f32[N]) {\n    xv = load(x)\n"
                    + "\n".join(links) + "\n    store(y, t199)\n}\n")
-    argv = ["compile", str(src), "--shape", "N=4096", "--emit-final"]
+    return str(src)
+
+
+def test_emit_final_prints_a_200_link_fused_chain(tmp_path, capsys):
+    argv = ["compile", chain_200(tmp_path), "--shape", "N=4096", "--emit-final"]
     assert cli.main(argv) == cli.EXIT_OK
     payload = "add(1.0, mul(a0, 0.5))"
     for _ in range(199):
         payload = f"add(1.0, mul(mul(a0, {payload}), 0.5))"
     # once in each of the ping and pong sub-kernels
     assert capsys.readouterr().out.count(f"yield {payload}\n") == 2
+
+
+def test_math_expansion_of_a_200_link_fused_chain(tmp_path, capsys):
+    argv = ["compile", chain_200(tmp_path), "--shape", "N=64", "--passes", "fuse,math-approx"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.endswith("math-approx  generics=1\n")
 
 
 @pytest.mark.parametrize("flag", ["--double-buffer", "--db-stage1-only"])

@@ -9,6 +9,8 @@ deliberate change to what a pass emits:
 """
 
 import contextlib
+import copy
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -30,7 +32,7 @@ from tcmc.ir import (
     ix_sub, print_extent, print_ir, verify,
 )
 
-from conftest import ALL_KERNELS, DEFAULT_PASSES, ROOT, kernel_path, lower
+from conftest import ALL_KERNELS, DEFAULT_PASSES, ROOT, kernel_inputs, kernel_path, lower
 
 
 def elementwise(name="g0", domain=(8,), inputs=("x",), outputs=("y",), maps=None):
@@ -190,6 +192,25 @@ def test_caches_stay_out_of_equality_hash_and_print(e, env, ranges):
     assert e == fresh and hash(e) == hash(fresh)
     assert print_extent(e) == text and repr(e) == repr(fresh)
     assert pickle.loads(pickle.dumps(e)) == e
+
+
+@pytest.mark.parametrize("kernel, dims", [("rmsnorm", {"R": 9, "C": 40}), ("softmax", {"N": 300})])
+def test_generic_plan_stays_out_of_equality_hash_print_and_pickle(kernel, dims):
+    program = lower(kernel, dims)
+    opts = pipeline.PipelineOptions(mt_threshold=1)
+    for name in DEFAULT_PASSES:
+        program = pipeline.apply_pass(name, program, opts)
+    generics = [op for op, _ in ir.walk_ops(program.ops) if isinstance(op, GenericOp)]
+    before = [(pickle.loads(pickle.dumps(g)), hash(g), repr(g)) for g in generics]
+    text = print_ir(program)
+    interpret(program, kernel_inputs(program, kernel))
+    assert any(getattr(g, "_plan", None) is not None for g in generics)
+    assert print_ir(program) == text
+    for g, (fresh, digest, shown) in zip(generics, before):
+        assert g == fresh and hash(g) == digest and repr(g) == shown
+        for other in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g),
+                      dataclasses.replace(g)):
+            assert other == g and getattr(other, "_plan", None) is None
 
 
 @given(extents.filter(lambda e: old_vars(e)), envs, st.data())

@@ -1,5 +1,6 @@
-"""numerics.ordered_fold against the sequential Python loop it replaces, and
-eval_payload on payloads that share nodes."""
+"""numerics.ordered_fold against the sequential Python loop it replaces, the
+numpy behaviour its lane path relies on, and eval_payload on payloads that
+share nodes."""
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ def _ordered_fold_loop(values, axes, kind, init):
 
 
 def assert_matches_loop(values, axes, kind, init):
-    with np.errstate(invalid="ignore"):  # inf + -inf
+    with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf, sums past f32 max
         got = ordered_fold(values, axes, kind, init)
         want = np.asarray(_ordered_fold_loop(values, axes, kind, init))
     assert got.dtype == np.float32 and got.shape == want.shape
@@ -60,6 +61,76 @@ def test_fold_matches_sequential_loop(case):
     got = assert_matches_loop(values, axes, kind, init)
     keep = [d for d in range(values.ndim) if d not in axes]
     assert got.shape == tuple(values.shape[d] for d in keep)
+
+
+@st.composite
+def lane_cases(draw):
+    """Folds of a (K, lanes) or (lanes, K) array, around the lane-path cutoff."""
+    lanes = draw(st.sampled_from((15, 16, 17, 64)))
+    k = draw(st.sampled_from((1, 2, 7, 513)))
+    axis = draw(st.sampled_from((0, 1)))  # where the reduced axis sits
+    kind = draw(st.sampled_from(("sum", "max")))
+    init = draw(st.sampled_from((0.0, -0.0, -np.inf, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = F32(draw(st.sampled_from((1.0, 1e3, 1e30))))
+    rows = rng.standard_normal((lanes, k)).astype(np.float32) * scale
+    special = rng.random((lanes, k)) < draw(st.sampled_from((0.0, 0.01, 0.3)))
+    rows[special] = rng.choice(np.array(SPECIALS, np.float32), size=int(special.sum()))
+    for lane in rng.choice(lanes, size=draw(st.integers(0, 3)), replace=False):
+        pattern = draw(st.sampled_from(("all -0.0", "max is ±0", "NaN")))
+        if pattern == "all -0.0":
+            rows[lane] = -0.0
+        elif pattern == "max is ±0":
+            rows[lane] = -np.abs(rows[lane])
+            zeros = rng.integers(k, size=rng.integers(1, k + 1))
+            rows[lane, zeros] = rng.choice(np.array([0.0, -0.0], np.float32), size=len(zeros))
+        else:
+            rows[lane, rng.integers(k)] = np.nan
+    values = rows if axis == 1 else np.ascontiguousarray(rows.T)
+    return values, (axis,), kind, init
+
+
+@settings(max_examples=200, deadline=None)
+@given(lane_cases())
+def test_lane_folds_match_sequential_loop(case):
+    assert_matches_loop(*case)
+
+
+@pytest.mark.parametrize("lanes", [15, 16, 64])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_negative_zero_lanes_keep_a_negative_zero_init(lanes, axis):
+    values = np.full((lanes, 7) if axis == 1 else (7, lanes), -0.0, np.float32)
+    got = assert_matches_loop(values, (axis,), "sum", -0.0)
+    assert (got.view(np.uint32) == 0x80000000).all()  # -0.0 + -0.0 == -0.0
+
+
+def test_max_over_signed_zeros_folds_in_order():
+    # which of two equal zeros maximum.reduce keeps depends on its own order,
+    # so such lanes take the sequential path
+    rng = np.random.default_rng(0)
+    values = np.where(rng.random((16, 16)) < 0.5, F32(0.0), F32(-0.0))
+    assert_matches_loop(values, (1,), "max", -np.inf)
+
+
+@pytest.mark.parametrize("lanes", [2, 16, 127])
+def test_numpy_reduces_a_slow_axis_row_by_row(lanes):
+    # ordered_fold's lane path relies on this: np.add.reduce along axis 0 of
+    # a C-contiguous (K, P) f32 array adds one row at a time into an
+    # accumulator that starts at `initial`. If a numpy upgrade sums such an
+    # axis pairwise, this fails instead of the oracle moving silently.
+    column = np.tile(np.array([1e8, 1.0, -1e8, 1.0], np.float32), 256)
+    rows = np.repeat(column[:, None], lanes, axis=1)
+    assert rows.flags.c_contiguous
+    want = _ordered_fold_loop(rows.T, (1,), "sum", 0.0)
+    got = np.add.reduce(rows, axis=0, initial=F32(0.0))
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    # the data tells the orders apart: eight strided partial sums, as a
+    # pairwise sum unrolls them, give other bits
+    partials = [_ordered_fold_loop(column[j::8], (0,), "sum", 0.0) for j in range(8)]
+    assert _ordered_fold_loop(np.array(partials), (0,), "sum", 0.0) != want[0]
+    zeros = np.full((7, lanes), -0.0, np.float32)
+    got = np.add.reduce(zeros, axis=0, initial=F32(-0.0))
+    assert (got.view(np.uint32) == 0x80000000).all()
 
 
 @pytest.mark.parametrize("shape,axes", [
