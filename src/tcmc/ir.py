@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Literal, Mapping, Optional, Union
 
@@ -290,18 +291,18 @@ PAYLOAD_UNARY = ("neg", "exp", "tanh", "sqrt", "rsqrt",
 
 @dataclass(frozen=True)
 class Payload:
-    """Scalar expression tree evaluated at each iteration-domain point.
+    """Scalar expression evaluated at each iteration-domain point.
 
     Leaves are `arg(i)` (the i-th input operand's element) and `const(v)`
     (an f32 immediate). The *_approx kinds carry a `param` (Taylor degree
     or Newton iteration count) and are produced by the math expansion pass.
 
-    Rewrites share structure: `substitute_args` returns the node itself
-    when nothing under it changes, and otherwise rebuilds only the nodes
-    whose children changed, so a payload may be a DAG. A node also keeps
-    `_max_arg`, its `max_arg_index`, and `_shared`, its `shared_reads`,
-    derived on first use like an IBin's caches and, like them, outside
-    `==`, `hash`, `repr` and pickling.
+    Rewrites share structure (`rewrite`), so one node may sit under several
+    parents and a payload is a DAG. Every consumer walks it through
+    `nodes()`, which lists each node once. A payload keeps `_nodes`, the
+    tuple `nodes()` returns, and `_plan`, the straight-line form
+    `numerics.eval_payload` runs, each derived on first use like an IBin's
+    caches and, like them, outside `==`, `hash`, `repr` and pickling.
     """
 
     kind: str
@@ -309,8 +310,8 @@ class Payload:
     value: Optional[float] = None
     index: Optional[int] = None
     param: Optional[int] = None
-    _max_arg: int = _derived()
-    _shared: dict[int, int] = _derived()
+    _nodes: tuple["Payload", ...] = _derived()
+    _plan: tuple = _derived()
 
     def __reduce__(self):  # pickle and copy the expression, never the memo
         return Payload, (self.kind, self.args, self.value, self.index, self.param)
@@ -333,66 +334,60 @@ class Payload:
         assert kind in PAYLOAD_BINARY, kind
         return Payload(kind, (a, b))
 
-    def walk(self) -> Iterator["Payload"]:
-        yield self
-        for a in self.args:
-            yield from a.walk()
+    def nodes(self) -> tuple["Payload", ...]:
+        """Each distinct node under this one, itself last, children before parents.
+
+        Distinct means by identity: a node that several parents read is
+        listed once. The walk takes children right to left, so for a tree
+        the reversed tuple is the pre-order (each node, then its children
+        left to right). An explicit stack, so chains of any depth walk.
+        """
+        order = getattr(self, "_nodes", None)
+        if order is None:
+            out: list[Payload] = []
+            seen: set[int] = set()
+            stack: list[tuple[Payload, bool]] = [(self, False)]
+            while stack:
+                node, children_done = stack.pop()
+                if children_done:
+                    out.append(node)
+                elif id(node) not in seen:
+                    seen.add(id(node))
+                    stack.append((node, True))
+                    stack += [(a, False) for a in node.args]  # the last one is taken first
+            order = tuple(out)
+            object.__setattr__(self, "_nodes", order)
+        return order
 
     def max_arg_index(self) -> int:
-        """Largest `arg` index in the tree, or -1 when it reads no input."""
-        best = getattr(self, "_max_arg", None)
-        if best is None:
-            if self.kind == "arg":
-                best = self.index
-            else:
-                best = max([a.max_arg_index() for a in self.args], default=-1)
-            object.__setattr__(self, "_max_arg", best)
-        return best
+        """Largest `arg` index in the payload, or -1 when it reads no input."""
+        return max([n.index for n in self.nodes() if n.kind == "arg"], default=-1)
 
-    def shared_reads(self) -> dict[int, int]:
-        """`{id(node): reads}` for each operation node under this one that
-        more than one parent reads (leaves are not counted); empty for a
-        tree. The dict is shared: copy it before changing it."""
-        shared = getattr(self, "_shared", None)
-        if shared is None:
-            reads: dict[int, int] = {}
-            stack = [self]
-            while stack:
-                for child in stack.pop().args:
-                    if not child.args:
-                        continue
-                    key = id(child)
-                    if key in reads:
-                        reads[key] += 1
-                    else:
-                        reads[key] = 1
-                        stack.append(child)
-            shared = {key: n for key, n in reads.items() if n > 1}
-            object.__setattr__(self, "_shared", shared)
-        return shared
+    def rewrite(self, fn: Callable[["Payload", list["Payload"]], Optional["Payload"]]) -> "Payload":
+        """This payload rebuilt bottom-up, each distinct node once.
+
+        `fn(node, args)` gets each node with its children already rewritten
+        and returns its replacement, or None to keep the node over `args`.
+        A kept node whose children all stayed is returned as it is, so the
+        result shares everything `fn` did not change, and a node that
+        several parents read stays one node.
+        """
+        done: dict[int, Payload] = {}
+        for node in self.nodes():
+            args = [done[id(a)] for a in node.args]
+            new = fn(node, args)
+            if new is None:
+                new = node if all(map(operator.is_, args, node.args)) else replace(node, args=tuple(args))
+            done[id(node)] = new
+        return done[id(self)]
 
     def substitute_args(self, table: Mapping[int, "Payload"]) -> "Payload":
         """Replace every `arg(i)` with `table[i]`; args not in `table` stay.
-
-        Returns `self` when no arg the tree reads is in `table`. Otherwise
-        only the nodes above a replaced arg are rebuilt: the result shares
-        every other subtree, and each `table` value, with the inputs.
-        """
-        top = self.max_arg_index()
-        if not any([i <= top for i in table]):
+        An empty table walks nothing, so a fusion splice whose producer keeps
+        its arg numbers costs the same however long the chain has grown."""
+        if not table:
             return self
-        return self._substitute(table)
-
-    def _substitute(self, table: Mapping[int, "Payload"]) -> "Payload":
-        if self.kind == "arg":
-            return table.get(self.index, self)
-        return self._with_args([a._substitute(table) for a in self.args])
-
-    def _with_args(self, args: list["Payload"]) -> "Payload":
-        """This node over `args`: itself when they are its own children."""
-        if all(map(operator.is_, args, self.args)):
-            return self
-        return Payload(self.kind, tuple(args), self.value, self.index, self.param)
+        return self.rewrite(lambda node, args: table.get(node.index) if node.kind == "arg" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -1201,28 +1196,32 @@ def print_pred(p: Pred) -> str:
     return f"load_toggle %{p.cell} == {want}"
 
 
-def print_payload(p: Payload) -> str:
-    # an explicit stack of nodes and literal text: a fused chain nests far
-    # deeper than Python's recursion limit
-    parts: list[str] = []
-    stack: list[Union[Payload, str]] = [p]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        elif node.kind == "arg":
-            parts.append(f"a{node.index}")
+def _payload_lines(p: Payload, first: int = 0) -> list[str]:
+    """`p` as text lines: `%sK = <expr>` for each operation node that more
+    than one parent reads, numbered from `first` in `nodes()` order, then
+    the payload's expression. A tree is the expression alone."""
+    reads = Counter([id(a) for node in p.nodes() for a in node.args])
+    lines: list[str] = []
+    text: dict[int, str] = {}  # what a reader prints for a node; read once, it is taken
+    for node in p.nodes():
+        if node.kind == "arg":
+            s = f"a{node.index}"
         elif node.kind == "const":
-            parts.append(fmt_f32(node.value))
+            s = fmt_f32(node.value)
         else:
-            parts.append(node.kind if node.param is None else f"{node.kind}[{node.param}]")
-            parts.append("(")
-            stack.append(")")
-            for k in range(len(node.args) - 1, -1, -1):
-                stack.append(node.args[k])
-                if k:
-                    stack.append(", ")
-    return "".join(parts)
+            args = ", ".join([text[id(a)] if reads[id(a)] > 1 else text.pop(id(a)) for a in node.args])
+            s = f"{node.kind}({args})" if node.param is None else f"{node.kind}[{node.param}]({args})"
+            if reads[id(node)] > 1:
+                name = f"%s{first + len(lines)}"
+                lines.append(f"{name} = {s}")
+                s = name
+        text[id(node)] = s
+    lines.append(text[id(p)])
+    return lines
+
+
+def print_payload(p: Payload) -> str:
+    return "\n".join(_payload_lines(p))
 
 
 def _print_map(m: AffineIndexMap) -> str:
@@ -1248,11 +1247,15 @@ def _print_op(op: Op, out: list[str], indent: int) -> None:
         ins = " ".join(f"%{n}: {_print_map(m)}" for n, m in zip(op.inputs, op.input_maps()))
         outs = " ".join(f"%{n}: {_print_map(m)}" for n, m in zip(op.outputs, op.output_maps()))
         out.append(f"{pad}    ins({ins}) outs({outs})")
+        named = 0
         for payload, red in zip(op.payloads, op.reductions):
+            *defs, expr = _payload_lines(payload, named)
+            named += len(defs)
+            out += [f"{pad}    {line}" for line in defs]
             if red is None:
-                out.append(f"{pad}    yield {print_payload(payload)}")
+                out.append(f"{pad}    yield {expr}")
             else:
-                out.append(f"{pad}    reduce {red.kind} init={fmt_f32(red.init)} of {print_payload(payload)}")
+                out.append(f"{pad}    reduce {red.kind} init={fmt_f32(red.init)} of {expr}")
     elif isinstance(op, ForOp):
         out.append(f"{pad}for %{op.var} = {print_extent(op.lb)} to {print_extent(op.ub)} "
                    f"step {print_extent(op.step)}{_ann(op.annotations)} {{")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +37,7 @@ _EXP_UNDER = _F32(-105.0)
 # The Taylor degree of exp_approx and tanh_approx and the Newton steps of
 # inv_sqrt_fast that the math expansion writes into each payload's `param`.
 EXP_DEGREE = 6
-RSQRT_ITERS = 1
+RSQRT_ITERS = 2
 
 _EXP_COEFS = {d: tuple(_F32(1.0 / math.factorial(k)) for k in range(d + 1)) for d in range(2, 13)}
 
@@ -128,34 +129,11 @@ _APPROX_OF = {
 }
 
 
-# on the rewrite's stack: the node below it has every child rewritten
-_CHILDREN_DONE = object()
-
-
-def _rewrite_payload(root: Payload) -> Payload:
-    """`root` with each exact transcendental node replaced by its approximation.
-
-    Iterative post-order with one memo entry per operation node: a node
-    that several parents read (fusion shares them, see
-    `Payload.shared_reads`) is rewritten once, so it stays shared, and
-    chains of any depth rewrite. A node none of whose descendants changed
-    is kept as it is.
-    """
-    done: dict[int, Payload] = {}  # a leaf stays itself
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node is _CHILDREN_DONE:
-            node = stack.pop()
-            args = [done.get(id(a), a) for a in node.args]
-            approx = _APPROX_OF.get(node.kind)
-            if approx is None:
-                done[id(node)] = node._with_args(args)
-            else:
-                done[id(node)] = Payload(approx[0], tuple(args), param=approx[1])
-        elif node.args and id(node) not in done:
-            stack += (node, _CHILDREN_DONE, *node.args)
-    return done.get(id(root), root)
+def _approximate(node: Payload, args: list[Payload]) -> Optional[Payload]:
+    """For `Payload.rewrite`: an exact transcendental node as its
+    approximation over `args`, None (kept) for any other node."""
+    approx = _APPROX_OF.get(node.kind)
+    return None if approx is None else Payload(approx[0], tuple(args), param=approx[1])
 
 
 def expand_math_ops(program: KernelProgram) -> KernelProgram:
@@ -163,7 +141,7 @@ def expand_math_ops(program: KernelProgram) -> KernelProgram:
 
     def rewrite(op):
         if isinstance(op, GenericOp):
-            return (replace(op, payloads=tuple(_rewrite_payload(p) for p in op.payloads)),)
+            return (replace(op, payloads=tuple(p.rewrite(_approximate) for p in op.payloads)),)
         return None
 
     return replace(program, ops=map_ops(program.ops, rewrite), stage="math-approx")

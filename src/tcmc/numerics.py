@@ -21,7 +21,7 @@ pairwise.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,36 +68,53 @@ def apply_binary(kind: str, a, b):
 
 
 def eval_payload(p: Payload, args: Sequence[np.ndarray]):
-    """Evaluate a payload over f32 arrays (vectorized, f32 throughout).
+    """Evaluate a payload over f32 arrays (vectorized, f32 throughout),
+    each node of `p.nodes()` once: a node that several parents read is not
+    recomputed, and each value is dropped by the last node that reads it."""
+    plan = getattr(p, "_plan", None)
+    if plan is None:  # first evaluation: keep the straight-line form on the payload
+        plan = _straight_line(p)
+        object.__setattr__(p, "_plan", plan)
+    init, arg_slots, steps = plan
+    vals = init.copy()
+    for k, i in arg_slots:
+        vals[k] = args[i]
+    for k, kind, param, operands, drops in steps:
+        if len(operands) == 1:
+            v = apply_unary(kind, vals[operands[0]], param)
+        else:
+            v = apply_binary(kind, vals[operands[0]], vals[operands[1]])
+        for s in drops:
+            vals[s] = None
+        vals[k] = v
+    return vals[-1]
 
-    Fusion shares a producer's payload node between the consumer's reads of
-    it, so a payload may be a DAG (`Payload.shared_reads`). Each shared node
-    is evaluated once per call, and its value is kept only until its last
-    reader has taken it.
-    """
-    shared = p.shared_reads()
-    return _eval(p, args, dict(shared) if shared else None, {})
 
-
-def _eval(node: Payload, args, reads: Optional[dict[int, int]], memo: dict[int, object]):
-    key = None
-    if reads is not None and id(node) in reads:
-        key = id(node)
-        reads[key] -= 1
-        if key in memo:
-            return memo[key] if reads[key] else memo.pop(key)
-    if node.kind == "arg":
-        v = args[node.index]
-    elif node.kind == "const":
-        v = F32(node.value)
-    elif len(node.args) == 1:
-        v = apply_unary(node.kind, _eval(node.args[0], args, reads, memo), node.param)
-    else:
-        v = apply_binary(node.kind, _eval(node.args[0], args, reads, memo),
-                         _eval(node.args[1], args, reads, memo))
-    if key is not None and reads[key]:
-        memo[key] = v
-    return v
+def _straight_line(p: Payload) -> tuple:
+    """`p` as straight-line code, one value slot per node of `p.nodes()`:
+    (the slots' initial values, each const's f32 in place; (slot, i) per
+    `arg(i)`; one step (slot, kind, param, operand slots, slots it drops)
+    per operation node)."""
+    nodes = p.nodes()
+    slot: dict[int, int] = {}
+    init, arg_slots, steps = [], [], []
+    for k, n in enumerate(nodes):
+        slot[id(n)] = k
+        if n.args:
+            init.append(None)
+            steps.append((k, n.kind, n.param, tuple([slot[id(a)] for a in n.args]), []))
+        elif n.kind == "arg":
+            init.append(None)
+            arg_slots.append((k, n.index))
+        else:
+            init.append(F32(n.value))
+    dropped: set[int] = set()
+    for step in reversed(steps):  # the first reader met from the end is the last
+        for s in step[3]:
+            if s not in dropped and nodes[s].args:
+                dropped.add(s)
+                step[4].append(s)
+    return init, arg_slots, steps
 
 
 _COMBINE = {"sum": np.add, "max": np.maximum}

@@ -28,7 +28,7 @@ A splice rebuilds only the consumer's payload and shares the producer's
 (`Payload.substitute_args`). When the producer's args keep their numbers
 in the fused generic, as along expseries' chain, each splice costs the
 same however long the chain has grown; otherwise the producer's payload
-is rebuilt along its paths to the renumbered args.
+is rewritten once per distinct node, rebuilding those above a renumbered arg.
 """
 
 from __future__ import annotations

@@ -424,7 +424,7 @@ class _Sim:
         if info is None:
             cost = 0.0
             for payload, red in zip(op.payloads, op.reductions):
-                for node in payload.walk():
+                for node in reversed(payload.nodes()):  # a tree's pre-order
                     cost += self.cfg.op_cost(node.kind)
                 if red is not None:
                     cost += self.cfg.op_cost("add" if red.kind == "sum" else "max2")

@@ -37,6 +37,18 @@ def lower(name: str, dims=None):
     return lower_to_generics(parse_kernel(kernel_source(name)), dims or BENCH_DIMS[name])
 
 
+def squares_kernel(tmp_path: Path, n: int) -> str:
+    """A kernel file of n links t{k} = t{k-1} * t{k-1} + 0.25: fusion shares
+    t{k-1}'s payload between both operands of t{k}, so the fused payload is
+    a DAG of 2n operations and 2^n root-to-leaf paths."""
+    links = ["    t0 = xv * xv + 0.25"]
+    links += [f"    t{k} = t{k - 1} * t{k - 1} + 0.25" for k in range(1, n)]
+    src = tmp_path / f"squares{n}.tk"
+    src.write_text("kernel squares(x: f32[N], y: f32[N]) {\n    xv = load(x)\n"
+                   + "\n".join(links) + f"\n    store(y, t{n - 1})\n}}\n")
+    return str(src)
+
+
 def kernel_inputs(program: ir.KernelProgram, kernel: str, seed: int = 0) -> dict:
     """Deterministic inputs in ranges each kernel is well-conditioned on.
 

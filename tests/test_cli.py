@@ -10,7 +10,7 @@ import pytest
 from tcmc import cli, interp, ir, pipeline, tensorio
 from tcmc.ir import Payload
 
-from conftest import bitexact, kernel_inputs, kernel_path, lower
+from conftest import bitexact, kernel_inputs, kernel_path, lower, squares_kernel
 
 
 def test_exit_ok_gelu(capsys):
@@ -101,18 +101,18 @@ def test_run_writes_the_interpreted_outputs(tmp_path, capsys):
     assert np.isfinite(written["y"]).all()
 
 
-def chain_200(tmp_path):
-    """A kernel of 200 links that fusion nests into one payload 600 levels deep."""
+def chain(tmp_path, n: int) -> str:
+    """A kernel of n links that fusion nests into one payload 3n levels deep."""
     links = ["    t0 = 1.0 + xv * 0.5"]
-    links += [f"    t{k} = 1.0 + xv * t{k - 1} * 0.5" for k in range(1, 200)]
-    src = tmp_path / "chain.tk"
+    links += [f"    t{k} = 1.0 + xv * t{k - 1} * 0.5" for k in range(1, n)]
+    src = tmp_path / f"chain{n}.tk"
     src.write_text("kernel chain(x: f32[N], y: f32[N]) {\n    xv = load(x)\n"
-                   + "\n".join(links) + "\n    store(y, t199)\n}\n")
+                   + "\n".join(links) + f"\n    store(y, t{n - 1})\n}}\n")
     return str(src)
 
 
 def test_emit_final_prints_a_200_link_fused_chain(tmp_path, capsys):
-    argv = ["compile", chain_200(tmp_path), "--shape", "N=4096", "--emit-final"]
+    argv = ["compile", chain(tmp_path, 200), "--shape", "N=4096", "--emit-final"]
     assert cli.main(argv) == cli.EXIT_OK
     payload = "add(1.0, mul(a0, 0.5))"
     for _ in range(199):
@@ -122,9 +122,25 @@ def test_emit_final_prints_a_200_link_fused_chain(tmp_path, capsys):
 
 
 def test_math_expansion_of_a_200_link_fused_chain(tmp_path, capsys):
-    argv = ["compile", chain_200(tmp_path), "--shape", "N=64", "--passes", "fuse,math-approx"]
+    argv = ["compile", chain(tmp_path, 200), "--shape", "N=64", "--passes", "fuse,math-approx"]
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out.endswith("math-approx  generics=1\n")
+
+
+def test_verify_of_a_400_link_chain(tmp_path, capsys):
+    # 1200 levels: deeper than Python's recursion limit
+    argv = ["compile", chain(tmp_path, 400), "--shape", "N=4096", "--verify", "bitexact"]
+    with np.errstate(over="ignore"):
+        assert cli.main(argv) == cli.EXIT_OK
+    assert "db           generics=2  [compare(bitexact): pass]" in capsys.readouterr().out
+
+
+def test_bench_of_a_400_link_chain(tmp_path, capsys):
+    argv = ["bench", "--kernels", chain(tmp_path, 400), "--shape", "N=4096", "--sweep", "passes"]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["chain400", "4096", ladder] for ladder in ("scalar", "vec", "vec_mt", "vec_mt_db")]
 
 
 @pytest.mark.parametrize("flag", ["--double-buffer", "--db-stage1-only"])
@@ -136,18 +152,41 @@ def test_removed_double_buffer_flags_are_rejected(flag, capsys):
 
 
 def test_verify_evaluates_a_shared_24_link_chain(tmp_path, capsys):
-    # fusion shares t{k-1}'s payload between both operands of t{k}, so the
-    # payload is a DAG of 2^24 root-to-leaf paths; evaluated as a tree it
-    # never finished
-    links = ["    t0 = xv * xv + 0.25"]
-    links += [f"    t{k} = t{k - 1} * t{k - 1} + 0.25" for k in range(1, 24)]
-    src = tmp_path / "squares.tk"
-    src.write_text("kernel squares(x: f32[N], y: f32[N]) {\n    xv = load(x)\n"
-                   + "\n".join(links) + "\n    store(y, t23)\n}\n")
-    argv = ["compile", str(src), "--shape", "N=64", "--verify", "bitexact"]
+    # evaluated as a tree, the payload's 2^24 paths never finished
+    argv = ["compile", squares_kernel(tmp_path, 24), "--shape", "N=64", "--verify", "bitexact"]
     with np.errstate(over="ignore"):
         assert cli.main(argv) == cli.EXIT_OK
     assert "db           generics=2  [compare(bitexact): pass]" in capsys.readouterr().out
+
+
+def test_emit_final_names_each_shared_node_of_a_24_link_chain(tmp_path, capsys):
+    argv = ["compile", squares_kernel(tmp_path, 24), "--shape", "N=64", "--emit-final"]
+    assert cli.main(argv) == cli.EXIT_OK
+    body = ["%s0 = add(mul(a0, a0), 0.25)"]
+    body += [f"%s{k} = add(mul(%s{k - 1}, %s{k - 1}), 0.25)" for k in range(1, 23)]
+    body += ["yield add(mul(%s22, %s22), 0.25)"]
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    # once in each of the ping and pong sub-kernels
+    starts = [i for i, line in enumerate(lines) if line == body[0]]
+    assert len(starts) == 2
+    assert all(lines[i:i + 24] == body for i in starts)
+
+
+def test_bench_costs_each_node_of_a_shared_24_link_chain_once(tmp_path, capsys):
+    argv = ["bench", "--kernels", squares_kernel(tmp_path, 24), "--shape", "N=64", "--sweep", "passes"]
+    assert cli.main(argv) == cli.EXIT_OK
+    scalar = capsys.readouterr().out.splitlines()[1].split(",")
+    # 48 one-cycle operations per point, not one per root-to-leaf path
+    assert scalar[:3] == ["squares24", "64", "scalar"] and scalar[4] == str(64 * 48)
+
+
+def test_rsqrt_meets_the_math_approx_contract(tmp_path, capsys):
+    src = tmp_path / "rsqrt.tk"
+    src.write_text("kernel rsq(x: f32[N], y: f32[N]) {\n    xv = load(x)\n"
+                   "    out = rsqrt(xv * xv + 1.0)\n    store(y, out)\n}\n")
+    argv = ["compile", str(src), "--shape", "N=4096", "--math", "approx", "--verify", "bitexact"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "math-approx  generics=2  [compare(reltol(0.0001)): pass]" in capsys.readouterr().out
 
 
 def test_exit_spec_shape_symbol_the_kernel_does_not_declare(capsys):

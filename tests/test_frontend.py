@@ -81,9 +81,9 @@ def test_lower_gelu_single_generic_with_cubic_tanh_payload():
     p = lower("gelu", {"N": 64})
     gens = [op for op in p.ops if isinstance(op, ir.GenericOp)]
     assert len(gens) == 1 and gens[0].is_all_parallel()
-    kinds = [n.kind for n in gens[0].payloads[0].walk()]
+    kinds = [n.kind for n in gens[0].payloads[0].nodes()]
     assert "tanh" in kinds
-    consts = {n.value for n in gens[0].payloads[0].walk() if n.kind == "const"}
+    consts = {n.value for n in gens[0].payloads[0].nodes() if n.kind == "const"}
     assert float(np.float32(0.044715)) in consts
 
 

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcmc import cli, ir, oracles, perf, pipeline
+from tcmc import cli, ir, numerics, oracles, perf, pipeline
 from tcmc.interp import interpret
 from tcmc.ir import (
     AffineIndexMap, AllocOp, AsyncExecuteOp, CmpPred, DeallocOp, ExtractSliceOp, ForallOp,
@@ -312,10 +312,16 @@ def test_payload_memo_stays_out_of_equality_hash_and_print():
         return Payload.binary("add", Payload.arg(2), Payload.unary("exp", Payload.arg(0)))
 
     p, fresh = tree(), tree()
-    assert p.max_arg_index() == 2 and p._max_arg == 2
+    assert p.max_arg_index() == 2 and p._nodes == p.nodes()
+    assert [n.kind for n in p.nodes()] == ["arg", "exp", "arg", "add"]
+    x = np.arange(4, dtype=np.float32)
+    assert np.array_equal(numerics.eval_payload(p, [x, x, x]), np.exp(x) + x)
+    assert p._plan is not None
     assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
-    copy = pickle.loads(pickle.dumps(p))
-    assert copy == p and getattr(copy, "_max_arg", None) is None
+    assert ir.print_payload(p) == ir.print_payload(fresh) == "add(a2, exp(a0))"
+    for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert copied == p
+        assert getattr(copied, "_nodes", None) is None and getattr(copied, "_plan", None) is None
     assert Payload.const(1.0).max_arg_index() == -1
 
 
@@ -326,7 +332,8 @@ def test_substitute_args_shares_what_it_does_not_change():
     assert p.substitute_args({2: Payload.arg(0)}) is p  # p never reads arg 2
     swapped = p.substitute_args({1: x})
     assert swapped.args[0] is x and swapped.args[1] is x
-    assert ir.print_payload(swapped) == "mul(exp(a0), exp(a0))"
+    # the shared exp prints once, named, before the expression that reads it
+    assert ir.print_payload(swapped) == "%s0 = exp(a0)\nmul(%s0, %s0)"
     renumbered = p.substitute_args({0: Payload.arg(3)})
     assert renumbered.args[1] is p.args[1]
     assert ir.print_payload(renumbered) == "mul(exp(a3), a1)"

@@ -6,7 +6,7 @@ import pytest
 
 from tcmc import mathlib
 from tcmc.ir import Payload, print_payload
-from tcmc.mathlib import _rewrite_payload, exp_approx, inv_sqrt_fast, tanh_approx
+from tcmc.mathlib import _approximate, exp_approx, inv_sqrt_fast, tanh_approx
 
 GRID = 400001
 
@@ -57,19 +57,19 @@ def test_rewrite_matches_the_recursive_definition():
     p = Payload.binary("add", Payload.unary("exp", Payload.binary("mul", a, Payload.const(2.0))),
                        Payload.binary("div", Payload.unary("tanh", b),
                                       Payload.unary("rsqrt", Payload.unary("sqrt", a))))
-    got = _rewrite_payload(p)
+    got = p.rewrite(_approximate)
     assert got == _rewrite_recursive(p)
     assert print_payload(got) == ("add(exp_approx[6](mul(a0, 2.0)), "
-                                  "div(tanh_approx[6](a1), rsqrt_fast[1](sqrt(a0))))")
+                                  f"div(tanh_approx[6](a1), rsqrt_fast[{mathlib.RSQRT_ITERS}](sqrt(a0))))")
 
 
 def test_rewrite_keeps_untouched_nodes():
     a = Payload.arg(0)
     kept = Payload.binary("mul", a, Payload.const(0.5))
     p = Payload.binary("add", kept, Payload.unary("exp", a))
-    got = _rewrite_payload(p)
+    got = p.rewrite(_approximate)
     assert got.args[0] is kept and got.args[1].args[0] is a
-    assert _rewrite_payload(kept) is kept
+    assert kept.rewrite(_approximate) is kept
 
 
 def test_rewrite_keeps_shared_nodes_shared():
@@ -79,7 +79,7 @@ def test_rewrite_keeps_shared_nodes_shared():
     for _ in range(20):
         e = Payload.unary("exp", t)
         t = Payload.binary("mul", e, e)
-    got = _rewrite_payload(t)
+    got = t.rewrite(_approximate)
     for _ in range(20):
         left, right = got.args
         assert left is right and left.kind == "exp_approx"
@@ -91,7 +91,7 @@ def test_rewrite_survives_a_chain_deeper_than_the_recursion_limit():
     t = Payload.arg(0)
     for _ in range(5000):
         t = Payload.binary("add", Payload.const(1.0), Payload.unary("exp", t))
-    got = _rewrite_payload(t)
+    got = t.rewrite(_approximate)
     for _ in range(5000):
         assert got.kind == "add" and got.args[1].kind == "exp_approx"
         got = got.args[1].args[0]

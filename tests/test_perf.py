@@ -21,7 +21,7 @@ from tcmc.ir import (
 )
 from tcmc.passes import double_buffer_loops
 
-from conftest import ALL_KERNELS, ROOT, kernel_path
+from conftest import ALL_KERNELS, ROOT, kernel_path, squares_kernel
 
 GOLDEN = ROOT / "tests" / "golden" / "perf_reports.txt"
 
@@ -128,6 +128,18 @@ def test_reports_match_golden_bit_for_bit():
     diff = [(g, w) for g, w in zip(got, want) if g != w]
     assert not diff, f"{len(diff)} reports differ, first: got {diff[0][0]} want {diff[0][1]}"
 
+
+@pytest.mark.parametrize("links", [8, 12])
+def test_fusion_never_adds_compute_to_a_shared_chain(tmp_path, links):
+    src = squares_kernel(tmp_path, links)
+
+    def compute(passes):
+        spec = pipeline.PipelineSpec(passes, pipeline.PipelineOptions(), "off")
+        program = pipeline.run_pipeline(src, spec, dims={"N": 65536}).final
+        return perf.simulate(program, perf.MachineConfig()).compute_cycles
+
+    # charged once per root-to-leaf path, the fused chain would cost 2^links operations a point
+    assert compute(("fuse", "tile", "vectorize")) <= compute(("tile", "vectorize"))
 
 
 # -- loop costing: cached iterations replay, the rest is walked ----------------
