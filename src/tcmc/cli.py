@@ -4,7 +4,7 @@ and run them on tensor files.
 Exit codes:
   0  success
   2  kernel or machine config parse error
-  3  invalid pipeline spec or pass failure
+  3  invalid pipeline spec, lowering failure or pass failure
   4  differential verification failure
   5  missing file or other I/O error
 """
@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import interp, ir, perf, pipeline, tensorio
-from .frontend import ParseError
+from .frontend import LoweringError, ParseError
 from .passes import PassError
 from .pipeline import PipelineOptions, PipelineSpec, SpecError, VerifyFailure
 
@@ -205,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, perf.MachineConfigError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (SpecError, PassError, ValueError) as e:
+    except (SpecError, LoweringError, PassError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SPEC
     except VerifyFailure as e:

@@ -678,6 +678,7 @@ class _Lowering:
         self.decls: list[TensorDecl] = []
         self.ops: list[GenericOp] = []
         self.values: dict[str, tuple[str, tuple[DimRef, ...]]] = {}  # name -> (tensor, dimrefs)
+        self.scalars: dict[str, float] = {}  # assigned names whose value folds to one f32
         self.n_tmp = 0
         self.n_gen = 0
 
@@ -709,10 +710,12 @@ class _Lowering:
         return AffineIndexMap(pos)
 
     def scalar_value(self, e: Expr) -> Optional[float]:
-        """f32 constant folding for dim symbols, consts, and pure-scalar math."""
+        """f32 constant folding for dim symbols, consts, folded names, and pure-scalar math."""
         if isinstance(e, ENum):
             return float(F32(e.value))
         if isinstance(e, EName):
+            if e.name in self.scalars:
+                return self.scalars[e.name]
             if e.name in self.an.consts:
                 return float(F32(self.an.consts[e.name]))
             if e.name in self.an.dim_syms:
@@ -828,7 +831,11 @@ class _Lowering:
             if isinstance(st, ConstDef):
                 continue
             if isinstance(st, Assign):
-                self.values[st.name] = self.lower_value(st.expr, None)
+                v = self.scalar_value(st.expr)
+                if v is not None:
+                    self.scalars[st.name] = v
+                else:
+                    self.values[st.name] = self.lower_value(st.expr, None)
             else:
                 if isinstance(st.expr, EName) and st.expr.name in self.values:
                     temp, _ = self.values[st.expr.name]

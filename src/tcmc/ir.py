@@ -960,15 +960,18 @@ class _Verifier:
             return
         self.check_extents_defined(where, tuple(offsets) + tuple(sizes), scope)
         for j, (o, s, ext) in enumerate(zip(offsets, sizes, shape)):
-            ob = extent_bounds(o, self.var_ranges)
-            sb = extent_bounds(s, self.var_ranges)
-            eb = extent_bounds(ext, self.var_ranges)
-            # report only definite overflow: even the smallest corner is out
-            if ob and sb and eb and ob[0] + sb[0] > eb[1]:
+            if self.overflows(o, s, ext):
                 self.fail(where, "slice bounds",
                           f"slice of %{source} dim {j}: offset+size exceeds extent")
             if isinstance(s, int) and s < 1:
                 self.fail(where, "slice size", f"slice of %{source} dim {j}: size {s} < 1")
+
+    def overflows(self, offset: Extent, size: Extent, extent: Extent) -> bool:
+        """Definite overflow only: even the smallest corner is out of the extent."""
+        ob = extent_bounds(offset, self.var_ranges)
+        sb = extent_bounds(size, self.var_ranges)
+        eb = extent_bounds(extent, self.var_ranges)
+        return bool(ob and sb and eb and ob[0] + sb[0] > eb[1])
 
     def walk_block(self, ops: tuple[Op, ...], scope: _Scope, path: str) -> None:
         block = _Block()
@@ -1082,9 +1085,17 @@ class _Verifier:
             self.live_tcm -= self.tcm_counted.pop(op.target, 0)
 
     def check_dma_start(self, op: DmaStartOp, where: str, scope: _Scope, block: _Block) -> None:
-        for n in (op.source, op.dest):
-            if scope.lookup(n) is None:
+        for side, n, offsets in (("src", op.source, op.src_offsets),
+                                 ("dst", op.dest, op.dst_offsets)):
+            shape = scope.lookup(n)
+            if shape is None:
                 self.fail(where, "undefined-buffer", f"dma_start references undefined %{n}")
+                continue
+            if len(offsets) == len(op.sizes) == len(shape):
+                for j, (o, s, ext) in enumerate(zip(offsets, op.sizes, shape)):
+                    if self.overflows(o, s, ext):
+                        self.fail(where, "slice bounds",
+                                  f"dma_start {side} %{n} dim {j}: offset+size exceeds extent")
         self.check_dma_wait(op, where, scope, block)
 
     def check_dma_wait(self, op: Union[DmaStartOp, DmaWaitOp], where: str, scope: _Scope,

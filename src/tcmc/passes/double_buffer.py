@@ -2,19 +2,21 @@
 
 The pass finds tiled loops in normal form: a prefix of extract_slice ->
 alloc -> copy triplets staging each input tile into TCM, a compute region,
-and write-backs into program tensors. It emits the ping-pong flow with its
-DMA directly:
+and write-backs into program tensors. It emits the ping-pong flow with only
+the DMA that can overlap compute:
 
 - full-size ping and pong buffers hoisted out of the loop, a memory-resident
   toggle that selects between them and flips every iteration, and one DMA
-  tag per buffer plus one store tag per DDR write-back;
-- a guarded prologue (`db_prologue`) whose dma_start preloads tile 0 into
-  the ping set;
-- a loop body of two mutually exclusive sub-kernels (`db_ping_kernel`,
-  `db_pong_kernel`). Each starts a guarded prefetch (`db_prefetch`) of the
-  next tile into the opposite set, waits on the current set's tags (data
-  resident before compute), computes on it, and turns each DDR write-back
-  into dma_start + an immediate dma_wait on its store tag;
+  tag per buffer;
+- a guarded prologue (`db_prologue`) with one `dma_start` per input tile,
+  read straight from the tile's source, that preloads tile 0 into the ping
+  set;
+- a loop body of two mutually exclusive sub-kernels, one per toggle value.
+  Each starts a guarded prefetch (`db_prefetch`) of the next tile into the
+  opposite set, in the same form as the prologue, waits on the current
+  set's tags (data resident before compute), and computes on it. Its
+  write-backs stay the `insert_slice`s of the compute region: a store the
+  next op would wait on at once overlaps nothing;
 - deallocs of every tag after the loop, then of the ping and pong buffers.
 
 The `db_generic=<id>` annotation on the prologue and the loop ties them
@@ -108,28 +110,17 @@ def _full_sizes(alloc: AllocOp) -> tuple[int, ...]:
 
 
 def _preload_ops(nf: NormalFormLoop, dest_of: dict[str, str], tag_of: dict[str, str],
-                 at: Extent, names_map: dict[str, str]) -> tuple[Op, ...]:
-    """extract + dma_start of each input tile, with the loop var at `at`."""
+                 at: Extent) -> tuple[Op, ...]:
+    """One dma_start per input tile, from its source, with the loop var at `at`."""
     ops: list[Op] = []
     m = {nf.loop.var: at}
     for t in nf.triplets:
-        view = names_map[t.extract.result]
         sizes = tuple(substitute_extent(s, m) for s in t.extract.sizes)
-        zeros = tuple(0 for _ in sizes)
         dest = dest_of[t.alloc.result]
-        ops.append(replace(t.extract, result=view,
-                           offsets=tuple(substitute_extent(o, m) for o in t.extract.offsets),
-                           sizes=sizes))
-        ops.append(DmaStartOp(tag_of[dest], view, zeros, dest, zeros, sizes))
+        ops.append(DmaStartOp(tag_of[dest], t.extract.source,
+                              tuple(substitute_extent(o, m) for o in t.extract.offsets),
+                              dest, tuple(0 for _ in sizes), sizes))
     return tuple(ops)
-
-
-def _writeback(op: Op, program: KernelProgram) -> bool:
-    # only cross-space stores become DMA; a TCM-resident dest needs none
-    if not isinstance(op, InsertSliceOp):
-        return False
-    decl = program.decl(op.dest)
-    return decl is not None and decl.space == "ddr"
 
 
 def double_buffer_loops(program: KernelProgram) -> KernelProgram:
@@ -159,47 +150,31 @@ def double_buffer_loops(program: KernelProgram) -> KernelProgram:
         toggle = names.fresh("tog")
         out.append(StoreToggleOp(toggle, True))
 
-        load_tag = {b: names.fresh("tag") for b in [*ping_of.values(), *pong_of.values()]}
-        store_tags = [names.fresh("stag") for o in nf.compute if _writeback(o, program)]
-        tags = [*load_tag.values(), *store_tags]
-        out.extend(AllocOp(t, (1,), "ddr", annotations=frozenset({"dma_tag"})) for t in tags)
-
-        view_names = {t.extract.result: names.fresh("pre") for t in nf.triplets}
+        tag_of = {b: names.fresh("tag") for b in [*ping_of.values(), *pong_of.values()]}
+        out.extend(AllocOp(t, (1,), "ddr", annotations=frozenset({"dma_tag"}))
+                   for t in tag_of.values())
         out.append(IfOp(
             CmpPred("lt", loop.lb, loop.ub),
-            _preload_ops(nf, ping_of, load_tag, loop.lb, view_names),
+            _preload_ops(nf, ping_of, tag_of, loop.lb),
             annotations=frozenset({"db_prologue", tag}),
         ))
 
-        def sub_kernel(cur: dict[str, str], nxt: dict[str, str], which: str) -> IfOp:
-            pf_names = {t.extract.result: names.fresh("pf") for t in nf.triplets}
+        def sub_kernel(cur: dict[str, str], nxt: dict[str, str], is_ping: bool) -> IfOp:
             nxt_at = ix_add(IVar(loop.var), loop.step)
-            body: list[Op] = [IfOp(
-                CmpPred("lt", nxt_at, loop.ub),
-                _preload_ops(nf, nxt, load_tag, nxt_at, pf_names),
-                annotations=frozenset({"db_prefetch"}),
-            )]
-            body.extend(DmaWaitOp(load_tag[b]) for b in cur.values())
-            stags = iter(store_tags)
-            for o in _rename_ops(nf.compute, cur):
-                if _writeback(o, program):
-                    t = next(stags)
-                    body.append(DmaStartOp(t, o.source, tuple(0 for _ in o.sizes),
-                                           o.dest, o.offsets, o.sizes))
-                    body.append(DmaWaitOp(t))
-                else:
-                    body.append(o)
-            return IfOp(TogglePred(toggle, which == "ping"), tuple(body),
-                        annotations=frozenset({f"db_{which}_kernel"}))
+            prefetch = IfOp(CmpPred("lt", nxt_at, loop.ub), _preload_ops(nf, nxt, tag_of, nxt_at),
+                            annotations=frozenset({"db_prefetch"}))
+            waits = tuple(DmaWaitOp(tag_of[b]) for b in cur.values())
+            return IfOp(TogglePred(toggle, is_ping),
+                        (prefetch, *waits, *_rename_ops(nf.compute, cur)))
 
         out.append(ForOp(
             loop.var, loop.lb, loop.ub, loop.step,
-            (sub_kernel(ping_of, pong_of, "ping"),
-             sub_kernel(pong_of, ping_of, "pong"),
+            (sub_kernel(ping_of, pong_of, True),
+             sub_kernel(pong_of, ping_of, False),
              StoreToggleOp(toggle, None)),
             annotations=loop.annotations | {tag},
         ))
-        out.extend(DeallocOp(t) for t in tags)
+        out.extend(DeallocOp(t) for t in tag_of.values())
         for t in nf.triplets:
             out.append(DeallocOp(ping_of[t.alloc.result]))
             out.append(DeallocOp(pong_of[t.alloc.result]))

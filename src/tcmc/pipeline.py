@@ -125,6 +125,8 @@ def kernel_name(path: Union[str, Path]) -> str:
 
 
 def _read_source(source: Union[str, Path]) -> str:
+    if isinstance(source, str) and "\n" in source:
+        return source  # kernel text, which may be longer than any file name
     p = Path(source)
     if p.suffix == ".tk" or p.exists():
         return p.read_text()
@@ -194,8 +196,8 @@ def run_pipeline(
     applies to no generic is a SpecError: each would otherwise compile a
     schedule other than the one asked for.
 
-    Raises ParseError, SpecError, PassError, or VerifyFailure; the CLI maps
-    each to a distinct exit code.
+    Raises ParseError, SpecError, LoweringError, PassError, or VerifyFailure;
+    the CLI maps each to its documented exit code.
     """
     passes = validate_passes(spec.passes)
     ast, bound = resolve_kernel(source, dims, inputs)
@@ -204,10 +206,7 @@ def run_pipeline(
     if unknown:
         raise SpecError(f"kernel {ast.name} has no dimension {unknown[0]!r} "
                         f"(it declares {', '.join(sorted(declared)) or 'none'})")
-    program = lower_to_generics(ast, bound)
-    structural = ir.verify(program, tcm_bytes=spec.options.machine.tcm_bytes)
-    if not structural.ok:
-        raise PassError(f"input program does not verify:\n{structural}")
+    program = lower_to_generics(ast, bound)  # verifies what it returns
 
     stages = [StageResult("input", program)]
     for name in passes:

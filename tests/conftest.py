@@ -25,6 +25,16 @@ ALL_KERNELS = tuple(BENCH_DIMS)
 DEFAULT_PASSES = tuple(cli.DEFAULT_PASSES.split(","))
 
 
+# names assigned a constant scalar: lowering folds them into the payload
+CONST_SCALAR_SOURCE = """\
+kernel scaled(x: f32[N], y: f32[N]) {
+    t = 2.0 * 3.0
+    u = exp(0.1 * t) / N
+    store(y, load(x) * t + u)
+}
+"""
+
+
 def kernel_source(name: str) -> str:
     return (KERNELS / f"{name}.tk").read_text()
 

@@ -3,14 +3,17 @@
 import gc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tcmc import cli, interp, ir, pipeline, tensorio
+from tcmc import cli, frontend, interp, ir, pipeline, tensorio
 from tcmc.ir import Payload
 
-from conftest import bitexact, kernel_inputs, kernel_path, lower, squares_kernel
+from conftest import (
+    CONST_SCALAR_SOURCE, bitexact, kernel_inputs, kernel_path, lower, squares_kernel,
+)
 
 
 def test_exit_ok_gelu(capsys):
@@ -29,6 +32,35 @@ def test_exit_parse_error(tmp_path, capsys):
 def test_exit_spec_tile_on_reduction_dim(capsys):
     assert cli.main(["compile", kernel_path("softmax"), "--tile-size", "1024"]) == cli.EXIT_SPEC
     assert "cannot tile reduction dim" in capsys.readouterr().err
+
+
+def test_exit_spec_on_a_lowering_that_does_not_verify(monkeypatch, capsys):
+    real_run = frontend._Lowering.run
+
+    def unverifiable_run(self):
+        program = real_run(self)
+        ghost = replace(program.ops[0], inputs=("ghost",))
+        return program.with_ops((ghost,) + program.ops[1:])
+
+    monkeypatch.setattr(frontend._Lowering, "run", unverifiable_run)
+    assert cli.main(["compile", kernel_path("gelu"), "--shape", "N=4096"]) == cli.EXIT_SPEC
+    assert "error: lowered program does not verify" in capsys.readouterr().err
+
+
+def test_constant_scalar_assignments_compile_and_verify(tmp_path, capsys):
+    src = tmp_path / "scaled.tk"
+    src.write_text(CONST_SCALAR_SOURCE)
+    argv = ["compile", str(src), "--shape", "N=4096", "--verify", "bitexact"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "db           generics=2  [compare(bitexact): pass]" in capsys.readouterr().out
+
+
+def test_run_pipeline_takes_kernel_text_longer_than_a_file_name(tmp_path):
+    text = Path(squares_kernel(tmp_path, 8)).read_text()
+    assert len(text) > 255
+    spec = pipeline.PipelineSpec(("fuse",), pipeline.PipelineOptions())
+    final = pipeline.run_pipeline(text, spec, dims={"N": 64}).final
+    assert final.name == "squares" and len(final.ops) == 1
 
 
 def test_exit_verify_on_miscompile(monkeypatch, capsys):

@@ -7,7 +7,9 @@ from tcmc.frontend import (
     parse_kernel, print_kernel_source, strip_spans,
 )
 
-from conftest import ALL_KERNELS, BENCH_DIMS, bitexact, kernel_inputs, kernel_source, lower
+from conftest import (
+    ALL_KERNELS, BENCH_DIMS, CONST_SCALAR_SOURCE, bitexact, kernel_inputs, kernel_source, lower,
+)
 
 
 def test_softmax_ast_statements():
@@ -85,6 +87,17 @@ def test_lower_gelu_single_generic_with_cubic_tanh_payload():
     assert "tanh" in kinds
     consts = {n.value for n in gens[0].payloads[0].nodes() if n.kind == "const"}
     assert float(np.float32(0.044715)) in consts
+
+
+def test_constant_scalar_assignments_fold_into_the_payload():
+    ast = parse_kernel(CONST_SCALAR_SOURCE)
+    program = lower_to_generics(ast, {"N": 4096})
+    gens = [op for op in program.ops if isinstance(op, ir.GenericOp)]
+    assert len(gens) == 1 and gens[0].inputs == ("x",) and gens[0].outputs == ("y",)
+    assert 6.0 in {n.value for n in gens[0].payloads[0].nodes() if n.kind == "const"}
+    inputs = kernel_inputs(program, "scaled")
+    want = evaluate_ast(ast, inputs, {"N": 4096})
+    assert bitexact(interp.interpret(program, inputs), want)
 
 
 def test_lower_rmsnorm_broadcast_maps():

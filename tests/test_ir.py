@@ -397,6 +397,23 @@ def test_slice_bounds_reports_definite_overflow_only():
     assert verify(program([slice_loop("i", 0, 8, 4, IVar("i"), 5)])).ok
 
 
+def test_dma_start_regions_report_definite_overflow_only():
+    def dma_loop(src_offset, dst_offset):
+        return ForOp("i", 0, 8, 4, (
+            AllocOp("tag", (1,), "ddr"), AllocOp("t", (4,), "tcm"),
+            ir.DmaStartOp("tag", "x", (src_offset,), "t", (dst_offset,), (4,)),
+            ir.DmaWaitOp("tag"), DeallocOp("t"), DeallocOp("tag")))
+
+    def bounds(side, name):
+        return (Violation("ops[0].body[2]", "slice bounds",
+                          f"dma_start {side} %{name} dim 0: offset+size exceeds extent"),)
+
+    assert verify(program([dma_loop(ix_add(IVar("i"), 8), 0)])).violations == bounds("src", "x")
+    assert verify(program([dma_loop(IVar("i"), 1)])).violations == bounds("dst", "t")
+    # %i = 4 reads past %x at run time, but %i = 0 fits: possible, not definite
+    assert verify(program([dma_loop(ix_add(IVar("i"), 1), 0)])).ok
+
+
 @pytest.mark.parametrize("step", [0, -1])
 def test_loop_step_below_one_is_reported(step):
     assert verify(program([slice_loop("i", 0, 8, step, IVar("i"), 1)])).violations == (

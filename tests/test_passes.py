@@ -132,7 +132,7 @@ def tiled_loop_program(normal_form: bool = True) -> KernelProgram:
     return KernelProgram("db_probe", decls, (loop,), stage="tiled")
 
 
-# pins the ping/pong/tog/tag/stag/pre/pf names and the op order
+# pins the ping/pong/tog/tag names and the op order
 DB_EXPECTED = """\
 program @db_probe stage=db-dma {
   tensor %x: f32[40] @ddr role=input
@@ -148,21 +148,15 @@ program @db_probe stage=db-dma {
   %tag1 = alloc f32[1] @ddr {dma_tag}
   %tag2 = alloc f32[1] @ddr {dma_tag}
   %tag3 = alloc f32[1] @ddr {dma_tag}
-  %stag0 = alloc f32[1] @ddr {dma_tag}
-  %stag1 = alloc f32[1] @ddr {dma_tag}
   if (0 < 40) {db_generic=0, db_prologue} {
-    %pre0 = extract_slice %x[0][16]
-    dma_start tag=%tag0 %pre0[0] -> %ping0[0] sizes=[16]
-    %pre1 = extract_slice %w[0][16]
-    dma_start tag=%tag1 %pre1[0] -> %ping1[0] sizes=[16]
+    dma_start tag=%tag0 %x[0] -> %ping0[0] sizes=[16]
+    dma_start tag=%tag1 %w[0] -> %ping1[0] sizes=[16]
   }
   for %i = 0 to 40 step 16 {all_parallel, db_generic=0, tiled_generic} {
-    if (load_toggle %tog0 == ping) {db_ping_kernel} {
+    if (load_toggle %tog0 == ping) {
       if ((%i + 16) < 40) {db_prefetch} {
-        %pf0 = extract_slice %x[(%i + 16)][min(16, (40 - (%i + 16)))]
-        dma_start tag=%tag2 %pf0[0] -> %pong0[0] sizes=[min(16, (40 - (%i + 16)))]
-        %pf1 = extract_slice %w[(%i + 16)][min(16, (40 - (%i + 16)))]
-        dma_start tag=%tag3 %pf1[0] -> %pong1[0] sizes=[min(16, (40 - (%i + 16)))]
+        dma_start tag=%tag2 %x[(%i + 16)] -> %pong0[0] sizes=[min(16, (40 - (%i + 16)))]
+        dma_start tag=%tag3 %w[(%i + 16)] -> %pong1[0] sizes=[min(16, (40 - (%i + 16)))]
       }
       dma_wait tag=%tag0
       dma_wait tag=%tag1
@@ -172,19 +166,15 @@ program @db_probe stage=db-dma {
           ins(%ping0: (d0) %ping1: (d0)) outs(%o1: (d0) %o2: (d0))
           yield add(a0, a1)
           yield mul(a0, a1)
-      dma_start tag=%stag0 %o1[0] -> %y1[%i] sizes=[min(16, (40 - %i))]
-      dma_wait tag=%stag0
-      dma_start tag=%stag1 %o2[0] -> %y2[%i] sizes=[min(16, (40 - %i))]
-      dma_wait tag=%stag1
+      insert_slice %o1 -> %y1[%i][min(16, (40 - %i))]
+      insert_slice %o2 -> %y2[%i][min(16, (40 - %i))]
       dealloc %o1
       dealloc %o2
     }
-    if (load_toggle %tog0 == pong) {db_pong_kernel} {
+    if (load_toggle %tog0 == pong) {
       if ((%i + 16) < 40) {db_prefetch} {
-        %pf2 = extract_slice %x[(%i + 16)][min(16, (40 - (%i + 16)))]
-        dma_start tag=%tag0 %pf2[0] -> %ping0[0] sizes=[min(16, (40 - (%i + 16)))]
-        %pf3 = extract_slice %w[(%i + 16)][min(16, (40 - (%i + 16)))]
-        dma_start tag=%tag1 %pf3[0] -> %ping1[0] sizes=[min(16, (40 - (%i + 16)))]
+        dma_start tag=%tag0 %x[(%i + 16)] -> %ping0[0] sizes=[min(16, (40 - (%i + 16)))]
+        dma_start tag=%tag1 %w[(%i + 16)] -> %ping1[0] sizes=[min(16, (40 - (%i + 16)))]
       }
       dma_wait tag=%tag2
       dma_wait tag=%tag3
@@ -194,10 +184,8 @@ program @db_probe stage=db-dma {
           ins(%pong0: (d0) %pong1: (d0)) outs(%o1: (d0) %o2: (d0))
           yield add(a0, a1)
           yield mul(a0, a1)
-      dma_start tag=%stag0 %o1[0] -> %y1[%i] sizes=[min(16, (40 - %i))]
-      dma_wait tag=%stag0
-      dma_start tag=%stag1 %o2[0] -> %y2[%i] sizes=[min(16, (40 - %i))]
-      dma_wait tag=%stag1
+      insert_slice %o1 -> %y1[%i][min(16, (40 - %i))]
+      insert_slice %o2 -> %y2[%i][min(16, (40 - %i))]
       dealloc %o1
       dealloc %o2
     }
@@ -207,8 +195,6 @@ program @db_probe stage=db-dma {
   dealloc %tag1
   dealloc %tag2
   dealloc %tag3
-  dealloc %stag0
-  dealloc %stag1
   dealloc %ping0
   dealloc %pong0
   dealloc %ping1
