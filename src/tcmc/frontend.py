@@ -795,15 +795,13 @@ class _Lowering:
         if isinstance(e, (EName, ELoad)) and out_tensor is None:
             return self.tensor_leaf(e)
         domain = self.an.shape_of(e)
-        if not domain:
-            raise LoweringError("pure scalar statement produces no tensor")
         leaves: list[tuple[str, AffineIndexMap]] = []
         payload = self.as_payload(e, domain, leaves)
         dest = out_tensor or self.new_temp(domain)
-        rank = len(domain)
+        rank = max(len(domain), 1)  # a rank-0 value is one point, as its temp is
         self.ops.append(GenericOp(
             name=self.gen_name(),
-            domain=tuple(self.dim_extent(d) for d in domain),
+            domain=self.shape_ints(domain),
             inputs=tuple(n for n, _ in leaves),
             outputs=(dest,),
             maps=tuple(m for _, m in leaves) + (AffineIndexMap.identity(rank),),

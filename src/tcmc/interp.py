@@ -23,7 +23,9 @@ are deliberately rigid:
 
 Tensor storage: every buffer owns its own f32 array. `alloc` storage reads
 as zeros; `extract_slice` and the `dma_start` snapshot copy their region at
-the op, so neither is a view of its source. These arrays, the copies of the
+the op, so neither is a view of its source. An `extract_slice` that names a
+space (`@tcm`, how `tile` stages an input tile) records its result in that
+space; one without keeps the source's. These arrays, the copies of the
 inputs and the root temporaries come from one per-thread buffer pool that
 outlives each `interpret` call, so the allocator does not hand large arrays
 back to the OS for the next buffer to fault in again. Output arrays
@@ -212,8 +214,6 @@ class ExecEnv:
         self.dma: dict[int, _Pending] = {}
         self.tokens: set[str] = set()  # issued, not yet added to a group
         self.groups: set[str] = set()  # created, not yet awaited
-        self.dma_starts = 0
-        self.dma_waits = 0
 
 
 def _read(buf: _Buffer, name: str) -> np.ndarray:
@@ -304,7 +304,7 @@ class _Interp:
         src = env.lookup(op.source)
         region = _region(src, op.offsets, op.sizes, env.idx, "extract_slice", op.source)
         data = self.pool.copy_of(_read(src, op.source)[region])
-        env.buffers[op.result] = _Buffer(data, src.space)
+        env.buffers[op.result] = _Buffer(data, op.space or src.space)
 
     def run_insert_slice(self, op: ir.InsertSliceOp, env: _Env) -> None:
         src = env.lookup(op.source)
@@ -314,16 +314,6 @@ class _Interp:
                 f"insert_slice into %{op.dest} while dma tag=%{dst.pending_tag} is in flight")
         region = _region(dst, op.offsets, op.sizes, env.idx, "insert_slice", op.dest)
         dst.data[region] = _read(src, op.source)
-
-    def run_copy(self, op: ir.CopyOp, env: _Env) -> None:
-        src = env.lookup(op.source)
-        dst = env.lookup(op.dest)
-        if dst.pending_tag is not None:
-            raise ExecutionFault(
-                f"copy into %{op.dest} while dma tag=%{dst.pending_tag} is in flight")
-        if src.data.shape != dst.data.shape:
-            raise ExecutionFault(f"copy %{op.source}->%{op.dest}: shape mismatch")
-        dst.data[...] = _read(src, op.source)
 
     def run_alloc(self, op: ir.AllocOp, env: _Env) -> None:
         idx = env.idx
@@ -359,7 +349,6 @@ class _Interp:
         snapshot = self.pool.copy_of(_read(src, op.source)[src_region])
         self.state.dma[id(tag)] = _Pending(dst, dst_region, snapshot, op.tag)
         dst.pending_tag = op.tag
-        self.state.dma_starts += 1
 
     def run_dma_wait(self, op: ir.DmaWaitOp, env: _Env) -> None:
         tag = env.lookup(op.tag)
@@ -369,7 +358,6 @@ class _Interp:
         pending.dest.data[pending.region] = pending.data
         pending.dest.pending_tag = None
         self.pool.give(pending.data)
-        self.state.dma_waits += 1
 
     # -- async threads and toggles --------------------------------------------------
 
@@ -479,7 +467,6 @@ _HANDLERS = {
     ir.IfOp: _Interp.run_if,
     ir.ExtractSliceOp: _Interp.run_extract_slice,
     ir.InsertSliceOp: _Interp.run_insert_slice,
-    ir.CopyOp: _Interp.run_copy,
     ir.AllocOp: _Interp.run_alloc,
     ir.DeallocOp: _Interp.run_dealloc,
     ir.DmaStartOp: _Interp.run_dma_start,

@@ -303,6 +303,10 @@ class Payload:
     tuple `nodes()` returns, and `_plan`, the straight-line form
     `numerics.eval_payload` runs, each derived on first use like an IBin's
     caches and, like them, outside `==`, `hash`, `repr` and pickling.
+
+    `==` and `hash` are structural and blind to sharing, and `repr` is the
+    printer's text; each visits every distinct node once, so a shared chain
+    costs time linear in its length, not in its root-to-leaf paths.
     """
 
     kind: str
@@ -315,6 +319,32 @@ class Payload:
 
     def __reduce__(self):  # pickle and copy the expression, never the memo
         return Payload, (self.kind, self.args, self.value, self.index, self.param)
+
+    def _numbered(self, table: dict[tuple, int]) -> int:
+        """The number `table` gives this payload's structure: nodes with equal
+        fields over equally numbered children share a number."""
+        num: dict[int, int] = {}
+        for n in self.nodes():
+            key = (n.kind, n.value, n.index, n.param, tuple([num[id(a)] for a in n.args]))
+            num[id(n)] = table.setdefault(key, len(table))
+        return num[id(self)]
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Payload):
+            return NotImplemented
+        table: dict[tuple, int] = {}
+        return self._numbered(table) == other._numbered(table)
+
+    def __hash__(self) -> int:
+        h: dict[int, int] = {}
+        for n in self.nodes():
+            h[id(n)] = hash((n.kind, n.value, n.index, n.param, tuple([h[id(a)] for a in n.args])))
+        return h[id(self)]
+
+    def __repr__(self) -> str:
+        return print_payload(self)
 
     @staticmethod
     def arg(i: int) -> "Payload":
@@ -520,10 +550,14 @@ class IfOp:
 
 @dataclass(frozen=True)
 class ExtractSliceOp:
+    """The region of `source` as a new buffer. With no `space` it lives in
+    the source's space (a view); `space="tcm"` stages it into TCM."""
+
     result: str
     source: str
     offsets: tuple[Extent, ...]
     sizes: tuple[Extent, ...]
+    space: Optional[Literal["ddr", "tcm"]] = None
     annotations: frozenset[str] = frozenset()
 
 
@@ -533,13 +567,6 @@ class InsertSliceOp:
     dest: str
     offsets: tuple[Extent, ...]
     sizes: tuple[Extent, ...]
-    annotations: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class CopyOp:
-    source: str
-    dest: str
     annotations: frozenset[str] = frozenset()
 
 
@@ -612,9 +639,9 @@ class StoreToggleOp:
 
 
 Op = Union[
-    GenericOp, ForOp, ForallOp, IfOp, ExtractSliceOp, InsertSliceOp, CopyOp,
-    AllocOp, DeallocOp, DmaStartOp, DmaWaitOp, AsyncGroupOp, AsyncExecuteOp,
-    AddToGroupOp, AwaitAllOp, StoreToggleOp,
+    GenericOp, ForOp, ForallOp, IfOp, ExtractSliceOp, InsertSliceOp, AllocOp,
+    DeallocOp, DmaStartOp, DmaWaitOp, AsyncGroupOp, AsyncExecuteOp, AddToGroupOp,
+    AwaitAllOp, StoreToggleOp,
 ]
 
 _BODY_OPS = (ForOp, ForallOp, IfOp, AsyncExecuteOp)
@@ -632,6 +659,11 @@ class KernelProgram:
             if d.name == name:
                 return d
         return None
+
+    def is_narrow(self, name: str) -> bool:
+        """Whether `name` is a tensor declared with f16 (narrow) storage."""
+        d = self.decl(name)
+        return d is not None and d.dtype == "f16"
 
     def inputs(self) -> tuple[TensorDecl, ...]:
         return tuple(d for d in self.decls if d.role == "input")
@@ -818,15 +850,17 @@ class _Scope:
 class _Block:
     """What the verifier tracks across one block: its allocs (name -> where)
     and deallocs, the token of an `async_execute` not yet added to a group,
-    and the groups it created with their await counts."""
+    the groups it created with their await counts, and the TCM bytes its
+    staged extracts hold until it ends."""
 
-    __slots__ = ("allocs", "deallocs", "token", "groups")
+    __slots__ = ("allocs", "deallocs", "token", "groups", "staged_tcm")
 
     def __init__(self):
         self.allocs: dict[str, str] = {}
         self.deallocs: set[str] = set()
         self.token: Optional[str] = None
         self.groups: dict[str, int] = {}
+        self.staged_tcm = 0
 
 
 class _Verifier:
@@ -852,11 +886,6 @@ class _Verifier:
                 for v in sorted(free - scope.ivars):
                     self.fail(where, "unbound-index", f"index variable %{v} not in scope")
 
-    def static_shape(self, shape: tuple[Extent, ...]) -> Optional[tuple[int, ...]]:
-        if all(isinstance(e, int) for e in shape):
-            return tuple(shape)  # type: ignore[return-value]
-        return None
-
     def buffer_bytes_upper(self, shape: tuple[Extent, ...]) -> Optional[int]:
         total = 4
         for e in shape:
@@ -865,6 +894,18 @@ class _Verifier:
                 return None
             total *= u
         return total
+
+    def take_tcm(self, shape: tuple[Extent, ...], narrow: bool) -> int:
+        """Count a TCM buffer of `shape` as live (half for narrow storage);
+        returns the bytes counted, 0 when a dim has no bound."""
+        b = self.buffer_bytes_upper(shape)
+        if b is None:
+            return 0
+        if narrow:
+            b //= 2
+        self.live_tcm += b
+        self.max_live_tcm = max(self.max_live_tcm, self.live_tcm)
+        return b
 
     # -- generic ------------------------------------------------------------
 
@@ -987,6 +1028,7 @@ class _Verifier:
             if handler is not None:
                 handler(self, op, where, scope, block)
 
+        self.live_tcm -= block.staged_tcm
         if block.token is not None:
             self.fail(path, "token discipline", f"token %{block.token} never added to a group")
         for name, w in block.allocs.items():
@@ -1040,9 +1082,11 @@ class _Verifier:
     def check_extract_slice(self, op: ExtractSliceOp, where: str, scope: _Scope,
                             block: _Block) -> None:
         self.check_slice(where, op.source, op.offsets, op.sizes, scope)
-        space = scope.space_of(op.source) or "ddr"
+        space = op.space or scope.space_of(op.source) or "ddr"
         if not scope.define(op.result, tuple(op.sizes), space):
             self.fail(where, "redefinition", f"%{op.result} already defined")
+        if op.space == "tcm":  # staged: live until the block ends
+            block.staged_tcm += self.take_tcm(op.sizes, self.program.is_narrow(op.source))
 
     def check_insert_slice(self, op: InsertSliceOp, where: str, scope: _Scope,
                            block: _Block) -> None:
@@ -1050,29 +1094,13 @@ class _Verifier:
             self.fail(where, "undefined-buffer", f"insert_slice source %{op.source} undefined")
         self.check_slice(where, op.dest, op.offsets, op.sizes, scope)
 
-    def check_copy(self, op: CopyOp, where: str, scope: _Scope, block: _Block) -> None:
-        for n in (op.source, op.dest):
-            if scope.lookup(n) is None:
-                self.fail(where, "undefined-buffer", f"copy references undefined %{n}")
-        src, dst = scope.lookup(op.source), scope.lookup(op.dest)
-        if src and dst:
-            ss, ds = self.static_shape(src), self.static_shape(dst)
-            if ss and ds and ss != ds:
-                self.fail(where, "copy shape", f"copy %{op.source}->%{op.dest}: {ss} vs {ds}")
-
     def check_alloc(self, op: AllocOp, where: str, scope: _Scope, block: _Block) -> None:
         self.check_extents_defined(where, op.sizes, scope)
         if not scope.define(op.result, tuple(op.sizes), op.space):
             self.fail(where, "redefinition", f"%{op.result} already defined")
         block.allocs[op.result] = where
         if op.space == "tcm":
-            b = self.buffer_bytes_upper(op.sizes)
-            if b is not None:
-                if op.narrow:
-                    b //= 2
-                self.tcm_counted[op.result] = b
-                self.live_tcm += b
-                self.max_live_tcm = max(self.max_live_tcm, self.live_tcm)
+            self.tcm_counted[op.result] = self.take_tcm(op.sizes, op.narrow)
 
     def check_dealloc(self, op: DeallocOp, where: str, scope: _Scope, block: _Block) -> None:
         if op.target not in block.allocs:
@@ -1137,10 +1165,7 @@ class _Verifier:
                 self.fail("decls", "decl shape", f"tensor %{d.name} has invalid shape {d.shape}")
             scope.define(d.name, d.shape, d.space)
             if d.space == "tcm":
-                b = self.buffer_bytes_upper(d.shape)
-                if b is not None:
-                    self.live_tcm += b
-                    self.max_live_tcm = max(self.max_live_tcm, self.live_tcm)
+                self.take_tcm(d.shape, False)
         self.walk_block(self.program.ops, scope, "ops")
         if self.tcm_bytes is not None and self.max_live_tcm > self.tcm_bytes:
             self.fail("program", "tcm budget",
@@ -1155,7 +1180,6 @@ _VERIFY_HANDLERS: dict[type, Callable[..., None]] = {
     IfOp: _Verifier.check_if,
     ExtractSliceOp: _Verifier.check_extract_slice,
     InsertSliceOp: _Verifier.check_insert_slice,
-    CopyOp: _Verifier.check_copy,
     AllocOp: _Verifier.check_alloc,
     DeallocOp: _Verifier.check_dealloc,
     DmaStartOp: _Verifier.check_dma_start,
@@ -1284,13 +1308,12 @@ def _print_op(op: Op, out: list[str], indent: int) -> None:
             _print_op(o, out, indent + 1)
         out.append(pad + "}")
     elif isinstance(op, ExtractSliceOp):
+        space = "" if op.space is None else f" @{op.space}"
         out.append(f"{pad}%{op.result} = extract_slice %{op.source}{_exts(op.offsets)}{_exts(op.sizes)}"
-                   f"{_ann(op.annotations)}")
+                   f"{space}{_ann(op.annotations)}")
     elif isinstance(op, InsertSliceOp):
         out.append(f"{pad}insert_slice %{op.source} -> %{op.dest}{_exts(op.offsets)}{_exts(op.sizes)}"
                    f"{_ann(op.annotations)}")
-    elif isinstance(op, CopyOp):
-        out.append(f"{pad}copy %{op.source} -> %{op.dest}{_ann(op.annotations)}")
     elif isinstance(op, AllocOp):
         narrow = " narrow" if op.narrow else ""
         out.append(f"{pad}%{op.result} = alloc f32{_exts(op.sizes)} @{op.space}{narrow}{_ann(op.annotations)}")

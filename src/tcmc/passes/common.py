@@ -75,7 +75,7 @@ class BufInfo:
             self.spaces[op.result] = op.space
         elif isinstance(op, ExtractSliceOp):
             self.shapes[op.result] = op.sizes
-            self.spaces[op.result] = self.spaces.get(op.source, "ddr")
+            self.spaces[op.result] = op.space or self.spaces.get(op.source, "ddr")
 
 
 def const_upper(e: Extent) -> Optional[int]:

@@ -1,9 +1,9 @@
 """Double buffering: tiled loops into DMA ping-pong form, in one pass.
 
-The pass finds tiled loops in normal form: a prefix of extract_slice ->
-alloc -> copy triplets staging each input tile into TCM, a compute region,
-and write-backs into program tensors. It emits the ping-pong flow with only
-the DMA that can overlap compute:
+The pass finds tiled loops in normal form: a leading run of
+`extract_slice ... @tcm` ops staging each input tile into TCM, then a
+compute region with its write-backs into program tensors. It emits the
+ping-pong flow with only the DMA that can overlap compute:
 
 - full-size ping and pong buffers hoisted out of the loop, a memory-resident
   toggle that selects between them and flips every iteration, and one DMA
@@ -31,7 +31,7 @@ from typing import Optional
 
 from .. import ir
 from ..ir import (
-    AllocOp, CmpPred, CopyOp, DeallocOp, DmaStartOp, DmaWaitOp, Extent, ExtractSliceOp,
+    AllocOp, CmpPred, DeallocOp, DmaStartOp, DmaWaitOp, Extent, ExtractSliceOp,
     ForOp, GenericOp, IfOp, InsertSliceOp, IVar, KernelProgram, Op, StoreToggleOp, TogglePred,
     ix_add, substitute_extent,
 )
@@ -41,18 +41,11 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class _Triplet:
-    extract: ExtractSliceOp
-    alloc: AllocOp
-    copy: CopyOp
-
-
-@dataclass(frozen=True)
 class NormalFormLoop:
     """A single-buffered tiled loop the pass can double-buffer."""
 
     loop: ForOp
-    triplets: tuple[_Triplet, ...]
+    stages: tuple[ExtractSliceOp, ...]  # the leading `extract_slice ... @tcm` run
     compute: tuple[Op, ...]  # remainder of the body, write-backs included
 
 
@@ -62,22 +55,12 @@ def recognize_normal_form(loop: ForOp) -> Optional[NormalFormLoop]:
     if ir.annotation_value(loop.annotations, "db_generic") is not None:
         return None
     body = loop.body
-    triplets: list[_Triplet] = []
-    i = 0
-    while i + 2 < len(body):
-        a, b, c = body[i], body[i + 1], body[i + 2]
-        if (isinstance(a, ExtractSliceOp) and isinstance(b, AllocOp) and isinstance(c, CopyOp)
-                and c.source == a.result and c.dest == b.result and b.space == "tcm"):
-            triplets.append(_Triplet(a, b, c))
-            i += 3
-        else:
-            break
-    if not triplets:
+    n = 0
+    while n < len(body) and isinstance(body[n], ExtractSliceOp) and body[n].space == "tcm":
+        n += 1
+    if n == 0:
         return None
-    tile_names = {t.alloc.result for t in triplets}
-    compute = tuple(op for op in body[i:]
-                    if not (isinstance(op, DeallocOp) and op.target in tile_names))
-    return NormalFormLoop(loop, tuple(triplets), compute)
+    return NormalFormLoop(loop, body[:n], body[n:])
 
 
 def _rename_ops(ops: tuple[Op, ...], mapping: dict[str, str]) -> tuple[Op, ...]:
@@ -94,18 +77,18 @@ def _rename_ops(ops: tuple[Op, ...], mapping: dict[str, str]) -> tuple[Op, ...]:
                             outputs=tuple(rn(n) for n in op.outputs)),)
         if isinstance(op, ExtractSliceOp):
             return (replace(op, source=rn(op.source)),)
-        if isinstance(op, (InsertSliceOp, CopyOp)):
+        if isinstance(op, InsertSliceOp):
             return (replace(op, source=rn(op.source), dest=rn(op.dest)),)
         return None
 
     return ir.map_ops(ops, fn)
 
 
-def _full_sizes(alloc: AllocOp) -> tuple[int, ...]:
-    sizes = const_uppers(alloc.sizes)
+def _full_sizes(stage: ExtractSliceOp) -> tuple[int, ...]:
+    sizes = const_uppers(stage.sizes)
     if sizes is None:
-        shown = ", ".join(ir.print_extent(s) for s in alloc.sizes)
-        raise PassError(f"tile %{alloc.result}: cannot bound sizes ({shown})")
+        shown = ", ".join(ir.print_extent(s) for s in stage.sizes)
+        raise PassError(f"tile %{stage.result}: cannot bound sizes ({shown})")
     return sizes
 
 
@@ -114,11 +97,11 @@ def _preload_ops(nf: NormalFormLoop, dest_of: dict[str, str], tag_of: dict[str, 
     """One dma_start per input tile, from its source, with the loop var at `at`."""
     ops: list[Op] = []
     m = {nf.loop.var: at}
-    for t in nf.triplets:
-        sizes = tuple(substitute_extent(s, m) for s in t.extract.sizes)
-        dest = dest_of[t.alloc.result]
-        ops.append(DmaStartOp(tag_of[dest], t.extract.source,
-                              tuple(substitute_extent(o, m) for o in t.extract.offsets),
+    for t in nf.stages:
+        sizes = tuple(substitute_extent(s, m) for s in t.sizes)
+        dest = dest_of[t.result]
+        ops.append(DmaStartOp(tag_of[dest], t.source,
+                              tuple(substitute_extent(o, m) for o in t.offsets),
                               dest, tuple(0 for _ in sizes), sizes))
     return tuple(ops)
 
@@ -139,14 +122,13 @@ def double_buffer_loops(program: KernelProgram) -> KernelProgram:
         loop = nf.loop
         ping_of: dict[str, str] = {}
         pong_of: dict[str, str] = {}
-        for t in nf.triplets:
-            full = _full_sizes(t.alloc)
-            ping = names.fresh("ping")
-            pong = names.fresh("pong")
-            ping_of[t.alloc.result] = ping
-            pong_of[t.alloc.result] = pong
-            out.append(AllocOp(ping, full, "tcm", narrow=t.alloc.narrow))
-            out.append(AllocOp(pong, full, "tcm", narrow=t.alloc.narrow))
+        for t in nf.stages:
+            full = _full_sizes(t)
+            narrow = program.is_narrow(t.source)
+            ping = ping_of[t.result] = names.fresh("ping")
+            pong = pong_of[t.result] = names.fresh("pong")
+            out.append(AllocOp(ping, full, "tcm", narrow=narrow))
+            out.append(AllocOp(pong, full, "tcm", narrow=narrow))
         toggle = names.fresh("tog")
         out.append(StoreToggleOp(toggle, True))
 
@@ -175,9 +157,9 @@ def double_buffer_loops(program: KernelProgram) -> KernelProgram:
             annotations=loop.annotations | {tag},
         ))
         out.extend(DeallocOp(t) for t in tag_of.values())
-        for t in nf.triplets:
-            out.append(DeallocOp(ping_of[t.alloc.result]))
-            out.append(DeallocOp(pong_of[t.alloc.result]))
+        for t in nf.stages:
+            out.append(DeallocOp(ping_of[t.result]))
+            out.append(DeallocOp(pong_of[t.result]))
         return tuple(out)
 
     ops = ir.map_ops(program.ops, expand)

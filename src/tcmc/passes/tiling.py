@@ -1,11 +1,11 @@
 """Tiling for the DDR/TCM memory hierarchy, plus innermost vectorization.
 
 Tiling rewrites each top-level generic with parallel dims into a loop nest
-over tiles: extract a slice of every operand, stage inputs into TCM through
-an alloc+copy triplet, compute on the TCM tiles, and write results back with
-insert_slice. Remainder tiles clamp to min(t, extent - offset). Reduction
-dims are never tiled, which keeps the fp accumulation order of every
-reduction intact (the bit-exactness contract).
+over tiles: stage each input tile into TCM with one `extract_slice ... @tcm`,
+allocate each output tile in TCM, compute on the tiles, and write results
+back with insert_slice. Remainder tiles clamp to min(t, extent - offset).
+Reduction dims are never tiled, which keeps the fp accumulation order of
+every reduction intact (the bit-exactness contract).
 
 Vectorization marks generics whose innermost dim is parallel with
 `vectorized(W)`. When W does not divide the innermost extent the generic is
@@ -22,7 +22,7 @@ from typing import Optional
 
 from .. import ir
 from ..ir import (
-    AffineIndexMap, AllocOp, CopyOp, DeallocOp, Extent, ExtractSliceOp, ForOp,
+    AffineIndexMap, AllocOp, DeallocOp, Extent, ExtractSliceOp, ForOp,
     GenericOp, IfOp, InsertSliceOp, IVar, KernelProgram, Op, CmpPred,
     ix_floordiv, ix_min, ix_mul, ix_sub,
 )
@@ -122,27 +122,20 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     deallocs: list[Op] = []
     for name, m in zip(generic.inputs, generic.input_maps()):
         decl = program.decl(name)
-        shape = decl.shape if decl else ()
-        offsets, sizes = slice_of(shape, m)
-        view = names.fresh("s")
+        offsets, sizes = slice_of(decl.shape if decl else (), m)
         tile = names.fresh("t")
-        narrow = bool(decl and decl.dtype == "f16")
-        body.append(ExtractSliceOp(view, name, offsets, sizes))
-        body.append(AllocOp(tile, sizes, spec.target_space, narrow=narrow))
-        body.append(CopyOp(view, tile))
-        deallocs.append(DeallocOp(tile))
+        body.append(ExtractSliceOp(tile, name, offsets, sizes, spec.target_space))
         new_inputs.append(tile)
-        live_tile_bytes += _tile_set_bytes(sizes, narrow)
+        live_tile_bytes += _tile_set_bytes(sizes, program.is_narrow(name))
 
     inner_domain = tuple(tile_size.get(d, generic.domain[d]) for d in range(rank))
     new_outputs: list[str] = []
     writebacks: list[Op] = []
     for name, m in zip(generic.outputs, generic.output_maps()):
         decl = program.decl(name)
-        shape = decl.shape if decl else ()
-        offsets, sizes = slice_of(shape, m)
+        offsets, sizes = slice_of(decl.shape if decl else (), m)
         otile = names.fresh("o")
-        narrow = bool(decl and decl.dtype == "f16")
+        narrow = program.is_narrow(name)
         body.append(AllocOp(otile, sizes, spec.target_space, narrow=narrow))
         writebacks.append(InsertSliceOp(otile, name, offsets, sizes))
         deallocs.append(DeallocOp(otile))

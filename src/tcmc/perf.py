@@ -12,8 +12,8 @@ replays the cached sum for the others. The replay repeats the walk's float
 additions in order, so the report is bit-identical to walking every
 iteration. The rules:
 
-- data movement (copy / insert_slice across memory spaces, dma_start) costs
-  latency + bytes/bandwidth; dma_wait itself is free;
+- data movement (extract_slice / insert_slice across memory spaces,
+  dma_start) costs latency + bytes/bandwidth; dma_wait itself is free;
 - a generic costs points * payload-cycles, divided by W for `vectorized(W)`
   regions (doubled again for narrow/f16 data), and multiplied by the window
   miss factor when its operand footprint exceeds the per-context data window
@@ -41,9 +41,9 @@ import numpy as np
 
 from . import ir
 from .ir import (
-    AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, CopyOp,
-    DeallocOp, DmaStartOp, DmaWaitOp, ExecutionFault, ExtractSliceOp, ForallOp, ForOp,
-    GenericOp, IBin, IfOp, InsertSliceOp, IVar, KernelProgram, Op, StoreToggleOp, TogglePred,
+    AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, DeallocOp, DmaStartOp,
+    DmaWaitOp, ExecutionFault, ExtractSliceOp, ForallOp, ForOp, GenericOp, IBin, IfOp,
+    InsertSliceOp, IVar, KernelProgram, Op, StoreToggleOp, TogglePred,
 )
 
 DEFAULT_OP_CYCLES: dict[str, float] = {
@@ -499,16 +499,14 @@ class _Sim:
         elif isinstance(op, ExtractSliceOp):
             src = buffers[op.source]
             shape = tuple(ir.eval_extent(s, env) for s in op.sizes)
-            buffers[op.result] = _Buf(shape, src.space, src.narrow)
+            tile = buffers[op.result] = _Buf(shape, op.space or src.space, src.narrow)
+            if tile.space != src.space:
+                self._move(acc, tile.bytes, in_prefetch)
         elif isinstance(op, AllocOp):
             shape = tuple(ir.eval_extent(s, env) for s in op.sizes)
             buffers[op.result] = _Buf(shape, op.space, op.narrow)
         elif isinstance(op, DeallocOp):
             buffers.pop(op.target, None)
-        elif isinstance(op, CopyOp):
-            src, dst = buffers[op.source], buffers[op.dest]
-            if src.space != dst.space:
-                self._move(acc, min(src.bytes, dst.bytes), in_prefetch)
         elif isinstance(op, InsertSliceOp):
             src, dst = buffers[op.source], buffers[op.dest]
             if src.space != dst.space:
@@ -647,29 +645,16 @@ def overlap_probe(m: float, n_tiles: int = 8, tile_elems: int = 1024,
     i = ir.IVar("i")
     sizes = (tile_elems,)
     offsets = (i,)
-    if m <= 0.0:
-        body: tuple[ir.Op, ...] = (
-            ExtractSliceOp("s", "x", offsets, sizes),
-            AllocOp("o", sizes, "tcm"),
-            GenericOp("probe", (tile_elems,), ("s",), ("o",),
-                      (ir.AffineIndexMap.identity(1), ir.AffineIndexMap.identity(1)),
-                      ("parallel",), (payload,)),
-            InsertSliceOp("o", "out", offsets, sizes),
-            DeallocOp("o"),
-        )
-    else:
-        body = (
-            ExtractSliceOp("s", "x", offsets, sizes),
-            AllocOp("b", sizes, "tcm"),
-            CopyOp("s", "b"),
-            AllocOp("o", sizes, "tcm"),
-            GenericOp("probe", (tile_elems,), ("b",), ("o",),
-                      (ir.AffineIndexMap.identity(1), ir.AffineIndexMap.identity(1)),
-                      ("parallel",), (payload,)),
-            InsertSliceOp("o", "out", offsets, sizes),
-            DeallocOp("b"),
-            DeallocOp("o"),
-        )
+    body = (
+        # at m = 0 the tile is a view of the TCM-resident input; else it is staged
+        ExtractSliceOp("s", "x", offsets, sizes, None if m <= 0.0 else "tcm"),
+        AllocOp("o", sizes, "tcm"),
+        GenericOp("probe", (tile_elems,), ("s",), ("o",),
+                  (ir.AffineIndexMap.identity(1), ir.AffineIndexMap.identity(1)),
+                  ("parallel",), (payload,)),
+        InsertSliceOp("o", "out", offsets, sizes),
+        DeallocOp("o"),
+    )
     loop = ForOp("i", 0, total, tile_elems, body,
                  annotations=frozenset({"tiled_generic", "all_parallel"}))
     program = KernelProgram("overlap_probe", decls, (loop,), stage="tiled")

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from tcmc import interp, ir
+from tcmc import interp, ir, pipeline
 from tcmc.frontend import (
     Assign, EReduce, ParseError, Store, evaluate_ast, lower_to_generics,
     parse_kernel, print_kernel_source, strip_spans,
 )
 
 from conftest import (
-    ALL_KERNELS, BENCH_DIMS, CONST_SCALAR_SOURCE, bitexact, kernel_inputs, kernel_source, lower,
+    ALL_KERNELS, BENCH_DIMS, CONST_SCALAR_SOURCE, DEFAULT_PASSES, bitexact, kernel_inputs,
+    kernel_source, lower,
 )
 
 
@@ -98,6 +99,36 @@ def test_constant_scalar_assignments_fold_into_the_payload():
     inputs = kernel_inputs(program, "scaled")
     want = evaluate_ast(ast, inputs, {"N": 4096})
     assert bitexact(interp.interpret(program, inputs), want)
+
+
+RANK0_SOURCE = """\
+kernel rank0(x: f32[N], y: f32[N]) {
+    xv = load(x)
+    s = sum(xv, axis=0)
+    t = s * 2.0
+    u = exp(t / N) - s
+    store(y, xv * t + u)
+}
+"""
+
+
+def test_scalar_math_on_a_rank0_tensor_lowers_to_one_point_generics():
+    ast = parse_kernel(RANK0_SOURCE)
+    program = lower_to_generics(ast, {"N": 64})
+    gens = [op for op in program.ops if isinstance(op, ir.GenericOp)]
+    # sum, then t and u each over one point, then the store
+    assert [g.domain for g in gens] == [(64,), (1,), (1,), (64,)]
+    assert [d.shape for d in program.decls if d.role == "temp"] == [(1,), (1,), (1,)]
+    ones = {"x": np.ones(64, np.float32)}
+    want = evaluate_ast(ast, ones, {"N": 64})
+    np.testing.assert_allclose(want["y"], 128.0 + (np.exp(2.0) - 64.0), rtol=1e-6)  # s = 64
+    assert bitexact(interp.interpret(program, ones), want)
+    inputs = kernel_inputs(program, "rank0")
+    want = evaluate_ast(ast, inputs, {"N": 64})
+    opts = pipeline.PipelineOptions(mt_threshold=1)
+    for name in DEFAULT_PASSES:
+        program = pipeline.apply_pass(name, program, opts)
+        assert bitexact(interp.interpret(program, inputs), want), name
 
 
 def test_lower_rmsnorm_broadcast_maps():

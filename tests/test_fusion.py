@@ -14,7 +14,7 @@ import pytest
 
 from tcmc import ir, oracles
 from tcmc.ir import (
-    AffineIndexMap, CopyOp, ForOp, GenericOp, KernelProgram, Payload, Reduction, TensorDecl,
+    AffineIndexMap, ForOp, GenericOp, InsertSliceOp, KernelProgram, Payload, Reduction, TensorDecl,
 )
 from tcmc.passes import fusion, fuse_elementwise, tile_generic
 
@@ -263,7 +263,7 @@ def reduction_producer() -> KernelProgram:
 
 def nested_use() -> KernelProgram:
     # %t is read again inside a loop, so it has two uses and stays
-    loop = ForOp("i", 0, 1, 1, (CopyOp("t", "z"),))
+    loop = ForOp("i", 0, 1, 1, (InsertSliceOp("t", "z", (0,), (N,)),))
     return prog([t("x", "input"), t("t"), t("z", "output"), t("y", "output")], [
         ew("p", ["x"], "t", Payload.unary("neg", A0)),
         ew("c", ["t"], "y", mul(A0, c(3.0))),

@@ -20,7 +20,7 @@ from tcmc import interp, ir, oracles, pipeline
 from tcmc.frontend import lower_to_generics, parse_kernel
 from tcmc.interp import ExecutionFault, TensorValue, compare_outputs, interpret
 from tcmc.ir import (
-    AllocOp, CmpPred, CopyOp, DeallocOp, DmaStartOp, DmaWaitOp, ExtractSliceOp,
+    AllocOp, CmpPred, DeallocOp, DmaStartOp, DmaWaitOp, ExtractSliceOp,
     IfOp, InsertSliceOp, KernelProgram, TensorDecl,
 )
 
@@ -99,10 +99,10 @@ def dma_program(with_wait=True, read_before_wait=False):
         DmaStartOp("tag", "x", (0,), "tile", (0,), (8,)),
     ]
     if read_before_wait:
-        ops.append(CopyOp("tile", "y"))
+        ops.append(InsertSliceOp("tile", "y", (0,), (8,)))
     if with_wait:
         ops.append(DmaWaitOp("tag"))
-        ops.append(CopyOp("tile", "y"))
+        ops.append(InsertSliceOp("tile", "y", (0,), (8,)))
     ops += [DeallocOp("tag"), DeallocOp("tile")]
     return KernelProgram("dma", decls, tuple(ops))
 
@@ -140,7 +140,7 @@ def test_dma_unbalanced_tag_faults():
 def test_wait_on_idle_tag_faults():
     decls = (TensorDecl("x", (8,), role="input"), TensorDecl("y", (8,), role="output"))
     ops = (AllocOp("tag", (1,), "ddr"), DmaWaitOp("tag"), DeallocOp("tag"),
-           CopyOp("x", "y"))
+           InsertSliceOp("x", "y", (0,), (8,)))
     assert fault_message(KernelProgram("p", decls, ops), {"x": np.zeros(8, np.float32)}) == (
         "dma_wait on idle tag %tag (no dma_start in flight)")
 
@@ -261,7 +261,7 @@ def test_released_storage_is_never_read(monkeypatch):
 def test_alloc_reads_as_zeros_from_reused_storage(monkeypatch, fresh_pool):
     poison_released_storage(monkeypatch)
     decls = (TensorDecl("x", (8,), role="input"), TensorDecl("y", (8,), role="output"))
-    ops = (AllocOp("t", (8,)), CopyOp("t", "y"), DeallocOp("t"))
+    ops = (AllocOp("t", (8,)), InsertSliceOp("t", "y", (0,), (8,)), DeallocOp("t"))
     program = KernelProgram("p", decls, ops)
     x = {"x": np.ones(8, np.float32)}
     for _ in range(2):  # the second call's alloc reuses a poisoned array
@@ -282,7 +282,7 @@ def test_a_buffer_with_a_fill_in_flight_is_not_given_back(fresh_pool):
         )),
         AllocOp("t", (8,)),
         DmaWaitOp("tag"),
-        CopyOp("t", "y"),
+        InsertSliceOp("t", "y", (0,), (8,)),
         DeallocOp("t"), DeallocOp("d"), DeallocOp("tag"),
     )
     out = interpret(KernelProgram("p", decls, ops), {"x": np.ones(8, np.float32)})

@@ -266,7 +266,7 @@ def test_block_rules_keep_their_messages_and_order():
     ops = (
         ir.AsyncGroupOp("grp", 2),
         AsyncExecuteOp("tok0", (elementwise(),)),
-        ir.CopyOp("x", "y"),
+        ir.InsertSliceOp("x", "y", (0,), (8,)),
         ir.AddToGroupOp("grp", "tok9"),
         ir.AwaitAllOp("grp"), ir.AwaitAllOp("grp"),
         ir.AwaitAllOp("nogroup"),
@@ -302,7 +302,7 @@ def test_block_rules_keep_their_messages_and_order():
 def test_every_op_type_has_a_verifier_and_an_interpreter_handler():
     from tcmc import interp
     op_types = set(typing.get_args(ir.Op))
-    assert len(op_types) == 16
+    assert len(op_types) == 15
     assert set(ir._VERIFY_HANDLERS) == op_types
     assert set(interp._HANDLERS) == op_types
 
@@ -320,9 +320,39 @@ def test_payload_memo_stays_out_of_equality_hash_and_print():
     assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
     assert ir.print_payload(p) == ir.print_payload(fresh) == "add(a2, exp(a0))"
     for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
-        assert copied == p
+        # before `==`, which walks the copy's nodes() and so derives its `_nodes`
         assert getattr(copied, "_nodes", None) is None and getattr(copied, "_plan", None) is None
+        assert copied == p
     assert Payload.const(1.0).max_arg_index() == -1
+
+
+def squares_chain(links: int, x: Payload = Payload.arg(0)) -> Payload:
+    """t{k} = t{k-1} * t{k-1} + 0.25 from t0 = `x`, each link's operand shared."""
+    t = x
+    for _ in range(links):
+        t = Payload.binary("add", Payload.binary("mul", t, t), Payload.const(0.25))
+    return t
+
+
+def test_payload_equality_hash_and_repr_are_linear_on_a_40_link_shared_chain():
+    # 2**40 root-to-leaf paths: a walk per path would never finish
+    a, b = squares_chain(40), squares_chain(40)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != squares_chain(39) and a != squares_chain(40, Payload.arg(1))
+    assert repr(a) == ir.print_payload(a) and len(repr(a).splitlines()) == 40
+    ga, gb = (GenericOp("g", (8,), ("x",), ("y",), (AffineIndexMap.identity(1),) * 2,
+                        ("parallel",), (p,)) for p in (a, b))
+    assert ga == gb and hash(ga) == hash(gb) and repr(ga) == repr(gb)
+    assert program([ga]) == program([gb]) and hash(program([ga])) == hash(program([gb]))
+
+
+def test_payload_equality_is_blind_to_sharing():
+    x = Payload.unary("exp", Payload.arg(0))
+    shared = Payload.binary("mul", x, x)
+    unshared = Payload.binary("mul", x, Payload.unary("exp", Payload.arg(0)))
+    assert shared == unshared and hash(shared) == hash(unshared)
+    assert shared != Payload.binary("mul", x, Payload.unary("exp", Payload.arg(1)))
+    assert shared != Payload.binary("add", x, x) and shared != "mul(exp(a0), exp(a0))"
 
 
 def test_substitute_args_shares_what_it_does_not_change():
@@ -360,6 +390,46 @@ def test_tcm_budget_enforced():
     rep = verify(program(ops), tcm_bytes=4095)
     assert [v.rule for v in rep.violations] == ["tcm budget"]
     assert verify(program(ops), tcm_bytes=4096).ok
+
+
+def staging_loop(var, *, staged=2, views=0):
+    """for %var over %x (64 f32) in tiles of 16: `staged` extracts @tcm of
+    the tile (64 bytes each), then `views` same-space extracts of the first,
+    each written back to %y."""
+    i = IVar(var)
+    body = [ExtractSliceOp(f"{var}_t{k}", "x", (i,), (16,), "tcm") for k in range(staged)]
+    body += [ExtractSliceOp(f"{var}_v{k}", f"{var}_t0", (0,), (16,)) for k in range(views)]
+    body += [ir.InsertSliceOp(op.result, "y", (i,), (16,)) for op in body]
+    return ForOp(var, 0, 64, 16, tuple(body))
+
+
+STAGING_DECLS = (TensorDecl("x", (64,), role="input"), TensorDecl("y", (64,), role="output"))
+
+
+def tcm_rules(ops, budget):
+    return [v.rule for v in verify(program(ops, STAGING_DECLS), tcm_bytes=budget).violations]
+
+
+def test_staged_extracts_count_toward_the_tcm_budget():
+    assert tcm_rules([staging_loop("i")], 127) == ["tcm budget"]
+    assert tcm_rules([staging_loop("i")], 128) == []
+    three = program([staging_loop("i", staged=3)], STAGING_DECLS)
+    assert verify(three, tcm_bytes=128).violations == (
+        Violation("program", "tcm budget", "peak live TCM 192 bytes exceeds budget 128"),)
+
+
+def test_staged_extracts_are_released_when_their_block_ends():
+    # each loop holds 128 bytes; held past its body, the second would peak at 256
+    assert tcm_rules([staging_loop("i"), staging_loop("j")], 128) == []
+    assert tcm_rules([staging_loop("i"), staging_loop("j")], 127) == ["tcm budget"]
+
+
+def test_extracts_without_a_space_are_not_counted():
+    # three views of the staged tile: only the tile's 64 bytes are live
+    assert tcm_rules([staging_loop("i", staged=1, views=3)], 64) == []
+    assert tcm_rules([staging_loop("i", staged=1, views=3)], 63) == ["tcm budget"]
+    # a view of a DDR tensor holds no TCM at all
+    assert tcm_rules([slice_loop("k", 0, 64, 16, IVar("k"), 16)], 0) == []
 
 
 def test_map_bounds_checked():
@@ -503,7 +573,7 @@ def test_count_ops_recurses_into_bodies():
     from tcmc.passes import fuse_elementwise, tile_generic
     p = tile_generic(fuse_elementwise(lower("gelu")))
     assert count_ops(p, lambda o: isinstance(o, GenericOp)) == 1
-    assert count_ops(p, lambda o: isinstance(o, ir.CopyOp)) == 1
+    assert count_ops(p, lambda o: isinstance(o, ExtractSliceOp) and o.space == "tcm") == 1
 
 
 # -- map_ops -----------------------------------------------------------------

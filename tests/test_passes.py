@@ -5,16 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tcmc import ir
+from tcmc import ir, perf, pipeline
+from tcmc.frontend import lower_to_generics, parse_kernel
 from tcmc.interp import interpret
 from tcmc.ir import (
-    AffineIndexMap, AllocOp, CopyOp, DeallocOp, ExtractSliceOp, ForOp, GenericOp, InsertSliceOp,
+    AffineIndexMap, AllocOp, DeallocOp, ExtractSliceOp, ForOp, GenericOp, InsertSliceOp,
     IVar, KernelProgram, Payload, TensorDecl, ix_min, ix_sub,
 )
 from tcmc.passes import double_buffer_loops as db
 from tcmc.passes.common import BufInfo, NameAllocator, const_upper, const_uppers, split_generic
 
-from conftest import bitexact
+from conftest import DEFAULT_PASSES, bitexact
 
 ROWS, COLS = 6, 10
 
@@ -102,8 +103,8 @@ DB_N, DB_T = 40, 16  # 40 is not a multiple of the tile: the last tile is partia
 def tiled_loop_program(normal_form: bool = True) -> KernelProgram:
     """y1 = x + w and y2 = x * w, tiled by DB_T, both inputs staged into TCM.
 
-    With `normal_form` off the generic reads the DDR views directly, so the
-    body has no extract -> alloc -> copy prefix for db to double-buffer.
+    With `normal_form` off the generic reads DDR views directly, so the
+    body has no leading `extract_slice ... @tcm` run for db to double-buffer.
     """
     i = IVar("i")
     size = ix_min(DB_T, ix_sub(DB_N, i))
@@ -111,10 +112,8 @@ def tiled_loop_program(normal_form: bool = True) -> KernelProgram:
     body: list = []
     ins = []
     for name in ("x", "w"):
-        body.append(ExtractSliceOp(f"{name}_s", name, (i,), (size,)))
-        if normal_form:
-            body += [AllocOp(f"{name}_t", (size,), "tcm"), CopyOp(f"{name}_s", f"{name}_t")]
-        ins.append(f"{name}_t" if normal_form else f"{name}_s")
+        body.append(ExtractSliceOp(f"{name}_t", name, (i,), (size,), "tcm" if normal_form else None))
+        ins.append(f"{name}_t")
     body += [
         AllocOp("o1", (size,), "tcm"), AllocOp("o2", (size,), "tcm"),
         GenericOp("g", (size,), tuple(ins), ("o1", "o2"), (ident,) * 4, ("parallel",),
@@ -123,7 +122,7 @@ def tiled_loop_program(normal_form: bool = True) -> KernelProgram:
         InsertSliceOp("o1", "y1", (i,), (size,)),
         InsertSliceOp("o2", "y2", (i,), (size,)),
     ]
-    body += [DeallocOp(n) for n in (*(["x_t", "w_t"] if normal_form else []), "o1", "o2")]
+    body += [DeallocOp("o1"), DeallocOp("o2")]
     loop = ForOp("i", 0, DB_N, DB_T, tuple(body),
                  annotations=frozenset({"tiled_generic", "all_parallel"}))
     decls = tuple(TensorDecl(n, (DB_N,), space="ddr", role=role)
@@ -222,3 +221,59 @@ def test_db_leaves_a_loop_outside_normal_form_as_it_is():
 def test_db_twice_equals_db_once():
     once = db(tiled_loop_program())
     assert db(once) is once
+
+
+# -- f16 (narrow) staging --------------------------------------------------------
+
+NARROW_N, NARROW_T = 4096 + 100, 1024  # the last tile is partial
+
+
+def twin_stages(dtype: str) -> list[KernelProgram]:
+    """y = x * x + 0.5 with x and y declared `dtype`: the lowered program,
+    then the program after each default pass."""
+    source = (f"kernel twin(x: {dtype}[N], y: {dtype}[N]) {{\n"
+              "    xv = load(x)\n    store(y, xv * xv + 0.5)\n}\n")
+    stages = [lower_to_generics(parse_kernel(source), {"N": NARROW_N})]
+    opts = pipeline.PipelineOptions(tile_sizes=(NARROW_T,))
+    for name in DEFAULT_PASSES:
+        stages.append(pipeline.apply_pass(name, stages[-1], opts))
+    return stages
+
+
+def test_f16_staging_through_the_default_passes():
+    f16, f32 = twin_stages("f16"), twin_stages("f32")
+    final = f16[-1]
+    # the same schedule, with ping/pong and the output tile allocated narrow
+    text = ir.print_ir(final).replace(" narrow", "").replace("f16", "f32")
+    assert text == ir.print_ir(f32[-1])
+    buffers = [op for op, _ in ir.walk_ops(final.ops)
+               if isinstance(op, AllocOp) and op.result.startswith(("ping", "pong"))]
+    assert [op.result for op in buffers] == ["ping0", "pong0"]
+    assert all(op.narrow for op in buffers)
+
+    # live TCM of the tiled stage: the staged %x tile (1024 f16, 2048 bytes)
+    # plus the narrow output tile (2048 bytes); both are 4096 bytes in f32
+    tiled = next(p for p in f16 if p.stage == "tiled")
+    assert any(isinstance(op, ExtractSliceOp) and op.space == "tcm"
+               for op, _ in ir.walk_ops(tiled.ops))
+    assert ir.verify(tiled, tcm_bytes=4096).ok
+    assert [v.rule for v in ir.verify(tiled, tcm_bytes=4095).violations] == ["tcm budget"]
+    twin_tiled = next(p for p in f32 if p.stage == "tiled")
+    assert [v.rule for v in ir.verify(twin_tiled, tcm_bytes=8191).violations] == ["tcm budget"]
+
+    # every transfer, staged extract or DMA, moves half the bytes: the
+    # bandwidth term halves and the latency term stays
+    machine = perf.MachineConfig()
+    bandwidth_only = replace(machine, dma_latency_cycles=0.0)
+    for narrow, wide in zip(f16[2:], f32[2:]):  # from `tile` on
+        half = perf.simulate(wide, bandwidth_only).transfer_cycles / 2
+        assert half > 0
+        assert perf.simulate(narrow, bandwidth_only).transfer_cycles == half
+        assert perf.simulate(narrow, machine).transfer_cycles == (
+            perf.simulate(wide, machine).transfer_cycles - half)
+
+    rng = np.random.default_rng(0)
+    inputs = {"x": rng.standard_normal(NARROW_N).astype(np.float32)}
+    got = interpret(final, inputs)
+    assert bitexact(got, interpret(f16[0], inputs))
+    assert bitexact(got, interpret(f32[-1], inputs))

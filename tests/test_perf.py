@@ -15,7 +15,7 @@ import pytest
 
 from tcmc import cli, oracles, perf, pipeline
 from tcmc.ir import (
-    AffineIndexMap, AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, CmpPred, CopyOp,
+    AffineIndexMap, AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, CmpPred,
     DeallocOp, ExtractSliceOp, ForOp, GenericOp, IBin, IfOp, IVar, InsertSliceOp, KernelProgram,
     Payload, StoreToggleOp, TensorDecl, TogglePred,
 )
@@ -179,13 +179,12 @@ def _tcm_loop(domain, size, trips=8):
     i = IVar("i")
     decls = (TensorDecl("x", (64,), role="input"), TensorDecl("y", (64,), role="output"))
     body = (
-        ExtractSliceOp("s", "x", (i,), (size,)),
-        AllocOp("t", (size,), "tcm"),
-        CopyOp("s", "t"),
-        GenericOp("g", (domain,), ("t",), ("t",), (AffineIndexMap.identity(1),) * 2,
+        ExtractSliceOp("t", "x", (i,), (size,), "tcm"),
+        AllocOp("o", (size,), "tcm"),
+        GenericOp("g", (domain,), ("t",), ("o",), (AffineIndexMap.identity(1),) * 2,
                   ("parallel",), (Payload.binary("add", Payload.arg(0), Payload.const(1.0)),)),
-        InsertSliceOp("t", "y", (i,), (size,)),
-        DeallocOp("t"),
+        InsertSliceOp("o", "y", (i,), (size,)),
+        DeallocOp("o"),
     )
     loop = ForOp("i", 0, trips, 1, body)
     return KernelProgram("t", decls, (loop,)), loop
