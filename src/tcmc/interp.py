@@ -17,9 +17,9 @@ are deliberately rigid:
   twice is a hard ExecutionFault;
 - forall and async bodies run sequentially in issue order, each to
   completion before the next op; await_all only checks group discipline;
-- loop trips, guards and toggle cells follow `ir.ControlState`, the one
+- loop trips and guards follow `ir.trips` and `ir.holds`, the one
   definition the cost model and the oracles share (docs/ir_format.md,
-  "Concrete execution").
+  "Concrete execution"); control flow keeps no state of its own.
 
 Tensor storage: every buffer owns its own f32 array. `alloc` storage reads
 as zeros; `extract_slice` and the `dma_start` snapshot copy their region at
@@ -269,7 +269,6 @@ class _Interp:
         self.program = program
         self.state = state
         self.pool = pool
-        self.control = ir.ControlState()  # loop trips, guards and toggle cells
 
     def run_block(self, ops, env: _Env) -> None:
         handlers = _HANDLERS
@@ -285,7 +284,7 @@ class _Interp:
         # one index dict serves every iteration: bodies run to completion in order
         idx = dict(env.idx)
         var, body = op.var, op.body
-        for i in self.control.trips(op, env.idx):
+        for i in ir.trips(op, env.idx):
             idx[var] = i
             self._run_scope(body, _Env(env, idx))
 
@@ -295,7 +294,7 @@ class _Interp:
             self.pool.give_all(scope.buffers)
 
     def run_if(self, op: ir.IfOp, env: _Env) -> None:
-        if self.control.holds(op.pred, env.idx):
+        if ir.holds(op.pred, env.idx):
             self._run_scope(op.body, _Env(env, env.idx))
 
     # -- buffers ------------------------------------------------------------------
@@ -359,7 +358,7 @@ class _Interp:
         pending.dest.pending_tag = None
         self.pool.give(pending.data)
 
-    # -- async threads and toggles --------------------------------------------------
+    # -- async threads ----------------------------------------------------------
 
     def run_async_group(self, op: ir.AsyncGroupOp, env: _Env) -> None:
         self.state.groups.add(op.group)
@@ -379,9 +378,6 @@ class _Interp:
         if op.group not in self.state.groups:
             raise ExecutionFault(f"await_all on unknown group %{op.group}")
         self.state.groups.remove(op.group)
-
-    def run_store_toggle(self, op: ir.StoreToggleOp, env: _Env) -> None:
-        self.control.store(op)
 
     # -- compute ------------------------------------------------------------------
 
@@ -475,7 +471,6 @@ _HANDLERS = {
     ir.AsyncExecuteOp: _Interp.run_async_execute,
     ir.AddToGroupOp: _Interp.run_add_to_group,
     ir.AwaitAllOp: _Interp.run_await_all,
-    ir.StoreToggleOp: _Interp.run_store_toggle,
 }
 
 

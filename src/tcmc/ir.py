@@ -270,16 +270,6 @@ class CmpPred:
     rhs: Extent
 
 
-@dataclass(frozen=True, slots=True)
-class TogglePred:
-    """True when the toggle cell currently holds `value` (the load_toggle read)."""
-    cell: str
-    value: bool
-
-
-Pred = Union[CmpPred, TogglePred]
-
-
 # ---------------------------------------------------------------------------
 # Scalar payload expressions
 # ---------------------------------------------------------------------------
@@ -543,7 +533,7 @@ class ForallOp:
 
 @dataclass(frozen=True)
 class IfOp:
-    pred: Pred
+    pred: CmpPred
     body: tuple["Op", ...]
     annotations: frozenset[str] = frozenset()
 
@@ -631,17 +621,10 @@ class AwaitAllOp:
     annotations: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class StoreToggleOp:
-    cell: str
-    value: Optional[bool]  # None flips the current value
-    annotations: frozenset[str] = frozenset()
-
-
 Op = Union[
     GenericOp, ForOp, ForallOp, IfOp, ExtractSliceOp, InsertSliceOp, AllocOp,
     DeallocOp, DmaStartOp, DmaWaitOp, AsyncGroupOp, AsyncExecuteOp, AddToGroupOp,
-    AwaitAllOp, StoreToggleOp,
+    AwaitAllOp,
 ]
 
 _BODY_OPS = (ForOp, ForallOp, IfOp, AsyncExecuteOp)
@@ -738,47 +721,28 @@ class ExecutionFault(Exception):
     """Invariant breach during execution (hazard, bad tag, out-of-bounds)."""
 
 
-class ControlState:
-    """Concrete control flow: loop trips, guard values and the toggle cells.
+def trips(op: Union[ForOp, ForallOp], idx: Mapping[str, int]) -> range:
+    """The values a `for` or `forall` binds its var to, in order.
 
-    The interpreter, the cost model and the structural oracles each run a
-    schedule through one of these, so they agree on every trip and guard
+    With `holds`, the one definition of concrete control flow: the
+    interpreter, the cost model and the structural oracles each run a
+    schedule through these two, so they agree on every trip and guard
     (docs/ir_format.md, "Concrete execution"). `idx` maps each index var in
-    scope to its value; `toggles` maps each cell stored so far to its value.
+    scope to its value.
     """
+    if type(op) is ForallOp:
+        return range(op.threads)
+    lb = eval_extent(op.lb, idx)
+    ub = eval_extent(op.ub, idx)
+    step = eval_extent(op.step, idx)
+    if step < 1:
+        raise ExecutionFault(f"for %{op.var}: step {step} < 1")
+    return range(lb, ub, step)
 
-    __slots__ = ("toggles",)
 
-    def __init__(self):
-        self.toggles: dict[str, bool] = {}
-
-    def trips(self, op: Union[ForOp, ForallOp], idx: Mapping[str, int]) -> range:
-        """The values a `for` or `forall` binds its var to, in order."""
-        if type(op) is ForallOp:
-            return range(op.threads)
-        lb = eval_extent(op.lb, idx)
-        ub = eval_extent(op.ub, idx)
-        step = eval_extent(op.step, idx)
-        if step < 1:
-            raise ExecutionFault(f"for %{op.var}: step {step} < 1")
-        return range(lb, ub, step)
-
-    def holds(self, pred: Pred, idx: Mapping[str, int]) -> bool:
-        if type(pred) is CmpPred:
-            return _CMP_FNS[pred.op](eval_extent(pred.lhs, idx), eval_extent(pred.rhs, idx))
-        value = self.toggles.get(pred.cell)
-        if value is None:
-            raise ExecutionFault(f"toggle %{pred.cell} read before any store")
-        return value == pred.value
-
-    def store(self, op: StoreToggleOp) -> None:
-        if op.value is not None:
-            self.toggles[op.cell] = op.value
-            return
-        value = self.toggles.get(op.cell)
-        if value is None:
-            raise ExecutionFault(f"store_toggle flip of unset cell %{op.cell}")
-        self.toggles[op.cell] = not value
+def holds(pred: CmpPred, idx: Mapping[str, int]) -> bool:
+    """Whether an `if` guard holds under the index values `idx`."""
+    return _CMP_FNS[pred.op](eval_extent(pred.lhs, idx), eval_extent(pred.rhs, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +832,6 @@ class _Verifier:
         self.program = program
         self.tcm_bytes = tcm_bytes
         self.violations: list[Violation] = []
-        self.toggles: set[str] = set()
         self.live_tcm = 0
         self.max_live_tcm = 0
         self.tcm_counted: dict[str, int] = {}
@@ -1068,10 +1031,7 @@ class _Verifier:
             self.var_ranges.pop(var, None)
 
     def check_if(self, op: IfOp, where: str, scope: _Scope, block: _Block) -> None:
-        if isinstance(op.pred, CmpPred):
-            self.check_extents_defined(where, (op.pred.lhs, op.pred.rhs), scope)
-        elif isinstance(op.pred, TogglePred) and op.pred.cell not in self.toggles:
-            self.fail(where, "toggle before store", f"toggle %{op.pred.cell} read before any store")
+        self.check_extents_defined(where, (op.pred.lhs, op.pred.rhs), scope)
         self.walk_block(op.body, _Scope(scope), where + ".body")
 
     def check_async_execute(self, op: AsyncExecuteOp, where: str, scope: _Scope,
@@ -1148,12 +1108,6 @@ class _Verifier:
         else:
             self.fail(where, "group scope", f"await_all on %{op.group}: group not created in this block")
 
-    def check_store_toggle(self, op: StoreToggleOp, where: str, scope: _Scope,
-                           block: _Block) -> None:
-        if op.value is None and op.cell not in self.toggles:
-            self.fail(where, "toggle before store", f"toggle %{op.cell} flipped before any store")
-        self.toggles.add(op.cell)
-
     def run(self) -> VerifyReport:
         scope = _Scope()
         seen: set[str] = set()
@@ -1165,7 +1119,7 @@ class _Verifier:
                 self.fail("decls", "decl shape", f"tensor %{d.name} has invalid shape {d.shape}")
             scope.define(d.name, d.shape, d.space)
             if d.space == "tcm":
-                self.take_tcm(d.shape, False)
+                self.take_tcm(d.shape, d.dtype == "f16")
         self.walk_block(self.program.ops, scope, "ops")
         if self.tcm_bytes is not None and self.max_live_tcm > self.tcm_bytes:
             self.fail("program", "tcm budget",
@@ -1188,7 +1142,6 @@ _VERIFY_HANDLERS: dict[type, Callable[..., None]] = {
     AsyncExecuteOp: _Verifier.check_async_execute,
     AddToGroupOp: _Verifier.check_add_to_group,
     AwaitAllOp: _Verifier.check_await_all,
-    StoreToggleOp: _Verifier.check_store_toggle,
 }
 
 
@@ -1223,12 +1176,9 @@ def print_extent(e: Extent) -> str:
     return f"({l} {sym} {r})"
 
 
-def print_pred(p: Pred) -> str:
-    if isinstance(p, CmpPred):
-        sym = {"lt": "<", "le": "<=", "eq": "==", "ne": "!=", "gt": ">", "ge": ">="}[p.op]
-        return f"{print_extent(p.lhs)} {sym} {print_extent(p.rhs)}"
-    want = "ping" if p.value else "pong"
-    return f"load_toggle %{p.cell} == {want}"
+def print_pred(p: CmpPred) -> str:
+    sym = {"lt": "<", "le": "<=", "eq": "==", "ne": "!=", "gt": ">", "ge": ">="}[p.op]
+    return f"{print_extent(p.lhs)} {sym} {print_extent(p.rhs)}"
 
 
 def _payload_lines(p: Payload, first: int = 0) -> list[str]:
@@ -1335,9 +1285,6 @@ def _print_op(op: Op, out: list[str], indent: int) -> None:
         out.append(f"{pad}add_to_group %{op.group}, %{op.token}{_ann(op.annotations)}")
     elif isinstance(op, AwaitAllOp):
         out.append(f"{pad}await_all %{op.group}{_ann(op.annotations)}")
-    elif isinstance(op, StoreToggleOp):
-        val = "flip" if op.value is None else ("ping" if op.value else "pong")
-        out.append(f"{pad}store_toggle %{op.cell} = {val}{_ann(op.annotations)}")
     else:  # pragma: no cover
         raise TypeError(f"unknown op {type(op)}")
 

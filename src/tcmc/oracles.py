@@ -4,9 +4,9 @@ Everything here deliberately avoids the interpreter's code paths: formula
 oracles evaluate the kernels' definitions in float64 (numpy reductions,
 pairwise order) and round once at the end; the structural walkers re-derive
 tile and thread slice geometry straight from the IR, and share with the
-interpreter only the IR's own definition of loop trips, guards and toggles
-(`ir.ControlState`). Pipeline-vs-oracle comparisons therefore use a reltol
-(1e-6), while pipeline-vs-pipeline comparisons stay bit-exact.
+interpreter only the IR's own definition of loop trips and guards
+(`ir.trips`, `ir.holds`). Pipeline-vs-oracle comparisons therefore use a
+reltol (1e-6), while pipeline-vs-pipeline comparisons stay bit-exact.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 from . import ir
 from .ir import (
     AffineIndexMap, AsyncExecuteOp, DmaWaitOp, ExtractSliceOp, ForallOp, ForOp,
-    GenericOp, IfOp, InsertSliceOp, KernelProgram, Op, Payload, Reduction, StoreToggleOp,
-    TensorDecl,
+    GenericOp, IfOp, InsertSliceOp, KernelProgram, Op, Payload, Reduction, TensorDecl,
 )
 
 # ---------------------------------------------------------------------------
@@ -179,11 +178,10 @@ def tile_partition(extent: int, tile: int) -> list[tuple[int, int]]:
 def _walk_schedule(program: KernelProgram) -> tuple[dict, dict]:
     """Run `program`'s control flow concretely and record its slice geometry.
 
-    Loops, guards and toggle cells go through one `ir.ControlState`, so the
-    walk enters exactly the bodies the schedule runs. Returns the results
-    of `enumerate_tiles` and `thread_write_intervals`.
+    Loops and guards go through `ir.trips` and `ir.holds`, so the walk
+    enters exactly the bodies the schedule runs. Returns the results of
+    `enumerate_tiles` and `thread_write_intervals`.
     """
-    control = ir.ControlState()
     tiles: dict[str, list] = {}
     threads: dict[str, list[list[list]]] = {}
 
@@ -200,27 +198,26 @@ def _walk_schedule(program: KernelProgram) -> tuple[dict, dict]:
                 first = None
                 if "tiled_generic" in op.annotations:
                     rec = tiles.setdefault(op.var, [])
-                    first = next((o for o in op.body if isinstance(o, ExtractSliceOp)), None)
-                for i in control.trips(op, env):
+                    first = next((o for o in op.body
+                                  if isinstance(o, ExtractSliceOp) and o.space == "tcm"), None)
+                for i in ir.trips(op, env):
                     inner = {**env, op.var: i}
                     if first is not None:
                         rec.append((at(first.offsets, inner), at(first.sizes, inner)))
                     walk(op.body, inner, sink)
             elif isinstance(op, ForallOp):
                 bodies: list[list] = []
-                for t in control.trips(op, env):
+                for t in ir.trips(op, env):
                     bodies.append([])
                     walk(op.body, {**env, op.var: t}, bodies[-1])
                 threads.setdefault(op.var, []).append(bodies)
                 if sink is not None:
                     sink.extend(w for body in bodies for w in body)
             elif isinstance(op, IfOp):
-                if control.holds(op.pred, env):
+                if ir.holds(op.pred, env):
                     walk(op.body, env, sink)
             elif isinstance(op, AsyncExecuteOp):
                 walk(op.body, env, sink)
-            elif isinstance(op, StoreToggleOp):
-                control.store(op)
 
     walk(program.ops, {}, None)
     return tiles, threads
@@ -228,7 +225,9 @@ def _walk_schedule(program: KernelProgram) -> tuple[dict, dict]:
 
 def enumerate_tiles(program: KernelProgram) -> dict[str, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Per tiled loop (keyed by loop var), the evaluated (offsets, sizes) of
-    its first operand slice at every iteration."""
+    its first staged tile (`extract_slice ... @tcm` at the top of its body)
+    at every iteration. A loop that stages no tile, a double-buffered one
+    among them, records none."""
     return _walk_schedule(program)[0]
 
 

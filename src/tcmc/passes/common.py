@@ -54,10 +54,10 @@ class NameAllocator:
 
 
 # the attributes of each op type that name something: a buffer, a loop or
-# thread var, a token, a group or a toggle cell
+# thread var, a token or a group
 _NAME_ATTRS: dict[type, tuple[str, ...]] = {
     cls: tuple(f.name for f in fields(cls)
-               if f.name in ("result", "var", "token", "group", "cell", "target"))
+               if f.name in ("result", "var", "token", "group", "target"))
     for cls in get_args(Op)
 }
 

@@ -1,23 +1,26 @@
-"""Double buffering: tiled loops into DMA ping-pong form, in one pass.
+"""Double buffering: tiled loops into two-slot DMA form, in one pass.
 
 The pass finds tiled loops in normal form: a leading run of
 `extract_slice ... @tcm` ops staging each input tile into TCM, then a
-compute region with its write-backs into program tensors. It emits the
-ping-pong flow with only the DMA that can overlap compute:
+compute region with its write-backs into program tensors. It emits one
+loop body that overlaps the next tile's DMA with compute, by modulo
+variable expansion (one two-deep buffer indexed by the trip's slot):
 
-- full-size ping and pong buffers hoisted out of the loop, a memory-resident
-  toggle that selects between them and flips every iteration, and one DMA
-  tag per buffer;
+- per staged input of full tile sizes `T`, one buffer `alloc f32[2*T0, T1,
+  ...] @tcm` hoisted out of the loop, slot s at rows `[s*T0, (s+1)*T0)`,
+  and one DMA tag;
 - a guarded prologue (`db_prologue`) with one `dma_start` per input tile,
-  read straight from the tile's source, that preloads tile 0 into the ping
-  set;
-- a loop body of two mutually exclusive sub-kernels, one per toggle value.
-  Each starts a guarded prefetch (`db_prefetch`) of the next tile into the
-  opposite set, in the same form as the prologue, waits on the current
-  set's tags (data resident before compute), and computes on it. Its
+  read straight from the tile's source, that preloads tile 0 into slot 0;
+- a loop body that waits on every tag (data resident before compute),
+  takes each tile as a view `%<tile> = extract_slice %buf[slot*T0, 0,
+  ...][T0, ...]` of the current slot under the stage's own name, starts a
+  guarded prefetch (`db_prefetch`) of the next tile into slot `1 - slot`,
+  in the same form as the prologue, and computes. Trip k (k = (i - lb) //
+  step) runs in slot `k mod 2`, written `k - (k // 2) * 2`. The wait comes
+  before the prefetch, so a buffer never holds two fills in flight, and
   write-backs stay the `insert_slice`s of the compute region: a store the
   next op would wait on at once overlaps nothing;
-- deallocs of every tag after the loop, then of the ping and pong buffers.
+- deallocs of every tag after the loop, then of the buffers.
 
 The `db_generic=<id>` annotation on the prologue and the loop ties them
 together for the cost model and keeps the pass from firing twice.
@@ -26,14 +29,13 @@ together for the cost model and keeps the pass from firing twice.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .. import ir
 from ..ir import (
-    AllocOp, CmpPred, DeallocOp, DmaStartOp, DmaWaitOp, Extent, ExtractSliceOp,
-    ForOp, GenericOp, IfOp, InsertSliceOp, IVar, KernelProgram, Op, StoreToggleOp, TogglePred,
-    ix_add, substitute_extent,
+    AllocOp, CmpPred, DeallocOp, DmaStartOp, DmaWaitOp, Extent, ExtractSliceOp, ForOp, IfOp,
+    IVar, KernelProgram, Op, ix_add, ix_floordiv, ix_mul, ix_sub, substitute_extent,
 )
 from .common import NameAllocator, PassError, const_uppers
 
@@ -63,27 +65,6 @@ def recognize_normal_form(loop: ForOp) -> Optional[NormalFormLoop]:
     return NormalFormLoop(loop, body[:n], body[n:])
 
 
-def _rename_ops(ops: tuple[Op, ...], mapping: dict[str, str]) -> tuple[Op, ...]:
-    def rn(name: str) -> str:
-        return mapping.get(name, name)
-
-    def fn(op: Op) -> Optional[tuple[Op, ...]]:
-        names = op.inputs + op.outputs if isinstance(op, GenericOp) else (
-            getattr(op, "source", None), getattr(op, "dest", None))
-        if not any(n in mapping for n in names):
-            return None  # nothing to rename: keep the op as it is
-        if isinstance(op, GenericOp):
-            return (replace(op, inputs=tuple(rn(n) for n in op.inputs),
-                            outputs=tuple(rn(n) for n in op.outputs)),)
-        if isinstance(op, ExtractSliceOp):
-            return (replace(op, source=rn(op.source)),)
-        if isinstance(op, InsertSliceOp):
-            return (replace(op, source=rn(op.source), dest=rn(op.dest)),)
-        return None
-
-    return ir.map_ops(ops, fn)
-
-
 def _full_sizes(stage: ExtractSliceOp) -> tuple[int, ...]:
     sizes = const_uppers(stage.sizes)
     if sizes is None:
@@ -92,22 +73,27 @@ def _full_sizes(stage: ExtractSliceOp) -> tuple[int, ...]:
     return sizes
 
 
-def _preload_ops(nf: NormalFormLoop, dest_of: dict[str, str], tag_of: dict[str, str],
-                 at: Extent) -> tuple[Op, ...]:
-    """One dma_start per input tile, from its source, with the loop var at `at`."""
+def _slot_offsets(slot: Extent, full: tuple[int, ...]) -> tuple[Extent, ...]:
+    """Where slot `slot` starts in a two-slot buffer of tiles of sizes `full`."""
+    return (ix_mul(slot, full[0]),) + (0,) * (len(full) - 1)
+
+
+def _preload_ops(nf: NormalFormLoop, bufs: dict[str, tuple[str, str, tuple[int, ...]]],
+                 at: Extent, slot: Extent) -> tuple[Op, ...]:
+    """One dma_start per input tile, from its source with the loop var at
+    `at`, into slot `slot` of its buffer."""
     ops: list[Op] = []
     m = {nf.loop.var: at}
     for t in nf.stages:
-        sizes = tuple(substitute_extent(s, m) for s in t.sizes)
-        dest = dest_of[t.result]
-        ops.append(DmaStartOp(tag_of[dest], t.source,
-                              tuple(substitute_extent(o, m) for o in t.offsets),
-                              dest, tuple(0 for _ in sizes), sizes))
+        buf, tag, full = bufs[t.result]
+        ops.append(DmaStartOp(tag, t.source, tuple(substitute_extent(o, m) for o in t.offsets),
+                              buf, _slot_offsets(slot, full),
+                              tuple(substitute_extent(s, m) for s in t.sizes)))
     return tuple(ops)
 
 
 def double_buffer_loops(program: KernelProgram) -> KernelProgram:
-    """Rewrite normal-form tiled loops into guarded ping-pong form with DMA."""
+    """Rewrite normal-form tiled loops into guarded two-slot form with DMA."""
     names = NameAllocator(program)
     found = 0
 
@@ -116,50 +102,35 @@ def double_buffer_loops(program: KernelProgram) -> KernelProgram:
         nf = recognize_normal_form(op) if isinstance(op, ForOp) else None
         if nf is None:
             return None
-        tag = f"db_generic={found}"
+        gid = f"db_generic={found}"
         found += 1
-        out: list[Op] = []
         loop = nf.loop
-        ping_of: dict[str, str] = {}
-        pong_of: dict[str, str] = {}
+        # per staged tile: its two-slot buffer, its DMA tag and its full sizes
+        bufs = {t.result: (names.fresh("buf"), names.fresh("tag"), _full_sizes(t))
+                for t in nf.stages}
+        out: list[Op] = []
         for t in nf.stages:
-            full = _full_sizes(t)
-            narrow = program.is_narrow(t.source)
-            ping = ping_of[t.result] = names.fresh("ping")
-            pong = pong_of[t.result] = names.fresh("pong")
-            out.append(AllocOp(ping, full, "tcm", narrow=narrow))
-            out.append(AllocOp(pong, full, "tcm", narrow=narrow))
-        toggle = names.fresh("tog")
-        out.append(StoreToggleOp(toggle, True))
+            buf, _, full = bufs[t.result]
+            out.append(AllocOp(buf, (2 * full[0],) + full[1:], "tcm",
+                               narrow=program.is_narrow(t.source)))
+        tags = [tag for _, tag, _ in bufs.values()]
+        out.extend(AllocOp(t, (1,), "ddr", annotations=frozenset({"dma_tag"})) for t in tags)
+        out.append(IfOp(CmpPred("lt", loop.lb, loop.ub), _preload_ops(nf, bufs, loop.lb, 0),
+                        annotations=frozenset({"db_prologue", gid})))
 
-        tag_of = {b: names.fresh("tag") for b in [*ping_of.values(), *pong_of.values()]}
-        out.extend(AllocOp(t, (1,), "ddr", annotations=frozenset({"dma_tag"}))
-                   for t in tag_of.values())
-        out.append(IfOp(
-            CmpPred("lt", loop.lb, loop.ub),
-            _preload_ops(nf, ping_of, tag_of, loop.lb),
-            annotations=frozenset({"db_prologue", tag}),
-        ))
-
-        def sub_kernel(cur: dict[str, str], nxt: dict[str, str], is_ping: bool) -> IfOp:
-            nxt_at = ix_add(IVar(loop.var), loop.step)
-            prefetch = IfOp(CmpPred("lt", nxt_at, loop.ub), _preload_ops(nf, nxt, tag_of, nxt_at),
-                            annotations=frozenset({"db_prefetch"}))
-            waits = tuple(DmaWaitOp(tag_of[b]) for b in cur.values())
-            return IfOp(TogglePred(toggle, is_ping),
-                        (prefetch, *waits, *_rename_ops(nf.compute, cur)))
-
-        out.append(ForOp(
-            loop.var, loop.lb, loop.ub, loop.step,
-            (sub_kernel(ping_of, pong_of, True),
-             sub_kernel(pong_of, ping_of, False),
-             StoreToggleOp(toggle, None)),
-            annotations=loop.annotations | {tag},
-        ))
-        out.extend(DeallocOp(t) for t in tag_of.values())
-        for t in nf.stages:
-            out.append(DeallocOp(ping_of[t.result]))
-            out.append(DeallocOp(pong_of[t.result]))
+        trip = ix_floordiv(ix_sub(IVar(loop.var), loop.lb), loop.step)
+        slot = ix_sub(trip, ix_mul(ix_floordiv(trip, 2), 2))
+        nxt_at = ix_add(IVar(loop.var), loop.step)
+        body: list[Op] = [DmaWaitOp(t) for t in tags]
+        body.extend(ExtractSliceOp(t, buf, _slot_offsets(slot, full), full)
+                    for t, (buf, _, full) in bufs.items())
+        body.append(IfOp(CmpPred("lt", nxt_at, loop.ub),
+                         _preload_ops(nf, bufs, nxt_at, ix_sub(1, slot)),
+                         annotations=frozenset({"db_prefetch"})))
+        out.append(ForOp(loop.var, loop.lb, loop.ub, loop.step, (*body, *nf.compute),
+                         annotations=loop.annotations | {gid}))
+        out.extend(DeallocOp(t) for t in tags)
+        out.extend(DeallocOp(buf) for buf, _, _ in bufs.values())
         return tuple(out)
 
     ops = ir.map_ops(program.ops, expand)

@@ -44,7 +44,7 @@ def _elem_bytes(dtype: str) -> int:
 
 def default_tile_sizes(generic: GenericOp, program: KernelProgram, tcm_bytes: int) -> Optional[TileSpec]:
     """Largest power-of-two tile of the outermost parallel dim such that a
-    ping+pong pair of all operand tiles fits in half the TCM."""
+    two-slot buffer of all operand tiles fits in half the TCM."""
     par = [d for d, it in enumerate(generic.iterators) if it == "parallel"]
     if not par:
         return None

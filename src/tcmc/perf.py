@@ -1,16 +1,16 @@
 """Analytic cycle cost model over staged programs.
 
-The simulator walks a program's schedule concretely (loops iterate, guards
-evaluate, toggles flip, all through `ir.ControlState` as in the interpreter:
+The simulator walks a program's schedule concretely (loops iterate and
+guards evaluate through `ir.trips` and `ir.holds`, as in the interpreter:
 docs/ir_format.md, "Concrete execution") but accounts time analytically
 instead of emulating instructions. It does each distinct piece of cost work
 once per `simulate` call: a generic's payload cycles and vector width are
 computed on its first visit, and a loop whose body is self-contained (see
 `_LoopPlan`) walks its body once per iteration class, the iterations that
-agree on the toggles and loop-var-dependent extents the cost reads, and
-replays the cached sum for the others. The replay repeats the walk's float
-additions in order, so the report is bit-identical to walking every
-iteration. The rules:
+agree on the loop-var-dependent extents the cost reads, and replays the
+cached sum for the others. The replay repeats the walk's float additions
+in order, so the report is bit-identical to walking every iteration. The
+rules:
 
 - data movement (extract_slice / insert_slice across memory spaces,
   dma_start) costs latency + bytes/bandwidth; dma_wait itself is free;
@@ -43,7 +43,7 @@ from . import ir
 from .ir import (
     AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, DeallocOp, DmaStartOp,
     DmaWaitOp, ExecutionFault, ExtractSliceOp, ForallOp, ForOp, GenericOp, IBin, IfOp,
-    InsertSliceOp, IVar, KernelProgram, Op, StoreToggleOp, TogglePred,
+    InsertSliceOp, IVar, KernelProgram, Op,
 )
 
 DEFAULT_OP_CYCLES: dict[str, float] = {
@@ -195,22 +195,20 @@ class _Group:
 class _LoopPlan:
     """Everything a balanced loop body's cost depends on that varies per iteration.
 
-    Two iterations that agree on their key walk the body identically: same
-    _Acc, same toggles left behind. The key holds the entry values of the
-    toggle cells the body touches (`cells`) and the class id `class_ids`
-    gives the values of its cost atoms. An atom is a maximal subexpression
-    that mentions the loop var and no var of an inner loop around it, taken
-    from the extents the walker reads (generic domains, inner loop bounds,
-    slice/alloc/dma sizes, guard sides); a guard with no inner var is one
-    boolean atom. Offsets are never read, so they are left out.
+    Two iterations that agree on their key walk the body to the same _Acc.
+    The key is the class id `class_ids` gives the values of the body's cost
+    atoms. An atom is a maximal subexpression that mentions the loop var and
+    no var of an inner loop around it, taken from the extents the walker
+    reads (generic domains, inner loop bounds, slice/alloc/dma sizes, guard
+    sides); a guard with no inner var is one boolean atom. Offsets are never
+    read, so they are left out.
     """
 
-    cells: tuple[str, ...]
     extents: tuple[ir.Extent, ...]
     preds: tuple[ir.CmpPred, ...]
 
     def class_ids(self, env, var: str, trips: range) -> Iterator[Optional[int]]:
-        """Each trip's iteration class apart from the toggles, or None for no key.
+        """Each trip's iteration class, or None for no key.
 
         Every atom and guard is evaluated over a block of up to `_BLOCK`
         trips at once, in the enclosing env, as an exact int64 array; where
@@ -272,7 +270,6 @@ def _scan_loop(loop: ForOp) -> Optional[_LoopPlan]:
     first, walked, iteration either way.)
     """
     var = loop.var
-    cells: dict[str, None] = {}
     extents: dict[ir.Extent, None] = {}
     preds: dict[ir.CmpPred, None] = {}
     groups: set[str] = set()
@@ -291,7 +288,7 @@ def _scan_loop(loop: ForOp) -> Optional[_LoopPlan]:
             atoms(e.rhs, inner)
 
     def scan(ops, inner: frozenset[str]) -> bool:
-        """Collect the cells and atoms of `ops`, whose loops bind `inner`; False if unbalanced."""
+        """Collect the atoms of `ops`, whose loops bind `inner`; False if unbalanced."""
         for op in ops:
             kind = type(op)
             exts: tuple = ()
@@ -303,20 +300,15 @@ def _scan_loop(loop: ForOp) -> Optional[_LoopPlan]:
                 exts = (op.lb, op.ub, op.step)
             elif kind in (ExtractSliceOp, AllocOp, InsertSliceOp, DmaStartOp):
                 exts = op.sizes
-            elif kind is StoreToggleOp:
-                cells[op.cell] = None
             elif kind is IfOp:
                 if "db_prologue" in op.annotations:
                     return False
                 pred = op.pred
-                if type(pred) is TogglePred:
-                    cells[pred.cell] = None
-                else:
-                    names = ir._extent_vars(pred.lhs) | ir._extent_vars(pred.rhs)
-                    if names & inner:
-                        exts = (pred.lhs, pred.rhs)
-                    elif var in names:
-                        preds[pred] = None
+                names = ir._extent_vars(pred.lhs) | ir._extent_vars(pred.rhs)
+                if names & inner:
+                    exts = (pred.lhs, pred.rhs)
+                elif var in names:
+                    preds[pred] = None
             elif kind is AsyncGroupOp:
                 groups.add(op.group)
             elif kind is AsyncExecuteOp:
@@ -340,7 +332,7 @@ def _scan_loop(loop: ForOp) -> Optional[_LoopPlan]:
 
     if not scan(loop.body, frozenset()) or groups or tokens:
         return None
-    return _LoopPlan(tuple(cells), tuple(extents), tuple(preds))
+    return _LoopPlan(tuple(extents), tuple(preds))
 
 
 _INT64_EXACT = 1 << 62
@@ -399,7 +391,6 @@ class _Sim:
     def __init__(self, program: KernelProgram, config: MachineConfig):
         self.program = program
         self.cfg = config
-        self.control = ir.ControlState()
         self.groups: dict[str, _Group] = {}
         self.pending_token: dict[str, _Acc] = {}
         self.prologue_pool: dict[str, float] = {}
@@ -471,7 +462,7 @@ class _Sim:
             acc.time += c
         elif isinstance(op, ForOp):
             gid = ir.annotation_value(op.annotations, "db_generic")
-            body_acc = self.walk_trips(op, self.control.trips(op, env), env, buffers, in_prefetch)
+            body_acc = self.walk_trips(op, ir.trips(op, env), env, buffers, in_prefetch)
             if gid is not None:
                 # double-buffered loop: prologue + prefetch transfers overlap
                 # the compute side; stores and overheads already in .time
@@ -483,10 +474,10 @@ class _Sim:
             else:
                 acc.add(body_acc)
         elif isinstance(op, ForallOp):
-            for t in self.control.trips(op, env):
+            for t in ir.trips(op, env):
                 acc.add(self.walk_block(op.body, {**env, op.var: t}, dict(buffers), in_prefetch))
         elif isinstance(op, IfOp):
-            if not self.control.holds(op.pred, env):
+            if not ir.holds(op.pred, env):
                 return
             prologue = "db_prologue" in op.annotations
             prefetching = in_prefetch or prologue or "db_prefetch" in op.annotations
@@ -545,8 +536,6 @@ class _Sim:
                 acc.prefetch += body.prefetch
             acc.time += max(free) + cfg.barrier_cycles
             acc.overhead += cfg.barrier_cycles
-        elif isinstance(op, StoreToggleOp):
-            self.control.store(op)
         # remaining ops are free
 
     def walk_trips(self, op: ForOp, trips: range, env, buffers, in_prefetch: bool) -> _Acc:
@@ -565,21 +554,15 @@ class _Sim:
             for i in trips:
                 body_acc.add(walk(i))
         else:
-            # a body without toggle cells is keyed by its class id alone and
-            # restores nothing: the tuple and the restore cost about 0.5 us a trip
-            cells, toggles = plan.cells, self.control.toggles
-            seen: dict[object, tuple[_Acc, dict[str, bool]]] = {}
+            seen: dict[int, _Acc] = {}
             for i, cid in zip(trips, plan.class_ids(env, op.var, trips)):
                 if cid is None:
                     body_acc.add(walk(i))
                     continue
-                key = (*[toggles.get(c) for c in cells], cid) if cells else cid
-                hit = seen.get(key)
+                hit = seen.get(cid)
                 if hit is None:
-                    hit = seen[key] = (walk(i), {c: toggles[c] for c in cells if c in toggles})
-                elif cells:
-                    toggles.update(hit[1])
-                body_acc.add(hit[0])
+                    hit = seen[cid] = walk(i)
+                body_acc.add(hit)
         return body_acc
 
     def loop_plan(self, op: ForOp) -> Optional[_LoopPlan]:

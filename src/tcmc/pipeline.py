@@ -2,7 +2,7 @@
 
 The pipeline is a composition of passes applied in user order (dependency
 checked): fuse, tile, vectorize, mt, async, db, math-approx. Each is one
-function; db emits the DMA ping-pong form of each tiled loop directly. With
+function; db emits the two-slot DMA form of each tiled loop directly. With
 verification on, the program is interpreted after every pass and compared
 against the stage-0 interpretation: bit-exact for structural passes, within
 reltol 1e-4 from the math expansion onward (its documented accuracy

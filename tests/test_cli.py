@@ -52,7 +52,7 @@ def test_constant_scalar_assignments_compile_and_verify(tmp_path, capsys):
     src.write_text(CONST_SCALAR_SOURCE)
     argv = ["compile", str(src), "--shape", "N=4096", "--verify", "bitexact"]
     assert cli.main(argv) == cli.EXIT_OK
-    assert "db           generics=2  [compare(bitexact): pass]" in capsys.readouterr().out
+    assert "db           generics=1  [compare(bitexact): pass]" in capsys.readouterr().out
 
 
 def test_run_pipeline_takes_kernel_text_longer_than_a_file_name(tmp_path):
@@ -149,8 +149,8 @@ def test_emit_final_prints_a_200_link_fused_chain(tmp_path, capsys):
     payload = "add(1.0, mul(a0, 0.5))"
     for _ in range(199):
         payload = f"add(1.0, mul(mul(a0, {payload}), 0.5))"
-    # once in each of the ping and pong sub-kernels
-    assert capsys.readouterr().out.count(f"yield {payload}\n") == 2
+    # once: the double-buffered loop has one body
+    assert capsys.readouterr().out.count(f"yield {payload}\n") == 1
 
 
 def test_math_expansion_of_a_200_link_fused_chain(tmp_path, capsys):
@@ -164,7 +164,7 @@ def test_verify_of_a_400_link_chain(tmp_path, capsys):
     argv = ["compile", chain(tmp_path, 400), "--shape", "N=4096", "--verify", "bitexact"]
     with np.errstate(over="ignore"):
         assert cli.main(argv) == cli.EXIT_OK
-    assert "db           generics=2  [compare(bitexact): pass]" in capsys.readouterr().out
+    assert "db           generics=1  [compare(bitexact): pass]" in capsys.readouterr().out
 
 
 def test_bench_of_a_400_link_chain(tmp_path, capsys):
@@ -188,7 +188,7 @@ def test_verify_evaluates_a_shared_24_link_chain(tmp_path, capsys):
     argv = ["compile", squares_kernel(tmp_path, 24), "--shape", "N=64", "--verify", "bitexact"]
     with np.errstate(over="ignore"):
         assert cli.main(argv) == cli.EXIT_OK
-    assert "db           generics=2  [compare(bitexact): pass]" in capsys.readouterr().out
+    assert "db           generics=1  [compare(bitexact): pass]" in capsys.readouterr().out
 
 
 def test_emit_final_names_each_shared_node_of_a_24_link_chain(tmp_path, capsys):
@@ -198,10 +198,9 @@ def test_emit_final_names_each_shared_node_of_a_24_link_chain(tmp_path, capsys):
     body += [f"%s{k} = add(mul(%s{k - 1}, %s{k - 1}), 0.25)" for k in range(1, 23)]
     body += ["yield add(mul(%s22, %s22), 0.25)"]
     lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
-    # once in each of the ping and pong sub-kernels
-    starts = [i for i, line in enumerate(lines) if line == body[0]]
-    assert len(starts) == 2
-    assert all(lines[i:i + 24] == body for i in starts)
+    # once: the double-buffered loop has one body
+    (start,) = [i for i, line in enumerate(lines) if line == body[0]]
+    assert lines[start:start + 24] == body
 
 
 def test_bench_costs_each_node_of_a_shared_24_link_chain_once(tmp_path, capsys):
@@ -218,7 +217,7 @@ def test_rsqrt_meets_the_math_approx_contract(tmp_path, capsys):
                    "    out = rsqrt(xv * xv + 1.0)\n    store(y, out)\n}\n")
     argv = ["compile", str(src), "--shape", "N=4096", "--math", "approx", "--verify", "bitexact"]
     assert cli.main(argv) == cli.EXIT_OK
-    assert "math-approx  generics=2  [compare(reltol(0.0001)): pass]" in capsys.readouterr().out
+    assert "math-approx  generics=1  [compare(reltol(0.0001)): pass]" in capsys.readouterr().out
 
 
 def test_exit_spec_shape_symbol_the_kernel_does_not_declare(capsys):

@@ -1,16 +1,16 @@
-"""`ir.ControlState`: the one definition of loop trips, guards and toggle cells.
+"""`ir.trips` and `ir.holds`: the one definition of loop trips and guards.
 
 The interpreter, the cost model and both structural oracles run a schedule's
-control flow through it, so a bad step or an unset toggle cell is the same
-`ExecutionFault`, with the same message, from every one of them.
+control flow through them, so a bad step is the same `ExecutionFault`, with
+the same message, from every one of them.
 """
 
 import pytest
 
 from tcmc import interp, ir, oracles, perf
 from tcmc.ir import (
-    AddToGroupOp, AsyncExecuteOp, AsyncGroupOp, AwaitAllOp, ExecutionFault, ForallOp, ForOp,
-    IfOp, InsertSliceOp, IVar, KernelProgram, StoreToggleOp, TensorDecl, TogglePred,
+    AddToGroupOp, AsyncExecuteOp, AsyncGroupOp, AwaitAllOp, CmpPred, ExecutionFault, ForallOp,
+    ForOp, IfOp, InsertSliceOp, IVar, KernelProgram, TensorDecl,
 )
 
 
@@ -32,8 +32,6 @@ CONTROL_FAULTS = {
     "step 0": (ForOp("i", 0, 8, 0, ()), "for %i: step 0 < 1"),
     "step -1": (ForOp("i", 8, 0, -1, ()), "for %i: step -1 < 1"),
     "symbolic step 0": (SYMBOLIC_STEP_0, "for %i: step 0 < 1"),
-    "unset toggle read": (IfOp(TogglePred("tog", True), ()), "toggle %tog read before any store"),
-    "unset toggle flip": (StoreToggleOp("tog", None), "store_toggle flip of unset cell %tog"),
 }
 
 
@@ -68,14 +66,13 @@ def test_interp_reexports_the_one_fault_type():
     assert interp.ExecutionFault is ir.ExecutionFault
 
 
-def test_thread_writes_follow_toggle_guards():
-    # only the ping branch runs; a walker that entered every `if` saw both
+def test_thread_writes_follow_guards():
+    # only the first branch runs; a walker that entered every `if` saw both
     def threaded(offset):
         write = InsertSliceOp("y", "y", (ir.IBin("add", IVar("t"), offset),), (1,))
         return ForallOp("t", 2, (write,))
 
-    p = program(StoreToggleOp("tog", True),
-                IfOp(TogglePred("tog", True), (threaded(0),)),
-                IfOp(TogglePred("tog", False), (threaded(4),)))
+    p = program(IfOp(CmpPred("lt", 0, 1), (threaded(0),)),
+                IfOp(CmpPred("ge", 0, 1), (threaded(4),)))
     assert oracles.thread_write_intervals(p) == {
         "t": [[[("y", (0,), (1,))], [("y", (1,), (1,))]]]}

@@ -270,8 +270,6 @@ def test_block_rules_keep_their_messages_and_order():
         ir.AddToGroupOp("grp", "tok9"),
         ir.AwaitAllOp("grp"), ir.AwaitAllOp("grp"),
         ir.AwaitAllOp("nogroup"),
-        IfOp(ir.TogglePred("tog", True), ()),
-        ir.StoreToggleOp("tog2", None),
         AllocOp("t", (8,), "tcm"), DeallocOp("t"), DeallocOp("t"), DeallocOp("u"),
         AllocOp("v", (8,), "tcm"),
         ir.DmaStartOp("tagx", "x", (0,), "ghost", (0,), (8,)),
@@ -280,29 +278,35 @@ def test_block_rules_keep_their_messages_and_order():
         ForOp("i", 0, 8, 4, (ir.InsertSliceOp("nope", "y", (IVar("j"),), (4,)),)),
         AsyncExecuteOp("tok1", ()),
     )
-    assert str(verify(program(ops))) == """verify: 16 violation(s)
+    assert str(verify(program(ops))) == """verify: 14 violation(s)
   [token discipline] ops[2]: token %tok0 not added to a group immediately
   [token discipline] ops[3]: add_to_group of %tok9 does not follow its async_execute
   [group scope] ops[6]: await_all on %nogroup: group not created in this block
-  [toggle before store] ops[7]: toggle %tog read before any store
-  [toggle before store] ops[8]: toggle %tog2 flipped before any store
-  [double dealloc] ops[11]: %t deallocated twice
-  [dealloc pairing] ops[12]: dealloc %u without alloc in the same block
-  [undefined-buffer] ops[14]: dma_start references undefined %ghost
-  [undefined-buffer] ops[14]: dma tag %tagx undefined
-  [undefined-buffer] ops[15]: dma tag %tagx undefined
-  [thread count] ops[16]: forall threads 0 < 1
-  [undefined-buffer] ops[17].body[0]: insert_slice source %nope undefined
-  [unbound-index] ops[17].body[0]: index variable %j not in scope
+  [double dealloc] ops[9]: %t deallocated twice
+  [dealloc pairing] ops[10]: dealloc %u without alloc in the same block
+  [undefined-buffer] ops[12]: dma_start references undefined %ghost
+  [undefined-buffer] ops[12]: dma tag %tagx undefined
+  [undefined-buffer] ops[13]: dma tag %tagx undefined
+  [thread count] ops[14]: forall threads 0 < 1
+  [undefined-buffer] ops[15].body[0]: insert_slice source %nope undefined
+  [unbound-index] ops[15].body[0]: index variable %j not in scope
   [token discipline] ops: token %tok1 never added to a group
-  [alloc pairing] ops[13]: alloc %v has no dealloc in its block
+  [alloc pairing] ops[11]: alloc %v has no dealloc in its block
   [group discipline] ops: group %grp awaited 2 times (want 1)"""
+
+
+def test_f16_tcm_decl_counts_two_bytes_an_element():
+    def decl(dtype):
+        return KernelProgram("t", (TensorDecl("x", (1024,), dtype, "tcm", "input"),), ())
+
+    assert verify(decl("f16"), tcm_bytes=2048).ok
+    assert [v.rule for v in verify(decl("f32"), tcm_bytes=2048).violations] == ["tcm budget"]
 
 
 def test_every_op_type_has_a_verifier_and_an_interpreter_handler():
     from tcmc import interp
     op_types = set(typing.get_args(ir.Op))
-    assert len(op_types) == 15
+    assert len(op_types) == 14
     assert set(ir._VERIFY_HANDLERS) == op_types
     assert set(interp._HANDLERS) == op_types
 

@@ -5,17 +5,21 @@ output must match within an allclose bound.
 `thread_write_intervals` + `regions_disjoint` check the mt race-freedom
 contract, `enumerate_tiles` checks tiling geometry against
 `tile_partition`, and `remove_first_wait` is the mutation that the
-interpreter's DMA hazard checker must catch. `regions_disjoint` is
+interpreter's DMA hazard checker must catch. A prefetch into the slot in
+use is the mutation the hazard checker cannot see, which the bit-exact
+output comparison must catch instead. `regions_disjoint` is
 quadratic in the writes per forall execution, so block-cyclic chunks of 7
 run only at small N.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tcmc import interp, oracles, perf, pipeline
+from tcmc import interp, ir, oracles, perf, pipeline
 from tcmc.interp import ExecutionFault
-from tcmc.passes import fuse_elementwise, tile_generic
+from tcmc.passes import double_buffer_loops, fuse_elementwise, tile_generic
 
 from conftest import (
     ALL_KERNELS, BENCH_DIMS, DEFAULT_PASSES, kernel_inputs, kernel_path, lower,
@@ -79,11 +83,44 @@ def test_removing_first_dma_wait_faults():
         oracles.remove_first_wait(lower("gelu", {"N": 4096}))
 
 
+def test_prefetch_into_the_current_slot_is_caught():
+    # one buffer per input: the hazard check sees no second fill in flight,
+    # so the wrong slot must show in the outputs
+    opts = pipeline.PipelineOptions(tile_sizes=(1024,))
+    program = mt_output("gelu", {"N": 4096}, opts, ("fuse", "tile", "db"))
+    loop = next(op for op in program.ops if isinstance(op, ir.ForOp))
+    current = {op.source: op.offsets for op in loop.body if isinstance(op, ir.ExtractSliceOp)}
+
+    def into_current_slot(op):
+        if isinstance(op, ir.IfOp) and "db_prefetch" in op.annotations:
+            return (replace(op, body=tuple(replace(d, dst_offsets=current[d.dest])
+                                           for d in op.body)),)
+        return None
+
+    mutated = program.with_ops(ir.map_ops(program.ops, into_current_slot))
+    assert mutated != program
+    inputs = kernel_inputs(program, "gelu")
+    want = interp.interpret(program, inputs)
+    try:
+        got = interp.interpret(mutated, inputs)
+    except ExecutionFault:
+        return
+    assert not interp.compare_outputs(got, want, "bitexact").ok
+
+
 def test_enumerated_tiles_match_reference_partition():
     n, tile = 16397, 4096
     program = tile_generic(fuse_elementwise(lower("gelu", {"N": n})), tile_sizes=(tile,))
     (tiles,) = oracles.enumerate_tiles(program).values()
     assert [(o[0], s[0]) for o, s in tiles] == oracles.tile_partition(n, tile)
+
+
+def test_a_db_loop_reports_no_slot_views_as_tiles():
+    # its body stages nothing: the views of the two-slot buffer are not tiles
+    program = tile_generic(fuse_elementwise(lower("gelu", {"N": 4096})), tile_sizes=(1024,))
+    (tiles,) = oracles.enumerate_tiles(program).values()
+    assert [(o[0], s[0]) for o, s in tiles] == oracles.tile_partition(4096, 1024)
+    assert list(oracles.enumerate_tiles(double_buffer_loops(program)).values()) == [[]]
 
 
 def test_memory_fraction_sweep_reaches_ideal_overlap():

@@ -131,73 +131,45 @@ def tiled_loop_program(normal_form: bool = True) -> KernelProgram:
     return KernelProgram("db_probe", decls, (loop,), stage="tiled")
 
 
-# pins the ping/pong/tog/tag names and the op order
+# pins the buf/tag names, the slot offsets and the op order
 DB_EXPECTED = """\
 program @db_probe stage=db-dma {
   tensor %x: f32[40] @ddr role=input
   tensor %w: f32[40] @ddr role=input
   tensor %y1: f32[40] @ddr role=output
   tensor %y2: f32[40] @ddr role=output
-  %ping0 = alloc f32[16] @tcm
-  %pong0 = alloc f32[16] @tcm
-  %ping1 = alloc f32[16] @tcm
-  %pong1 = alloc f32[16] @tcm
-  store_toggle %tog0 = ping
+  %buf0 = alloc f32[32] @tcm
+  %buf1 = alloc f32[32] @tcm
   %tag0 = alloc f32[1] @ddr {dma_tag}
   %tag1 = alloc f32[1] @ddr {dma_tag}
-  %tag2 = alloc f32[1] @ddr {dma_tag}
-  %tag3 = alloc f32[1] @ddr {dma_tag}
   if (0 < 40) {db_generic=0, db_prologue} {
-    dma_start tag=%tag0 %x[0] -> %ping0[0] sizes=[16]
-    dma_start tag=%tag1 %w[0] -> %ping1[0] sizes=[16]
+    dma_start tag=%tag0 %x[0] -> %buf0[0] sizes=[16]
+    dma_start tag=%tag1 %w[0] -> %buf1[0] sizes=[16]
   }
   for %i = 0 to 40 step 16 {all_parallel, db_generic=0, tiled_generic} {
-    if (load_toggle %tog0 == ping) {
-      if ((%i + 16) < 40) {db_prefetch} {
-        dma_start tag=%tag2 %x[(%i + 16)] -> %pong0[0] sizes=[min(16, (40 - (%i + 16)))]
-        dma_start tag=%tag3 %w[(%i + 16)] -> %pong1[0] sizes=[min(16, (40 - (%i + 16)))]
-      }
-      dma_wait tag=%tag0
-      dma_wait tag=%tag1
-      %o1 = alloc f32[min(16, (40 - %i))] @tcm
-      %o2 = alloc f32[min(16, (40 - %i))] @tcm
-      generic @g domain=[min(16, (40 - %i))] iters=[parallel]
-          ins(%ping0: (d0) %ping1: (d0)) outs(%o1: (d0) %o2: (d0))
-          yield add(a0, a1)
-          yield mul(a0, a1)
-      insert_slice %o1 -> %y1[%i][min(16, (40 - %i))]
-      insert_slice %o2 -> %y2[%i][min(16, (40 - %i))]
-      dealloc %o1
-      dealloc %o2
+    dma_wait tag=%tag0
+    dma_wait tag=%tag1
+    %x_t = extract_slice %buf0[(((%i // 16) - (((%i // 16) // 2) * 2)) * 16)][16]
+    %w_t = extract_slice %buf1[(((%i // 16) - (((%i // 16) // 2) * 2)) * 16)][16]
+    if ((%i + 16) < 40) {db_prefetch} {
+      dma_start tag=%tag0 %x[(%i + 16)] -> %buf0[((1 - ((%i // 16) - (((%i // 16) // 2) * 2))) * 16)] sizes=[min(16, (40 - (%i + 16)))]
+      dma_start tag=%tag1 %w[(%i + 16)] -> %buf1[((1 - ((%i // 16) - (((%i // 16) // 2) * 2))) * 16)] sizes=[min(16, (40 - (%i + 16)))]
     }
-    if (load_toggle %tog0 == pong) {
-      if ((%i + 16) < 40) {db_prefetch} {
-        dma_start tag=%tag0 %x[(%i + 16)] -> %ping0[0] sizes=[min(16, (40 - (%i + 16)))]
-        dma_start tag=%tag1 %w[(%i + 16)] -> %ping1[0] sizes=[min(16, (40 - (%i + 16)))]
-      }
-      dma_wait tag=%tag2
-      dma_wait tag=%tag3
-      %o1 = alloc f32[min(16, (40 - %i))] @tcm
-      %o2 = alloc f32[min(16, (40 - %i))] @tcm
-      generic @g domain=[min(16, (40 - %i))] iters=[parallel]
-          ins(%pong0: (d0) %pong1: (d0)) outs(%o1: (d0) %o2: (d0))
-          yield add(a0, a1)
-          yield mul(a0, a1)
-      insert_slice %o1 -> %y1[%i][min(16, (40 - %i))]
-      insert_slice %o2 -> %y2[%i][min(16, (40 - %i))]
-      dealloc %o1
-      dealloc %o2
-    }
-    store_toggle %tog0 = flip
+    %o1 = alloc f32[min(16, (40 - %i))] @tcm
+    %o2 = alloc f32[min(16, (40 - %i))] @tcm
+    generic @g domain=[min(16, (40 - %i))] iters=[parallel]
+        ins(%x_t: (d0) %w_t: (d0)) outs(%o1: (d0) %o2: (d0))
+        yield add(a0, a1)
+        yield mul(a0, a1)
+    insert_slice %o1 -> %y1[%i][min(16, (40 - %i))]
+    insert_slice %o2 -> %y2[%i][min(16, (40 - %i))]
+    dealloc %o1
+    dealloc %o2
   }
   dealloc %tag0
   dealloc %tag1
-  dealloc %tag2
-  dealloc %tag3
-  dealloc %ping0
-  dealloc %pong0
-  dealloc %ping1
-  dealloc %pong1
+  dealloc %buf0
+  dealloc %buf1
 }
 """
 
@@ -243,12 +215,12 @@ def twin_stages(dtype: str) -> list[KernelProgram]:
 def test_f16_staging_through_the_default_passes():
     f16, f32 = twin_stages("f16"), twin_stages("f32")
     final = f16[-1]
-    # the same schedule, with ping/pong and the output tile allocated narrow
+    # the same schedule, with the two-slot buffer and the output tile allocated narrow
     text = ir.print_ir(final).replace(" narrow", "").replace("f16", "f32")
     assert text == ir.print_ir(f32[-1])
     buffers = [op for op, _ in ir.walk_ops(final.ops)
-               if isinstance(op, AllocOp) and op.result.startswith(("ping", "pong"))]
-    assert [op.result for op in buffers] == ["ping0", "pong0"]
+               if isinstance(op, AllocOp) and op.result.startswith("buf")]
+    assert [op.result for op in buffers] == ["buf0"]
     assert all(op.narrow for op in buffers)
 
     # live TCM of the tiled stage: the staged %x tile (1024 f16, 2048 bytes)

@@ -8,7 +8,7 @@ Regenerate it only for a deliberate change to the cost model:
 """
 
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from tcmc import cli, oracles, perf, pipeline
 from tcmc.ir import (
     AffineIndexMap, AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, CmpPred,
     DeallocOp, ExtractSliceOp, ForOp, GenericOp, IBin, IfOp, IVar, InsertSliceOp, KernelProgram,
-    Payload, StoreToggleOp, TensorDecl, TogglePred,
+    Payload, TensorDecl,
 )
 from tcmc.passes import double_buffer_loops
 
@@ -129,6 +129,16 @@ def test_reports_match_golden_bit_for_bit():
     assert not diff, f"{len(diff)} reports differ, first: got {diff[0][0]} want {diff[0][1]}"
 
 
+def test_no_golden_report_overlaps_a_negative_amount():
+    # overlap is a saving: total never exceeds compute + transfer + overhead,
+    # up to the rounding of their sums (the worst case is about -3.5e-16 of total)
+    names = [f.name for f in fields(perf.TimingReport)]
+    for line in GOLDEN.read_text().splitlines():
+        case, *values = line.split()
+        rep = dict(zip(names, map(float.fromhex, values)))
+        assert rep["overlapped_cycles"] >= -1e-12 * rep["total_cycles"], case
+
+
 @pytest.mark.parametrize("links", [8, 12])
 def test_fusion_never_adds_compute_to_a_shared_chain(tmp_path, links):
     src = squares_kernel(tmp_path, links)
@@ -171,8 +181,8 @@ def test_tiled_loop_body_is_walked_once_per_iteration_class(monkeypatch):
     full = _full_walk(monkeypatch, program, ODD_CONFIG)
     walks = _count_body_walks(monkeypatch, loop.body)
     assert perf.simulate(program, ODD_CONFIG) == full
-    # ping, pong, and the last iteration whose prefetch guard is false
-    assert walks[0] <= 4
+    # every iteration but the last, and the last, whose prefetch guard is false
+    assert walks[0] == 2
 
 
 def _tcm_loop(domain, size, trips=8):
@@ -207,27 +217,6 @@ def test_constant_body_is_walked_once(monkeypatch):
     walks = _count_body_walks(monkeypatch, loop.body)
     assert perf.simulate(program, ODD_CONFIG) == full
     assert walks[0] == 1
-
-
-def test_toggle_alternation_is_replayed(monkeypatch):
-    # ping costs more than pong, and the cell's exit value gates one more generic
-    def work(n):
-        return GenericOp("g", (n,), ("x",), ("y",), (AffineIndexMap.identity(1),) * 2,
-                         ("parallel",), (Payload.binary("add", Payload.arg(0), Payload.arg(0)),))
-
-    body = (IfOp(TogglePred("tog", True), (work(64),)),
-            IfOp(TogglePred("tog", False), (work(3),)),
-            StoreToggleOp("tog", None))
-    loop = ForOp("i", 0, 7, 1, body)
-    ops = (StoreToggleOp("tog", True), loop, IfOp(TogglePred("tog", False), (work(5),)))
-    program = KernelProgram("t", (TensorDecl("x", (64,), role="input"),
-                                  TensorDecl("y", (64,), role="output")), ops)
-    cfg = perf.MachineConfig()
-    full = _full_walk(monkeypatch, program, cfg)
-    walks = _count_body_walks(monkeypatch, body)
-    assert perf.simulate(program, cfg) == full
-    assert full.compute_cycles == 4 * 64 + 3 * 3 + 5
-    assert walks[0] == 2
 
 
 def _guarded_loop(pred, domain, lb=0, ub=8):
@@ -275,19 +264,13 @@ def test_atoms_past_two_to_the_62_keep_exact_keys(monkeypatch):
 
 
 @pytest.mark.parametrize("block", [perf._BLOCK, 3])
-@pytest.mark.parametrize("toggled", [False, True])
-def test_body_walks_equal_distinct_keys(monkeypatch, toggled, block):
-    # min(4, 10 - i) takes 4 values; a toggle flipped every trip pairs with
-    # them; keys taken in blocks of 3 trips still match across blocks
+def test_body_walks_equal_distinct_keys(monkeypatch, block):
+    # min(4, 10 - i) takes 4 values; keys taken in blocks of 3 trips still
+    # match across blocks
     monkeypatch.setattr(perf, "_BLOCK", block)
     i = IVar("i")
     program, loop = _tcm_loop(IBin("min", 4, IBin("sub", 10, i)), 4, trips=10)
     keys = {min(4, 10 - k) for k in range(10)}
-    if toggled:
-        body = loop.body + (StoreToggleOp("tog", None),)
-        loop = replace(loop, body=body)
-        program = replace(program, ops=(StoreToggleOp("tog", True), loop))
-        keys = {(k % 2, min(4, 10 - k)) for k in range(10)}
     full = _full_walk(monkeypatch, program, ODD_CONFIG)
     walks = _count_body_walks(monkeypatch, loop.body)
     assert perf.simulate(program, ODD_CONFIG) == full
