@@ -8,10 +8,11 @@ are deliberately rigid:
   (numerics.ordered_fold: a row-by-row `np.add.reduce` across 16 or more
   independent output lanes, an order-free `np.maximum.reduce` whose result
   has one bit pattern unless it is ±0 or NaN, and a sequential `accumulate`
-  otherwise), which is the same fp order at every pipeline stage because
-  passes never split reduction dimensions. Only the sign and payload bits of
-  a NaN folded from two NaNs are left unspecified (see ordered_fold), and
-  those too match across stages;
+  otherwise). A carried fold (`init=out`) starts each output point from its
+  current value, so a reduction that `tile` splits into sequential tiles
+  folds in the same fp order at every pipeline stage. Only the sign and
+  payload bits of a NaN folded from two NaNs are left unspecified (see
+  ordered_fold), and those too match across stages;
 - DMA data becomes visible in the destination only at dma_wait; reading a
   buffer with an in-flight fill, waiting on an idle tag, or starting a tag
   twice is a hard ExecutionFault;
@@ -22,15 +23,15 @@ are deliberately rigid:
   "Concrete execution"); control flow keeps no state of its own.
 
 Tensor storage: every buffer owns its own f32 array. `alloc` storage reads
-as zeros; `extract_slice` and the `dma_start` snapshot copy their region at
-the op, so neither is a view of its source. An `extract_slice` that names a
-space (`@tcm`, how `tile` stages an input tile) records its result in that
-space; one without keeps the source's. These arrays, the copies of the
-inputs and the root temporaries come from one per-thread buffer pool that
-outlives each `interpret` call, so the allocator does not hand large arrays
-back to the OS for the next buffer to fault in again. Output arrays
-returned to the caller never come from it. Storage goes back to the pool
-only from a binding that is going away:
+as zeros, or as its `fill` value; `extract_slice` and the `dma_start`
+snapshot copy their region at the op, so neither is a view of its source.
+An `extract_slice` that names a space (`@tcm`, how `tile` stages an input
+tile) records its result in that space; one without keeps the source's.
+These arrays, the copies of the inputs and the root temporaries come from
+one per-thread buffer pool that outlives each `interpret` call, so the
+allocator does not hand large arrays back to the OS for the next buffer to
+fault in again. Output arrays returned to the caller never come from it.
+Storage goes back to the pool only from a binding that is going away:
 
 - at `dealloc`;
 - the buffers still bound when a `for`/`forall` iteration, an `if` body or
@@ -319,7 +320,12 @@ class _Interp:
         shape = tuple(ir.eval_extent(s, idx) for s in op.sizes)
         if any(s < 1 for s in shape):
             raise ExecutionFault(f"alloc %{op.result}: non-positive extent {shape}")
-        env.buffers[op.result] = _Buffer(self.pool.zeros(shape), op.space)
+        if op.fill is None:
+            data = self.pool.zeros(shape)
+        else:
+            data = self.pool.take(shape)
+            data.fill(op.fill)
+        env.buffers[op.result] = _Buffer(data, op.space)
 
     def run_dealloc(self, op: ir.DeallocOp, env: _Env) -> None:
         buf = env.lookup(op.target)
@@ -406,15 +412,21 @@ class _Interp:
             vals = eval_payload(payload, views)
             if np.shape(vals) != domain:  # it reads no operand that spans the domain
                 vals = np.broadcast_to(vals, domain)
-            if red_axes:
-                vals = ordered_fold(vals, red_axes, red.kind, red.init)
-            # vals axes are the parallel dims in ascending order
             extents = [1 if r is None else domain[r] for r in results]
+            region = tuple([slice(0, e) for e in extents])
+            if red_axes:
+                init = red.init
+                if init is None:  # carried: each point folds on from its current value
+                    init = out.data[region].reshape([domain[r] for r in results if r is not None])
+                    if perm is not None:
+                        init = init.transpose(np.argsort(perm))
+                vals = ordered_fold(vals, red_axes, red.kind, init)
+            # vals axes are the parallel dims in ascending order
             if perm is not None:
                 vals = vals.transpose(perm)
             if reshape:
                 vals = vals.reshape(extents)
-            out.data[tuple([slice(0, e) for e in extents])] = vals
+            out.data[region] = vals
 
 
 class _GenericPlan:

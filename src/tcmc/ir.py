@@ -440,8 +440,15 @@ class AffineIndexMap:
 
 @dataclass(frozen=True, slots=True)
 class Reduction:
+    """A combinator and the value its fold starts from.
+
+    `init=None` is a carried fold (printed `init=out`): each output point's
+    fold starts from that point's current value, so a reduction split into
+    tiles continues from the previous tile's partial result.
+    """
+
     kind: Literal["sum", "max"]
-    init: float
+    init: Optional[float]
 
     @staticmethod
     def sum() -> "Reduction":
@@ -450,6 +457,9 @@ class Reduction:
     @staticmethod
     def max() -> "Reduction":
         return Reduction("max", -math.inf)
+
+    def carried(self) -> "Reduction":
+        return Reduction(self.kind, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -472,9 +482,9 @@ class GenericOp:
 
     maps has one entry per operand, inputs first then outputs. payloads has
     one entry per output; for outputs over a domain with reduction dims the
-    matching `reductions` entry gives the combinator and its init value (the
-    payload computes the per-point update that the combinator folds in
-    ascending index order).
+    matching `reductions` entry gives the combinator and its init value, or
+    `init=out` (the payload computes the per-point update that the
+    combinator folds in ascending index order).
 
     `_plan` is the interpreter's execution plan for the op, derived on its
     first execution like an IBin's caches and, like them, outside `==`,
@@ -562,11 +572,14 @@ class InsertSliceOp:
 
 @dataclass(frozen=True)
 class AllocOp:
+    """New storage of `sizes`; it reads as zeros, or as `fill` when one is given."""
+
     result: str
     sizes: tuple[Extent, ...]
     space: Literal["ddr", "tcm"] = "tcm"
     narrow: bool = False
     annotations: frozenset[str] = frozenset()
+    fill: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -1240,7 +1253,8 @@ def _print_op(op: Op, out: list[str], indent: int) -> None:
             if red is None:
                 out.append(f"{pad}    yield {expr}")
             else:
-                out.append(f"{pad}    reduce {red.kind} init={fmt_f32(red.init)} of {expr}")
+                init = "out" if red.init is None else fmt_f32(red.init)
+                out.append(f"{pad}    reduce {red.kind} init={init} of {expr}")
     elif isinstance(op, ForOp):
         out.append(f"{pad}for %{op.var} = {print_extent(op.lb)} to {print_extent(op.ub)} "
                    f"step {print_extent(op.step)}{_ann(op.annotations)} {{")
@@ -1266,7 +1280,9 @@ def _print_op(op: Op, out: list[str], indent: int) -> None:
                    f"{_ann(op.annotations)}")
     elif isinstance(op, AllocOp):
         narrow = " narrow" if op.narrow else ""
-        out.append(f"{pad}%{op.result} = alloc f32{_exts(op.sizes)} @{op.space}{narrow}{_ann(op.annotations)}")
+        fill = "" if op.fill is None else f" fill={fmt_f32(op.fill)}"
+        out.append(f"{pad}%{op.result} = alloc f32{_exts(op.sizes)} @{op.space}{narrow}{fill}"
+                   f"{_ann(op.annotations)}")
     elif isinstance(op, DeallocOp):
         out.append(f"{pad}dealloc %{op.target}{_ann(op.annotations)}")
     elif isinstance(op, DmaStartOp):

@@ -125,13 +125,16 @@ _COMBINE = {"sum": np.add, "max": np.maximum}
 _SUM_LANES = 16
 
 
-def ordered_fold(values: np.ndarray, axes: Sequence[int], kind: str, init: float) -> np.ndarray:
+def ordered_fold(values: np.ndarray, axes: Sequence[int], kind: str, init) -> np.ndarray:
     """Fold `values` over `axes` in ascending index order, starting from init.
 
-    Per output point the reduced coordinates are visited lexicographically,
-    and the result is ((init op x0) op x1) op ... in f32, which fixes the fp
-    accumulation order. `init` is combined first, so a -0.0 first element
-    summed from init 0.0 folds to +0.0.
+    `init` is one start value for every output point, or an array of the
+    output's shape that gives each point its own (a carried fold, which
+    continues a fold split along the reduced axes). Per output point the
+    reduced coordinates are visited lexicographically, and the result is
+    ((init op x0) op x1) op ... in f32, which fixes the fp accumulation
+    order. `init` is combined first, so a -0.0 first element summed from
+    init 0.0 folds to +0.0.
 
     Three paths give that result, picked from the shape and the values:
 
@@ -141,11 +144,13 @@ def ordered_fold(values: np.ndarray, axes: Sequence[int], kind: str, init: float
       the fast one, numpy adds one row at a time into an accumulator that
       starts at `initial`; it sums pairwise only along the fast axis. So
       every lane still adds in index order, from `init` even when that is
-      -0.0. tests/test_numerics.py guards this numpy behaviour.
-    - A max takes `np.maximum.reduce(..., initial=init)` per lane, in
-      whatever order numpy picks. A maximum that is neither zero nor NaN has
-      one bit pattern whatever the order, so the call falls back to the path
-      below when any lane's result is ±0 or NaN.
+      -0.0. A per-lane init is the first row instead, added to `initial`
+      -0.0, which leaves every value as it is. tests/test_numerics.py
+      guards this numpy behaviour.
+    - A max takes `np.maximum.reduce` per lane, in whatever order numpy
+      picks, and then the max with each lane's init. A maximum that is
+      neither zero nor NaN has one bit pattern whatever the order, so the
+      call falls back to the path below when any lane's result is ±0 or NaN.
     - Every other fold, a 1-D sum among them, runs the ufunc's `accumulate`
       along a buffer seeded with init, which combines element k with the
       running result of elements 0..k-1, one f32 op at a time.
@@ -162,17 +167,23 @@ def ordered_fold(values: np.ndarray, axes: Sequence[int], kind: str, init: float
     keep = [d for d in range(values.ndim) if d not in axes]
     par_shape = tuple(values.shape[d] for d in keep)
     lanes = math.prod(par_shape)
+    per_lane = np.ndim(init) > 0
     if kind == "sum" and lanes >= _SUM_LANES:
-        rows = np.ascontiguousarray(np.transpose(values, list(axes) + keep))
-        total = np.add.reduce(rows.reshape(-1, lanes), axis=0, initial=F32(init))
+        rows = np.transpose(values, list(axes) + keep).reshape(-1, lanes)
+        if per_lane:
+            rows, init = np.concatenate([np.reshape(init, (1, lanes)), rows]), -0.0
+        total = np.add.reduce(np.ascontiguousarray(rows), axis=0, initial=F32(init))
         return total.reshape(par_shape)
     flat = np.transpose(values, keep + list(axes)).reshape(par_shape + (-1,))
     if kind == "max":
-        top = np.maximum.reduce(flat, axis=-1, initial=F32(init), keepdims=True)
+        top = np.maximum.reduce(flat, axis=-1, initial=F32(-np.inf if per_lane else init),
+                                keepdims=True)
+        if per_lane:
+            top = np.maximum(np.reshape(init, top.shape), top)
         if np.minimum.reduce(np.abs(top), axis=None) > 0:  # no lane is ±0 or NaN
             return top.reshape(par_shape)
     buf = np.empty(par_shape + (flat.shape[-1] + 1,), dtype=np.float32)
-    buf[..., 0] = F32(init)
+    buf[..., 0] = init
     buf[..., 1:] = flat
     _COMBINE[kind].accumulate(buf, axis=-1, out=buf)
     return buf[..., -1].copy()

@@ -4,8 +4,13 @@ Tiling rewrites each top-level generic with parallel dims into a loop nest
 over tiles: stage each input tile into TCM with one `extract_slice ... @tcm`,
 allocate each output tile in TCM, compute on the tiles, and write results
 back with insert_slice. Remainder tiles clamp to min(t, extent - offset).
-Reduction dims are never tiled, which keeps the fp accumulation order of
-every reduction intact (the bit-exactness contract).
+
+A rank-1 reduction whose operands exceed the compute window is tiled along
+its reduction dim: its outputs become TCM accumulators, filled with the
+fold's init before the loop, and every trip folds its tile into them with
+`init=out`. The tiles run in order and each fold continues from the last
+one's result, so this is the same strict left-to-right fold and keeps every
+output bit (the bit-exactness contract). No other reduction dim is tiled.
 
 Vectorization marks generics whose innermost dim is parallel with
 `vectorized(W)`. When W does not divide the innermost extent the generic is
@@ -31,7 +36,8 @@ from .common import BufInfo, NameAllocator, PassError, const_uppers, split_gener
 
 @dataclass(frozen=True)
 class TileSpec:
-    """Per-dimension tile sizes (0 = keep whole); reduction dims must be 0."""
+    """Per-dimension tile sizes (0 = keep whole). Only the default policy
+    tiles a reduction dim; explicit sizes on one are a PassError."""
 
     sizes: tuple[int, ...]
     interchange: Optional[tuple[int, ...]] = None
@@ -42,21 +48,15 @@ def _elem_bytes(dtype: str) -> int:
     return 2 if dtype == "f16" else 4
 
 
-def default_tile_sizes(generic: GenericOp, program: KernelProgram, tcm_bytes: int) -> Optional[TileSpec]:
-    """Largest power-of-two tile of the outermost parallel dim such that a
-    two-slot buffer of all operand tiles fits in half the TCM."""
-    par = [d for d, it in enumerate(generic.iterators) if it == "parallel"]
-    if not par:
-        return None
-    dim = par[0]
-    extent = generic.domain[dim]
-    assert isinstance(extent, int)
+def _dim_bytes(generic: GenericOp, program: KernelProgram, dim: int) -> tuple[int, int]:
+    """(bytes per index of `dim`, bytes of the rest) over the whole buffers of
+    `generic`'s operands: an operand whose map reads `dim` counts toward the
+    first, one that does not toward the second."""
     fixed = 0
     per_t = 0
     for name, m in zip(generic.inputs + generic.outputs, generic.maps):
         decl = program.decl(name)
-        eb = _elem_bytes(decl.dtype) if decl else 4
-        other = eb
+        other = _elem_bytes(decl.dtype) if decl else 4
         tiled = False
         for j, r in enumerate(m.results):
             ext = decl.shape[j] if decl else 1
@@ -68,6 +68,31 @@ def default_tile_sizes(generic: GenericOp, program: KernelProgram, tcm_bytes: in
             per_t += other
         else:
             fixed += other
+    return per_t, fixed
+
+
+def _pow2_floor(n: int) -> int:
+    t = 1
+    while t * 2 <= n:
+        t *= 2
+    return t
+
+
+def default_tile_sizes(generic: GenericOp, program: KernelProgram, tcm_bytes: int,
+                       compute_window_bytes: int) -> Optional[TileSpec]:
+    """Largest power-of-two tile of the outermost parallel dim such that a
+    two-slot buffer of all operand tiles fits in half the TCM.
+
+    A generic without parallel dims is tiled along its reduction dim only
+    when it is rank 1 and its operands exceed `compute_window_bytes`
+    (`_reduction_tile_sizes`)."""
+    par = [d for d, it in enumerate(generic.iterators) if it == "parallel"]
+    if not par:
+        return _reduction_tile_sizes(generic, program, tcm_bytes, compute_window_bytes)
+    dim = par[0]
+    extent = generic.domain[dim]
+    assert isinstance(extent, int)
+    per_t, fixed = _dim_bytes(generic, program, dim)
     budget = tcm_bytes // 4 - fixed
     if per_t == 0:
         return None
@@ -75,24 +100,49 @@ def default_tile_sizes(generic: GenericOp, program: KernelProgram, tcm_bytes: in
     if t_max < 1:
         raise PassError(
             f"@{generic.name}: no tile of dim d{dim} fits the TCM budget ({tcm_bytes} bytes)")
-    t = 1
-    while t * 2 <= t_max:
-        t *= 2
-    t = min(t, extent)
+    t = min(_pow2_floor(t_max), extent)
     sizes = [0] * len(generic.domain)
     sizes[dim] = t
     return TileSpec(tuple(sizes))
 
 
+def _reduction_tile_sizes(generic: GenericOp, program: KernelProgram, tcm_bytes: int,
+                          window_bytes: int) -> Optional[TileSpec]:
+    """The tile of a rank-1 reduction whose operands exceed the compute window.
+
+    The footprint counts every input and output buffer whole, as the cost
+    model does for its window test. The tile is the largest power of two T
+    whose tile footprint stays within the window (and, as for a parallel
+    tile, within a quarter of the TCM). A generic that fits the window, or
+    whose broadcast operands alone fill it, stays whole.
+    """
+    if len(generic.domain) != 1 or not isinstance(generic.domain[0], int):
+        return None
+    per_t, fixed = _dim_bytes(generic, program, 0)
+    if per_t == 0 or per_t * generic.domain[0] + fixed <= window_bytes:
+        return None
+    t_max = (min(window_bytes, tcm_bytes // 4) - fixed) // per_t
+    return TileSpec((_pow2_floor(t_max),)) if t_max >= 1 else None
+
+
 def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
-              names: NameAllocator, tcm_bytes: Optional[int]) -> Op:
+              names: NameAllocator, tcm_bytes: Optional[int]) -> tuple[Op, ...]:
+    """The tile loop nest of `generic`, with the ops around it.
+
+    Tiles of parallel dims get their outputs allocated per trip and written
+    back in the loop body. Tiles of reduction dims (every tiled dim is one)
+    fold into one accumulator per output instead: allocated before the loop
+    with the fold's init, folded with `init=out` on every trip, written back
+    and deallocated after the loop.
+    """
     rank = len(generic.domain)
     if len(spec.sizes) != rank:
         raise PassError(f"@{generic.name}: tile spec rank {len(spec.sizes)} != domain rank {rank}")
     tiled_dims = [d for d, t in enumerate(spec.sizes) if t > 0]
+    carried = any(generic.iterators[d] == "reduction" for d in tiled_dims)
     for d in tiled_dims:
-        if generic.iterators[d] == "reduction":
-            raise PassError(f"@{generic.name}: cannot tile reduction dim d{d}")
+        if carried and generic.iterators[d] == "parallel":
+            raise PassError(f"@{generic.name}: cannot tile parallel dim d{d} with a reduction dim")
         if not isinstance(generic.domain[d], int):
             raise PassError(f"@{generic.name}: dynamic extent cannot be tiled")
     if not tiled_dims:
@@ -131,12 +181,14 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     inner_domain = tuple(tile_size.get(d, generic.domain[d]) for d in range(rank))
     new_outputs: list[str] = []
     writebacks: list[Op] = []
-    for name, m in zip(generic.outputs, generic.output_maps()):
+    accs: list[Op] = []
+    for name, m, red in zip(generic.outputs, generic.output_maps(), generic.reductions):
         decl = program.decl(name)
         offsets, sizes = slice_of(decl.shape if decl else (), m)
-        otile = names.fresh("o")
+        otile = names.fresh("acc" if carried else "o")
         narrow = program.is_narrow(name)
-        body.append(AllocOp(otile, sizes, spec.target_space, narrow=narrow))
+        (accs if carried else body).append(AllocOp(otile, sizes, spec.target_space, narrow=narrow,
+                                                   fill=red.init if carried else None))
         writebacks.append(InsertSliceOp(otile, name, offsets, sizes))
         deallocs.append(DeallocOp(otile))
         new_outputs.append(otile)
@@ -149,9 +201,11 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
 
     inner = replace(generic, domain=inner_domain, inputs=tuple(new_inputs),
                     outputs=tuple(new_outputs))
+    if carried:
+        inner = replace(inner, reductions=tuple(r.carried() for r in generic.reductions))
     body.append(inner)
-    body.extend(writebacks)
-    body.extend(deallocs)
+    if not carried:
+        body.extend(writebacks + deallocs)
 
     order = list(tiled_dims)
     if spec.interchange is not None:
@@ -159,14 +213,14 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
             raise PassError(f"@{generic.name}: interchange must permute the {len(tiled_dims)} tiled dims")
         order = [tiled_dims[k] for k in spec.interchange]
 
-    annotations = frozenset({"tiled_generic", "all_parallel"})
-    loop: Op = None
+    annotations = frozenset({"tiled_generic"} if carried else {"tiled_generic", "all_parallel"})
     inner_ops = tuple(body)
     for d in reversed(order):
-        loop = ForOp(loop_vars[d], 0, generic.domain[d], spec.sizes[d], inner_ops,
-                     annotations=annotations)
-        inner_ops = (loop,)
-    return loop
+        inner_ops = (ForOp(loop_vars[d], 0, generic.domain[d], spec.sizes[d], inner_ops,
+                           annotations=annotations),)
+    if carried:
+        return (*accs, *inner_ops, *writebacks, *deallocs)
+    return inner_ops
 
 
 def _tile_set_bytes(sizes, narrow: bool) -> int:
@@ -180,20 +234,24 @@ def tile_generic(
     tile_sizes: Optional[tuple[int, ...]] = None,
     interchange: Optional[tuple[int, ...]] = None,
     tcm_bytes: int = 8 * 1024 * 1024,
+    compute_window_bytes: int = 131072,
 ) -> KernelProgram:
-    """Tile every top-level generic with parallel dims over DDR -> TCM tiles.
+    """Tile every top-level generic over DDR -> TCM tiles.
 
     `tile_sizes` applies to generics whose rank matches its length; all other
     generics fall back to the default sizing policy. Generics with no
-    parallel dims are left untouched.
+    parallel dims are left untouched, except a rank-1 reduction whose
+    operands exceed `compute_window_bytes`: it folds tile by tile into a
+    carried accumulator.
     """
     names = NameAllocator(program)
     new_ops: list[Op] = []
     for op in program.ops:
         spec = None
         if isinstance(op, GenericOp):
-            spec = tile_spec(op, program, tile_sizes, interchange, tcm_bytes)
-        new_ops.append(op if spec is None else _tile_one(op, spec, program, names, tcm_bytes))
+            spec = tile_spec(op, program, tile_sizes, interchange, tcm_bytes,
+                             compute_window_bytes)
+        new_ops.extend((op,) if spec is None else _tile_one(op, spec, program, names, tcm_bytes))
     return program.with_ops(tuple(new_ops), stage="tiled")
 
 
@@ -203,6 +261,7 @@ def tile_spec(
     tile_sizes: Optional[tuple[int, ...]],
     interchange: Optional[tuple[int, ...]],
     tcm_bytes: int,
+    compute_window_bytes: int,
 ) -> Optional[TileSpec]:
     """The tiling `tile_generic` gives `op`, or None when it leaves `op` whole.
 
@@ -217,7 +276,7 @@ def tile_spec(
                 raise PassError(f"@{op.name}: negative tile size")
         if any(t > 0 for t in tile_sizes):
             return TileSpec(tuple(tile_sizes), interchange)
-    spec = default_tile_sizes(op, program, tcm_bytes)
+    spec = default_tile_sizes(op, program, tcm_bytes, compute_window_bytes)
     if spec is not None and interchange is not None and len(
             [t for t in spec.sizes if t > 0]) == len(interchange):
         spec = replace(spec, interchange=interchange)

@@ -86,7 +86,8 @@ def apply_pass(name: str, program: ir.KernelProgram, opts: PipelineOptions) -> i
         return fuse_elementwise(program)
     if name == "tile":
         return tile_generic(program, opts.tile_sizes, opts.interchange,
-                            tcm_bytes=opts.machine.tcm_bytes)
+                            tcm_bytes=opts.machine.tcm_bytes,
+                            compute_window_bytes=opts.machine.compute_window_bytes)
     if name == "vectorize":
         return vectorize_innermost(program, opts.vector_width)
     if name == "mt":
@@ -172,7 +173,8 @@ def _check_tile_options(program: ir.KernelProgram, opts: PipelineOptions) -> Non
                             f"rank {', '.join(map(str, sorted(ranks))) or 'none'}")
     if opts.interchange is not None:
         specs = [tile_spec(op, program, opts.tile_sizes, opts.interchange,
-                           opts.machine.tcm_bytes) for op in generics]
+                           opts.machine.tcm_bytes, opts.machine.compute_window_bytes)
+                 for op in generics]
         if not any(s is not None and s.interchange is not None for s in specs):
             tiled = sorted({sum(t > 0 for t in s.sizes) for s in specs if s is not None})
             raise SpecError(f"interchange {list(opts.interchange)} applies to no generic of "

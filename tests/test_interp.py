@@ -165,6 +165,7 @@ def test_missing_input_rejected():
 GOLDEN = ROOT / "tests" / "golden" / "interp_outputs.txt"
 RANDOM_SEEDS = range(50)
 MT_THRESHOLDS = (1, 32768)
+TILED_SOFTMAX_N = 40000
 
 
 def _staged(program, passes, opts):
@@ -194,6 +195,11 @@ def golden_cases():
             opts = pipeline.PipelineOptions(mt_threshold=threshold)
             for stage, staged in _staged(program, DEFAULT_PASSES, opts):
                 yield f"random/{seed}/mt={threshold}/{stage}", staged, inputs
+    # `tile` splits both reductions into three tiles of 16384, the last partial
+    program = lower("softmax", {"N": TILED_SOFTMAX_N})
+    inputs = kernel_inputs(program, "softmax")
+    for stage, staged in _staged(program, DEFAULT_PASSES, pipeline.PipelineOptions()):
+        yield f"kernel/softmax/N={TILED_SOFTMAX_N}/{stage}", staged, inputs
 
 
 def digest_line(case_id: str, outputs: dict) -> str:
@@ -224,6 +230,15 @@ def assert_pool_within_bound():
 def test_outputs_match_golden_bit_for_bit():
     assert_golden_digests()
     assert_pool_within_bound()
+
+
+def test_tiled_reductions_keep_the_input_stage_bits():
+    prefix = f"kernel/softmax/N={TILED_SOFTMAX_N}/"
+    lines = [line.split() for line in GOLDEN.read_text().splitlines()
+             if line.startswith(prefix)]
+    assert [cid[len(prefix):] for cid, _ in lines] == [
+        f"{k:02d}_{name}" for k, name in enumerate(("input",) + DEFAULT_PASSES)]
+    assert {digest for _, digest in lines} == {lines[0][1]}
 
 
 # -- buffer pool ------------------------------------------------------------------
@@ -431,6 +446,37 @@ def test_tensor_value_roundtrip():
     np.testing.assert_array_equal(tv.to_array(), arr)
     with pytest.raises(ValueError):
         TensorValue((2, 3), np.zeros(5, np.float32))
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 4), (4, 5)])  # 12 and 20 output lanes
+@pytest.mark.parametrize("transposed", [False, True])
+def test_carried_folds_continue_from_the_output_in_its_own_layout(rows, cols, transposed):
+    # y = sum of x over d2, once whole and once as two carried folds over
+    # halves of d2 into an accumulator laid out as y is
+    out_map = ir.AffineIndexMap((1, 0) if transposed else (0, 1))
+    y_shape = (cols, rows) if transposed else (rows, cols)
+
+    def fold(src, dst, red, depth=10):
+        return ir.GenericOp(f"s_{src}", (rows, cols, depth), (src,), (dst,),
+                            (ir.AffineIndexMap.identity(3), out_map),
+                            ("parallel", "parallel", "reduction"), (ir.Payload.arg(0),), (red,))
+
+    decls = (TensorDecl("x", (rows, cols, 10), role="input"),
+             TensorDecl("y", y_shape, role="output"))
+    whole = KernelProgram("whole", decls, (fold("x", "y", ir.Reduction.sum()),))
+    halves = KernelProgram("halves", decls, (
+        AllocOp("acc", y_shape, "tcm", fill=0.0),
+        ExtractSliceOp("h0", "x", (0, 0, 0), (rows, cols, 5)),
+        fold("h0", "acc", ir.Reduction.sum().carried(), 5),
+        ExtractSliceOp("h1", "x", (0, 0, 5), (rows, cols, 5)),
+        fold("h1", "acc", ir.Reduction.sum().carried(), 5),
+        InsertSliceOp("acc", "y", (0, 0), y_shape),
+        DeallocOp("acc"),
+    ))
+    assert ir.verify(halves).ok
+    x = np.random.default_rng(rows).standard_normal((rows, cols, 10)).astype(np.float32) * 1e4
+    x[0, 0] = -0.0
+    assert bitexact(interpret(halves, {"x": x}), interpret(whole, {"x": x}))
 
 
 def test_interpret_accepts_tensor_values():

@@ -28,16 +28,21 @@ def _ordered_fold_loop(values, axes, kind, init):
     return acc
 
 
-def assert_matches_loop(values, axes, kind, init):
-    with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf, sums past f32 max
-        got = ordered_fold(values, axes, kind, init)
-        want = np.asarray(_ordered_fold_loop(values, axes, kind, init))
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == np.float32 and got.shape == want.shape
     nan = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(got), nan)
     # IEEE 754 leaves unspecified which NaN survives where two meet, so only
     # non-NaN results are compared bit for bit.
     np.testing.assert_array_equal(got.view(np.uint32)[~nan], want.view(np.uint32)[~nan])
+
+
+def assert_matches_loop(values, axes, kind, init):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf, sums past f32 max
+        got = ordered_fold(values, axes, kind, init)
+        want = np.asarray(_ordered_fold_loop(values, axes, kind, init))
+    assert_same_bits(got, want)
     return got
 
 
@@ -96,6 +101,49 @@ def test_lane_folds_match_sequential_loop(case):
     assert_matches_loop(*case)
 
 
+@st.composite
+def split_cases(draw):
+    """Short folds of a 1-D array (lanes 0) or of a (K, lanes) array, rich in
+    -0.0, ±inf and NaN, on both sides of the lane-path cutoff."""
+    lanes = draw(st.sampled_from((0, 1, 15, 16)))
+    k = draw(st.integers(2, 12))
+    elem = st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan)) | st.floats(-1e3, 1e3, width=32)
+    n = k * max(lanes, 1)
+    values = np.array(draw(st.lists(elem, min_size=n, max_size=n)), np.float32)
+    values = values.reshape((k, lanes) if lanes else (k,))
+    kind = draw(st.sampled_from(("sum", "max")))
+    init = draw(st.sampled_from((0.0, -0.0, -np.inf, 1.0)))
+    return values, kind, init
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_cases())
+def test_a_fold_split_anywhere_continues_from_the_first_part(case):
+    # how `tile` runs a reduction: each tile folds on from the last one's
+    # result, passed as a per-lane init (0-d for a 1-D fold)
+    values, kind, init = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        whole = ordered_fold(values, (0,), kind, init)
+        assert_same_bits(whole, _ordered_fold_loop(values, (0,), kind, init))
+        for cut in range(1, values.shape[0]):
+            head = ordered_fold(values[:cut], (0,), kind, init)
+            split = ordered_fold(values[cut:], (0,), kind, head)
+            assert_same_bits(split, whole)
+            assert_same_bits(split, _ordered_fold_loop(values[cut:], (0,), kind, head))
+
+
+@pytest.mark.parametrize("kind", ["sum", "max"])
+@pytest.mark.parametrize("lanes", [15, 16, 64])
+def test_per_lane_init_folds_each_lane_from_its_own_start(kind, lanes):
+    rng = np.random.default_rng(lanes)
+    values = (rng.standard_normal((513, lanes)) * 1e3).astype(np.float32)
+    init = rng.standard_normal(lanes).astype(np.float32)
+    init[:4] = (-0.0, 0.0, np.inf, -np.inf)
+    got = assert_matches_loop(values, (0,), kind, init)
+    lane_by_lane = [ordered_fold(values[:, j], (0,), kind, init[j]) for j in range(lanes)]
+    assert_same_bits(got, np.array(lane_by_lane))
+
+
 @pytest.mark.parametrize("lanes", [15, 16, 64])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_negative_zero_lanes_keep_a_negative_zero_init(lanes, axis):
@@ -131,6 +179,11 @@ def test_numpy_reduces_a_slow_axis_row_by_row(lanes):
     zeros = np.full((7, lanes), -0.0, np.float32)
     got = np.add.reduce(zeros, axis=0, initial=F32(-0.0))
     assert (got.view(np.uint32) == 0x80000000).all()
+    # a per-lane init is the first row, after `initial` -0.0, which adds
+    # nothing: the fold of [+0.0, -0.0] must stay +0.0
+    signed = np.array([[0.0] * lanes, [-0.0] * lanes], np.float32)
+    got = np.add.reduce(signed, axis=0, initial=F32(-0.0))
+    assert (got.view(np.uint32) == 0).all()
 
 
 @pytest.mark.parametrize("shape,axes", [

@@ -8,7 +8,7 @@ Regenerate it only for a deliberate change to the cost model:
 """
 
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -183,6 +183,41 @@ def test_tiled_loop_body_is_walked_once_per_iteration_class(monkeypatch):
     assert perf.simulate(program, ODD_CONFIG) == full
     # every iteration but the last, and the last, whose prefetch guard is false
     assert walks[0] == 2
+
+
+def test_tiled_reduction_loop_replays_to_the_full_walk(monkeypatch):
+    # softmax's reduction loops at N=100003: seven trips of 16384, the last
+    # partial, each double-buffered with a carried accumulator
+    program = _final("softmax", FULL_PASSES, pipeline.PipelineOptions(), {"N": 100003})
+    loops = [op for op in program.ops if isinstance(op, ForOp)
+             and "tiled_generic" in op.annotations and "all_parallel" not in op.annotations]
+    assert len(loops) == 2
+    assert all(len(range(loop.lb, loop.ub, loop.step)) == 7 for loop in loops)
+    full = _full_walk(monkeypatch, program, ODD_CONFIG)
+    walks = _count_body_walks(monkeypatch, loops[0].body)
+    assert perf.simulate(program, ODD_CONFIG) == full
+    assert walks[0] < 7
+
+
+@pytest.mark.parametrize("n", [32768, 100003, 1048576])
+def test_no_reduction_pays_the_window_miss_factor(monkeypatch, n):
+    # each reduction generic costs the same as it would with a miss factor of 1
+    program = _final("softmax", FULL_PASSES, pipeline.PipelineOptions(), {"N": n})
+    real = perf._Sim.generic_cost
+    missed = []
+
+    def spy(self, op, env, buffers):
+        cost = real(self, op, env, buffers)
+        if op.reduction_dims():
+            config = self.cfg
+            self.cfg = replace(config, window_miss_factor=1.0)
+            missed.append(real(self, op, env, buffers) != cost)
+            self.cfg = config
+        return cost
+
+    monkeypatch.setattr(perf._Sim, "generic_cost", spy)
+    perf.simulate(program, perf.MachineConfig())
+    assert missed and not any(missed)
 
 
 def _tcm_loop(domain, size, trips=8):
