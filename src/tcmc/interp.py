@@ -22,12 +22,13 @@ are deliberately rigid:
   definition the cost model and the oracles share (docs/ir_format.md,
   "Concrete execution"); control flow keeps no state of its own.
 
-Tensor storage: every buffer owns its own f32 array. `alloc` storage reads
-as zeros, or as its `fill` value; `extract_slice` and the `dma_start`
-snapshot copy their region at the op, so neither is a view of its source.
-An `extract_slice` that names a space (`@tcm`, how `tile` stages an input
-tile) records its result in that space; one without keeps the source's.
-These arrays, the copies of the inputs and the root temporaries come from
+Tensor storage: `alloc` storage reads as zeros, or as its `fill` value. An
+`extract_slice` that names a space (`@tcm`, how `tile` stages an input tile)
+and the `dma_start` snapshot copy their region at the op into storage of
+their own. An `extract_slice` without a space is a view: it reads its
+source's region in place (how vectorize, mt and a db slot narrow an
+operand), keeps the source's space, and its storage is never given back.
+The other arrays, the copies of the inputs and the root temporaries come from
 one per-thread buffer pool that outlives each `interpret` call, so the
 allocator does not hand large arrays back to the OS for the next buffer to
 fault in again. Output arrays returned to the caller never come from it.
@@ -116,9 +117,9 @@ class _BufferPool:
                 arrays.append(arr)
 
     def give_all(self, buffers: Mapping[str, "_Buffer"]) -> None:
-        """Give back the storage of `buffers`, except those with a fill in flight."""
+        """Give back the storage of `buffers`, except views and those with a fill in flight."""
         for buf in buffers.values():
-            if buf.pending_tag is None:
+            if buf.pending_tag is None and not buf.view:
                 self.give(buf.data)
 
     @staticmethod
@@ -159,12 +160,13 @@ class TensorValue:
 
 
 class _Buffer:
-    __slots__ = ("data", "space", "pending_tag")
+    __slots__ = ("data", "space", "pending_tag", "view")
 
-    def __init__(self, data: np.ndarray, space: str):
+    def __init__(self, data: np.ndarray, space: str, view: bool = False):
         self.data = data
         self.space = space
         self.pending_tag: Optional[str] = None
+        self.view = view  # `data` is a region of another buffer's storage
 
 
 class _Env:
@@ -303,8 +305,11 @@ class _Interp:
     def run_extract_slice(self, op: ir.ExtractSliceOp, env: _Env) -> None:
         src = env.lookup(op.source)
         region = _region(src, op.offsets, op.sizes, env.idx, "extract_slice", op.source)
-        data = self.pool.copy_of(_read(src, op.source)[region])
-        env.buffers[op.result] = _Buffer(data, op.space or src.space)
+        data = _read(src, op.source)[region]
+        if op.space is None:  # a view: the region read in place
+            env.buffers[op.result] = _Buffer(data, src.space, view=True)
+        else:
+            env.buffers[op.result] = _Buffer(self.pool.copy_of(data), op.space)
 
     def run_insert_slice(self, op: ir.InsertSliceOp, env: _Env) -> None:
         src = env.lookup(op.source)
@@ -333,7 +338,8 @@ class _Interp:
             raise ExecutionFault(
                 f"dealloc %{op.target} while dma tag=%{buf.pending_tag} is in flight")
         env.unbind(op.target)
-        self.pool.give(buf.data)
+        if not buf.view:
+            self.pool.give(buf.data)
 
     # -- DMA ----------------------------------------------------------------------
 

@@ -519,6 +519,14 @@ class GenericOp:
     def reduction_dims(self) -> tuple[int, ...]:
         return tuple(i for i, it in enumerate(self.iterators) if it == "reduction")
 
+    def blocked_lanes_exact(self) -> bool:
+        """Whether W lanes that each fold one contiguous block of the innermost
+        dim, combined in lane order, give the sequential fold's bits: the
+        innermost dim is the only reduction dim and every reduction is a max
+        (docs/ir_format.md, "Vectorized reductions")."""
+        return (self.reduction_dims() == (len(self.domain) - 1,)
+                and all(r is not None and r.kind == "max" for r in self.reductions))
+
     def is_all_parallel(self) -> bool:
         return all(it == "parallel" for it in self.iterators)
 
@@ -964,6 +972,11 @@ class _Verifier:
             if not red_dims and red is not None:
                 self.fail(where, "spurious combinator",
                           f"generic @{op.name}: combinator on all-parallel output {pi}")
+        if (op.iterators[-1:] == ("reduction",) and vector_width(op.annotations)
+                and not op.blocked_lanes_exact()):
+            self.fail(where, "vectorized reduction",
+                      f"generic @{op.name}: vectorized along a reduction that is not "
+                      f"a max over the innermost dim alone")
 
     # -- structured ops -----------------------------------------------------
 

@@ -102,9 +102,12 @@ def split_generic(g: GenericOp, dim: int, offset: Extent, size: Extent,
 
     Returns (head, generic, tail). The head slices every input that reads
     `dim` into a fresh `view_prefix` view and allocates one fresh
-    `sub_prefix` buffer per output, in the output's space. The tail inserts
-    every sub-output back into its output, then deallocates them all, both
-    in output order. `generic` is `g` on the views and sub-outputs with the
+    `sub_prefix` buffer per output that reads `dim`, in the output's space;
+    a carried fold's sub-output is a view of its output instead, so the fold
+    starts from the output's values. An output that does not read `dim` (a
+    reduced dim) is written in place. The tail inserts every sub-output back
+    into its output, then deallocates the allocated ones, both in output
+    order. `generic` is `g` on the views and sub-outputs with the
     narrowed domain; the caller names and annotates it. Every new buffer is
     recorded in `info`.
     """
@@ -129,14 +132,22 @@ def split_generic(g: GenericOp, dim: int, offset: Extent, size: Extent,
         inputs.append(view)
     outputs: list[str] = []
     inserts: list[Op] = []
-    for name, m in zip(g.outputs, g.output_maps()):
+    allocs: list[str] = []
+    for name, m, red in zip(g.outputs, g.output_maps(), g.reductions):
+        if dim not in m.used_dims():  # `dim` is reduced: fold into the output in place
+            outputs.append(name)
+            continue
         offs, szs = narrowed(name, m)
         sub = names.fresh(sub_prefix)
-        head.append(AllocOp(sub, szs, info.spaces.get(name, "ddr")))
+        if red is not None and red.init is None:  # a carried fold starts from the output
+            head.append(ExtractSliceOp(sub, name, offs, szs))
+        else:
+            head.append(AllocOp(sub, szs, info.spaces.get(name, "ddr")))
+            allocs.append(sub)
         info.learn(head[-1])
         inserts.append(InsertSliceOp(sub, name, offs, szs))
         outputs.append(sub)
     domain = g.domain[:dim] + (size,) + g.domain[dim + 1:]
     generic = replace(g, domain=domain, inputs=tuple(inputs), outputs=tuple(outputs))
-    tail = tuple(inserts) + tuple(DeallocOp(sub) for sub in outputs)
+    tail = tuple(inserts) + tuple(DeallocOp(sub) for sub in allocs)
     return tuple(head), generic, tail

@@ -17,6 +17,16 @@ Vectorization marks generics whose innermost dim is parallel with
 restructured into a width-multiple main part plus a scalar epilogue so the
 annotation never lies about full groups; per-element evaluation order is
 unchanged either way.
+
+A generic whose innermost dim is its only reduction dim is vectorized the
+same way when every reduction is a max. `vectorized(W)` then means W lanes
+that each fold one contiguous block of the reduced dim, combined in lane
+order. That is the sequential fold bit for bit: `np.maximum` keeps the later
+of two equal values (+0 and -0), so the last maximal element wins in both
+forms, and a NaN anywhere gives NaN in both. Both parts of a split fold into
+the output in place, and the epilogue continues from the main part's result
+with `init=out`. A sum is never vectorized along its reduced dim: reordering
+float adds changes bits.
 """
 
 from __future__ import annotations
@@ -291,7 +301,8 @@ def tile_spec(
 def _vectorize_generic(g: GenericOp, width: int, names: NameAllocator,
                        info: BufInfo, div_vars: frozenset[str]) -> tuple[Op, ...]:
     last = len(g.domain) - 1
-    if g.iterators[last] != "parallel":
+    reduced = g.iterators[last] != "parallel"
+    if reduced and not g.blocked_lanes_exact():
         return (g,)
     if ir.vector_width(g.annotations) is not None:
         return (g,)
@@ -301,11 +312,20 @@ def _vectorize_generic(g: GenericOp, width: int, names: NameAllocator,
 
     main = ix_mul(ix_floordiv(n, width), width)
     rem = ix_sub(n, main)
+    if reduced:
+        # the epilogue folds on from the main part's result, so that part must
+        # run, or the fold be carried in already; an extent below W stays whole
+        runs = main > 0 if isinstance(main, int) else all(r.init is None for r in g.reductions)
+        if not runs:
+            return (g,)
 
     def part(offset: Extent, size: Extent, tag: str) -> tuple[Op, ...]:
         head, sub, tail = split_generic(g, last, offset, size, names, info, "v", "w")
         ann = g.annotations | ({f"vectorized({width})"} if tag == "main" else {"vec_epilogue"})
-        return head + (replace(sub, name=f"{g.name}_{tag}", annotations=ann),) + tail
+        sub = replace(sub, name=f"{g.name}_{tag}", annotations=ann)
+        if reduced and tag == "epi":
+            sub = replace(sub, reductions=tuple(r.carried() for r in g.reductions))
+        return head + (sub,) + tail
 
     out: list[Op] = []
     if isinstance(main, int):
@@ -337,7 +357,9 @@ def _vectorize_block(ops: tuple[Op, ...], width: int, names: NameAllocator,
 def vectorize_innermost(program: KernelProgram, width: int) -> KernelProgram:
     """Mark or restructure generics for W-wide execution of the innermost dim.
 
-    Generics whose innermost dim is a reduction are skipped. The cost model
+    A generic whose innermost dim is a reduction is vectorized only when it
+    is a max over that one dim (blocked lanes, module docstring); sums and
+    extents below W of such a generic stay as they are. The cost model
     reads the `vectorized(W)` annotation to scale compute throughput.
     """
     if width < 1:

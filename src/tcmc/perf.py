@@ -18,7 +18,9 @@ rules:
   regions (doubled again for narrow/f16 data), and multiplied by the window
   miss factor when its operand footprint exceeds the per-context data window
   (the model of the single-thread locality cliff: splitting work across
-  contexts shrinks per-context footprints);
+  contexts shrinks per-context footprints); a `vectorized(W)` reduction adds
+  the combine of its W lanes, (W - 1) combinator ops per output point and
+  reduction, once per execution;
 - async bodies are packed greedily onto num_hvx_contexts contexts, each
   async_execute charges spawn cycles and await_all a barrier;
 - a double-buffered loop overlaps its prologue+prefetch transfers with its
@@ -395,8 +397,9 @@ class _Sim:
         self.pending_token: dict[str, _Acc] = {}
         self.prologue_pool: dict[str, float] = {}
         # per-op invariants, keyed by id() while holding the op alive:
-        # GenericOp -> (op, payload cycles, vector width); ForOp -> (op, _LoopPlan | None)
-        self.generic_info: dict[int, tuple[GenericOp, float, int]] = {}
+        # GenericOp -> (op, payload cycles, vector width, lane-combine cycles per
+        # output point); ForOp -> (op, _LoopPlan | None)
+        self.generic_info: dict[int, tuple[GenericOp, float, int, float]] = {}
         self.loop_plans: dict[int, tuple[ForOp, Optional[_LoopPlan]]] = {}
 
     # -- environment -------------------------------------------------------
@@ -413,23 +416,31 @@ class _Sim:
     def generic_cost(self, op: GenericOp, env, buffers) -> float:
         info = self.generic_info.get(id(op))
         if info is None:
-            cost = 0.0
+            cost = red_cost = 0.0
             for payload, red in zip(op.payloads, op.reductions):
                 for node in reversed(payload.nodes()):  # a tree's pre-order
                     cost += self.cfg.op_cost(node.kind)
                 if red is not None:
-                    cost += self.cfg.op_cost("add" if red.kind == "sum" else "max2")
-            info = self.generic_info[id(op)] = (op, cost, ir.vector_width(op.annotations) or 1)
-        _, cost, width = info
-        points = 1
-        for e in op.domain:
-            points *= ir.eval_extent(e, env)
+                    c = self.cfg.op_cost("add" if red.kind == "sum" else "max2")
+                    cost += c
+                    red_cost += c
+            width = ir.vector_width(op.annotations) or 1
+            # W lanes along a reduced innermost dim are combined once per output point
+            combine = (width - 1) * red_cost if op.iterators[-1:] == ("reduction",) else 0.0
+            info = self.generic_info[id(op)] = (op, cost, width, combine)
+        _, cost, width, combine = info
+        points = out_points = 1
+        for e, it in zip(op.domain, op.iterators):
+            ext = ir.eval_extent(e, env)
+            points *= ext
+            if it == "parallel":
+                out_points *= ext
         narrow = any(buffers[n].narrow for n in op.inputs + op.outputs if n in buffers)
         if narrow:
             width *= 2
         footprint = sum(buffers[n].bytes for n in op.inputs + op.outputs if n in buffers)
         factor = self.cfg.window_miss_factor if footprint > self.cfg.compute_window_bytes else 1.0
-        return points * cost * factor / width
+        return points * cost * factor / width + out_points * combine
 
     # -- walk ----------------------------------------------------------------
 

@@ -165,7 +165,10 @@ def test_missing_input_rejected():
 GOLDEN = ROOT / "tests" / "golden" / "interp_outputs.txt"
 RANDOM_SEEDS = range(50)
 MT_THRESHOLDS = (1, 32768)
-TILED_SOFTMAX_N = 40000
+# `tile` splits both reductions into tiles of 16384, the last partial; at
+# 100003 the last max tile, 1699 = 53 * 32 + 3 points, folds as `vectorize`'s
+# main part and carried epilogue
+TILED_SOFTMAX_SIZES = (40000, 100003)
 
 
 def _staged(program, passes, opts):
@@ -195,11 +198,11 @@ def golden_cases():
             opts = pipeline.PipelineOptions(mt_threshold=threshold)
             for stage, staged in _staged(program, DEFAULT_PASSES, opts):
                 yield f"random/{seed}/mt={threshold}/{stage}", staged, inputs
-    # `tile` splits both reductions into three tiles of 16384, the last partial
-    program = lower("softmax", {"N": TILED_SOFTMAX_N})
-    inputs = kernel_inputs(program, "softmax")
-    for stage, staged in _staged(program, DEFAULT_PASSES, pipeline.PipelineOptions()):
-        yield f"kernel/softmax/N={TILED_SOFTMAX_N}/{stage}", staged, inputs
+    for n in TILED_SOFTMAX_SIZES:
+        program = lower("softmax", {"N": n})
+        inputs = kernel_inputs(program, "softmax")
+        for stage, staged in _staged(program, DEFAULT_PASSES, pipeline.PipelineOptions()):
+            yield f"kernel/softmax/N={n}/{stage}", staged, inputs
 
 
 def digest_line(case_id: str, outputs: dict) -> str:
@@ -233,12 +236,13 @@ def test_outputs_match_golden_bit_for_bit():
 
 
 def test_tiled_reductions_keep_the_input_stage_bits():
-    prefix = f"kernel/softmax/N={TILED_SOFTMAX_N}/"
-    lines = [line.split() for line in GOLDEN.read_text().splitlines()
-             if line.startswith(prefix)]
-    assert [cid[len(prefix):] for cid, _ in lines] == [
-        f"{k:02d}_{name}" for k, name in enumerate(("input",) + DEFAULT_PASSES)]
-    assert {digest for _, digest in lines} == {lines[0][1]}
+    golden = GOLDEN.read_text().splitlines()
+    for n in TILED_SOFTMAX_SIZES:
+        prefix = f"kernel/softmax/N={n}/"
+        lines = [line.split() for line in golden if line.startswith(prefix)]
+        assert [cid[len(prefix):] for cid, _ in lines] == [
+            f"{k:02d}_{name}" for k, name in enumerate(("input",) + DEFAULT_PASSES)]
+        assert {digest for _, digest in lines} == {lines[0][1]}
 
 
 # -- buffer pool ------------------------------------------------------------------
@@ -310,6 +314,33 @@ def db_program():
     for name in DEFAULT_PASSES:
         program = pipeline.apply_pass(name, program, opts)
     return program
+
+
+def test_db_slot_views_share_memory_with_their_two_slot_buffer(monkeypatch, fresh_pool):
+    # a same-space extract_slice reads its source in place, and its storage
+    # never goes back to the pool
+    program = db_program()
+    slot_views = {op.result: op.source for op, _ in ir.walk_ops(program.ops)
+                  if isinstance(op, ExtractSliceOp) and op.space is None
+                  and op.source.startswith("buf")}
+    assert slot_views
+    views, given = [], []
+    run = interp._HANDLERS[ExtractSliceOp]
+
+    def checking(self, op, env):
+        run(self, op, env)
+        if op.result in slot_views:
+            view = env.lookup(op.result)
+            assert view.view and np.shares_memory(view.data, env.lookup(op.source).data)
+            views.append(view.data)
+
+    give = interp._BufferPool.give
+    monkeypatch.setitem(interp._HANDLERS, ExtractSliceOp, checking)
+    monkeypatch.setattr(interp._BufferPool, "give",
+                        lambda pool, arr: given.append(arr) or give(pool, arr))
+    interpret(program, kernel_inputs(program, "gelu"))
+    assert views and given
+    assert not any(arr is view for arr in given for view in views)
 
 
 def test_outputs_and_inputs_are_never_pool_storage():

@@ -144,6 +144,77 @@ def test_per_lane_init_folds_each_lane_from_its_own_start(kind, lanes):
     assert_same_bits(got, np.array(lane_by_lane))
 
 
+def _lane_max(values, width, init, blocked=True):
+    """How a `vectorized(W)` max over the last axis of `values` runs: its
+    main part, the largest multiple of W, goes to W lanes that each fold one
+    contiguous block (or, with blocked=False, every W-th element) from -inf,
+    combined in lane order from `init`; the epilogue then folds the rest on
+    from that result. An extent below W folds sequentially, as `vectorize`
+    leaves it."""
+    n = values.shape[-1]
+    main = n // width * width
+    acc = np.broadcast_to(np.asarray(init, np.float32), values.shape[:-1])
+    if main:
+        head = values[..., :main]
+        lanes = (head.reshape(head.shape[:-1] + (width, main // width)) if blocked
+                 else np.stack([head[..., k::width] for k in range(width)], axis=-2))
+        for k in range(width):
+            acc = np.maximum(acc, _ordered_fold_loop(lanes[..., k, :], (lanes.ndim - 2,),
+                                                     "max", -np.inf))
+    return _ordered_fold_loop(np.concatenate([acc[..., None], values[..., main:]], axis=-1),
+                              (values.ndim - 1,), "max", -np.inf)
+
+
+@st.composite
+def lane_max_cases(draw):
+    """Rows of a max over their last axis, rich in ±0 ties, ±inf and NaN,
+    each row folding on from its own (carried) init."""
+    width = draw(st.sampled_from((1, 2, 3, 32)))
+    n = draw(st.integers(1, 3 * width + 5))
+    rows = draw(st.integers(1, 3))
+    elem = (st.sampled_from((0.0, -0.0, np.inf, -np.inf, np.nan))
+            | st.floats(-1e3, 1e3, width=32))
+    values = np.array(draw(st.lists(elem, min_size=rows * n, max_size=rows * n)),
+                      np.float32).reshape(rows, n)
+    init = np.array(draw(st.lists(st.sampled_from((-np.inf, 0.0, -0.0, 1.0, np.nan)),
+                                  min_size=rows, max_size=rows)), np.float32)
+    return values, width, init
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_max_cases())
+def test_blocked_lanes_of_a_max_are_the_sequential_fold(case):
+    values, width, init = case
+    assert_same_bits(_lane_max(values, width, init), ordered_fold(values, (1,), "max", init))
+
+
+@pytest.mark.parametrize("width", [2, 3, 32])
+def test_blocked_lanes_keep_the_last_of_equal_zeros_anywhere(width):
+    # every position of the one +0.0 among -0.0s, and of the one -0.0 among +0.0s
+    n = 3 * width + 2
+    for zero, other in ((0.0, -0.0), (-0.0, 0.0)):
+        values = np.full((n, n), other, np.float32)
+        np.fill_diagonal(values, zero)
+        assert_same_bits(_lane_max(values, width, -np.inf),
+                         ordered_fold(values, (1,), "max", -np.inf))
+
+
+def test_strided_lanes_are_not_the_sequential_fold():
+    # the last maximal element wins a max fold; with strided lanes the last
+    # lane holding a maximum wins instead
+    values = np.array([-np.inf, -0.0, 0.0, -np.inf], np.float32)
+    want = ordered_fold(values, (0,), "max", -np.inf)
+    assert want.view(np.uint32) == 0  # +0.0, the last zero
+    assert_same_bits(_lane_max(values, 2, -np.inf), want)
+    assert _lane_max(values, 2, -np.inf, blocked=False).view(np.uint32) == 0x80000000
+    rng = np.random.default_rng(0)
+    draws = rng.choice(np.array([0.0, -0.0, -np.inf], np.float32), (300, 64))
+    strided = _lane_max(draws, 32, -np.inf, blocked=False).view(np.uint32)
+    blocked = _lane_max(draws, 32, -np.inf).view(np.uint32)
+    want = ordered_fold(draws, (1,), "max", -np.inf).view(np.uint32)
+    assert (blocked == want).all() and (strided != want).any()
+
+
 @pytest.mark.parametrize("lanes", [15, 16, 64])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_negative_zero_lanes_keep_a_negative_zero_init(lanes, axis):

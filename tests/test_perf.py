@@ -13,11 +13,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from tcmc import cli, oracles, perf, pipeline
+from tcmc import cli, ir, oracles, perf, pipeline
 from tcmc.ir import (
     AffineIndexMap, AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, CmpPred,
     DeallocOp, ExtractSliceOp, ForOp, GenericOp, IBin, IfOp, IVar, InsertSliceOp, KernelProgram,
-    Payload, TensorDecl,
+    Payload, Reduction, TensorDecl,
 )
 from tcmc.passes import double_buffer_loops
 
@@ -218,6 +218,27 @@ def test_no_reduction_pays_the_window_miss_factor(monkeypatch, n):
     monkeypatch.setattr(perf._Sim, "generic_cost", spy)
     perf.simulate(program, perf.MachineConfig())
     assert missed and not any(missed)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_a_vectorized_max_costs_its_lanes_plus_their_combine(rows):
+    # W divides the extent: compute / W, plus W - 1 max2 per output point
+    width, n = 32, 4096
+    cfg = perf.MachineConfig(window_miss_factor=1.0,
+                             scalar_op_cycles={**perf.DEFAULT_OP_CYCLES, "max2": 2.5})
+    g = GenericOp("m", (rows, n), ("x",), ("y",),
+                  (AffineIndexMap.identity(2), AffineIndexMap((0,))),
+                  ("parallel", "reduction"), (Payload.unary("exp", Payload.arg(0)),),
+                  (Reduction.max(),))
+    decls = (TensorDecl("x", (rows, n), role="input"), TensorDecl("y", (rows,), role="output"))
+    scalar = KernelProgram("t", decls, (g,))
+    vectorized = pipeline.apply_pass("vectorize", scalar, pipeline.PipelineOptions())
+    (v,) = vectorized.ops
+    assert ir.vector_width(v.annotations) == width
+    compute = perf.simulate(scalar, cfg).compute_cycles
+    assert compute == rows * n * (12.0 + 2.5)
+    assert perf.simulate(vectorized, cfg).compute_cycles == (
+        compute / width + rows * (width - 1) * 2.5)
 
 
 def _tcm_loop(domain, size, trips=8):
