@@ -527,6 +527,13 @@ class GenericOp:
         return (self.reduction_dims() == (len(self.domain) - 1,)
                 and all(r is not None and r.kind == "max" for r in self.reductions))
 
+    def takes_row_lanes(self) -> bool:
+        """Whether the op has the `row_lanes(W)` form: lanes along a parallel
+        d0, each folding its own row of an innermost reduction dim in the
+        sequential order. Each lane writes its own output points, so every
+        fold keeps its order and its bits (docs/ir_format.md, "Row lanes")."""
+        return self.iterators[:1] == ("parallel",) and self.iterators[-1:] == ("reduction",)
+
     def is_all_parallel(self) -> bool:
         return all(it == "parallel" for it in self.iterators)
 
@@ -725,12 +732,23 @@ def annotation_value(annotations: frozenset[str], key: str) -> Optional[str]:
     return None
 
 
+def _width(annotations: frozenset[str], key: str) -> Optional[int]:
+    """W of a `key(W)` annotation, or None."""
+    prefix = key + "("
+    for a in annotations:
+        if a.startswith(prefix) and a.endswith(")"):
+            return int(a[len(prefix):-1])
+    return None
+
+
 def vector_width(annotations: frozenset[str]) -> Optional[int]:
     """Width W of a `vectorized(W)` annotation, or None."""
-    for a in annotations:
-        if a.startswith("vectorized(") and a.endswith(")"):
-            return int(a[len("vectorized("):-1])
-    return None
+    return _width(annotations, "vectorized")
+
+
+def row_lanes(annotations: frozenset[str]) -> Optional[int]:
+    """Width W of a `row_lanes(W)` annotation, or None."""
+    return _width(annotations, "row_lanes")
 
 
 # ---------------------------------------------------------------------------
@@ -977,6 +995,11 @@ class _Verifier:
             self.fail(where, "vectorized reduction",
                       f"generic @{op.name}: vectorized along a reduction that is not "
                       f"a max over the innermost dim alone")
+        if row_lanes(op.annotations) and (not op.takes_row_lanes()
+                                          or vector_width(op.annotations)):
+            self.fail(where, "row lanes",
+                      f"generic @{op.name}: row lanes need a parallel d0, an innermost "
+                      f"reduction dim and no vectorized(W)")
 
     # -- structured ops -----------------------------------------------------
 

@@ -27,6 +27,14 @@ forms, and a NaN anywhere gives NaN in both. Both parts of a split fold into
 the output in place, and the epilogue continues from the main part's result
 with `init=out`. A sum is never vectorized along its reduced dim: reordering
 float adds changes bits.
+
+A generic with a parallel d0 and an innermost reduction dim that blocked
+lanes leave alone (every sum, a max whose reduced extent is below W or whose
+main part might not run, a fold over two reduction dims) is marked
+`row_lanes(W)` instead: ceil(L/W) groups of W lanes along d0 (L its extent),
+each lane folding its own row in the sequential order, the lanes past L in
+the last group masked off. Each fold keeps its order, so every output bit is
+kept. The form adds no op and no split.
 """
 
 from __future__ import annotations
@@ -298,14 +306,21 @@ def tile_spec(
 # ---------------------------------------------------------------------------
 
 
+def _row_lanes(g: GenericOp, width: int) -> tuple[Op, ...]:
+    """`g` marked `row_lanes(W)` where it has that form, else `g` as it is."""
+    if not g.takes_row_lanes():
+        return (g,)
+    return (replace(g, annotations=g.annotations | {f"row_lanes({width})"}),)
+
+
 def _vectorize_generic(g: GenericOp, width: int, names: NameAllocator,
                        info: BufInfo, div_vars: frozenset[str]) -> tuple[Op, ...]:
+    if ir.vector_width(g.annotations) is not None or ir.row_lanes(g.annotations) is not None:
+        return (g,)
     last = len(g.domain) - 1
     reduced = g.iterators[last] != "parallel"
     if reduced and not g.blocked_lanes_exact():
-        return (g,)
-    if ir.vector_width(g.annotations) is not None:
-        return (g,)
+        return _row_lanes(g, width)
     n = g.domain[last]
     if width == 1 or ir.extent_divisible(n, width, div_vars):
         return (replace(g, annotations=g.annotations | {f"vectorized({width})"}),)
@@ -314,10 +329,10 @@ def _vectorize_generic(g: GenericOp, width: int, names: NameAllocator,
     rem = ix_sub(n, main)
     if reduced:
         # the epilogue folds on from the main part's result, so that part must
-        # run, or the fold be carried in already; an extent below W stays whole
+        # run, or the fold be carried in already; else it takes row lanes at most
         runs = main > 0 if isinstance(main, int) else all(r.init is None for r in g.reductions)
         if not runs:
-            return (g,)
+            return _row_lanes(g, width)
 
     def part(offset: Extent, size: Extent, tag: str) -> tuple[Op, ...]:
         head, sub, tail = split_generic(g, last, offset, size, names, info, "v", "w")
@@ -355,12 +370,13 @@ def _vectorize_block(ops: tuple[Op, ...], width: int, names: NameAllocator,
 
 
 def vectorize_innermost(program: KernelProgram, width: int) -> KernelProgram:
-    """Mark or restructure generics for W-wide execution of the innermost dim.
+    """Mark or restructure generics for W-wide execution.
 
-    A generic whose innermost dim is a reduction is vectorized only when it
-    is a max over that one dim (blocked lanes, module docstring); sums and
-    extents below W of such a generic stay as they are. The cost model
-    reads the `vectorized(W)` annotation to scale compute throughput.
+    A generic whose innermost dim is a reduction is vectorized along it only
+    when it is a max over that one dim (blocked lanes, module docstring).
+    The others, sums and extents below W among them, take `row_lanes(W)`
+    when d0 is parallel, and stay as they are when it is not. The cost model
+    reads `vectorized(W)` and `row_lanes(W)` to scale compute throughput.
     """
     if width < 1:
         raise PassError(f"vector width must be >= 1, got {width}")

@@ -20,7 +20,10 @@ rules:
   (the model of the single-thread locality cliff: splitting work across
   contexts shrinks per-context footprints); a `vectorized(W)` reduction adds
   the combine of its W lanes, (W - 1) combinator ops per output point and
-  reduction, once per execution;
+  reduction, once per execution; a `row_lanes(W)` generic costs
+  ceil(L/W') * (points / L) * payload-cycles * the window factor, for L
+  rows (d0's extent) in groups of W' = W lanes (2W for narrow data, capped
+  at the scalar charge), with no combine;
 - async bodies are packed greedily onto num_hvx_contexts contexts, each
   async_execute charges spawn cycles and await_all a barrier;
 - a double-buffered loop overlaps its prologue+prefetch transfers with its
@@ -397,9 +400,10 @@ class _Sim:
         self.pending_token: dict[str, _Acc] = {}
         self.prologue_pool: dict[str, float] = {}
         # per-op invariants, keyed by id() while holding the op alive:
-        # GenericOp -> (op, payload cycles, vector width, lane-combine cycles per
-        # output point); ForOp -> (op, _LoopPlan | None)
-        self.generic_info: dict[int, tuple[GenericOp, float, int, float]] = {}
+        # GenericOp -> (op, payload cycles, lane width, lane-combine cycles per
+        # output point, whether the lanes run along rows); ForOp -> (op,
+        # _LoopPlan | None)
+        self.generic_info: dict[int, tuple[GenericOp, float, int, float, bool]] = {}
         self.loop_plans: dict[int, tuple[ForOp, Optional[_LoopPlan]]] = {}
 
     # -- environment -------------------------------------------------------
@@ -424,11 +428,12 @@ class _Sim:
                     c = self.cfg.op_cost("add" if red.kind == "sum" else "max2")
                     cost += c
                     red_cost += c
-            width = ir.vector_width(op.annotations) or 1
+            lanes = ir.row_lanes(op.annotations)
+            width = lanes or ir.vector_width(op.annotations) or 1
             # W lanes along a reduced innermost dim are combined once per output point
             combine = (width - 1) * red_cost if op.iterators[-1:] == ("reduction",) else 0.0
-            info = self.generic_info[id(op)] = (op, cost, width, combine)
-        _, cost, width, combine = info
+            info = self.generic_info[id(op)] = (op, cost, width, combine, lanes is not None)
+        _, cost, width, combine, along_rows = info
         points = out_points = 1
         for e, it in zip(op.domain, op.iterators):
             ext = ir.eval_extent(e, env)
@@ -440,6 +445,12 @@ class _Sim:
             width *= 2
         footprint = sum(buffers[n].bytes for n in op.inputs + op.outputs if n in buffers)
         factor = self.cfg.window_miss_factor if footprint > self.cfg.compute_window_bytes else 1.0
+        if along_rows:  # one row per lane, each its own output: no combine
+            height = ir.eval_extent(op.domain[0], env)
+            groups = -(-height // width)  # the last one's spare lanes masked off
+            if narrow:
+                groups = min(groups, height / 2)  # one row: no more than the scalar charge
+            return groups * (points // max(height, 1)) * cost * factor
         return points * cost * factor / width + out_points * combine
 
     # -- walk ----------------------------------------------------------------

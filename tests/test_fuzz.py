@@ -41,6 +41,23 @@ def fuzz_failures(seed: int, mt_threshold: int) -> list[str]:
 
 
 @pytest.mark.parametrize("mt_threshold", [1, 32768])
+def test_the_seeds_reach_row_lanes(mt_threshold):
+    # the prefix differential below covers the `row_lanes(W)` form, and at
+    # threshold 1 its thread parts
+    opts = pipeline.PipelineOptions(mt_threshold=mt_threshold)
+    lanes = []
+    for seed in FUZZ_SEEDS:
+        program = oracles.gen_random_program(oracles.RandomProgramSpec(seed))
+        for name in DEFAULT_PASSES:
+            program = pipeline.apply_pass(name, program, opts)
+        lanes += [op.name for op, _ in ir.walk_ops(program.ops)
+                  if isinstance(op, ir.GenericOp) and ir.row_lanes(op.annotations)]
+    assert lanes
+    if mt_threshold == 1:
+        assert any("_th" in name for name in lanes)
+
+
+@pytest.mark.parametrize("mt_threshold", [1, 32768])
 def test_every_pass_prefix_verifies_and_matches_stage0(mt_threshold):
     failures = [f for seed in FUZZ_SEEDS for f in fuzz_failures(seed, mt_threshold)]
     assert not failures, "\n".join(failures)

@@ -241,6 +241,75 @@ def test_a_vectorized_max_costs_its_lanes_plus_their_combine(rows):
         compute / width + rows * (width - 1) * 2.5)
 
 
+# ceil(rows / W') groups of W' = 32 lanes (64 for f16); one f16 row is capped
+# at the scalar charge, half a step
+ROW_GROUPS = {"f32": {1: 1, 31: 1, 32: 1, 33: 2, 127: 4},
+              "f16": {1: 0.5, 31: 1, 32: 1, 33: 1, 127: 2}}
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f16"])
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, 127])
+def test_row_lanes_cost_one_step_per_group_of_rows(rows, dtype):
+    # no lane combine: each lane folds its own row into its own output
+    n = 513
+    cfg = perf.MachineConfig(window_miss_factor=1.0)
+    g = GenericOp("s", (rows, n), ("x",), ("y",),
+                  (AffineIndexMap.identity(2), AffineIndexMap((0,))),
+                  ("parallel", "reduction"), (Payload.unary("exp", Payload.arg(0)),),
+                  (Reduction.sum(),))
+    decls = (TensorDecl("x", (rows, n), dtype, role="input"),
+             TensorDecl("y", (rows,), role="output"))
+    scalar = KernelProgram("t", decls, (g,))
+    lanes = pipeline.apply_pass("vectorize", scalar, pipeline.PipelineOptions())
+    (v,) = lanes.ops
+    assert ir.row_lanes(v.annotations) == 32
+    per_point = 12.0 + 1.0  # exp, then one add into the row's sum
+    compute = perf.simulate(lanes, cfg).compute_cycles
+    assert compute == ROW_GROUPS[dtype][rows] * n * per_point
+    assert compute <= perf.simulate(scalar, cfg).compute_cycles
+
+
+def _strip_row_lanes(program):
+    def fn(op):
+        if isinstance(op, GenericOp) and ir.row_lanes(op.annotations):
+            return (replace(op, annotations=frozenset(
+                a for a in op.annotations if not a.startswith("row_lanes("))),)
+        return None
+
+    return program.with_ops(ir.map_ops(program.ops, fn))
+
+
+def _row_lane_schedules():
+    default = perf.MachineConfig()
+    for kernel in ALL_KERNELS:
+        for ladder, passes in perf.PASS_LADDERS.items():
+            yield f"{kernel}/{ladder}", pipeline.build_staged(kernel_path(kernel), passes, None,
+                                                              default)
+    for seed in range(50):
+        for threshold in (1, 32768):
+            opts = pipeline.PipelineOptions(mt_threshold=threshold)
+            program = oracles.gen_random_program(oracles.RandomProgramSpec(seed))
+            for name in FULL_PASSES:
+                program = pipeline.apply_pass(name, program, opts)
+            yield f"random/{seed}/mt={threshold}", program
+
+
+def test_removing_row_lanes_never_lowers_total_cycles():
+    # guards the greedy context packing against list-scheduling anomalies:
+    # a cheaper body must never make a schedule slower
+    rose = 0
+    for case, program in _row_lane_schedules():
+        stripped = _strip_row_lanes(program)
+        if stripped.ops == program.ops:
+            continue
+        for cfg in (perf.MachineConfig(), ODD_CONFIG):
+            with_lanes = perf.simulate(program, cfg).total_cycles
+            without = perf.simulate(stripped, cfg).total_cycles
+            assert without >= with_lanes, case
+            rose += without > with_lanes
+    assert rose > 0
+
+
 def _tcm_loop(domain, size, trips=8):
     i = IVar("i")
     decls = (TensorDecl("x", (64,), role="input"), TensorDecl("y", (64,), role="output"))

@@ -1,6 +1,7 @@
-"""`vectorize` on max reductions along their reduced dim: W blocked lanes, a
-main part and a carried epilogue, the verifier rule that keeps sums out, and
-bit identity through every pass."""
+"""`vectorize` on reductions along their reduced dim: W blocked lanes of a
+max, a main part and a carried epilogue, and the verifier rule that keeps
+sums out; W row lanes across a parallel d0 for the folds blocked lanes leave,
+and the verifier rule on that form; bit identity through every pass."""
 
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from tcmc.passes import vectorize_innermost
 from conftest import DEFAULT_PASSES, bitexact, kernel_inputs, kernel_path, lower
 
 W = 32
+ROW_LANES = frozenset({f"row_lanes({W})"})
 
 
 def row_fold(rows, n, red=Reduction.max(), annotations=frozenset()):
@@ -71,20 +73,64 @@ def test_a_max_that_w_does_not_divide_splits_into_main_and_a_carried_epilogue(ro
 
 
 @pytest.mark.parametrize("program", [
-    row_fold(5, W - 1),                        # below W
-    row_fold(5, 4 * W, Reduction.sum()),       # a sum
-    row_fold(5, 4 * W + 3, Reduction.sum()),
+    row_fold(0, W - 1),                        # below W
+    row_fold(0, 4 * W, Reduction.sum()),       # a sum
+    row_fold(0, 4 * W + 3, Reduction.sum()),
 ], ids=["below-w", "sum", "sum-remainder"])
 def test_sums_and_extents_below_w_stay_as_they_are(program):
+    # rank 1: no parallel d0 to put lanes along
     assert vectorize_innermost(program, W).ops == program.ops
 
 
-def test_rmsnorm_row_sum_is_not_vectorized_by_the_default_passes():
+def two_dim_fold(rows):
+    """y[r] = the max of x[r, :, :]: d0 parallel, two reduction dims."""
+    g = GenericOp("m", (rows, 4, W), ("x",), ("y",),
+                  (AffineIndexMap.identity(3), AffineIndexMap((0,))),
+                  ("parallel", "reduction", "reduction"), (Payload.arg(0),), (Reduction.max(),))
+    decls = (TensorDecl("x", (rows, 4, W), role="input"), TensorDecl("y", (rows,), role="output"))
+    return KernelProgram("fold", decls, (g,))
+
+
+@pytest.mark.parametrize("program", [
+    row_fold(5, W - 1),
+    row_fold(5, 4 * W, Reduction.sum()),
+    row_fold(5, 4 * W + 3, Reduction.sum()),
+    two_dim_fold(5),
+], ids=["below-w", "sum", "sum-remainder", "two-reduction-dims"])
+def test_row_folds_blocked_lanes_leave_get_row_lanes(program):
+    out = vectorize_innermost(program, W)
+    (g,) = generics(out)
+    (before,) = program.ops
+    assert g == replace(before, annotations=ROW_LANES)
+    assert verify(out).ok
+
+
+def test_rmsnorm_row_sum_runs_in_row_lanes_under_the_default_passes():
     spec = pipeline.PipelineSpec(DEFAULT_PASSES, pipeline.PipelineOptions(), "off")
     final = pipeline.run_pipeline(kernel_path("rmsnorm"), spec).final
     sums = [g for g in generics(final) if g.reduction_dims()]
     assert sums and all(r.kind == "sum" for g in sums for r in g.reductions)
+    assert all(g.name.startswith("g0_th") for g in sums)  # every thread part of the row-sum
+    assert all(ir.row_lanes(g.annotations) == W for g in sums)
     assert not any(ir.vector_width(g.annotations) for g in sums)
+
+
+def copy_rows(annotations):
+    """y = x over (5, 4W): both dims parallel."""
+    g = GenericOp("m", (5, 4 * W), ("x",), ("y",), (AffineIndexMap.identity(2),) * 2,
+                  ("parallel", "parallel"), (Payload.arg(0),), annotations=annotations)
+    decls = (TensorDecl("x", (5, 4 * W), role="input"),
+             TensorDecl("y", (5, 4 * W), role="output"))
+    return KernelProgram("copy", decls, (g,))
+
+
+@pytest.mark.parametrize("program", [
+    copy_rows(ROW_LANES),                       # innermost dim parallel
+    row_fold(0, W - 1, annotations=ROW_LANES),  # d0 a reduction
+    row_fold(5, 4 * W, annotations=ROW_LANES | {f"vectorized({W})"}),
+], ids=["innermost-parallel", "d0-reduced", "also-vectorized"])
+def test_row_lanes_off_their_form_are_a_violation(program):
+    assert [v.rule for v in verify(program).violations] == ["row lanes"]
 
 
 @pytest.mark.parametrize("program", [
@@ -142,3 +188,32 @@ def test_softmax_at_100003_folds_its_last_tile_as_main_part_and_epilogue():
     assert all(g.reductions[0].init is None for g in maxes)
     inputs = kernel_inputs(program, "softmax")
     assert bitexact(interpret(staged, inputs), interpret(program, inputs))
+
+
+def wide_inputs(program):
+    """Normal values over six decades of magnitude, where the order of float
+    adds shows in the bits."""
+    (x,) = program.inputs()
+    rng = np.random.default_rng(1)
+    data = rng.standard_normal(x.shape) * 10.0 ** rng.uniform(-3, 3, x.shape)
+    return {"x": data.astype(np.float32)}
+
+
+@pytest.mark.parametrize("threshold", [1, 32768])
+@pytest.mark.parametrize("n", [W - 1, 513])
+@pytest.mark.parametrize("rows", [1, 5, 31, 32, 33, 127])
+@pytest.mark.parametrize("red", [Reduction.sum(), Reduction.max()], ids=["sum", "max"])
+def test_row_folds_keep_their_bits_through_every_pass(red, rows, n, threshold):
+    program = row_fold(rows, n, red)
+    opts = pipeline.PipelineOptions(mt_threshold=threshold)
+    input_sets = [tie_inputs(program)] + ([wide_inputs(program)] if red.kind == "sum" else [])
+    wants = [interpret(program, inputs) for inputs in input_sets]
+    staged = program
+    for name in DEFAULT_PASSES:
+        staged = pipeline.apply_pass(name, staged, opts)
+        assert verify(staged).ok, name
+        for inputs, want in zip(input_sets, wants):
+            assert bitexact(interpret(staged, inputs), want), name
+    lanes = [g for g in generics(staged) if ir.row_lanes(g.annotations)]
+    # a max of at least W points per row folds in blocked lanes instead
+    assert bool(lanes) == (red.kind == "sum" or n < W)
