@@ -44,12 +44,15 @@ def _derived():
 class IBin:
     """Binary index expression.
 
-    A node also caches three facts about itself, each derived on first use
+    A node also caches four facts about itself, each derived on first use
     and set with object.__setattr__: `_eval`, a closure that evaluates it
     against an index dict; `_free`, the frozenset of variable names it
-    mentions; and `_bounds`, its last interval bound together with the
-    ranges of `_free` that bound was computed for. Equality, hashing, repr
-    and the printer see only `op`, `lhs` and `rhs`.
+    mentions; `_bounds`, its last interval bound together with the ranges
+    of `_free` that bound was computed for; and `_last`, its last value
+    together with the values of `_free` it was computed from. Each memo is
+    one tuple, replaced whole, so a concurrent reader sees an old pair or a
+    new one, never half of each. Equality, hashing, repr and the printer
+    see only `op`, `lhs` and `rhs`.
     """
 
     op: Literal["add", "sub", "mul", "floordiv", "min", "max"]
@@ -58,6 +61,7 @@ class IBin:
     _eval: Callable[[Mapping[str, int]], int] = _derived()
     _free: frozenset[str] = _derived()
     _bounds: tuple = _derived()
+    _last: tuple = _derived()
 
     def __reduce__(self):  # pickle and copy the expression, never the caches
         return IBin, (self.op, self.lhs, self.rhs)
@@ -137,12 +141,33 @@ def _compile(e: Extent) -> Callable[[Mapping[str, int]], int]:
 
 
 def _evaluator(e: IBin) -> Callable[[Mapping[str, int]], int]:
+    """`e`'s closure; it returns `e`'s last value while its variables keep
+    theirs, and otherwise evaluates the children and remembers the result."""
     fn = getattr(e, "_eval", None)
     if fn is None:
         f, a, b = _IBIN_FNS[e.op], _compile(e.lhs), _compile(e.rhs)
-        fn = lambda env: f(a(env), b(env))
-        object.__setattr__(e, "_eval", fn)
+        names = tuple(_extent_vars(e))
+        key_of = operator.itemgetter(*names) if names else lambda env: ()
+        setattr_ = object.__setattr__
+        setattr_(e, "_last", (_NO_KEY, None))
+
+        def fn(env):
+            try:
+                key = key_of(env)
+            except KeyError:  # evaluate, to raise for the first unbound var in order
+                return f(a(env), b(env))
+            last = e._last
+            if last[0] == key:
+                return last[1]
+            value = f(a(env), b(env))
+            setattr_(e, "_last", (key, value))
+            return value
+
+        setattr_(e, "_eval", fn)
     return fn
+
+
+_NO_KEY = object()  # equal to no key: the memo before a first evaluation
 
 
 def eval_extent(e: Extent, env: Mapping[str, int]) -> int:

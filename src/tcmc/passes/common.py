@@ -3,8 +3,8 @@
 - `PassError`: a pass rejected its input.
 - `NameAllocator`: deterministic fresh names that never collide with the
   program's existing ones.
-- `BufInfo`: the shape and memory space of every buffer seen so far in a
-  walk, for passes that slice operands.
+- `BufInfo`: the shape, memory space and element width of every buffer
+  seen so far in a walk, for passes that slice operands.
 - `const_upper` / `const_uppers`: constant upper bounds of extents, as far
   as ints and `min` allow.
 - `split_generic`: restrict one dim of a generic to an `[offset, offset +
@@ -63,19 +63,25 @@ _NAME_ATTRS: dict[type, tuple[str, ...]] = {
 
 
 class BufInfo:
-    """Shape and space of the decls and of every buffer `learn` has seen."""
+    """Shape, space and narrowness (f16 storage) of the decls and of every
+    buffer `learn` has seen."""
 
     def __init__(self, program: KernelProgram):
         self.shapes: dict[str, tuple[Extent, ...]] = {d.name: d.shape for d in program.decls}
         self.spaces: dict[str, str] = {d.name: d.space for d in program.decls}
+        self.narrow: set[str] = {d.name for d in program.decls if d.dtype == "f16"}
 
     def learn(self, op: Op) -> None:
         if isinstance(op, AllocOp):
             self.shapes[op.result] = op.sizes
             self.spaces[op.result] = op.space
+            if op.narrow:
+                self.narrow.add(op.result)
         elif isinstance(op, ExtractSliceOp):
             self.shapes[op.result] = op.sizes
             self.spaces[op.result] = op.space or self.spaces.get(op.source, "ddr")
+            if op.source in self.narrow:
+                self.narrow.add(op.result)
 
 
 def const_upper(e: Extent) -> Optional[int]:
@@ -102,7 +108,8 @@ def split_generic(g: GenericOp, dim: int, offset: Extent, size: Extent,
 
     Returns (head, generic, tail). The head slices every input that reads
     `dim` into a fresh `view_prefix` view and allocates one fresh
-    `sub_prefix` buffer per output that reads `dim`, in the output's space;
+    `sub_prefix` buffer per output that reads `dim`, in the output's space
+    and element width;
     a carried fold's sub-output is a view of its output instead, so the fold
     starts from the output's values. An output that does not read `dim` (a
     reduced dim) is written in place. The tail inserts every sub-output back
@@ -142,7 +149,8 @@ def split_generic(g: GenericOp, dim: int, offset: Extent, size: Extent,
         if red is not None and red.init is None:  # a carried fold starts from the output
             head.append(ExtractSliceOp(sub, name, offs, szs))
         else:
-            head.append(AllocOp(sub, szs, info.spaces.get(name, "ddr")))
+            head.append(AllocOp(sub, szs, info.spaces.get(name, "ddr"),
+                                narrow=name in info.narrow))
             allocs.append(sub)
         info.learn(head[-1])
         inserts.append(InsertSliceOp(sub, name, offs, szs))

@@ -92,7 +92,8 @@ def apply_pass(name: str, program: ir.KernelProgram, opts: PipelineOptions) -> i
         return vectorize_innermost(program, opts.vector_width)
     if name == "mt":
         policy = DistributionPolicy(opts.dist_kind, opts.threads, opts.dist_chunk)
-        return form_virtual_threads(program, policy, ProfitabilityHeuristic(opts.mt_threshold))
+        return form_virtual_threads(program, policy, ProfitabilityHeuristic(opts.mt_threshold),
+                                    opts.machine.compute_window_bytes)
     if name == "async":
         return form_async_threads(program)
     if name == "db":

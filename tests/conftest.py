@@ -21,6 +21,16 @@ BENCH_DIMS = {
 
 ALL_KERNELS = tuple(BENCH_DIMS)
 
+# the sizes `perfbench`'s verify_reduce and verify_ewise workloads compile
+VERIFY_DIMS = {
+    "softmax": {"N": 32768},
+    "rmsnorm": {"R": 127, "C": 513},
+    "gelu": {"N": 131072},
+    "silu": {"N": 131072},
+    "expseries": {"N": 131072},
+    "vecadd2d": {"R": 64, "C": 2048},
+}
+
 # the pass list `tcmc compile` runs by default
 DEFAULT_PASSES = tuple(cli.DEFAULT_PASSES.split(","))
 

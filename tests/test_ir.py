@@ -16,6 +16,7 @@ import io
 import itertools
 import pickle
 import sys
+import threading
 import typing
 
 import numpy as np
@@ -157,6 +158,46 @@ range_edits = st.lists(st.tuples(st.sampled_from(VARS), st.none() | intervals),
 def test_compiled_eval_matches_recursive(e, env_list):
     for env in env_list:
         assert eval_extent(e, env) == old_eval(e, env)
+
+
+@given(extents, envs, st.lists(st.tuples(st.sampled_from(VARS), st.integers(-50, 50)),
+                              min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_value_memo_follows_changing_values(e, env, edits):
+    # one index dict edited in place, one var at a time, as the interpreter's
+    # loops do: a memo keyed on anything less than the value of every free
+    # var goes stale
+    assert eval_extent(e, env) == old_eval(e, env)
+    for var, value in edits:
+        env[var] = value
+        assert eval_extent(e, env) == old_eval(e, env)
+
+
+def test_value_memo_holds_under_concurrent_evaluation():
+    # threads that share one node and walk the same index values in
+    # different orders, switching often: a memo whose key and value could
+    # be read from different writes would give some thread a stale value
+    e = IBin("add", IBin("mul", IVar("i"), 3), IVar("j"))
+    wrong = []
+
+    def evaluate(k):
+        for step in range(5000):
+            i, j = step * (k + 1) % 16, step % 3
+            if eval_extent(e, {"i": i, "j": j}) != 3 * i + j:
+                wrong.append((i, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=evaluate, args=(k,)) for k in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not wrong
 
 
 @given(extents)

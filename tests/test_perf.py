@@ -19,9 +19,14 @@ from tcmc.ir import (
     DeallocOp, ExtractSliceOp, ForOp, GenericOp, IBin, IfOp, IVar, InsertSliceOp, KernelProgram,
     Payload, Reduction, TensorDecl,
 )
-from tcmc.passes import double_buffer_loops
+from tcmc.frontend import lower_to_generics
+from tcmc.passes import (
+    DistributionPolicy, ProfitabilityHeuristic, double_buffer_loops, form_async_threads,
+    form_virtual_threads,
+)
 
-from conftest import ALL_KERNELS, ROOT, kernel_path, squares_kernel
+from conftest import ALL_KERNELS, ROOT, VERIFY_DIMS, kernel_path, squares_kernel
+from test_fuzz import FUZZ_SEEDS
 
 GOLDEN = ROOT / "tests" / "golden" / "perf_reports.txt"
 
@@ -209,6 +214,85 @@ def test_no_reduction_pays_the_window_miss_factor(monkeypatch, n):
     def spy(self, op, env, buffers):
         cost = real(self, op, env, buffers)
         if op.reduction_dims():
+            config = self.cfg
+            self.cfg = replace(config, window_miss_factor=1.0)
+            missed.append(real(self, op, env, buffers) != cost)
+            self.cfg = config
+        return cost
+
+    monkeypatch.setattr(perf._Sim, "generic_cost", spy)
+    perf.simulate(program, perf.MachineConfig())
+    assert missed and not any(missed)
+
+
+# each kernel at pipeline.DEFAULT_DIMS (None) and at the verify_* sizes
+KERNEL_DIMS = [(k, None) for k in ALL_KERNELS] + list(VERIFY_DIMS.items())
+KERNEL_DIMS_IDS = [f"{k}-{'verify' if d else 'default'}" for k, d in KERNEL_DIMS]
+
+
+def _lowered(source, dims):
+    ast, bound = pipeline.resolve_kernel(source, dims)
+    return lower_to_generics(ast, bound)
+
+
+# a row sum of two operands at 127x513: 16 rows of a thread part fit the
+# window and 32 do not, but strips of 16 rows would take two groups of 32
+# row lanes where the part takes one, so the part runs whole
+ROW_DOT = """kernel rowdot(x: f32[R, C], z: f32[R, C], y: f32[R]) {
+    store(y, sum(load(x) * load(z), axis=1))
+}
+"""
+
+
+def _strip_cases():
+    for kernel, dims in KERNEL_DIMS:
+        yield f"{kernel}/{dims or 'default'}", _lowered(kernel_path(kernel), dims)
+    yield "rowdot", _lowered(ROW_DOT, {"R": 127, "C": 513})
+    for seed in FUZZ_SEEDS[:50]:
+        yield f"random/{seed}", oracles.gen_random_program(oracles.RandomProgramSpec(seed))
+
+
+def _stripped_and_whole(program, opts):
+    """`program` after fuse, tile and vectorize, then mt with the machine's
+    compute window and with an unbounded one (no strips), each followed by
+    async and db."""
+    for name in ("fuse", "tile", "vectorize"):
+        program = pipeline.apply_pass(name, program, opts)
+    policy = DistributionPolicy(opts.dist_kind, opts.threads, opts.dist_chunk)
+    heuristic = ProfitabilityHeuristic(opts.mt_threshold)
+    return [double_buffer_loops(form_async_threads(
+                form_virtual_threads(program, policy, heuristic, window)))
+            for window in (opts.machine.compute_window_bytes, 1 << 60)]
+
+
+@pytest.mark.parametrize("dist_kind,chunk", [("block", 1), ("block_cyclic", 1024)])
+@pytest.mark.parametrize("threshold", [1, 32768])
+def test_strips_never_raise_cycles(dist_kind, chunk, threshold):
+    opts = pipeline.PipelineOptions(dist_kind=dist_kind, dist_chunk=chunk, mt_threshold=threshold)
+    lowered = 0
+    for case, program in _strip_cases():
+        stripped, whole = _stripped_and_whole(program, opts)
+        for cfg in (perf.MachineConfig(), ODD_CONFIG):
+            got, want = perf.simulate(stripped, cfg), perf.simulate(whole, cfg)
+            assert got.total_cycles <= want.total_cycles, (case, cfg)
+            # strips only ever take the miss factor off a thread part
+            assert got.compute_cycles <= want.compute_cycles, (case, cfg)
+            lowered += got.total_cycles < want.total_cycles
+    assert lowered
+
+
+@pytest.mark.parametrize("kernel,dims", KERNEL_DIMS, ids=KERNEL_DIMS_IDS)
+def test_no_thread_part_pays_the_window_miss_factor(monkeypatch, kernel, dims):
+    # every generic inside an async body costs what it would with a miss factor of 1
+    program = _final(kernel, FULL_PASSES, pipeline.PipelineOptions(), dims)
+    threaded = {id(g) for op, _ in ir.walk_ops(program.ops) if isinstance(op, AsyncExecuteOp)
+                for g, _ in ir.walk_ops(op.body) if isinstance(g, GenericOp)}
+    real = perf._Sim.generic_cost
+    missed = []
+
+    def spy(self, op, env, buffers):
+        cost = real(self, op, env, buffers)
+        if id(op) in threaded:
             config = self.cfg
             self.cfg = replace(config, window_miss_factor=1.0)
             missed.append(real(self, op, env, buffers) != cost)
