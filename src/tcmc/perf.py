@@ -25,7 +25,9 @@ rules:
   rows (d0's extent) in groups of W' = W lanes (2W for narrow data, capped
   at the scalar charge), with no combine;
 - async bodies are packed greedily onto num_hvx_contexts contexts, each
-  async_execute charges spawn cycles and await_all a barrier;
+  async_execute charges spawn cycles and await_all a barrier; the contexts
+  share one DMA engine, so an await_all takes the larger of its busiest
+  context and the bytes its bodies moved / bandwidth;
 - a double-buffered loop overlaps its prologue+prefetch transfers with its
   compute: loop time = max(prefetch transfer, compute side) + serial stores.
   Everything else serializes.
@@ -180,6 +182,7 @@ class _Acc:
     transfer: float = 0.0
     overhead: float = 0.0
     prefetch: float = 0.0  # transfer pooled for overlap inside a db loop
+    moved: float = 0.0  # bytes through the DMA engine
 
     def add(self, other: "_Acc") -> None:
         self.time += other.time
@@ -187,6 +190,7 @@ class _Acc:
         self.transfer += other.transfer
         self.overhead += other.overhead
         self.prefetch += other.prefetch
+        self.moved += other.moved
 
 
 class _Group:
@@ -471,6 +475,7 @@ class _Sim:
     def _move(self, acc: _Acc, bytes_: float, in_prefetch: bool) -> None:
         c = self.transfer_cost(bytes_)
         acc.transfer += c
+        acc.moved += bytes_
         if in_prefetch:
             acc.prefetch += c
         else:
@@ -492,6 +497,7 @@ class _Sim:
                 acc.compute += body_acc.compute
                 acc.transfer += body_acc.transfer
                 acc.overhead += body_acc.overhead
+                acc.moved += body_acc.moved
                 acc.time += max(pool, body_acc.time)
             else:
                 acc.add(body_acc)
@@ -556,7 +562,11 @@ class _Sim:
                 acc.transfer += body.transfer
                 acc.overhead += body.overhead
                 acc.prefetch += body.prefetch
-            acc.time += max(free) + cfg.barrier_cycles
+                acc.moved += body.moved
+            # the contexts share one DMA engine: their bytes take turns on it
+            moved = sum(body.moved for body in group.bodies)
+            busiest = max(max(free), moved / cfg.dma_bandwidth_bytes_per_cycle)
+            acc.time += busiest + cfg.barrier_cycles
             acc.overhead += cfg.barrier_cycles
         # remaining ops are free
 

@@ -500,6 +500,41 @@ def test_spawn_loop_adding_to_outer_group_is_walked_in_full(monkeypatch):
 
 # -- machine configs -----------------------------------------------------------
 
+def _fork_join_of_copies(threads, elems, tiles=1):
+    """`threads` async bodies, each copying its own `elems` floats of %x to
+    %y through TCM in a tile loop of `tiles` trips."""
+    th = IVar("th")
+    decls = (TensorDecl("x", (threads * elems,), role="input"),
+             TensorDecl("y", (threads * elems,), role="output"))
+    size = elems // tiles
+    copy = (ExtractSliceOp("t", "x", (IVar("i"),), (size,), "tcm"),
+            InsertSliceOp("t", "y", (IVar("i"),), (size,)))
+    loop = ForOp("i", IBin("mul", th, elems), IBin("mul", IBin("add", th, 1), elems), size, copy,
+                 annotations=frozenset({"tiled_generic", "all_parallel"}))
+    spawn = ForOp("th", 0, threads, 1,
+                  (AsyncExecuteOp("tok", (loop,)), AddToGroupOp("grp", "tok")),
+                  annotations=frozenset({"async_threads"}))
+    return KernelProgram("t", decls, (AsyncGroupOp("grp", threads), spawn, AwaitAllOp("grp")))
+
+
+@pytest.mark.parametrize("cfg", [perf.MachineConfig(), ODD_CONFIG], ids=["default", "odd"])
+def test_contexts_share_one_dma_engine(cfg):
+    # four bodies that each move B bytes (in and out) take at least 4B / bandwidth
+    elems = 16384
+    moved = 2 * elems * 4
+    rep = perf.simulate(_fork_join_of_copies(4, elems), cfg)
+    engine = 4 * moved / cfg.dma_bandwidth_bytes_per_cycle
+    assert rep.total_cycles == 4 * cfg.thread_spawn_cycles + engine + cfg.barrier_cycles
+    # one body alone is bound by its context, latency included
+    one = perf.simulate(_fork_join_of_copies(1, elems), cfg)
+    assert one.total_cycles == (cfg.thread_spawn_cycles + 2 * perf._Sim(None, cfg).transfer_cost(
+        moved / 2) + cfg.barrier_cycles)
+    # a double-buffered tile loop in each body shares the engine the same way:
+    # its prologue, prefetches and stores all count
+    piped = perf.simulate(double_buffer_loops(_fork_join_of_copies(4, elems, tiles=8)), cfg)
+    assert piped.total_cycles >= engine + 4 * cfg.thread_spawn_cycles + cfg.barrier_cycles
+
+
 def test_default_config_round_trips_through_text():
     cfg = perf.MachineConfig()
     assert perf.MachineConfig.from_text(cfg.to_text()) == cfg
