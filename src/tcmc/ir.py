@@ -1084,21 +1084,33 @@ class _Verifier:
             self.fail(where, "loop step", f"for %{op.var}: step {print_extent(op.step)} < 1")
         lb = extent_bounds(op.lb, self.var_ranges)
         ub = extent_bounds(op.ub, self.var_ranges)
+        copies = 1
+        if "async_threads" in op.annotations and lb and ub and step and step[0] >= 1:
+            # the spawned bodies all run until the await_all after the loop
+            copies = max(1, -(-(ub[1] - lb[0]) // step[0]))
         self.walk_loop_body(op.var, (lb[0], max(lb[0], ub[1] - 1)) if lb and ub else None,
-                            op.body, scope, where)
+                            op.body, scope, where, copies)
 
     def check_forall(self, op: ForallOp, where: str, scope: _Scope, block: _Block) -> None:
         if op.threads < 1:
             self.fail(where, "thread count", f"forall threads {op.threads} < 1")
-        self.walk_loop_body(op.var, (0, op.threads - 1), op.body, scope, where)
+        self.walk_loop_body(op.var, (0, op.threads - 1), op.body, scope, where,
+                            max(op.threads, 1))
 
     def walk_loop_body(self, var: str, rng: Optional[tuple[int, int]], body: tuple[Op, ...],
-                       scope: _Scope, where: str) -> None:
-        """Walk `body` with `var` in scope, ranging over `rng` (None: unknown)."""
+                       scope: _Scope, where: str, copies: int = 1) -> None:
+        """Walk `body` with `var` in scope, ranging over `rng` (None: unknown).
+
+        `copies` bodies run at once (threads), so the body's peak live TCM
+        counts that many times.
+        """
         saved = self.var_ranges.get(var)
         if rng is not None:
             self.var_ranges[var] = rng
+        live, peak = self.live_tcm, self.max_live_tcm
+        self.max_live_tcm = live
         self.walk_block(body, _Scope(scope, var), where + ".body")
+        self.max_live_tcm = max(peak, live + copies * (self.max_live_tcm - live))
         if saved is not None:
             self.var_ranges[var] = saved
         else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ir
 from .ir import (
-    AffineIndexMap, AsyncExecuteOp, DmaWaitOp, ExtractSliceOp, ForallOp, ForOp,
+    AffineIndexMap, AllocOp, AsyncExecuteOp, DmaWaitOp, ExtractSliceOp, ForallOp, ForOp,
     GenericOp, IfOp, InsertSliceOp, KernelProgram, Op, Payload, Reduction, TensorDecl,
 )
 
@@ -188,11 +188,14 @@ def _walk_schedule(program: KernelProgram) -> tuple[dict, dict]:
     def at(exts, env) -> tuple[int, ...]:
         return tuple(ir.eval_extent(e, env) for e in exts)
 
-    def walk(ops, env, sink) -> None:
-        """`sink` collects the writes of the enclosing forall thread, if any."""
+    def walk(ops, env, sink, local) -> None:
+        """`sink` collects the writes of the enclosing forall thread, if any,
+        except to the buffers in `local`, which that thread allocated."""
         for op in ops:
-            if isinstance(op, InsertSliceOp):
-                if sink is not None:
+            if isinstance(op, AllocOp):
+                local.add(op.result)
+            elif isinstance(op, InsertSliceOp):
+                if sink is not None and op.dest not in local:
                     sink.append((op.dest, at(op.offsets, env), at(op.sizes, env)))
             elif isinstance(op, ForOp):
                 first = None
@@ -204,22 +207,22 @@ def _walk_schedule(program: KernelProgram) -> tuple[dict, dict]:
                     inner = {**env, op.var: i}
                     if first is not None:
                         rec.append((at(first.offsets, inner), at(first.sizes, inner)))
-                    walk(op.body, inner, sink)
+                    walk(op.body, inner, sink, local)
             elif isinstance(op, ForallOp):
                 bodies: list[list] = []
                 for t in ir.trips(op, env):
                     bodies.append([])
-                    walk(op.body, {**env, op.var: t}, bodies[-1])
+                    walk(op.body, {**env, op.var: t}, bodies[-1], set())
                 threads.setdefault(op.var, []).append(bodies)
                 if sink is not None:
                     sink.extend(w for body in bodies for w in body)
             elif isinstance(op, IfOp):
                 if ir.holds(op.pred, env):
-                    walk(op.body, env, sink)
+                    walk(op.body, env, sink, local)
             elif isinstance(op, AsyncExecuteOp):
-                walk(op.body, env, sink)
+                walk(op.body, env, sink, local)
 
-    walk(program.ops, {}, None)
+    walk(program.ops, {}, None, set())
     return tiles, threads
 
 
@@ -237,7 +240,9 @@ def thread_write_intervals(program: KernelProgram) -> dict[str, list[list[list]]
     Keyed by the forall var; each execution is a list of per-thread bodies,
     each body a list of (dest, offsets, sizes). The intervals let tests check
     the race-freedom contract: distinct thread bodies must write pairwise
-    disjoint regions of every shared buffer.
+    disjoint regions of every shared buffer. A write into a buffer the same
+    thread body allocated is left out: each body has its own, even where
+    the bodies name it alike (a hoisted tile loop's `%o` tiles).
     """
     return _walk_schedule(program)[1]
 

@@ -222,18 +222,38 @@ class _LoopPlan:
         Every atom and guard is evaluated over a block of up to `_BLOCK`
         trips at once, in the enclosing env, as an exact int64 array; where
         a bound on some node's magnitude reaches 2**62 (int64 might
-        overflow), as Python ints instead. Trips that agree on all of them
-        get the same id. A trip where a floordiv divisor is 0 gets None and
-        is walked: the walk may never reach that atom. An unbound var, or a
-        divisor of 0 that does not depend on `var`, leaves every trip
-        without a key.
+        overflow), as Python ints instead. A loop of at most `_SHORT` trips
+        is keyed one trip at a time in Python ints, through the memoized
+        `ir` evaluators, which costs less than building the arrays. Trips
+        that agree on all of them get the same id. A trip where a floordiv
+        divisor is 0 gets None and is walked: the walk may never reach that
+        atom. An unbound var, or a divisor of 0 that does not depend on
+        `var`, leaves every trip without a key.
         """
         if not self.extents and not self.preds:
             return itertools.repeat(0, len(trips))  # nothing to evaluate: one class
         index: dict[tuple, int] = {}
+        if len(trips) <= _SHORT:
+            return self._trip_ids(env, var, trips, index)
         return itertools.chain.from_iterable(
             self._block_ids(env, var, trips[start:start + _BLOCK], start, index)
             for start in range(0, len(trips), _BLOCK))
+
+    def _trip_ids(self, env, var: str, trips: range,
+                  index: dict[tuple, int]) -> list[Optional[int]]:
+        """`class_ids` for a short loop, evaluated trip by trip."""
+        env = dict(env)
+        ids: list[Optional[int]] = []
+        for k, i in enumerate(trips):
+            env[var] = i
+            try:
+                key = tuple([ir.eval_extent(e, env) for e in self.extents]
+                            + [ir.holds(p, env) for p in self.preds])
+            except (KeyError, ArithmeticError):  # as in the arrays: no key
+                ids.append(None)
+                continue
+            ids.append(index.setdefault(key, k))
+        return ids
 
     def _block_ids(self, env, var: str, block: range, start: int,
                    index: dict[tuple, int]) -> list[Optional[int]]:
@@ -346,6 +366,9 @@ def _scan_loop(loop: ForOp) -> Optional[_LoopPlan]:
 
 _INT64_EXACT = 1 << 62
 _BLOCK = 1 << 16  # trips keyed per numpy pass, which bounds the arrays' memory
+# loops up to this many trips are keyed in Python ints; it stays below 5, so
+# that test_atoms_past_two_to_the_62_keep_exact_keys's 5 trips reach numpy
+_SHORT = 4
 
 _RANGE_FNS = {
     "add": np.add, "sub": np.subtract, "mul": np.multiply,

@@ -93,7 +93,7 @@ def apply_pass(name: str, program: ir.KernelProgram, opts: PipelineOptions) -> i
     if name == "mt":
         policy = DistributionPolicy(opts.dist_kind, opts.threads, opts.dist_chunk)
         return form_virtual_threads(program, policy, ProfitabilityHeuristic(opts.mt_threshold),
-                                    opts.machine.compute_window_bytes)
+                                    opts.machine.compute_window_bytes, opts.machine.tcm_bytes)
     if name == "async":
         return form_async_threads(program)
     if name == "db":

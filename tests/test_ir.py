@@ -477,6 +477,30 @@ def test_extracts_without_a_space_are_not_counted():
     assert tcm_rules([slice_loop("k", 0, 64, 16, IVar("k"), 16)], 0) == []
 
 
+def _context_body(th):
+    """One context's share of %x (64 f32): a 64-byte staged tile of rows
+    16*th.. and its 64-byte output tile, written back to %y."""
+    off = (ix_mul(IVar(th), 16),)
+    return (ExtractSliceOp("t", "x", off, (16,), "tcm"), AllocOp("o", (16,), "tcm"),
+            elementwise(domain=(16,), inputs=("t",), outputs=("o",)),
+            ir.InsertSliceOp("o", "y", off, (16,)), DeallocOp("o"))
+
+
+def test_thread_bodies_count_their_tcm_once_per_context():
+    # each of 4 contexts holds 128 bytes: 128 fit once, 4 * 128 = 512 are needed
+    forall = ForallOp("th", 4, _context_body("th"))
+    spawn = ForOp("th", 0, 4, 1, (AsyncExecuteOp("tok", _context_body("th")),
+                                  ir.AddToGroupOp("grp", "tok")),
+                  annotations=frozenset({"async_threads"}))
+    lowered = [ir.AsyncGroupOp("grp", 4), spawn, ir.AwaitAllOp("grp")]
+    for ops in ([forall], lowered):
+        assert tcm_rules(ops, 511) == ["tcm budget"]
+        assert tcm_rules(ops, 512) == []
+    # a loop that is not a spawn loop runs its trips one after another
+    serial = ForOp("th", 0, 4, 1, _context_body("th"))
+    assert tcm_rules([serial], 128) == []
+
+
 def test_map_bounds_checked():
     decls = (TensorDecl("x", (4,), role="input"), TensorDecl("y", (8,), role="output"))
     rep = verify(program([elementwise(domain=(8,))], decls))

@@ -178,7 +178,10 @@ def _count_body_walks(monkeypatch, body):
 
 
 def test_tiled_loop_body_is_walked_once_per_iteration_class(monkeypatch):
-    opts = pipeline.PipelineOptions(tile_sizes=(4096,), mt_threshold=1)
+    # a TCM of 256 KB holds the tiles but keeps mt from hoisting the loop, so
+    # each trip forks and joins in the body
+    opts = pipeline.PipelineOptions(tile_sizes=(4096,), mt_threshold=1,
+                                    machine=perf.MachineConfig(tcm_bytes=1 << 18))
     program = _final("gelu", FULL_PASSES, opts)
     loop = next(op for op in program.ops if isinstance(op, ForOp))
     assert "tiled_generic" in loop.annotations
@@ -484,6 +487,21 @@ def test_body_walks_equal_distinct_keys(monkeypatch, block):
     walks = _count_body_walks(monkeypatch, loop.body)
     assert perf.simulate(program, ODD_CONFIG) == full
     assert walks[0] == len(keys)
+
+
+@pytest.mark.parametrize("trips", [3, 4])
+def test_short_loops_are_keyed_without_arrays(monkeypatch, trips):
+    # min(4, 12 // (3 - i)) is 4 at trips 0-2, which replay one walk; the
+    # divisor is 0 at trip 3, which gets no key and is walked, its guard false
+    i = IVar("i")
+    off = IBin("sub", 3, i)
+    program, loop = _guarded_loop(CmpPred("ne", off, 0),
+                                  IBin("min", 4, IBin("floordiv", 12, off)), ub=trips)
+    full = _full_walk(monkeypatch, program, ODD_CONFIG)
+    monkeypatch.setattr(perf._LoopPlan, "_columns", None)  # no numpy pass may run
+    walks = _count_body_walks(monkeypatch, loop.body)
+    assert perf.simulate(program, ODD_CONFIG) == full
+    assert walks[0] == 1 + (trips == 4)
 
 
 def test_spawn_loop_adding_to_outer_group_is_walked_in_full(monkeypatch):
