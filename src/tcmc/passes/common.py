@@ -6,13 +6,14 @@
 - `BufInfo`: the shape, memory space and element width of every buffer
   seen so far in a walk, for passes that slice operands.
 - `const_upper` / `const_uppers`: constant upper bounds of extents, as far
-  as ints and `min` allow.
+  as ints and `min` allow; `tile_bytes`: a buffer's bytes at those bounds.
 - `split_generic`: restrict one dim of a generic to an `[offset, offset +
   size)` range, slicing its operands; vectorize and mt both split this way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, replace
 from typing import Optional, Sequence, get_args
 
@@ -99,6 +100,13 @@ def const_uppers(extents: Sequence[Extent]) -> Optional[tuple[int, ...]]:
     """`const_upper` of every extent, or None if one has no bound."""
     uppers = tuple(const_upper(e) for e in extents)
     return None if None in uppers else uppers
+
+
+def tile_bytes(sizes: Sequence[Extent], narrow: bool) -> Optional[int]:
+    """Bytes of a buffer of `sizes` at their `const_upper` bounds, 2 an
+    element for narrow storage; None when a size has no bound."""
+    uppers = const_uppers(sizes)
+    return None if uppers is None else (2 if narrow else 4) * math.prod(uppers)
 
 
 def split_generic(g: GenericOp, dim: int, offset: Extent, size: Extent,

@@ -59,7 +59,9 @@ from ..ir import (
     ExtractSliceOp, ForallOp, ForOp, GenericOp, IfOp, IVar, KernelProgram, Op, ix_add,
     ix_floordiv, ix_min, ix_mul, ix_sub,
 )
-from .common import BufInfo, NameAllocator, PassError, const_upper, const_uppers, split_generic
+from .common import (
+    BufInfo, NameAllocator, PassError, const_upper, const_uppers, split_generic, tile_bytes,
+)
 
 
 @dataclass(frozen=True)
@@ -199,15 +201,14 @@ def _tile_tcm_bytes(ops: tuple[Op, ...], info: BufInfo) -> Optional[int]:
     total = 0
     for op, _ in ir.walk_ops(ops):
         if isinstance(op, ExtractSliceOp) and op.space == "tcm":
-            narrow = op.source in info.narrow
+            b = tile_bytes(op.sizes, op.source in info.narrow)
         elif isinstance(op, AllocOp) and op.space == "tcm":
-            narrow = op.narrow
+            b = tile_bytes(op.sizes, op.narrow)
         else:
             continue
-        sizes = const_uppers(op.sizes)
-        if sizes is None:
+        if b is None:
             return None
-        total += (2 if narrow else 4) * math.prod(sizes)
+        total += b
     return total
 
 
@@ -260,8 +261,8 @@ def _hoistable(loop: ForOp, trips: Optional[int], threads: int,
     """Whether mt forks once around `loop` (module docstring, "Hoisting")."""
     if "all_parallel" not in loop.annotations or trips is None or trips < threads:
         return False
-    tile_bytes = _tile_tcm_bytes(loop.body, info)
-    return (tile_bytes is not None and threads * tile_bytes <= tcm_bytes // 4
+    body_bytes = _tile_tcm_bytes(loop.body, info)
+    return (body_bytes is not None and threads * body_bytes <= tcm_bytes // 4
             and any(isinstance(g, GenericOp) and _threadable(g, heuristic)
                     for g, _ in ir.walk_ops(loop.body)))
 

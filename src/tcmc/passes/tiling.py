@@ -39,7 +39,6 @@ kept. The form adds no op and no split.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -49,7 +48,7 @@ from ..ir import (
     GenericOp, IfOp, InsertSliceOp, IVar, KernelProgram, Op, CmpPred,
     ix_floordiv, ix_min, ix_mul, ix_sub,
 )
-from .common import BufInfo, NameAllocator, PassError, const_uppers, split_generic
+from .common import BufInfo, NameAllocator, PassError, split_generic, tile_bytes
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
         tile = names.fresh("t")
         body.append(ExtractSliceOp(tile, name, offsets, sizes, spec.target_space))
         new_inputs.append(tile)
-        live_tile_bytes += _tile_set_bytes(sizes, program.is_narrow(name))
+        live_tile_bytes += tile_bytes(sizes, program.is_narrow(name)) or 0
 
     inner_domain = tuple(tile_size.get(d, generic.domain[d]) for d in range(rank))
     new_outputs: list[str] = []
@@ -210,7 +209,7 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
         writebacks.append(InsertSliceOp(otile, name, offsets, sizes))
         deallocs.append(DeallocOp(otile))
         new_outputs.append(otile)
-        live_tile_bytes += _tile_set_bytes(sizes, narrow)
+        live_tile_bytes += tile_bytes(sizes, narrow) or 0
 
     if tcm_bytes is not None and live_tile_bytes > tcm_bytes:
         raise PassError(
@@ -239,12 +238,6 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     if carried:
         return (*accs, *inner_ops, *writebacks, *deallocs)
     return inner_ops
-
-
-def _tile_set_bytes(sizes, narrow: bool) -> int:
-    """Bytes of one tile, or 0 when a size has no constant bound."""
-    uppers = const_uppers(sizes)
-    return 0 if uppers is None else (2 if narrow else 4) * math.prod(uppers)
 
 
 def tile_generic(

@@ -14,8 +14,8 @@ import pytest
 from tcmc import ir, oracles, perf, pipeline
 from tcmc.interp import interpret
 from tcmc.ir import (
-    AffineIndexMap, AllocOp, AsyncGroupOp, DeallocOp, ForallOp, ForOp, GenericOp, IVar,
-    InsertSliceOp, KernelProgram, Payload, TensorDecl, ix_mul,
+    AffineIndexMap, AllocOp, AsyncGroupOp, DeallocOp, ForallOp, ForOp, GenericOp, InsertSliceOp,
+    KernelProgram, Payload, TensorDecl,
 )
 from tcmc.passes.common import BufInfo
 from tcmc.passes.threading import _tile_tcm_bytes
@@ -38,17 +38,13 @@ def hoisted_loops(program):
             for loop in op.body if isinstance(loop, ForOp) and "tiled_generic" in loop.annotations]
 
 
-def trips_of(loop, env):
-    return len(ir.trips(loop, env))
-
-
 def test_gelu_at_tile_4096_forks_once():
     program = staged("gelu", None, DEFAULT_PASSES, tile_sizes=(4096,), mt_threshold=1)
     assert ir.count_ops(program, lambda op: isinstance(op, AsyncGroupOp)) == 1
     # 256 tiles, 64 to each context, with no tail loop
     mt = staged("gelu", None, UP_TO_MT, tile_sizes=(4096,), mt_threshold=1)
     ((forall, loop),) = hoisted_loops(mt)
-    assert [trips_of(loop, {forall.var: t}) for t in range(4)] == [64] * 4
+    assert [len(ir.trips(loop, {forall.var: t})) for t in range(4)] == [64] * 4
     assert len(mt.ops) == 1
 
 
@@ -98,12 +94,11 @@ def test_hoisted_contexts_write_disjoint_regions_of_y():
 
 def test_a_shared_buffer_written_twice_is_still_a_race():
     # each thread allocates %o (its own) and writes it to %y at the same rows
-    th = IVar("th")
     ident = AffineIndexMap.identity(1)
     body = (AllocOp("o", (8,), "tcm"),
             GenericOp("g", (8,), ("x",), ("o",), (ident, ident), ("parallel",),
                       (Payload.arg(0),)),
-            InsertSliceOp("o", "y", (ix_mul(th, 0),), (8,)),
+            InsertSliceOp("o", "y", (0,), (8,)),
             DeallocOp("o"))
     decls = (TensorDecl("x", (8,), role="input"), TensorDecl("y", (16,), role="output"))
     program = KernelProgram("t", decls, (ForallOp("th", 2, body),))
