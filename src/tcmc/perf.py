@@ -578,6 +578,7 @@ class _Sim:
             if group is None:
                 raise ExecutionFault(f"await_all on unknown group %{op.group}")
             free = [0.0] * cfg.num_hvx_contexts
+            moved = 0.0
             for body in group.bodies:
                 k = min(range(len(free)), key=lambda i: (free[i], i))
                 free[k] += body.time
@@ -585,9 +586,9 @@ class _Sim:
                 acc.transfer += body.transfer
                 acc.overhead += body.overhead
                 acc.prefetch += body.prefetch
-                acc.moved += body.moved
+                moved += body.moved
+            acc.moved += moved
             # the contexts share one DMA engine: their bytes take turns on it
-            moved = sum(body.moved for body in group.bodies)
             busiest = max(max(free), moved / cfg.dma_bandwidth_bytes_per_cycle)
             acc.time += busiest + cfg.barrier_cycles
             acc.overhead += cfg.barrier_cycles
