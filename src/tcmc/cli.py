@@ -40,8 +40,9 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vector-width", type=int, default=32)
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--dist", default="block", help="block or cyclic:CHUNK")
-    p.add_argument("--mt-threshold", type=int, default=32768,
-                   help="min domain points before multi-threading is profitable")
+    p.add_argument("--mt-threshold", type=int, default=None,
+                   help="force: thread every tiled generic of at least N points; "
+                        "default: the cost model chooses")
     p.add_argument("--math", choices=("exact", "approx"), default="exact")
     p.add_argument("--machine", default=None, help="machine config file (key = value)")
     p.add_argument("--shape", action="append", default=[],

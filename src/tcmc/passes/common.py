@@ -4,7 +4,8 @@
 - `NameAllocator`: deterministic fresh names that never collide with the
   program's existing ones.
 - `BufInfo`: the shape, memory space and element width of every buffer
-  seen so far in a walk, for passes that slice operands.
+  seen so far in a walk, for passes that slice operands; `overlay` for
+  ops that are built only to be priced.
 - `const_upper` / `const_uppers`: constant upper bounds of extents, as far
   as ints and `min` allow; `tile_bytes`: a buffer's bytes at those bounds.
 - `split_generic`: restrict one dim of a generic to an `[offset, offset +
@@ -14,6 +15,7 @@
 from __future__ import annotations
 
 import math
+from collections import ChainMap
 from dataclasses import fields, replace
 from typing import Optional, Sequence, get_args
 
@@ -71,6 +73,15 @@ class BufInfo:
         self.shapes: dict[str, tuple[Extent, ...]] = {d.name: d.shape for d in program.decls}
         self.spaces: dict[str, str] = {d.name: d.space for d in program.decls}
         self.narrow: set[str] = {d.name for d in program.decls if d.dtype == "f16"}
+
+    def overlay(self) -> "BufInfo":
+        """A BufInfo that reads this one's buffers and keeps what it learns
+        to itself."""
+        view = object.__new__(BufInfo)
+        view.shapes = ChainMap({}, self.shapes)
+        view.spaces = ChainMap({}, self.spaces)
+        view.narrow = set(self.narrow)
+        return view
 
     def learn(self, op: Op) -> None:
         if isinstance(op, AllocOp):

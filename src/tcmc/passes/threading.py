@@ -1,17 +1,33 @@
 """Two-stage multi-threading: virtual threads (forall), then fork-join async.
 
-Stage 1 forks once around a whole tile loop where it can, and otherwise
-partitions the inner generics of tiled loops across a fixed thread count,
-block or block-cyclic, guarded by a pure point-count profitability
-threshold. Thread bodies write disjoint ranges of every shared buffer, so
-the emitted programs are race-free by construction (the structural scanner
-in tcmc.oracles checks the intervals).
+Stage 1 gives each generic of a tiled loop whose d0 is parallel and whose
+domain is bounded one of three forms:
+
+- whole: as it is, on one context;
+- strips: on one context, as a loop of window-sized strips of d0 (below),
+  where its tile's operands exceed the compute window;
+- fork: a forall that partitions d0 across a fixed thread count, block or
+  block-cyclic, each thread part run whole or in strips.
+
+By default the cost model chooses: mt builds each form the generic can
+take and keeps the one `perf.fragment_cycles` prices cheapest, walked on
+the generic's own operands with the loops around it at their first trip,
+so the pass and the report cannot disagree. Ties go to the fixed rule the
+model replaced (fork a generic of at least 32,768 points). The forms are
+built with scratch names on a `BufInfo` overlay, so a rejected one burns
+no name of the program, and a generic with no strip that costs less than
+T spawns and a barrier, the least a fork costs, is kept whole unpriced.
+An explicit `mt_threshold` (`--mt-threshold`) overrides the model: it
+forks every such generic of at least that many points and keeps every
+other whole, as mt did before the model chose. Thread bodies write
+disjoint ranges of every shared buffer, so the emitted programs are
+race-free by construction (the structural scanner in tcmc.oracles checks
+the intervals).
 
 Hoisting (persistent threads). A top-level `for` annotated `tiled_generic`
 and `all_parallel`, of t trips, forks once when all of these hold:
 
-- its body holds a generic that the threshold would thread, so the
-  threshold keeps its meaning;
+- its body holds a generic that mt would fork;
 - t is a constant of at least T, the thread count;
 - T copies of the body's TCM tiles fit `tcm_bytes // 4`, the budget the
   default tile sizes give one context. The tiles are every staged
@@ -19,28 +35,32 @@ and `all_parallel`, of t trips, forks once when all of these hold:
   bounds.
 
 The loop becomes `forall th { for %i over context th's t // T whole tiles
-{ the body } }`. Under block the tiles of a context are contiguous; under
-block-cyclic they are dealt round-robin, one tile at a time, and the chunk
-C of `--dist cyclic:C`, a count of points of a generic's d0, applies only
-where mt forks per generic. The loop keeps its annotations, so db gives
-each context its own two-slot buffers and tags. The last t mod T tiles
-follow in a second loop with the same bounds, step and body, in the
-per-generic form. Only whole `all_parallel` iterations change context and
-no fold changes order, so every output bit is kept. Forks drop from t to
-at most 1 + t mod T, and each context does the work of its tiles.
+{ the body } }`, each generic of the body whole or in strips on its
+context (chosen as above, between those two forms). Under block the tiles
+of a context are contiguous; under block-cyclic they are dealt
+round-robin, one tile at a time, and the chunk C of `--dist cyclic:C`, a
+count of points of a generic's d0, applies only where mt forks per
+generic. The loop keeps its annotations, so db gives each context its own
+two-slot buffers and tags. The last t mod T tiles follow in a second loop
+with the same bounds, step and body, in the per-generic form. Only whole
+`all_parallel` iterations change context and no fold changes order, so
+every output bit is kept. Forks drop from t to at most 1 + t mod T, and
+each context does the work of its tiles.
 
-A thread part `[offset, end)` whose operand footprint exceeds the compute
+Strips. A part `[offset, end)` whose operand footprint exceeds the compute
 window (counted as the cost model counts it: every operand buffer whole)
-runs as a loop of strips, `for %s = offset to end step S`, each split from
-the tile's generic directly at `[%s, min(S, end - %s))`, so a strip adds
-no second view level. For the part that starts at `offset = t * chunk`,
-`end` is `min((t + 1) * chunk, n)`, its offset plus its size. In a
-hoisted body the part of a generic the threshold would thread is its whole
-tile, `[0, n)`. S is the largest power of two of indices whose footprint
-fits the window, in whole vectors when the dim is vectorized and in whole
-groups of row lanes; a part that fits, or whose strip would be one index,
-runs whole. Every strip splits a parallel dim, so elementwise points and
-each row's fold keep their order and every output bit is kept.
+may run as a loop of strips, `for %s = offset to end step S`, each split
+from the tile's generic directly at `[%s, min(S, end - %s))`, so a strip
+adds no second view level. For the thread part that starts at `offset =
+t * chunk`, `end` is `min((t + 1) * chunk, n)`, its offset plus its size;
+on one context the part is the whole tile, `[0, n)`. S is the largest
+power of two of indices whose footprint fits the window, in whole vectors
+when the dim is vectorized and in whole groups of row lanes; a part that
+fits, or whose strip would be one index, runs whole. Where fewer than W
+rows of a `row_lanes(W)` generic fit, the model also prices strips of the
+largest power of two rows that fit: more lane groups, none paying the miss
+factor. Every strip splits a parallel dim, so elementwise points and each
+row's fold keep their order and every output bit is kept.
 
 Stage 2 lowers each forall into the explicit pattern: create a group sized
 to the thread count, spawn one async body per thread adding its token to
@@ -49,11 +69,12 @@ the group, then await the whole group before dependent work.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .. import ir
+from .. import ir, perf
 from ..ir import (
     AddToGroupOp, AllocOp, AsyncExecuteOp, AsyncGroupOp, AwaitAllOp, CmpPred, Extent,
     ExtractSliceOp, ForallOp, ForOp, GenericOp, IfOp, IVar, KernelProgram, Op, ix_add,
@@ -79,26 +100,15 @@ class DistributionPolicy:
             raise PassError("chunk must be >= 1")
 
 
-@dataclass(frozen=True)
-class ProfitabilityHeuristic:
-    """Pure polytope-size test: parallelize when the domain is big enough."""
-
-    min_domain_points: int = 32768
-
-    def __post_init__(self):
-        if self.min_domain_points < 1:
-            raise PassError("min_domain_points must be >= 1")
-
-
-def _strip_size(g: GenericOp, dim: int, part: int, align: int, info: BufInfo,
+def _strip_size(g: GenericOp, part: int, align: int, info: BufInfo,
                 window: int) -> Optional[int]:
-    """The strip of `dim` that a thread part of up to `part` indices runs in,
-    or None when the part runs whole.
+    """The strip of d0 that a part of up to `part` indices runs in, or None
+    when the part runs whole.
 
     The footprint counts every operand buffer of the part whole, at its
     element width, as the cost model's window test does: an operand that
-    reads `dim` per index, one that does not (a broadcast operand, an
-    output `dim` is reduced out of) in full. A part that exceeds `window`
+    reads d0 per index, one that does not (a broadcast operand, an output
+    d0 is reduced out of) in full. A part that exceeds `window`
     runs in strips of the largest power of two of indices whose footprint
     fits, cut down to a multiple of `align`; none when that is one index,
     below `align`, or the whole part.
@@ -109,8 +119,8 @@ def _strip_size(g: GenericOp, dim: int, part: int, align: int, info: BufInfo,
         if shape is None:
             return None
         elem = 2 if name in info.narrow else 4
-        if dim in m.results:
-            j = m.results.index(dim)
+        if 0 in m.results:
+            j = m.results.index(0)
             per_index += elem * math.prod(shape[:j] + shape[j + 1:])
         else:
             fixed += elem * math.prod(shape)
@@ -121,21 +131,17 @@ def _strip_size(g: GenericOp, dim: int, part: int, align: int, info: BufInfo,
     return strip if max(2, align) <= strip < part else None
 
 
-def _threadable(g: GenericOp, heuristic: ProfitabilityHeuristic) -> bool:
-    """Whether mt threads `g` in a tile loop: a parallel d0, and a domain
-    bounded and big enough."""
-    if not (g.iterators and g.iterators[0] == "parallel"):
-        return False
-    uppers = const_uppers(g.domain)
-    return uppers is not None and math.prod(uppers) >= heuristic.min_domain_points
-
-
-def _align(g: GenericOp, dim: int) -> int:
-    """The indices of `dim` a split keeps together: whole W-point vectors
-    along a vectorized innermost dim, or whole groups of W row lanes."""
+def _vector_align(g: GenericOp) -> int:
+    """W when d0 is the vectorized innermost dim, else 1: a thread's chunk
+    is a whole number of W-point vectors."""
     width = ir.vector_width(g.annotations)
-    return ir.row_lanes(g.annotations) or (
-        width if (width and dim == len(g.domain) - 1) else 1)
+    return width if (width and len(g.domain) == 1) else 1
+
+
+def _align(g: GenericOp) -> int:
+    """The d0 indices a split keeps together: whole W-point vectors along a
+    vectorized innermost dim, or whole groups of W row lanes."""
+    return ir.row_lanes(g.annotations) or _vector_align(g)
 
 
 def _run_range(g: GenericOp, offset: Extent, size: Extent, end: Optional[Extent],
@@ -155,31 +161,23 @@ def _run_range(g: GenericOp, offset: Extent, size: Extent, end: Optional[Extent]
     return (ForOp(s.name, offset, end, strip, part_at(s, ix_min(strip, ix_sub(end, s)))),)
 
 
-def _wrap_generic(g: GenericOp, policy: DistributionPolicy, names: NameAllocator,
-                  info: BufInfo, window: int) -> Op:
-    dim = 0  # distribute the outermost dim; callers ensure it is parallel
-    n = g.domain[dim]
+def _block_chunk(extent: Extent, align: int, threads: int) -> Extent:
+    """ceil(extent / threads), rounded up to whole `align`-index vectors so
+    that no thread ends up with a partial vector."""
+    if align > 1:
+        return ix_mul(ix_floordiv(ix_add(ix_floordiv(extent, align), threads - 1), threads), align)
+    return ix_floordiv(ix_add(extent, threads - 1), threads)
+
+
+def _wrap_generic(g: GenericOp, policy: DistributionPolicy, strip: Optional[int],
+                  names: NameAllocator, info: BufInfo) -> Op:
+    """`g` split over d0 into a forall of `policy.num_threads` threads, each
+    part run whole or, with a `strip`, as a loop of strips."""
+    n = g.domain[0]  # callers ensure d0 is parallel and bounded
     tvar = names.fresh("th")
     threads = policy.num_threads
-
-    width = ir.vector_width(g.annotations)
-    align = width if (width and dim == len(g.domain) - 1) else 1
-
-    def block_chunk(extent: Extent) -> Extent:
-        # contiguous ranges of ceil(n/T); vectorized generics distribute whole
-        # W-element groups so no thread ends up with a partial vector
-        if align > 1:
-            return ix_mul(
-                ix_floordiv(ix_add(ix_floordiv(extent, align), threads - 1), threads), align)
-        return ix_floordiv(ix_add(extent, threads - 1), threads)
-
     block = policy.kind == "block"
-    n_upper = const_upper(n)  # callers ensure it is bounded
-    chunk = block_chunk(n) if block else policy.chunk
-    part = block_chunk(n_upper) if block else min(chunk, n_upper)  # the most a thread gets
-    # strips of whole W-point vectors, or of whole groups of W row lanes,
-    # so that no strip adds a group the part did not pay for
-    strip = _strip_size(g, dim, part, _align(g, dim), info, window)
+    chunk = _block_chunk(n, _vector_align(g), threads) if block else policy.chunk
 
     # block: thread t takes chunk t; block-cyclic: it takes chunks t, t + T, ...
     cvar = tvar if block else names.fresh("c")
@@ -219,95 +217,216 @@ def _whole_trips(loop: ForOp) -> Optional[int]:
     return None
 
 
-def _hoisted_body(ops: tuple[Op, ...], heuristic: ProfitabilityHeuristic, window: int,
-                  names: NameAllocator, info: BufInfo) -> tuple[Op, ...]:
-    """A tile loop's body as one context runs it whole: each generic mt
-    threads runs as window-sized strips where its tile exceeds the window."""
-    def fn(op: Op) -> Optional[tuple[Op, ...]]:
+def _first_trip(op: Op, env: dict[str, int]) -> dict[str, int]:
+    """`env` with the var of a `for` or `forall` bound at its first trip."""
+    return {**env, op.var: ir.eval_extent(op.lb, env) if isinstance(op, ForOp) else 0}
+
+
+def _generics(ops: tuple[Op, ...], env: dict[str, int]):
+    """Each generic in `ops`, with `env` and the loops around it at their first trip."""
+    for op in ops:
         if isinstance(op, GenericOp):
-            if not _threadable(op, heuristic):
-                return None
-            n = op.domain[0]
-            strip = _strip_size(op, 0, const_upper(n), _align(op, 0), info, window)
-            return None if strip is None else _run_range(op, 0, n, n, strip, names, info, None)
-        info.learn(op)
-        return None
-
-    return ir.map_ops(ops, fn)
+            yield op, env
+        elif isinstance(op, (ForOp, ForallOp)):
+            yield from _generics(op.body, _first_trip(op, env))
+        elif getattr(op, "body", None) is not None:
+            yield from _generics(op.body, env)
 
 
-def _hoist(loop: ForOp, trips: int, policy: DistributionPolicy, heuristic, window: int,
-           names: NameAllocator, info: BufInfo) -> Op:
-    """`forall th { for %i over context th's whole tiles { body } }` over
-    the first `threads * (trips // threads)` trips of `loop`."""
-    threads = policy.num_threads
-    share = trips // threads  # the tiles each context runs
-    th = IVar(names.fresh("th"))
-    step = loop.step
-    if policy.kind == "block":  # contiguous shares
-        lb = ix_add(loop.lb, ix_mul(th, share * step))
-        ub = ix_add(loop.lb, ix_mul(ix_add(th, 1), share * step))
-    else:  # tiles dealt round-robin, one at a time
-        lb = ix_add(loop.lb, ix_mul(th, step))
-        ub = loop.lb + threads * share * step
-        step = threads * step
-    body = _hoisted_body(loop.body, heuristic, window, names, info)
-    inner = replace(loop, lb=lb, ub=ub, step=step, body=body)
-    return ForallOp(th.name, threads, (inner,), annotations=frozenset({"virtual_threads"}))
+class _ScratchNames:
+    """Fresh names for a form that is only priced. No program name holds a
+    `?`, so these collide with none, and a rejected form burns none of the
+    program's."""
+
+    def __init__(self):
+        self.count = itertools.count()
+
+    def fresh(self, prefix: str) -> str:
+        return f"{prefix}?{next(self.count)}"
 
 
-def _hoistable(loop: ForOp, trips: Optional[int], threads: int,
-               heuristic: ProfitabilityHeuristic, tcm_bytes: int, info: BufInfo) -> bool:
-    """Whether mt forks once around `loop` (module docstring, "Hoisting")."""
-    if "all_parallel" not in loop.annotations or trips is None or trips < threads:
-        return False
-    body_bytes = _tile_tcm_bytes(loop.body, info)
-    return (body_bytes is not None and threads * body_bytes <= tcm_bytes // 4
-            and any(isinstance(g, GenericOp) and _threadable(g, heuristic)
-                    for g, _ in ir.walk_ops(loop.body)))
+# A form of a tiled generic: WHOLE, ("strips", S) on one context, or
+# ("fork", S or None), the forall whose thread parts run in strips of S.
+Form = tuple[str, Optional[int]]
+WHOLE: Form = ("whole", None)
+
+# Ties between priced forms go to the fixed rule the cost model replaced:
+# fork every tiled generic of at least this many points.
+_TIE_THRESHOLD = 32768
 
 
-def _walk_tiled(ops: tuple[Op, ...], in_tiled: bool, policy, heuristic, window: int,
-                tcm_bytes: int, names: NameAllocator, info: BufInfo) -> tuple[Op, ...]:
-    def fn(op: Op) -> Optional[tuple[Op, ...]]:
-        if isinstance(op, GenericOp):
-            if in_tiled and _threadable(op, heuristic):
-                return (_wrap_generic(op, policy, names, info, window),)
+class _Threader:
+    """One run of `form_virtual_threads`: the walk, and the form each tiled
+    generic takes."""
+
+    def __init__(self, program: KernelProgram, policy: DistributionPolicy,
+                 machine: perf.MachineConfig, threshold: Optional[int]):
+        self.policy = policy
+        self.machine = machine
+        self.threshold = threshold
+        self.names = NameAllocator(program)
+        self.info = BufInfo(program)
+
+    # -- the form of one generic ----------------------------------------------
+
+    def strips(self, g: GenericOp, part: int) -> list[Optional[int]]:
+        """The strips a part of up to `part` d0 indices may run in: the
+        window-sized strip of `_strip_size`, or None. Where that is None
+        only because fewer than W rows of a `row_lanes(W)` generic fit the
+        window, the cost model also weighs strips of the largest power of
+        two rows that fit."""
+        window = self.machine.compute_window_bytes
+        strip = _strip_size(g, part, _align(g), self.info, window)
+        if strip is None and self.threshold is None and ir.row_lanes(g.annotations):
+            rows = _strip_size(g, part, 1, self.info, window)
+            if rows is not None:
+                return [None, rows]
+        return [strip]
+
+    def part(self, g: GenericOp) -> int:
+        """The most d0 indices one thread of `g`'s fork gets."""
+        n = const_upper(g.domain[0])
+        if self.policy.kind == "block":
+            return _block_chunk(n, _vector_align(g), self.policy.num_threads)
+        return min(self.policy.chunk, n)
+
+    def fixed_form(self, g: GenericOp, points: int, hoisted: bool, threshold: int) -> Form:
+        """The point-count rule: fork `g` when it has at least `threshold`
+        points; in a hoisted body, run it as strips instead."""
+        if points < threshold:
+            return WHOLE
+        if hoisted:
+            strip = self.strips(g, const_upper(g.domain[0]))[0]
+            return WHOLE if strip is None else ("strips", strip)
+        return ("fork", self.strips(g, self.part(g))[0])
+
+    def form(self, g: GenericOp, env: dict[str, int], hoisted: bool) -> Form:
+        """How the tiled generic `g` runs, `env` binding the loops around it
+        at their first trip: under the override, by the point-count rule;
+        else whichever of whole, its strips and (outside a hoisted body) its
+        forks `perf` prices cheapest."""
+        uppers = const_uppers(g.domain)
+        if not (g.iterators and g.iterators[0] == "parallel") or uppers is None:
+            return WHOLE
+        points = math.prod(uppers)
+        if self.threshold is not None:
+            return self.fixed_form(g, points, hoisted, self.threshold)
+        info = self.info
+        buffers = {name: (info.shapes[name], info.spaces[name], name in info.narrow)
+                   for name in g.inputs + g.outputs}
+        forms = [WHOLE] + [("strips", s) for s in self.strips(g, uppers[0]) if s]
+        costs = [self.cost(g, f, buffers, env) for f in forms]
+        cfg = self.machine
+        # no fork costs less than its spawns and barrier
+        if not hoisted and min(costs) >= (self.policy.num_threads * cfg.thread_spawn_cycles
+                                          + cfg.barrier_cycles):
+            forks = [("fork", s) for s in self.strips(g, self.part(g))]
+            forms += forks
+            costs += [self.cost(g, f, buffers, env) for f in forks]
+        least = min(costs)
+        cheapest = [f for f, c in zip(forms, costs) if c == least]
+        today = self.fixed_form(g, points, hoisted, _TIE_THRESHOLD) if cheapest[1:] else None
+        return today if today in cheapest else cheapest[0]
+
+    def cost(self, g: GenericOp, form: Form, buffers, env: dict[str, int]) -> float:
+        """The cycles of `g` in `form`, built with scratch names on an overlay
+        of the walk's buffers and walked by `perf`."""
+        names = _ScratchNames()
+        ops = self.build(g, form, names, self.info.overlay())
+        if form[0] == "fork":
+            ops = _lower_forall(ops[0], names)
+        return perf.fragment_cycles(ops, buffers, env, self.machine)
+
+    def build(self, g: GenericOp, form: Form, names, info: BufInfo) -> tuple[Op, ...]:
+        kind, strip = form
+        if kind == "fork":
+            return (_wrap_generic(g, self.policy, strip, names, info),)
+        if kind == "strips":
+            n = g.domain[0]
+            return _run_range(g, 0, n, n, strip, names, info, None)
+        return (g,)
+
+    # -- the walk ---------------------------------------------------------------
+
+    def walk(self, ops: tuple[Op, ...], env: dict[str, int], in_tiled: bool,
+             hoisted: bool = False) -> tuple[Op, ...]:
+        """`ops` with each tiled generic in its form; `env` binds the loops
+        around `ops` at their first trip."""
+        def fn(op: Op) -> Optional[tuple[Op, ...]]:
+            if isinstance(op, GenericOp):
+                form = self.form(op, env, hoisted) if in_tiled else WHOLE
+                return None if form == WHOLE else self.build(op, form, self.names, self.info)
+            self.info.learn(op)
+            if not in_tiled and isinstance(op, ForOp) and "tiled_generic" in op.annotations:
+                return self.tile_loop(op, env)
+            if isinstance(op, (ForOp, ForallOp)):
+                body = self.walk(op.body, _first_trip(op, env), in_tiled, hoisted)
+                return (op if body is op.body else replace(op, body=body),)
             return None
-        info.learn(op)
-        if not in_tiled and isinstance(op, ForOp) and "tiled_generic" in op.annotations:
-            threads = policy.num_threads
-            trips = _whole_trips(op)
-            hoisted: tuple[Op, ...] = ()
-            if _hoistable(op, trips, threads, heuristic, tcm_bytes, info):
-                hoisted = (_hoist(op, trips, policy, heuristic, window, names, info),)
-                if not trips % threads:
-                    return hoisted
-                # the last trips % threads tiles follow, forked per generic
-                op = replace(op, lb=op.lb + (trips - trips % threads) * op.step)
-            body = _walk_tiled(op.body, True, policy, heuristic, window, tcm_bytes, names, info)
-            return (*hoisted, replace(op, body=body))
-        return None
 
-    return ir.map_ops(ops, fn)
+        return ir.map_ops(ops, fn)
+
+    def tile_loop(self, loop: ForOp, env: dict[str, int]) -> tuple[Op, ...]:
+        threads = self.policy.num_threads
+        trips = _whole_trips(loop)
+        hoisted: tuple[Op, ...] = ()
+        if self.hoistable(loop, trips, env):
+            hoisted = (self.hoist(loop, trips, env),)
+            if not trips % threads:
+                return hoisted
+            # the last trips % threads tiles follow, forked per generic
+            loop = replace(loop, lb=loop.lb + (trips - trips % threads) * loop.step)
+        body = self.walk(loop.body, _first_trip(loop, env), True)
+        return (*hoisted, replace(loop, body=body))
+
+    def hoistable(self, loop: ForOp, trips: Optional[int], env: dict[str, int]) -> bool:
+        """Whether mt forks once around `loop` (module docstring, "Hoisting")."""
+        threads = self.policy.num_threads
+        if "all_parallel" not in loop.annotations or trips is None or trips < threads:
+            return False
+        body_bytes = _tile_tcm_bytes(loop.body, self.info)
+        if body_bytes is None or threads * body_bytes > self.machine.tcm_bytes // 4:
+            return False
+        for op, _ in ir.walk_ops(loop.body):
+            self.info.learn(op)  # the forms are priced on the body's tiles
+        return any(self.form(g, genv, False)[0] == "fork"
+                   for g, genv in _generics(loop.body, _first_trip(loop, env)))
+
+    def hoist(self, loop: ForOp, trips: int, env: dict[str, int]) -> Op:
+        """`forall th { for %i over context th's whole tiles { body } }` over
+        the first `threads * (trips // threads)` trips of `loop`; a generic
+        of the body runs whole or as strips on its context."""
+        threads = self.policy.num_threads
+        share = trips // threads  # the tiles each context runs
+        th = IVar(self.names.fresh("th"))
+        step = loop.step
+        if self.policy.kind == "block":  # contiguous shares
+            lb = ix_add(loop.lb, ix_mul(th, share * step))
+            ub = ix_add(loop.lb, ix_mul(ix_add(th, 1), share * step))
+        else:  # tiles dealt round-robin, one at a time
+            lb = ix_add(loop.lb, ix_mul(th, step))
+            ub = loop.lb + threads * share * step
+            step = threads * step
+        body = self.walk(loop.body, _first_trip(loop, env), True, hoisted=True)
+        inner = replace(loop, lb=lb, ub=ub, step=step, body=body)
+        return ForallOp(th.name, threads, (inner,), annotations=frozenset({"virtual_threads"}))
 
 
 def form_virtual_threads(
     program: KernelProgram,
     policy: DistributionPolicy = DistributionPolicy(),
-    heuristic: ProfitabilityHeuristic = ProfitabilityHeuristic(),
-    compute_window_bytes: int = 131072,
-    tcm_bytes: int = 8 * 1024 * 1024,
+    machine: Optional[perf.MachineConfig] = None,
+    mt_threshold: Optional[int] = None,
 ) -> KernelProgram:
-    """Fork once around each tile loop that qualifies (module docstring), and
-    wrap the other profitable tiled inner generics in forall (virtual
-    threads); a thread part or hoisted tile whose operands exceed
-    `compute_window_bytes` runs as a loop of strips that fit it."""
-    names = NameAllocator(program)
-    info = BufInfo(program)
-    ops = _walk_tiled(program.ops, False, policy, heuristic, compute_window_bytes, tcm_bytes,
-                      names, info)
-    return program.with_ops(ops, stage="virtual-threads")
+    """Give each tiled generic with a parallel, bounded d0 its form (module
+    docstring): whole, window-sized strips on one context, or a forall of
+    virtual threads, and fork once around each tile loop that qualifies.
+    `mt_threshold` None lets `perf` price the forms under `machine`; an int
+    forks every such generic of at least that many points instead."""
+    if mt_threshold is not None and mt_threshold < 1:
+        raise PassError("mt_threshold must be >= 1")
+    threader = _Threader(program, policy, machine or perf.MachineConfig(), mt_threshold)
+    return program.with_ops(threader.walk(program.ops, {}, False), stage="virtual-threads")
 
 
 def _lower_forall(op: ForallOp, names: NameAllocator) -> tuple[Op, ...]:

@@ -296,8 +296,11 @@ def _scan_loop(loop: ForOp) -> Optional[_LoopPlan]:
     `db_prologue` guard and no nested `db_generic` loop, which feed and
     drain the prologue pools across loop boundaries. (A group or token of
     the same name that is live when the loop starts is consumed by the
-    first, walked, iteration either way.)
+    first, walked, iteration either way.) An `async_threads` spawn loop adds
+    every token to a group made before it, so it is unbalanced unscanned.
     """
+    if "async_threads" in loop.annotations:
+        return None
     var = loop.var
     extents: dict[ir.Extent, None] = {}
     preds: dict[ir.CmpPred, None] = {}
@@ -632,6 +635,18 @@ class _Sim:
 def simulate(program: KernelProgram, config: MachineConfig) -> TimingReport:
     """Deterministic analytic timing of a staged program's schedule."""
     return _Sim(program, config).run()
+
+
+def fragment_cycles(ops: tuple[Op, ...], buffers, env, config: MachineConfig) -> float:
+    """The cycles `ops` take on their own, walked as `simulate` walks them.
+
+    `buffers` maps each buffer the ops use but do not create to its (shape,
+    space, narrow); `env` binds the loop vars around the ops, and the
+    shapes are evaluated in it.
+    """
+    bufs = {name: _Buf(tuple(ir.eval_extent(s, env) for s in shape), space, narrow)
+            for name, (shape, space, narrow) in buffers.items()}
+    return _Sim(None, config).walk_block(ops, dict(env), bufs, in_prefetch=False).time
 
 
 def zero_overhead_config(bandwidth: float = 4.0) -> MachineConfig:

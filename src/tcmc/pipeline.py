@@ -21,9 +21,8 @@ from . import interp, ir, perf
 from .frontend import KernelAst, infer_dims_from_inputs, lower_to_generics, parse_kernel
 from .mathlib import expand_math_ops
 from .passes import (
-    DistributionPolicy, PassError, ProfitabilityHeuristic, double_buffer_loops,
-    form_async_threads, form_virtual_threads, fuse_elementwise, tile_generic, tile_spec,
-    vectorize_innermost,
+    DistributionPolicy, PassError, double_buffer_loops, form_async_threads,
+    form_virtual_threads, fuse_elementwise, tile_generic, tile_spec, vectorize_innermost,
 )
 
 PASS_ORDER = ("fuse", "tile", "vectorize", "mt", "async", "db", "math-approx")
@@ -53,7 +52,9 @@ class PipelineOptions:
     threads: int = 4
     dist_kind: str = "block"
     dist_chunk: int = 1
-    mt_threshold: int = 32768
+    # None: the cost model chooses each tiled generic's form; an int forces
+    # a fork of every tiled generic of at least that many points
+    mt_threshold: Optional[int] = None
     machine: perf.MachineConfig = field(default_factory=perf.MachineConfig)
 
 
@@ -92,8 +93,7 @@ def apply_pass(name: str, program: ir.KernelProgram, opts: PipelineOptions) -> i
         return vectorize_innermost(program, opts.vector_width)
     if name == "mt":
         policy = DistributionPolicy(opts.dist_kind, opts.threads, opts.dist_chunk)
-        return form_virtual_threads(program, policy, ProfitabilityHeuristic(opts.mt_threshold),
-                                    opts.machine.compute_window_bytes, opts.machine.tcm_bytes)
+        return form_virtual_threads(program, policy, opts.machine, opts.mt_threshold)
     if name == "async":
         return form_async_threads(program)
     if name == "db":
@@ -263,9 +263,7 @@ def build_staged(
 ) -> ir.KernelProgram:
     """Compile straight to the end of `passes` (no dumps, no verification)."""
     opts = PipelineOptions(machine=config, vector_width=vector_width, threads=threads,
-                           tile_sizes=tile_sizes)
-    if mt_threshold is not None:
-        opts.mt_threshold = mt_threshold
+                           tile_sizes=tile_sizes, mt_threshold=mt_threshold)
     return _staged(_lowered(source, dims), passes, opts)
 
 

@@ -1,6 +1,7 @@
 """tcmc command line: one test per documented exit code, and the options it rejects."""
 
 import gc
+import hashlib
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,8 @@ from tcmc import cli, frontend, interp, ir, pipeline, tensorio
 from tcmc.ir import Payload
 
 from conftest import (
-    CONST_SCALAR_SOURCE, bitexact, kernel_inputs, kernel_path, lower, squares_kernel,
+    ALL_KERNELS, BENCH_DIMS, CONST_SCALAR_SOURCE, bitexact, kernel_inputs, kernel_path, lower,
+    squares_kernel,
 )
 
 
@@ -274,3 +276,19 @@ def test_bench_exit_spec_option_the_sweep_never_reads(sweep, option, reader, cap
     flag = option[-2]
     assert f"{flag} does not apply to the {sweep} sweep, only to the {reader} sweep" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS)
+def test_an_explicit_mt_threshold_prints_the_fixed_rules_final_ir(kernel, capsys, golden_dir):
+    # the override's contract: the point-count rule's schedule, byte for byte,
+    # as the golden digests recorded it before the cost model chose
+    shapes = [f"--shape={k}={v}" for k, v in BENCH_DIMS[kernel].items()]
+    argv = ["compile", kernel_path(kernel), "--mt-threshold", "32768", "--emit-final", *shapes]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    final = out[out.index("program @"):]
+    case = (f"kernel/{kernel}/bench_dims/{cli.DEFAULT_PASSES}/tile=default/exact/mt=32768/block"
+            "/06_db")
+    lines = (golden_dir / "ir_digests.txt").read_text().splitlines()
+    digests = dict(line.split() for line in lines)
+    assert hashlib.sha256(final.encode()).hexdigest() == digests[case]

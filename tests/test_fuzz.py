@@ -1,12 +1,15 @@
 """Differential fuzz: random programs through every pass prefix.
 
 Each `oracles.gen_random_program` seed is compiled with the default pass
-list at both mt thresholds. After every pass the program must pass
-`ir.verify` and interpret to outputs bit-equal to the unpassed program's.
+list at both mt thresholds and with the cost model choosing. After every
+pass the program must pass `ir.verify` and interpret to outputs bit-equal
+to the unpassed program's.
 Seeds 0-49 are covered by the interpreter's golden digests; this file takes
 the next 120 (FUZZ_SEEDS), a budget that keeps the file under about 3 s
 on one core.
 """
+
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ def bits(outputs: dict) -> dict:
     return {k: np.asarray(v, np.float32).view(np.uint32).copy() for k, v in outputs.items()}
 
 
-def fuzz_failures(seed: int, mt_threshold: int) -> list[str]:
+def fuzz_failures(seed: int, mt_threshold: Optional[int]) -> list[str]:
     program = oracles.gen_random_program(oracles.RandomProgramSpec(seed))
     inputs = oracles.random_inputs_for(program, seed)
     want = bits(interp.interpret(program, inputs))
@@ -57,7 +60,8 @@ def test_the_seeds_reach_row_lanes(mt_threshold):
         assert any("_th" in name for name in lanes)
 
 
-@pytest.mark.parametrize("mt_threshold", [1, 32768])
+# None: the cost model chooses each tiled generic's form
+@pytest.mark.parametrize("mt_threshold", [1, 32768, None])
 def test_every_pass_prefix_verifies_and_matches_stage0(mt_threshold):
     failures = [f for seed in FUZZ_SEEDS for f in fuzz_failures(seed, mt_threshold)]
     assert not failures, "\n".join(failures)

@@ -21,8 +21,7 @@ from tcmc.ir import (
 )
 from tcmc.frontend import lower_to_generics
 from tcmc.passes import (
-    DistributionPolicy, ProfitabilityHeuristic, double_buffer_loops, form_async_threads,
-    form_virtual_threads,
+    DistributionPolicy, double_buffer_loops, form_async_threads, form_virtual_threads,
 )
 
 from conftest import ALL_KERNELS, ROOT, VERIFY_DIMS, kernel_path, squares_kernel
@@ -240,7 +239,9 @@ def _lowered(source, dims):
 
 # a row sum of two operands at 127x513: 16 rows of a thread part fit the
 # window and 32 do not, but strips of 16 rows would take two groups of 32
-# row lanes where the part takes one, so the part runs whole
+# row lanes where the part takes one, so under a fixed mt_threshold the
+# part runs whole (the cost model prices 16-row strips too:
+# tests/test_thread_forms.py)
 ROW_DOT = """kernel rowdot(x: f32[R, C], z: f32[R, C], y: f32[R]) {
     store(y, sum(load(x) * load(z), axis=1))
 }
@@ -262,9 +263,9 @@ def _stripped_and_whole(program, opts):
     for name in ("fuse", "tile", "vectorize"):
         program = pipeline.apply_pass(name, program, opts)
     policy = DistributionPolicy(opts.dist_kind, opts.threads, opts.dist_chunk)
-    heuristic = ProfitabilityHeuristic(opts.mt_threshold)
-    return [double_buffer_loops(form_async_threads(
-                form_virtual_threads(program, policy, heuristic, window)))
+    return [double_buffer_loops(form_async_threads(form_virtual_threads(
+                program, policy, replace(opts.machine, compute_window_bytes=window),
+                opts.mt_threshold)))
             for window in (opts.machine.compute_window_bytes, 1 << 60)]
 
 
@@ -285,21 +286,19 @@ def test_strips_never_raise_cycles(dist_kind, chunk, threshold):
 
 
 @pytest.mark.parametrize("kernel,dims", KERNEL_DIMS, ids=KERNEL_DIMS_IDS)
-def test_no_thread_part_pays_the_window_miss_factor(monkeypatch, kernel, dims):
-    # every generic inside an async body costs what it would with a miss factor of 1
+def test_no_generic_pays_the_window_miss_factor(monkeypatch, kernel, dims):
+    # every generic of the default schedule, threaded or not, costs what it
+    # would with a miss factor of 1
     program = _final(kernel, FULL_PASSES, pipeline.PipelineOptions(), dims)
-    threaded = {id(g) for op, _ in ir.walk_ops(program.ops) if isinstance(op, AsyncExecuteOp)
-                for g, _ in ir.walk_ops(op.body) if isinstance(g, GenericOp)}
     real = perf._Sim.generic_cost
     missed = []
 
     def spy(self, op, env, buffers):
         cost = real(self, op, env, buffers)
-        if id(op) in threaded:
-            config = self.cfg
-            self.cfg = replace(config, window_miss_factor=1.0)
-            missed.append(real(self, op, env, buffers) != cost)
-            self.cfg = config
+        config = self.cfg
+        self.cfg = replace(config, window_miss_factor=1.0)
+        missed.append(real(self, op, env, buffers) != cost)
+        self.cfg = config
         return cost
 
     monkeypatch.setattr(perf._Sim, "generic_cost", spy)

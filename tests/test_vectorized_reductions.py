@@ -106,7 +106,9 @@ def test_row_folds_blocked_lanes_leave_get_row_lanes(program):
 
 
 def test_rmsnorm_row_sum_runs_in_row_lanes_under_the_default_passes():
-    spec = pipeline.PipelineSpec(DEFAULT_PASSES, pipeline.PipelineOptions(), "off")
+    # forced to fork, so that every thread part is checked
+    spec = pipeline.PipelineSpec(DEFAULT_PASSES, pipeline.PipelineOptions(mt_threshold=32768),
+                                 "off")
     final = pipeline.run_pipeline(kernel_path("rmsnorm"), spec).final
     sums = [g for g in generics(final) if g.reduction_dims()]
     assert sums and all(r.kind == "sum" for g in sums for r in g.reductions)
