@@ -15,8 +15,8 @@ the generic's own operands with the loops around it at their first trip,
 so the pass and the report cannot disagree. Ties go to the fixed rule the
 model replaced (fork a generic of at least 32,768 points). The forms are
 built with scratch names on a `BufInfo` overlay, so a rejected one burns
-no name of the program, and a generic with no strip that costs less than
-T spawns and a barrier, the least a fork costs, is kept whole unpriced.
+no name of the program, and the forks are priced only where whole and
+strips both cost at least T spawns and a barrier, the least a fork costs.
 An explicit `mt_threshold` (`--mt-threshold`) overrides the model: it
 forks every such generic of at least that many points and keeps every
 other whole, as mt did before the model chose. Thread bodies write
@@ -338,6 +338,7 @@ class _Threader:
         return perf.fragment_cycles(ops, buffers, env, self.machine)
 
     def build(self, g: GenericOp, form: Form, names, info: BufInfo) -> tuple[Op, ...]:
+        """The ops that run `g` in `form`."""
         kind, strip = form
         if kind == "fork":
             return (_wrap_generic(g, self.policy, strip, names, info),)
@@ -351,7 +352,8 @@ class _Threader:
     def walk(self, ops: tuple[Op, ...], env: dict[str, int], in_tiled: bool,
              hoisted: bool = False) -> tuple[Op, ...]:
         """`ops` with each tiled generic in its form; `env` binds the loops
-        around `ops` at their first trip."""
+        around `ops` at their first trip, and in a `hoisted` tile loop's body
+        no generic forks."""
         def fn(op: Op) -> Optional[tuple[Op, ...]]:
             if isinstance(op, GenericOp):
                 form = self.form(op, env, hoisted) if in_tiled else WHOLE
@@ -367,6 +369,8 @@ class _Threader:
         return ir.map_ops(ops, fn)
 
     def tile_loop(self, loop: ForOp, env: dict[str, int]) -> tuple[Op, ...]:
+        """A top-level tile loop, hoisted where it qualifies and otherwise
+        with each generic of its body in its form."""
         threads = self.policy.num_threads
         trips = _whole_trips(loop)
         hoisted: tuple[Op, ...] = ()
@@ -374,7 +378,7 @@ class _Threader:
             hoisted = (self.hoist(loop, trips, env),)
             if not trips % threads:
                 return hoisted
-            # the last trips % threads tiles follow, forked per generic
+            # the last trips % threads tiles follow, each generic in its own form
             loop = replace(loop, lb=loop.lb + (trips - trips % threads) * loop.step)
         body = self.walk(loop.body, _first_trip(loop, env), True)
         return (*hoisted, replace(loop, body=body))

@@ -121,13 +121,11 @@ def test_a_row_dot_runs_in_strips_of_16_rows_on_one_context():
 def test_vecadd2d_runs_unforked_and_below_vec():
     # the fork's 8,500 cycles of spawns and barrier bought back 4,064 of compute
     config = perf.MachineConfig()
-    vec, mt = (perf.simulate(pipeline.build_staged(kernel_path("vecadd2d"),
-                                                   perf.PASS_LADDERS[ladder], None, config),
-                             config)
-               for ladder in ("vec", "vec_mt"))
-    assert mt.total_cycles == 15910.8125 < vec.total_cycles
-    assert mt.overhead_cycles == 0
-    program = pipeline.build_staged(kernel_path("vecadd2d"), perf.PASS_LADDERS["vec_mt"], None,
-                                    config)
+    vec, threaded = (pipeline.build_staged(kernel_path("vecadd2d"), perf.PASS_LADDERS[ladder],
+                                           None, config)
+                     for ladder in ("vec", "vec_mt"))
     assert not any(isinstance(op, GenericOp) and "_th" in op.name
-                   for op, _ in ir.walk_ops(program.ops))
+                   for op, _ in ir.walk_ops(threaded.ops))
+    got = perf.simulate(threaded, config)
+    assert got.total_cycles == 15910.8125 < perf.simulate(vec, config).total_cycles
+    assert got.overhead_cycles == 0
