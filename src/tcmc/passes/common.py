@@ -7,7 +7,8 @@
   seen so far in a walk, for passes that slice operands; `overlay` for
   ops that are built only to be priced.
 - `const_upper` / `const_uppers`: constant upper bounds of extents, as far
-  as ints and `min` allow; `tile_bytes`: a buffer's bytes at those bounds.
+  as ints and `min` allow; `tile_bytes`: a buffer's bytes at those bounds;
+  `resident_bytes`: the TCM the `@tcm` decls hold.
 - `split_generic`: restrict one dim of a generic to an `[offset, offset +
   size)` range, slicing its operands; vectorize and mt both split this way.
 """
@@ -118,6 +119,11 @@ def tile_bytes(sizes: Sequence[Extent], narrow: bool) -> Optional[int]:
     element for narrow storage; None when a size has no bound."""
     uppers = const_uppers(sizes)
     return None if uppers is None else (2 if narrow else 4) * math.prod(uppers)
+
+
+def resident_bytes(program: KernelProgram) -> int:
+    """The bytes of every tensor `program` declares `@tcm`."""
+    return sum(tile_bytes(d.shape, d.dtype == "f16") for d in program.decls if d.space == "tcm")
 
 
 def split_generic(g: GenericOp, dim: int, offset: Extent, size: Extent,

@@ -32,7 +32,13 @@ and `all_parallel`, of t trips, forks once when all of these hold:
 - T copies of the body's TCM tiles fit `tcm_bytes // 4`, the budget the
   default tile sizes give one context. The tiles are every staged
   `extract_slice ... @tcm` and `alloc ... @tcm` in the body, at their upper
-  bounds.
+  bounds;
+- T copies of the hoisted body as built, its strips included and each
+  staged tile counted twice for db's two slots, fit the TCM that the
+  resident temps (`@tcm` decls, see tiling.py) leave (`_Threader.fits`).
+  Without resident temps the first rule implies this one; with them, a
+  hoisted loop past it would take the verifier's peak past `tcm_bytes`,
+  so the loop stays in the per-generic form.
 
 The loop becomes `forall th { for %i over context th's t // T whole tiles
 { the body } }`, each generic of the body whole or in strips on its
@@ -81,7 +87,8 @@ from ..ir import (
     ix_floordiv, ix_min, ix_mul, ix_sub,
 )
 from .common import (
-    BufInfo, NameAllocator, PassError, const_upper, const_uppers, split_generic, tile_bytes,
+    BufInfo, NameAllocator, PassError, const_upper, const_uppers, resident_bytes, split_generic,
+    tile_bytes,
 )
 
 
@@ -193,13 +200,15 @@ def _wrap_generic(g: GenericOp, policy: DistributionPolicy, strip: Optional[int]
     return ForallOp(tvar, threads, (inner,), annotations=frozenset({"virtual_threads"}))
 
 
-def _tile_tcm_bytes(ops: tuple[Op, ...], info: BufInfo) -> Optional[int]:
-    """The TCM bytes of every staged `extract_slice ... @tcm` and `alloc ...
-    @tcm` in `ops`, at their upper bounds; None when one has no bound."""
+def _tile_tcm_bytes(ops: tuple[Op, ...], info: BufInfo, slots: int = 1) -> Optional[int]:
+    """The TCM bytes of every staged `extract_slice ... @tcm` (`slots` times
+    each) and `alloc ... @tcm` in `ops`, at their upper bounds; None when one
+    has no bound."""
     total = 0
     for op, _ in ir.walk_ops(ops):
         if isinstance(op, ExtractSliceOp) and op.space == "tcm":
             b = tile_bytes(op.sizes, op.source in info.narrow)
+            b = None if b is None else slots * b
         elif isinstance(op, AllocOp) and op.space == "tcm":
             b = tile_bytes(op.sizes, op.narrow)
         else:
@@ -266,6 +275,8 @@ class _Threader:
         self.threshold = threshold
         self.names = NameAllocator(program)
         self.info = BufInfo(program)
+        # the TCM the resident temps leave to the tiles
+        self.tile_room = machine.tcm_bytes - resident_bytes(program)
 
     # -- the form of one generic ----------------------------------------------
 
@@ -375,7 +386,10 @@ class _Threader:
         trips = _whole_trips(loop)
         hoisted: tuple[Op, ...] = ()
         if self.hoistable(loop, trips, env):
-            hoisted = (self.hoist(loop, trips, env),)
+            forall = self.hoist(loop, trips, env)
+            if self.fits(forall):
+                hoisted = (forall,)
+        if hoisted:
             if not trips % threads:
                 return hoisted
             # the last trips % threads tiles follow, each generic in its own form
@@ -396,7 +410,15 @@ class _Threader:
         return any(self.form(g, genv, False)[0] == "fork"
                    for g, genv in _generics(loop.body, _first_trip(loop, env)))
 
-    def hoist(self, loop: ForOp, trips: int, env: dict[str, int]) -> Op:
+    def fits(self, hoisted: ForallOp) -> bool:
+        """Whether T contexts of `hoisted` fit the TCM the resident temps
+        leave, each with its body's tiles, its staged tiles twice (db gives
+        each two slots) and the strips mt split."""
+        (loop,) = hoisted.body
+        body_bytes = _tile_tcm_bytes(loop.body, self.info, slots=2)
+        return body_bytes is not None and hoisted.threads * body_bytes <= self.tile_room
+
+    def hoist(self, loop: ForOp, trips: int, env: dict[str, int]) -> ForallOp:
         """`forall th { for %i over context th's whole tiles { body } }` over
         the first `threads * (trips // threads)` trips of `loop`; a generic
         of the body runs whole or as strips on its context."""

@@ -5,6 +5,17 @@ over tiles: stage each input tile into TCM with one `extract_slice ... @tcm`,
 allocate each output tile in TCM, compute on the tiles, and write results
 back with insert_slice. Remainder tiles clamp to min(t, extent - offset).
 
+Temps that fit stay resident in TCM. Before tiling, each `role=temp` decl,
+in program order, becomes `@tcm` when the resident bytes, its own included,
+fit `tcm_bytes` beside the largest live tile set of any tile loop as the
+later passes leave it (`_live_tile_bytes`); one that does not fit stays
+`@ddr`. A tile loop reads a resident operand through a view (an
+`extract_slice` with no space), emitted after the run of staged slices so
+that db still double-buffers every staged one, and writes a resident
+output back with an `insert_slice` inside TCM. So a resident temp is never
+written to DDR or staged again. A generic whose domain is one point and
+whose operands all live in TCM is left untiled.
+
 A rank-1 reduction whose operands exceed the compute window is tiled along
 its reduction dim: its outputs become TCM accumulators, filled with the
 fold's init before the loop, and every trip folds its tile into them with
@@ -48,7 +59,9 @@ from ..ir import (
     GenericOp, IfOp, InsertSliceOp, IVar, KernelProgram, Op, CmpPred,
     ix_floordiv, ix_min, ix_mul, ix_sub,
 )
-from .common import BufInfo, NameAllocator, PassError, split_generic, tile_bytes
+from .common import (
+    BufInfo, NameAllocator, PassError, resident_bytes, split_generic, tile_bytes,
+)
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,68 @@ def _reduction_tile_sizes(generic: GenericOp, program: KernelProgram, tcm_bytes:
     return TileSpec((_pow2_floor(t_max),)) if t_max >= 1 else None
 
 
+def _slice_of(shape: tuple[Extent, ...], m: AffineIndexMap, start: dict[int, Extent],
+              size: dict[int, Extent]) -> tuple[tuple[Extent, ...], tuple[Extent, ...]]:
+    """The tile of an operand of `shape` read through `m`: a tiled dim d at
+    `start[d]` of `size[d]`, a broadcast dim one element, any other dim whole."""
+    offsets, sizes = [], []
+    for j, r in enumerate(m.results):
+        if r in size:
+            offsets.append(start[r])
+            sizes.append(size[r])
+        else:
+            offsets.append(0)
+            sizes.append(1 if r is None else shape[j])
+    return tuple(offsets), tuple(sizes)
+
+
+def _live_tile_bytes(generic: GenericOp, spec: TileSpec, program: KernelProgram,
+                     resident: set[str]) -> int:
+    """The TCM a tile loop of `generic` may hold once every later pass has
+    run, at the tiles' upper bounds.
+
+    A staged input tile counts twice: db gives it two slots. An input in
+    `resident` is read as a view and holds nothing. An accumulator counts
+    once. A parallel tile's output counts three times: the tile, the main
+    part vectorize splits from it, and the thread parts or strips mt splits
+    from that, each allocated in TCM while the one it came from is live.
+    """
+    size = {d: min(t, generic.domain[d]) for d, t in enumerate(spec.sizes) if t > 0}
+    carried = any(generic.iterators[d] == "reduction" for d in size)
+    total = 0
+    for k, (name, m) in enumerate(zip(generic.inputs + generic.outputs, generic.maps)):
+        if k < len(generic.inputs):
+            copies = 0 if name in resident else 2
+        else:
+            copies = 1 if carried else 3
+        _, sizes = _slice_of(program.decl(name).shape, m, size, size)
+        total += copies * tile_bytes(sizes, program.is_narrow(name))
+    return total
+
+
+def _resident_temps(program: KernelProgram, tiled: list[tuple[GenericOp, TileSpec]],
+                    tcm_bytes: int) -> KernelProgram:
+    """`program` with each temp that fits declared `@tcm`.
+
+    Temps are taken in program order. One stays resident when every resident
+    temp's bytes, its own included, fit `tcm_bytes` beside the largest live
+    tile set of any tile loop (`_live_tile_bytes`), and stays `@ddr`
+    otherwise. A resident input is a view, so each temp taken can only
+    shrink the tile sets the earlier ones were checked against."""
+    resident = {d.name for d in program.decls if d.space == "tcm"}
+    used = resident_bytes(program)
+    for d in program.decls:
+        if d.role != "temp" or d.space == "tcm":
+            continue
+        trial = resident | {d.name}
+        need = used + tile_bytes(d.shape, d.dtype == "f16")
+        peak = max((_live_tile_bytes(g, s, program, trial) for g, s in tiled), default=0)
+        if need + peak <= tcm_bytes:
+            resident, used = trial, need
+    decls = tuple(replace(d, space="tcm") if d.name in resident else d for d in program.decls)
+    return replace(program, decls=decls)
+
+
 def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
               names: NameAllocator, tcm_bytes: Optional[int]) -> tuple[Op, ...]:
     """The tile loop nest of `generic`, with the ops around it.
@@ -151,6 +226,10 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     fold into one accumulator per output instead: allocated before the loop
     with the fold's init, folded with `init=out` on every trip, written back
     and deallocated after the loop.
+
+    An input already in the target space is sliced as a view, after the run
+    of staged slices, so that db still finds every staged tile in the
+    leading run (`recognize_normal_form`).
     """
     rank = len(generic.domain)
     if len(spec.sizes) != rank:
@@ -166,34 +245,26 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
         raise PassError(f"@{generic.name}: tile spec selects no dims")
 
     loop_vars = {d: names.fresh("i") for d in tiled_dims}
-    tile_size = {d: ix_min(spec.sizes[d], ix_sub(generic.domain[d], IVar(loop_vars[d])))
+    start = {d: IVar(v) for d, v in loop_vars.items()}
+    tile_size = {d: ix_min(spec.sizes[d], ix_sub(generic.domain[d], start[d]))
                  for d in tiled_dims}
 
-    def slice_of(decl_shape, m: AffineIndexMap):
-        offsets, sizes = [], []
-        for j, r in enumerate(m.results):
-            if r in loop_vars:
-                offsets.append(IVar(loop_vars[r]))
-                sizes.append(tile_size[r])
-            elif r is None:
-                offsets.append(0)
-                sizes.append(1)
-            else:
-                offsets.append(0)
-                sizes.append(decl_shape[j])
-        return tuple(offsets), tuple(sizes)
-
     body: list[Op] = []
+    views: list[Op] = []
     live_tile_bytes = 0
     new_inputs: list[str] = []
     deallocs: list[Op] = []
     for name, m in zip(generic.inputs, generic.input_maps()):
         decl = program.decl(name)
-        offsets, sizes = slice_of(decl.shape if decl else (), m)
+        offsets, sizes = _slice_of(decl.shape if decl else (), m, start, tile_size)
         tile = names.fresh("t")
-        body.append(ExtractSliceOp(tile, name, offsets, sizes, spec.target_space))
+        if decl is not None and decl.space == spec.target_space:
+            views.append(ExtractSliceOp(tile, name, offsets, sizes))
+        else:
+            body.append(ExtractSliceOp(tile, name, offsets, sizes, spec.target_space))
+            live_tile_bytes += tile_bytes(sizes, program.is_narrow(name)) or 0
         new_inputs.append(tile)
-        live_tile_bytes += tile_bytes(sizes, program.is_narrow(name)) or 0
+    body.extend(views)
 
     inner_domain = tuple(tile_size.get(d, generic.domain[d]) for d in range(rank))
     new_outputs: list[str] = []
@@ -201,7 +272,7 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     accs: list[Op] = []
     for name, m, red in zip(generic.outputs, generic.output_maps(), generic.reductions):
         decl = program.decl(name)
-        offsets, sizes = slice_of(decl.shape if decl else (), m)
+        offsets, sizes = _slice_of(decl.shape if decl else (), m, start, tile_size)
         otile = names.fresh("acc" if carried else "o")
         narrow = program.is_narrow(name)
         (accs if carried else body).append(AllocOp(otile, sizes, spec.target_space, narrow=narrow,
@@ -240,6 +311,13 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     return inner_ops
 
 
+def _one_point_in_tcm(op: GenericOp, program: KernelProgram) -> bool:
+    """Whether `op` computes one point from operands that all live in TCM:
+    a tile loop would only wrap it."""
+    return (all(e == 1 for e in op.domain)
+            and all(program.decl(n).space == "tcm" for n in op.inputs + op.outputs))
+
+
 def tile_generic(
     program: KernelProgram,
     tile_sizes: Optional[tuple[int, ...]] = None,
@@ -253,16 +331,21 @@ def tile_generic(
     generics fall back to the default sizing policy. Generics with no
     parallel dims are left untouched, except a rank-1 reduction whose
     operands exceed `compute_window_bytes`: it folds tile by tile into a
-    carried accumulator.
+    carried accumulator. Each temp that fits is declared `@tcm` first
+    (`_resident_temps`); a one-point generic over TCM operands alone is
+    left whole.
     """
+    specs = [tile_spec(op, program, tile_sizes, interchange, tcm_bytes, compute_window_bytes)
+             if isinstance(op, GenericOp) else None for op in program.ops]
+    program = _resident_temps(
+        program, [(op, s) for op, s in zip(program.ops, specs) if s is not None], tcm_bytes)
     names = NameAllocator(program)
     new_ops: list[Op] = []
-    for op in program.ops:
-        spec = None
-        if isinstance(op, GenericOp):
-            spec = tile_spec(op, program, tile_sizes, interchange, tcm_bytes,
-                             compute_window_bytes)
-        new_ops.extend((op,) if spec is None else _tile_one(op, spec, program, names, tcm_bytes))
+    for op, spec in zip(program.ops, specs):
+        if spec is None or _one_point_in_tcm(op, program):
+            new_ops.append(op)
+        else:
+            new_ops.extend(_tile_one(op, spec, program, names, tcm_bytes))
     return program.with_ops(tuple(new_ops), stage="tiled")
 
 

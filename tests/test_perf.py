@@ -558,6 +558,11 @@ def test_default_config_round_trips_through_text():
     assert perf.MachineConfig.from_text((ROOT / "configs" / "default.machine").read_text()) == cfg
 
 
+def test_low_bandwidth_machine_is_the_default_at_8_bytes_per_cycle():
+    lowbw = perf.MachineConfig.from_text((ROOT / "configs" / "lowbw.machine").read_text())
+    assert lowbw == replace(perf.MachineConfig(), dma_bandwidth_bytes_per_cycle=8)
+
+
 BAD_LINES = [
     "op_cost = 1", "to_text = 2", "scalar_op_cycles = 3", "op. = 1", "nonsense = 1",
     "no equals sign", "num_hvx_contexts = 2.5", "dma_latency_cycles = fast",

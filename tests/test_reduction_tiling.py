@@ -10,8 +10,8 @@ import pytest
 from tcmc import cli, ir, oracles, pipeline
 from tcmc.interp import interpret
 from tcmc.ir import (
-    AffineIndexMap, AllocOp, ForOp, GenericOp, KernelProgram, Payload, Reduction, TensorDecl,
-    print_ir, verify,
+    AffineIndexMap, AllocOp, ExtractSliceOp, ForOp, GenericOp, KernelProgram, Payload, Reduction,
+    TensorDecl, print_ir, verify,
 )
 from tcmc.passes import fuse_elementwise, tile_generic
 from tcmc.passes.common import NameAllocator
@@ -41,9 +41,18 @@ def test_softmax_reductions_fold_window_sized_tiles_into_tcm_accumulators():
     program = tiled("softmax", {"N": 40000})
     loops = reduction_loops(program)
     assert len(loops) == 2
+    max_loop, sum_loop = loops
+    partition = oracles.tile_partition(40000, 16384)
+    # the max stages its tiles of %x from DDR
     tiles = oracles.enumerate_tiles(program)
+    assert [(o[0], s[0]) for o, s in tiles[max_loop.var]] == partition
+    # the sum reads the TCM-resident %t2 through views of the same tiles
+    (view,) = [op for op in sum_loop.body if isinstance(op, ExtractSliceOp)]
+    assert view.space is None and program.decl(view.source).space == "tcm"
+    assert [(ir.eval_extent(view.offsets[0], {sum_loop.var: i}),
+             ir.eval_extent(view.sizes[0], {sum_loop.var: i}))
+            for i in ir.trips(sum_loop, {})] == partition
     for loop in loops:
-        assert [(o[0], s[0]) for o, s in tiles[loop.var]] == oracles.tile_partition(40000, 16384)
         (g,) = [op for op in loop.body if isinstance(op, GenericOp)]
         assert [r.init for r in g.reductions] == [None]
     accs = [op for op in program.ops if isinstance(op, AllocOp)]

@@ -1,0 +1,198 @@
+"""`tile` keeps each temp that fits resident in TCM.
+
+Every final schedule fits `tcm_bytes` with its resident temps; no DMA and
+no staged slice reads a resident temp; softmax and rmsnorm stay bit-exact
+through every pass prefix with their temps resident and without; a hoisted
+tile loop that would crowd the resident temps stays per trip; and a
+one-point generic over resident temps is left whole.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from tcmc import ir, oracles, perf, pipeline
+from tcmc.ir import DmaStartOp, ExtractSliceOp, ForallOp, ForOp, GenericOp
+from tcmc.passes import tiling
+from tcmc.passes.threading import _Threader
+
+from conftest import (
+    ALL_KERNELS, BENCH_DIMS, DEFAULT_PASSES, VERIFY_DIMS, kernel_inputs, kernel_path, lower,
+)
+from test_fuzz import FUZZ_SEEDS
+from test_perf import ODD_CONFIG
+
+# softmax's %t2 (4 MiB at default dims) stays in DDR here. Resident, it would
+# leave 1.625 MiB: the exp loop's 1.5 MiB of tiles after db fit, but not with
+# the 128 KiB of thread strips mt allocates beside them
+SMALL_TCM = replace(perf.MachineConfig(), tcm_bytes=45 * 2**17)
+MACHINES = {"default": perf.MachineConfig(), "odd": ODD_CONFIG, "small-tcm": SMALL_TCM}
+
+# perfbench's schedule_grid tiles, on the kernels that take them
+GRID_TILES = {
+    "gelu": ((4096,), (16384,), (65536,)),
+    "silu": ((4096,), (16384,), (65536,)),
+    "expseries": ((4096,), (16384,), (65536,)),
+    "rmsnorm": ((1, 0), (4, 0), (16, 0)),
+    "vecadd2d": ((1, 0), (4, 0), (16, 0)),
+}
+GRID_OPTIONS = [dict(mt_threshold=mt, dist_kind=kind, dist_chunk=chunk)
+                for mt in (1, None) for kind, chunk in (("block", 1), ("block_cyclic", 1024))]
+
+ONE_POINT = """\
+kernel onepoint(x: f32[N], y: f32[N]) {
+    xv = load(x)
+    s = sum(xv, axis=0)
+    t = s * 2.0
+    store(y, xv * t)
+}
+"""
+
+# `e` (2 MiB at 1024x512) is read by the row sum and by the divide
+ROW_EXP = """\
+kernel rowexp(x: f32[R, C], y: f32[R, C]) {
+    e = exp(load(x))
+    s = sum(e, axis=1)
+    store(y, e / s)
+}
+"""
+
+
+def _compile(program, options, passes=DEFAULT_PASSES):
+    for name in passes:
+        program = pipeline.apply_pass(name, program, options)
+    return program
+
+
+def _cases(group):
+    """(case id, lowered program, pipeline options but the machine)."""
+    if group == "kernels":
+        for kernel in ALL_KERNELS:
+            for label, dims in (("default", None), ("verify", VERIFY_DIMS[kernel]),
+                                ("bench", BENCH_DIMS[kernel])):
+                bound = pipeline.resolve_kernel(kernel_path(kernel), dims)[1]
+                yield f"{kernel}/{label}", lower(kernel, bound), {}
+    elif group == "grid":
+        for kernel, tiles in GRID_TILES.items():
+            program = lower(kernel, pipeline.resolve_kernel(kernel_path(kernel))[1])
+            for tile in tiles:
+                for options in GRID_OPTIONS:
+                    yield f"{kernel}/tile={tile}/{options}", program, dict(tile_sizes=tile,
+                                                                           **options)
+    else:
+        for seed in FUZZ_SEEDS:
+            yield (f"random/{seed}",
+                   oracles.gen_random_program(oracles.RandomProgramSpec(seed)), {})
+
+
+def _faults(program, machine):
+    """What is wrong with a final schedule: a TCM overflow, or a DMA or
+    staged slice that reads a resident temp."""
+    report = ir.verify(program, tcm_bytes=machine.tcm_bytes)
+    faults = [] if report.ok else [str(report)]
+    resident = {d.name for d in program.decls if d.space == "tcm"}
+    for op, where in ir.walk_ops(program.ops):
+        staged = isinstance(op, ExtractSliceOp) and op.space == "tcm"
+        if (staged or isinstance(op, DmaStartOp)) and op.source in resident:
+            faults.append(f"{where} reads resident %{op.source}")
+    return faults
+
+
+@pytest.mark.parametrize("group", ["kernels", "grid", "fuzz"])
+@pytest.mark.parametrize("machine", MACHINES)
+def test_every_final_schedule_fits_the_tcm_and_never_stages_a_resident_temp(machine, group):
+    cfg = MACHINES[machine]
+    faults = []
+    for case, program, options in _cases(group):
+        final = _compile(program, pipeline.PipelineOptions(machine=cfg, **options))
+        faults += [f"{case}: {f}" for f in _faults(final, cfg)]
+    assert not faults, faults[:5]
+
+
+@pytest.mark.parametrize("machine, resident", [("default", True), ("small-tcm", False)])
+def test_softmax_keeps_t2_in_tcm_only_where_it_fits(machine, resident):
+    tiled = pipeline.build_staged(kernel_path("softmax"), ("fuse", "tile"), None,
+                                  MACHINES[machine])
+    spaces = {d.name: d.space for d in tiled.decls if d.role == "temp"}
+    assert spaces == {"t0": "tcm", "t2": "tcm" if resident else "ddr", "t3": "tcm"}
+    reads = [op for op, _ in ir.walk_ops(tiled.ops)
+             if isinstance(op, ExtractSliceOp) and op.source == "t2"]
+    assert len(reads) == 2  # the sum's tile and the divide's
+    assert all(op.space == (None if resident else "tcm") for op in reads)
+
+
+@pytest.mark.parametrize("resident", [True, False], ids=["resident", "in-ddr"])
+@pytest.mark.parametrize("kernel", ["softmax", "rmsnorm"])
+def test_bit_exact_through_every_prefix(kernel, resident, monkeypatch):
+    if not resident:
+        monkeypatch.setattr(tiling, "_resident_temps", lambda program, tiled, tcm_bytes: program)
+    dims = VERIFY_DIMS[kernel]
+    inputs = kernel_inputs(lower(kernel, dims), kernel)
+    spec = pipeline.PipelineSpec(DEFAULT_PASSES, pipeline.PipelineOptions(), "bitexact")
+    # every stage is compared bit for bit with the unpassed program
+    result = pipeline.run_pipeline(kernel_path(kernel), spec, inputs=inputs, dims=dims)
+    assert all(st.compare.ok for st in result.stages[1:])
+    temps = [d for d in result.final.decls if d.role == "temp"]
+    assert temps and all(d.space == ("tcm" if resident else "ddr") for d in temps)
+
+
+def test_views_of_resident_temps_follow_the_staged_tiles():
+    # db prefetches only the leading run of staged slices: rmsnorm's %g
+    # stays double-buffered beside the view of its resident %t2
+    final = pipeline.build_staged(kernel_path("rmsnorm"), DEFAULT_PASSES, None,
+                                  perf.MachineConfig())
+    dmas = {op.source for op, _ in ir.walk_ops(final.ops) if isinstance(op, DmaStartOp)}
+    assert dmas == {"x", "g"}
+    tiled = pipeline.build_staged(kernel_path("rmsnorm"), ("fuse", "tile"), None,
+                                  perf.MachineConfig())
+    loop = tiled.ops[-1]
+    slices = [(op.source, op.space) for op in loop.body if isinstance(op, ExtractSliceOp)]
+    assert slices == [("x", "tcm"), ("g", "tcm"), ("t2", None)]
+
+
+def _row_exp(tcm_bytes, passes=DEFAULT_PASSES):
+    opts = pipeline.PipelineOptions(machine=replace(perf.MachineConfig(), tcm_bytes=tcm_bytes),
+                                    tile_sizes=(16, 0), mt_threshold=1)
+    return pipeline.run_pipeline(ROW_EXP, pipeline.PipelineSpec(passes, opts, "off"),
+                                 dims={"R": 1024, "C": 512}).final
+
+
+def test_a_hoist_that_would_crowd_the_resident_temps_stays_per_trip():
+    up_to_mt = DEFAULT_PASSES[:DEFAULT_PASSES.index("mt") + 1]
+    # 2.25 MiB holds the 2 MiB `e` beside one context's tiles, not four
+    crowded = _row_exp(9 * 2**18, up_to_mt)
+    assert [type(op) for op in crowded.ops] == [ForOp, ForallOp, ForallOp]
+    # the row sum and the divide read `e` as views and still fork once
+    roomy = _row_exp(2**23, up_to_mt)
+    assert [type(op) for op in roomy.ops] == [ForallOp, ForallOp, ForallOp]
+    for program in (crowded, roomy):
+        assert {d.name: d.space for d in program.decls if d.role == "temp"} == {
+            "t0": "tcm", "t1": "tcm"}
+    # run_pipeline verifies every stage against the TCM, db's slots included
+    _row_exp(9 * 2**18)
+
+
+def test_without_the_fit_check_the_crowded_hoist_overflows_the_tcm(monkeypatch):
+    monkeypatch.setattr(_Threader, "fits", lambda self, hoisted: True)
+    with pytest.raises(pipeline.PassError, match="tcm budget"):
+        _row_exp(9 * 2**18)
+
+
+def _one_point(monkeypatch=None):
+    if monkeypatch is not None:
+        monkeypatch.setattr(tiling, "_one_point_in_tcm", lambda op, program: False)
+    spec = pipeline.PipelineSpec(DEFAULT_PASSES, pipeline.PipelineOptions(), "bitexact")
+    return pipeline.run_pipeline(ONE_POINT, spec, dims={"N": 64})
+
+
+def test_a_one_point_generic_over_resident_temps_is_left_untiled(monkeypatch):
+    result = _one_point()  # bit-exact through every prefix, or it raises
+    tiled = next(st.program for st in result.stages if st.name == "tile")
+    (t,) = [op for op in tiled.ops if isinstance(op, GenericOp) and op.outputs == ("t1",)]
+    assert t.domain == (1,)
+    loops = [op for op in result.final.ops if isinstance(op, ForOp)]
+    assert all(not any(isinstance(g, GenericOp) and g.name.startswith(t.name)
+                       for g, _ in ir.walk_ops(loop.body)) for loop in loops)
+    cfg = perf.MachineConfig()
+    untiled = perf.simulate(result.final, cfg).total_cycles
+    assert untiled <= perf.simulate(_one_point(monkeypatch).final, cfg).total_cycles
