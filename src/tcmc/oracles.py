@@ -184,9 +184,21 @@ def _walk_schedule(program: KernelProgram) -> tuple[dict, dict]:
     """
     tiles: dict[str, list] = {}
     threads: dict[str, list[list[list]]] = {}
+    # each buffer as (root buffer, offsets in the root, sizes): a view's
+    # offsets compose along its chain of views; any other buffer is its own root
+    region = {d.name: (d.name, (0,) * len(d.shape), d.shape) for d in program.decls}
 
     def at(exts, env) -> tuple[int, ...]:
         return tuple(ir.eval_extent(e, env) for e in exts)
+
+    def within(name, offsets, sizes) -> tuple:
+        """The region of buffer `name` at `offsets` of `sizes`, in its root."""
+        root, base, _ = region[name]
+        return root, tuple(b + o for b, o in zip(base, offsets)), sizes
+
+    def write(sink, local, where) -> None:
+        if sink is not None and where[0] not in local:
+            sink.append(where)
 
     def walk(ops, env, sink, local) -> None:
         """`sink` collects the writes of the enclosing forall thread, if any,
@@ -194,9 +206,19 @@ def _walk_schedule(program: KernelProgram) -> tuple[dict, dict]:
         for op in ops:
             if isinstance(op, AllocOp):
                 local.add(op.result)
+                sizes = at(op.sizes, env)
+                region[op.result] = (op.result, (0,) * len(sizes), sizes)
+            elif isinstance(op, ExtractSliceOp):
+                sizes = at(op.sizes, env)
+                if op.space is None:
+                    region[op.result] = within(op.source, at(op.offsets, env), sizes)
+                else:  # staged: a new buffer
+                    region[op.result] = (op.result, (0,) * len(sizes), sizes)
+            elif isinstance(op, GenericOp):
+                for name in op.outputs:
+                    write(sink, local, region[name])
             elif isinstance(op, InsertSliceOp):
-                if sink is not None and op.dest not in local:
-                    sink.append((op.dest, at(op.offsets, env), at(op.sizes, env)))
+                write(sink, local, within(op.dest, at(op.offsets, env), at(op.sizes, env)))
             elif isinstance(op, ForOp):
                 first = None
                 if "tiled_generic" in op.annotations:
@@ -238,11 +260,14 @@ def thread_write_intervals(program: KernelProgram) -> dict[str, list[list[list]]
     """Write regions of forall thread bodies, one entry per forall execution.
 
     Keyed by the forall var; each execution is a list of per-thread bodies,
-    each body a list of (dest, offsets, sizes). The intervals let tests check
-    the race-freedom contract: distinct thread bodies must write pairwise
-    disjoint regions of every shared buffer. A write into a buffer the same
-    thread body allocated is left out: each body has its own, even where
-    the bodies name it alike (a hoisted tile loop's `%o` tiles).
+    each body a list of (dest, offsets, sizes), one per `insert_slice` and
+    per output of a generic. A write through a view is a region of the
+    view's root buffer, at the offsets the chain of views adds up to. The
+    intervals let tests check the race-freedom contract: distinct thread
+    bodies must write pairwise disjoint regions of every shared buffer. A
+    write into a buffer the same thread body allocated is left out: each
+    body has its own, even where the bodies name it alike (a hoisted tile
+    loop's `%o` tiles).
     """
     return _walk_schedule(program)[1]
 

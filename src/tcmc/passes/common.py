@@ -10,7 +10,8 @@
   as ints and `min` allow; `tile_bytes`: a buffer's bytes at those bounds;
   `resident_bytes`: the TCM the `@tcm` decls hold.
 - `split_generic`: restrict one dim of a generic to an `[offset, offset +
-  size)` range, slicing its operands; vectorize and mt both split this way.
+  size)` range through views of its operands; vectorize and mt both split
+  this way.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from dataclasses import fields, replace
 from typing import Optional, Sequence, get_args
 
 from .. import ir
-from ..ir import (
-    AllocOp, DeallocOp, Extent, ExtractSliceOp, GenericOp, InsertSliceOp, KernelProgram, Op,
-)
+from ..ir import AllocOp, Extent, ExtractSliceOp, GenericOp, KernelProgram, Op
 
 
 class PassError(Exception):
@@ -127,60 +126,33 @@ def resident_bytes(program: KernelProgram) -> int:
 
 
 def split_generic(g: GenericOp, dim: int, offset: Extent, size: Extent,
-                  names: NameAllocator, info: BufInfo, view_prefix: str,
-                  sub_prefix: str) -> tuple[tuple[Op, ...], GenericOp, tuple[Op, ...]]:
+                  names: NameAllocator, info: BufInfo,
+                  view_prefix: str) -> tuple[tuple[Op, ...], GenericOp]:
     """Restrict dim `dim` of `g` to `[offset, offset + size)`.
 
-    Returns (head, generic, tail). The head slices every input that reads
-    `dim` into a fresh `view_prefix` view and allocates one fresh
-    `sub_prefix` buffer per output that reads `dim`, in the output's space
-    and element width;
-    a carried fold's sub-output is a view of its output instead, so the fold
-    starts from the output's values. An output that does not read `dim` (a
-    reduced dim) is written in place. The tail inserts every sub-output back
-    into its output, then deallocates the allocated ones, both in output
-    order. `generic` is `g` on the views and sub-outputs with the
-    narrowed domain; the caller names and annotates it. Every new buffer is
-    recorded in `info`.
+    Returns (head, generic). The head slices every operand, input or
+    output, that reads `dim` into a fresh `view_prefix` view (an
+    `extract_slice` with no space), in operand order, so each sub-output is
+    written in place; an operand that does not read `dim` (an output whose
+    dim is reduced, a broadcast input) is used whole. `generic` is `g` on
+    the views with the narrowed domain; the caller names and annotates it.
+    Every view is recorded in `info`.
     """
-
-    def narrowed(name: str, m: ir.AffineIndexMap) -> tuple[tuple, tuple]:
+    head: list[Op] = []
+    operands: list[str] = []
+    for name, m in zip(g.inputs + g.outputs, g.maps):
+        if dim not in m.used_dims():
+            operands.append(name)
+            continue
         shape = info.shapes.get(name, ())
         offs, szs = [0] * len(shape), list(shape)
         j = m.results.index(dim)
         offs[j], szs[j] = offset, size
-        return tuple(offs), tuple(szs)
-
-    head: list[Op] = []
-    inputs: list[str] = []
-    for name, m in zip(g.inputs, g.input_maps()):
-        if dim not in m.used_dims():
-            inputs.append(name)
-            continue
-        offs, szs = narrowed(name, m)
         view = names.fresh(view_prefix)
-        head.append(ExtractSliceOp(view, name, offs, szs))
+        head.append(ExtractSliceOp(view, name, tuple(offs), tuple(szs)))
         info.learn(head[-1])
-        inputs.append(view)
-    outputs: list[str] = []
-    inserts: list[Op] = []
-    allocs: list[str] = []
-    for name, m, red in zip(g.outputs, g.output_maps(), g.reductions):
-        if dim not in m.used_dims():  # `dim` is reduced: fold into the output in place
-            outputs.append(name)
-            continue
-        offs, szs = narrowed(name, m)
-        sub = names.fresh(sub_prefix)
-        if red is not None and red.init is None:  # a carried fold starts from the output
-            head.append(ExtractSliceOp(sub, name, offs, szs))
-        else:
-            head.append(AllocOp(sub, szs, info.spaces.get(name, "ddr"),
-                                narrow=name in info.narrow))
-            allocs.append(sub)
-        info.learn(head[-1])
-        inserts.append(InsertSliceOp(sub, name, offs, szs))
-        outputs.append(sub)
+        operands.append(view)
+    k = len(g.inputs)
     domain = g.domain[:dim] + (size,) + g.domain[dim + 1:]
-    generic = replace(g, domain=domain, inputs=tuple(inputs), outputs=tuple(outputs))
-    tail = tuple(inserts) + tuple(DeallocOp(sub) for sub in allocs)
-    return tuple(head), generic, tail
+    generic = replace(g, domain=domain, inputs=tuple(operands[:k]), outputs=tuple(operands[k:]))
+    return tuple(head), generic

@@ -33,9 +33,9 @@ and `all_parallel`, of t trips, forks once when all of these hold:
   default tile sizes give one context. The tiles are every staged
   `extract_slice ... @tcm` and `alloc ... @tcm` in the body, at their upper
   bounds;
-- T copies of the hoisted body as built, its strips included and each
-  staged tile counted twice for db's two slots, fit the TCM that the
-  resident temps (`@tcm` decls, see tiling.py) leave (`_Threader.fits`).
+- T copies of the hoisted body as built, each staged tile counted twice
+  for db's two slots, fit the TCM that the resident temps (`@tcm` decls,
+  see tiling.py) leave (`_Threader.fits`).
   Without resident temps the first rule implies this one; with them, a
   hoisted loop past it would take the verifier's peak past `tcm_bytes`,
   so the loop stays in the per-generic form.
@@ -57,16 +57,18 @@ Strips. A part `[offset, end)` whose operand footprint exceeds the compute
 window (counted as the cost model counts it: every operand buffer whole)
 may run as a loop of strips, `for %s = offset to end step S`, each split
 from the tile's generic directly at `[%s, min(S, end - %s))`, so a strip
-adds no second view level. For the thread part that starts at `offset =
-t * chunk`, `end` is `min((t + 1) * chunk, n)`, its offset plus its size;
-on one context the part is the whole tile, `[0, n)`. S is the largest
-power of two of indices whose footprint fits the window, in whole vectors
-when the dim is vectorized and in whole groups of row lanes; a part that
-fits, or whose strip would be one index, runs whole. Where fewer than W
-rows of a `row_lanes(W)` generic fit, the model also prices strips of the
-largest power of two rows that fit: more lane groups, none paying the miss
-factor. Every strip splits a parallel dim, so elementwise points and each
-row's fold keep their order and every output bit is kept.
+adds no second view level. A thread part or strip reads and writes views
+of the tile's operands and holds no TCM of its own. For the thread part
+that starts at `offset = t * chunk`, `end` is `min((t + 1) * chunk, n)`,
+its offset plus its size; on one context the part is the whole tile,
+`[0, n)`. S is the largest power of two of indices whose footprint fits
+the window, in whole vectors when the dim is vectorized and in whole
+groups of row lanes; a part that fits, or whose strip would be one index,
+runs whole. Where fewer than W rows of a `row_lanes(W)` generic fit, the
+model also prices strips of the largest power of two rows that fit: more
+lane groups, none paying the miss factor. Every strip splits a parallel
+dim, so elementwise points and each row's fold keep their order and every
+output bit is kept.
 
 Stage 2 lowers each forall into the explicit pattern: create a group sized
 to the thread count, spawn one async body per thread adding its token to
@@ -160,8 +162,8 @@ def _run_range(g: GenericOp, offset: Extent, size: Extent, end: Optional[Extent]
     s = None if strip is None else IVar(names.fresh("s"))
 
     def part_at(lo: Extent, sz: Extent) -> tuple[Op, ...]:
-        head, sub, tail = split_generic(g, 0, lo, sz, names, info, "p", "q")
-        return head + (replace(sub, name=name or f"{g.name}_{s.name}"),) + tail
+        head, sub = split_generic(g, 0, lo, sz, names, info, "p")
+        return head + (replace(sub, name=name or f"{g.name}_{s.name}"),)
 
     if s is None:
         return part_at(offset, size)
@@ -413,7 +415,7 @@ class _Threader:
     def fits(self, hoisted: ForallOp) -> bool:
         """Whether T contexts of `hoisted` fit the TCM the resident temps
         leave, each with its body's tiles, its staged tiles twice (db gives
-        each two slots) and the strips mt split."""
+        each two slots)."""
         (loop,) = hoisted.body
         body_bytes = _tile_tcm_bytes(loop.body, self.info, slots=2)
         return body_bytes is not None and hoisted.threads * body_bytes <= self.tile_room

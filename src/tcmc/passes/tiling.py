@@ -9,12 +9,11 @@ Temps that fit stay resident in TCM. Before tiling, each `role=temp` decl,
 in program order, becomes `@tcm` when the resident bytes, its own included,
 fit `tcm_bytes` beside the largest live tile set of any tile loop as the
 later passes leave it (`_live_tile_bytes`); one that does not fit stays
-`@ddr`. A tile loop reads a resident operand through a view (an
-`extract_slice` with no space), emitted after the run of staged slices so
-that db still double-buffers every staged one, and writes a resident
-output back with an `insert_slice` inside TCM. So a resident temp is never
-written to DDR or staged again. A generic whose domain is one point and
-whose operands all live in TCM is left untiled.
+`@ddr`. A tile loop reads and writes a resident operand in place through a
+view (an `extract_slice` with no space), emitted after the run of staged
+slices so that db still double-buffers every staged one. So a resident
+temp is never written to DDR, staged again or copied. A generic whose
+domain is one point and whose operands all live in TCM is left untiled.
 
 A rank-1 reduction whose operands exceed the compute window is tiled along
 its reduction dim: its outputs become TCM accumulators, filled with the
@@ -27,7 +26,10 @@ Vectorization marks generics whose innermost dim is parallel with
 `vectorized(W)`. When W does not divide the innermost extent the generic is
 restructured into a width-multiple main part plus a scalar epilogue so the
 annotation never lies about full groups; per-element evaluation order is
-unchanged either way.
+unchanged either way. Each part reads and writes views of the generic's
+operands, so the split allocates and copies nothing. An elementwise
+generic whose innermost extent is below W is all epilogue: it is marked
+`vec_epilogue` and not split.
 
 A generic whose innermost dim is its only reduction dim is vectorized the
 same way when every reduction is a max. `vectorized(W)` then means W lanes
@@ -175,11 +177,10 @@ def _live_tile_bytes(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     """The TCM a tile loop of `generic` may hold once every later pass has
     run, at the tiles' upper bounds.
 
-    A staged input tile counts twice: db gives it two slots. An input in
-    `resident` is read as a view and holds nothing. An accumulator counts
-    once. A parallel tile's output counts three times: the tile, the main
-    part vectorize splits from it, and the thread parts or strips mt splits
-    from that, each allocated in TCM while the one it came from is live.
+    A staged input tile counts twice: db gives it two slots. An operand in
+    `resident` is a view and holds nothing, but an accumulator counts once
+    whatever its output. Every other output tile counts once: vectorize and
+    mt split it through views.
     """
     size = {d: min(t, generic.domain[d]) for d, t in enumerate(spec.sizes) if t > 0}
     carried = any(generic.iterators[d] == "reduction" for d in size)
@@ -188,7 +189,7 @@ def _live_tile_bytes(generic: GenericOp, spec: TileSpec, program: KernelProgram,
         if k < len(generic.inputs):
             copies = 0 if name in resident else 2
         else:
-            copies = 1 if carried else 3
+            copies = 1 if carried or name not in resident else 0
         _, sizes = _slice_of(program.decl(name).shape, m, size, size)
         total += copies * tile_bytes(sizes, program.is_narrow(name))
     return total
@@ -227,9 +228,10 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     with the fold's init, folded with `init=out` on every trip, written back
     and deallocated after the loop.
 
-    An input already in the target space is sliced as a view, after the run
-    of staged slices, so that db still finds every staged tile in the
-    leading run (`recognize_normal_form`).
+    An input, or a parallel tile's output, already in the target space is
+    sliced as a view, after the run of staged slices, so that db still
+    finds every staged tile in the leading run (`recognize_normal_form`).
+    The generic writes such an output in place.
     """
     rank = len(generic.domain)
     if len(spec.sizes) != rank:
@@ -251,9 +253,9 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
 
     body: list[Op] = []
     views: list[Op] = []
+    allocs: list[Op] = []
     live_tile_bytes = 0
     new_inputs: list[str] = []
-    deallocs: list[Op] = []
     for name, m in zip(generic.inputs, generic.input_maps()):
         decl = program.decl(name)
         offsets, sizes = _slice_of(decl.shape if decl else (), m, start, tile_size)
@@ -264,22 +266,24 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
             body.append(ExtractSliceOp(tile, name, offsets, sizes, spec.target_space))
             live_tile_bytes += tile_bytes(sizes, program.is_narrow(name)) or 0
         new_inputs.append(tile)
-    body.extend(views)
 
     inner_domain = tuple(tile_size.get(d, generic.domain[d]) for d in range(rank))
     new_outputs: list[str] = []
     writebacks: list[Op] = []
-    accs: list[Op] = []
+    deallocs: list[Op] = []
     for name, m, red in zip(generic.outputs, generic.output_maps(), generic.reductions):
         decl = program.decl(name)
         offsets, sizes = _slice_of(decl.shape if decl else (), m, start, tile_size)
         otile = names.fresh("acc" if carried else "o")
+        new_outputs.append(otile)
+        if not carried and decl is not None and decl.space == spec.target_space:
+            views.append(ExtractSliceOp(otile, name, offsets, sizes))
+            continue
         narrow = program.is_narrow(name)
-        (accs if carried else body).append(AllocOp(otile, sizes, spec.target_space, narrow=narrow,
-                                                   fill=red.init if carried else None))
+        allocs.append(AllocOp(otile, sizes, spec.target_space, narrow=narrow,
+                              fill=red.init if carried else None))
         writebacks.append(InsertSliceOp(otile, name, offsets, sizes))
         deallocs.append(DeallocOp(otile))
-        new_outputs.append(otile)
         live_tile_bytes += tile_bytes(sizes, narrow) or 0
 
     if tcm_bytes is not None and live_tile_bytes > tcm_bytes:
@@ -291,9 +295,9 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
                     outputs=tuple(new_outputs))
     if carried:
         inner = replace(inner, reductions=tuple(r.carried() for r in generic.reductions))
-    body.append(inner)
-    if not carried:
-        body.extend(writebacks + deallocs)
+        body += views + [inner]
+    else:
+        body += views + allocs + [inner] + writebacks + deallocs
 
     order = list(tiled_dims)
     if spec.interchange is not None:
@@ -307,7 +311,7 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
         inner_ops = (ForOp(loop_vars[d], 0, generic.domain[d], spec.sizes[d], inner_ops,
                            annotations=annotations),)
     if carried:
-        return (*accs, *inner_ops, *writebacks, *deallocs)
+        return (*allocs, *inner_ops, *writebacks, *deallocs)
     return inner_ops
 
 
@@ -409,14 +413,16 @@ def _vectorize_generic(g: GenericOp, width: int, names: NameAllocator,
         runs = main > 0 if isinstance(main, int) else all(r.init is None for r in g.reductions)
         if not runs:
             return _row_lanes(g, width)
+    elif main == 0:  # below one vector: all epilogue, so nothing to split
+        return (replace(g, name=f"{g.name}_epi", annotations=g.annotations | {"vec_epilogue"}),)
 
     def part(offset: Extent, size: Extent, tag: str) -> tuple[Op, ...]:
-        head, sub, tail = split_generic(g, last, offset, size, names, info, "v", "w")
+        head, sub = split_generic(g, last, offset, size, names, info, "v")
         ann = g.annotations | ({f"vectorized({width})"} if tag == "main" else {"vec_epilogue"})
         sub = replace(sub, name=f"{g.name}_{tag}", annotations=ann)
         if reduced and tag == "epi":
             sub = replace(sub, reductions=tuple(r.carried() for r in g.reductions))
-        return head + (sub,) + tail
+        return head + (sub,)
 
     out: list[Op] = []
     if isinstance(main, int):

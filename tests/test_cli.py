@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -9,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcmc import cli, frontend, interp, ir, pipeline, tensorio
+from tcmc import cli, frontend, interp, ir, perf, pipeline, tensorio
 from tcmc.ir import Payload
 
 from conftest import (
-    ALL_KERNELS, BENCH_DIMS, CONST_SCALAR_SOURCE, bitexact, kernel_inputs, kernel_path, lower,
-    squares_kernel,
+    ALL_KERNELS, BENCH_DIMS, CONST_SCALAR_SOURCE, DEFAULT_PASSES, ROOT, bitexact, kernel_inputs,
+    kernel_path, lower, squares_kernel,
 )
 
 
@@ -22,6 +23,25 @@ def test_exit_ok_gelu(capsys):
     argv = ["compile", kernel_path("gelu"), "--shape", "N=4096", "--verify", "bitexact"]
     assert cli.main(argv) == cli.EXIT_OK
     assert "db           generics=" in capsys.readouterr().out
+
+
+def test_thread_parts_of_a_small_tcm_hold_no_copies(tmp_path):
+    # mt's four thread parts of a tile write views of its output: were each
+    # a TCM buffer of its own, the verifier would charge up to four whole
+    # chunks of them, a peak of 4,456 bytes against this TCM (exit 3)
+    text = re.sub(r"^(tcm_bytes|compute_window_bytes) = \d+", r"\1 = 4120",
+                  (ROOT / "configs" / "default.machine").read_text(), flags=re.M)
+    machine = tmp_path / "small.machine"
+    machine.write_text(text)
+    argv = ["compile", kernel_path("rmsnorm"), "--shape", "R=127", "--shape", "C=33",
+            "--tile-size", "5,0", "--mt-threshold", "1", "--machine", str(machine),
+            "--verify", "bitexact"]
+    assert cli.main(argv) == cli.EXIT_OK
+    cfg = perf.MachineConfig.from_text(text)
+    opts = pipeline.PipelineOptions(tile_sizes=(5, 0), mt_threshold=1, machine=cfg)
+    final = pipeline.run_pipeline(kernel_path("rmsnorm"), pipeline.PipelineSpec(
+        DEFAULT_PASSES, opts, "off"), dims={"R": 127, "C": 33}).final
+    assert cfg.tcm_bytes == 4120 and ir.verify(final, tcm_bytes=4120).ok
 
 
 def test_exit_parse_error(tmp_path, capsys):

@@ -143,12 +143,15 @@ GRID_TILES = {
 
 def _blocking_machine(kernel, opts):
     """`opts.machine` with the largest TCM that still keeps mt from hoisting
-    any of the program's tile loops: `threads` bodies of the smallest one
-    exceed a quarter of it by one byte."""
+    any of the program's tile loops: `threads` bodies of the smallest one of
+    at least `threads` trips exceed a quarter of it by one byte. (A loop of
+    fewer trips is never hoisted, and one whose operands are all resident
+    holds no TCM at all.)"""
     program = staged(kernel, None, ("fuse", "tile", "vectorize"), tile_sizes=opts.tile_sizes)
     info = BufInfo(program)
     sizes = [_tile_tcm_bytes(op.body, info) for op in program.ops
-             if isinstance(op, ForOp) and "all_parallel" in op.annotations]
+             if isinstance(op, ForOp) and "all_parallel" in op.annotations
+             and len(ir.trips(op, {})) >= opts.threads]
     smallest = min(b for b in sizes if b is not None)
     return replace(opts.machine, tcm_bytes=4 * opts.threads * smallest - 1)
 

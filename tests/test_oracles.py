@@ -73,6 +73,37 @@ def test_regions_disjoint_reports_an_overlap():
     assert oracles.regions_disjoint([[("y", (0,), (8,))], [("z", (0,), (8,))]])
 
 
+def _view_writes(depth, stride):
+    """Two threads that each write two rows of %y, starting at row `stride * th
+    + depth - 1`, through `depth` levels of views."""
+    th = ir.IVar("th")
+    ident = ir.AffineIndexMap.identity(2)
+    if depth == 1:
+        views = (ir.ExtractSliceOp("a", "y", (ir.ix_mul(th, stride), 0), (2, 4)),)
+    else:  # rows [stride * th, + 4) of %y, then rows [1, 3) of that
+        views = (ir.ExtractSliceOp("w", "y", (ir.ix_mul(th, stride), 0), (4, 4)),
+                 ir.ExtractSliceOp("a", "w", (1, 0), (2, 4)))
+    generic = ir.GenericOp("g", (2, 4), ("x",), ("a",), (ident, ident),
+                           ("parallel", "parallel"), (ir.Payload.arg(0),))
+    decls = (ir.TensorDecl("x", (2, 4), role="input"), ir.TensorDecl("y", (8, 4), role="output"))
+    program = ir.KernelProgram("t", decls, (ir.ForallOp("th", 2, (*views, generic)),))
+    assert ir.verify(program).ok
+    (execution,) = oracles.thread_write_intervals(program)["th"]
+    return execution
+
+
+@pytest.mark.parametrize("depth", [1, 2], ids=["view", "view-of-view"])
+def test_writes_through_views_are_regions_of_the_root(depth):
+    first = depth - 1
+    overlapping, apart = _view_writes(depth, 1), _view_writes(depth, 2)
+    # rows [first, first + 2) and [first + 1, first + 3) overlap in one row
+    assert overlapping == [[("y", (first, 0), (2, 4))], [("y", (first + 1, 0), (2, 4))]]
+    assert not oracles.regions_disjoint(overlapping)
+    # rows [first, first + 2) and [first + 2, first + 4) do not
+    assert apart == [[("y", (first, 0), (2, 4))], [("y", (first + 2, 0), (2, 4))]]
+    assert oracles.regions_disjoint(apart)
+
+
 def test_removing_first_dma_wait_faults():
     opts = pipeline.PipelineOptions(tile_sizes=(1024,))
     program = mt_output("gelu", {"N": 4096}, opts, ("fuse", "tile", "db"))

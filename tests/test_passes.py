@@ -40,9 +40,9 @@ def split_in_two(program: KernelProgram, dim: int, cut: int) -> tuple[KernelProg
     names, info = NameAllocator(program), BufInfo(program)
     ops, parts = [], []
     for k, (offset, size) in enumerate(((0, cut), (cut, g.domain[dim] - cut))):
-        head, sub, tail = split_generic(g, dim, offset, size, names, info, "v", "w")
-        parts.append((head, sub, tail))
-        ops += [*head, replace(sub, name=f"g_{k}"), *tail]
+        head, sub = split_generic(g, dim, offset, size, names, info, "v")
+        parts.append((head, sub))
+        ops += [*head, replace(sub, name=f"g_{k}")]
     return program.with_ops(tuple(ops)), parts
 
 
@@ -57,27 +57,22 @@ def test_split_generic_interprets_bit_equal(dim, cut):
 
 
 def test_split_generic_op_order_is_pinned():
-    # Both outputs are inserted back before either sub-output is deallocated.
-    _, parts = split_in_two(two_output_program(), 1, 7)
-    head, sub, tail = parts[1]
+    # One view per operand, inputs then outputs: each output is written in place.
+    split, parts = split_in_two(two_output_program(), 1, 7)
+    head, sub = parts[1]
     assert head == (
-        ExtractSliceOp("v2", "x", (0, 7), (ROWS, 3)),
-        ExtractSliceOp("v3", "b", (7,), (3,)),
-        AllocOp("w2", (ROWS, 3), "ddr"),
-        AllocOp("w3", (ROWS, 3), "ddr"),
+        ExtractSliceOp("v4", "x", (0, 7), (ROWS, 3)),
+        ExtractSliceOp("v5", "b", (7,), (3,)),
+        ExtractSliceOp("v6", "y1", (0, 7), (ROWS, 3)),
+        ExtractSliceOp("v7", "y2", (0, 7), (ROWS, 3)),
     )
-    assert sub.domain == (ROWS, 3) and sub.inputs == ("v2", "v3") and sub.outputs == ("w2", "w3")
-    assert tail == (
-        InsertSliceOp("w2", "y1", (0, 7), (ROWS, 3)),
-        InsertSliceOp("w3", "y2", (0, 7), (ROWS, 3)),
-        DeallocOp("w2"),
-        DeallocOp("w3"),
-    )
+    assert sub.domain == (ROWS, 3) and sub.inputs == ("v4", "v5") and sub.outputs == ("v6", "v7")
+    assert not ir.count_ops(split, lambda op: isinstance(op, (AllocOp, InsertSliceOp, DeallocOp)))
 
 
 def test_split_generic_keeps_inputs_that_do_not_read_the_dim():
     _, parts = split_in_two(two_output_program(), 0, 4)
-    head, sub, _ = parts[0]
+    head, sub = parts[0]
     assert sub.inputs == ("v0", "b") and sub.domain == (4, COLS)
     assert head[0] == ExtractSliceOp("v0", "x", (0, 0), (4, COLS))
 

@@ -3,8 +3,9 @@
 Every final schedule fits `tcm_bytes` with its resident temps; no DMA and
 no staged slice reads a resident temp; softmax and rmsnorm stay bit-exact
 through every pass prefix with their temps resident and without; a hoisted
-tile loop that would crowd the resident temps stays per trip; and a
-one-point generic over resident temps is left whole.
+tile loop that would crowd the resident temps stays per trip; a
+one-point generic over resident temps is left whole; and past `tile`, only
+db allocates: vectorize and mt split through views.
 """
 
 from dataclasses import replace
@@ -12,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from tcmc import ir, oracles, perf, pipeline
-from tcmc.ir import DmaStartOp, ExtractSliceOp, ForallOp, ForOp, GenericOp
+from tcmc.ir import AllocOp, DmaStartOp, ExtractSliceOp, ForallOp, ForOp, GenericOp
 from tcmc.passes import tiling
 from tcmc.passes.threading import _Threader
 
@@ -22,10 +23,10 @@ from conftest import (
 from test_fuzz import FUZZ_SEEDS
 from test_perf import ODD_CONFIG
 
-# softmax's %t2 (4 MiB at default dims) stays in DDR here. Resident, it would
-# leave 1.625 MiB: the exp loop's 1.5 MiB of tiles after db fit, but not with
-# the 128 KiB of thread strips mt allocates beside them
-SMALL_TCM = replace(perf.MachineConfig(), tcm_bytes=45 * 2**17)
+# softmax's %t2 (4 MiB at default dims) stays in DDR here. Resident, beside
+# %t0's 4 bytes, it would leave 1 MiB - 4 bytes, and the exp loop needs 1 MiB:
+# its 512 KiB input tile in db's two slots, its output then a view of %t2
+SMALL_TCM = replace(perf.MachineConfig(), tcm_bytes=5 * 2**20)
 MACHINES = {"default": perf.MachineConfig(), "odd": ODD_CONFIG, "small-tcm": SMALL_TCM}
 
 # perfbench's schedule_grid tiles, on the kernels that take them
@@ -109,16 +110,37 @@ def test_every_final_schedule_fits_the_tcm_and_never_stages_a_resident_temp(mach
     assert not faults, faults[:5]
 
 
+@pytest.mark.parametrize("group", ["kernels", "grid", "fuzz"])
+def test_only_tile_and_db_allocate(group):
+    # vectorize and mt split through views: every alloc after `tile` is one
+    # of its tile outputs or accumulators, or a db buffer or tag
+    faults = []
+    for case, program, options in _cases(group):
+        opts = pipeline.PipelineOptions(**options)
+        tiled = set()
+        for name in DEFAULT_PASSES:
+            program = pipeline.apply_pass(name, program, opts)
+            ops = [op for op, _ in ir.walk_ops(program.ops)]
+            allocs = {op.result for op in ops if isinstance(op, AllocOp)}
+            db = {op.dest for op in ops if isinstance(op, DmaStartOp)} | {
+                op.result for op in ops if isinstance(op, AllocOp) and "dma_tag" in op.annotations}
+            if name == "tile":
+                tiled = allocs
+            faults += [f"{case}: {name} allocates %{a}" for a in sorted(allocs - tiled - db)]
+    assert not faults, faults[:5]
+
+
 @pytest.mark.parametrize("machine, resident", [("default", True), ("small-tcm", False)])
 def test_softmax_keeps_t2_in_tcm_only_where_it_fits(machine, resident):
     tiled = pipeline.build_staged(kernel_path("softmax"), ("fuse", "tile"), None,
                                   MACHINES[machine])
     spaces = {d.name: d.space for d in tiled.decls if d.role == "temp"}
     assert spaces == {"t0": "tcm", "t2": "tcm" if resident else "ddr", "t3": "tcm"}
-    reads = [op for op, _ in ir.walk_ops(tiled.ops)
-             if isinstance(op, ExtractSliceOp) and op.source == "t2"]
-    assert len(reads) == 2  # the sum's tile and the divide's
-    assert all(op.space == (None if resident else "tcm") for op in reads)
+    slices = [op for op, _ in ir.walk_ops(tiled.ops)
+              if isinstance(op, ExtractSliceOp) and op.source == "t2"]
+    # the sum's tile and the divide's; resident, the exp's output tile too
+    assert len(slices) == (3 if resident else 2)
+    assert all(op.space == (None if resident else "tcm") for op in slices)
 
 
 @pytest.mark.parametrize("resident", [True, False], ids=["resident", "in-ddr"])
@@ -193,6 +215,12 @@ def test_a_one_point_generic_over_resident_temps_is_left_untiled(monkeypatch):
     loops = [op for op in result.final.ops if isinstance(op, ForOp)]
     assert all(not any(isinstance(g, GenericOp) and g.name.startswith(t.name)
                        for g, _ in ir.walk_ops(loop.body)) for loop in loops)
+    # below one vector, vectorize marks it an epilogue in place: no split, no view
+    (epi,) = [op for op in result.final.ops
+              if isinstance(op, GenericOp) and op.name.startswith(t.name)]
+    assert epi.name == f"{t.name}_epi" and "vec_epilogue" in epi.annotations
+    assert (epi.inputs, epi.outputs) == (t.inputs, t.outputs)
+    assert len(ir.print_ir(result.final).splitlines()) == 33
     cfg = perf.MachineConfig()
     untiled = perf.simulate(result.final, cfg).total_cycles
     assert untiled <= perf.simulate(_one_point(monkeypatch).final, cfg).total_cycles
