@@ -182,14 +182,28 @@ def eval_extent(e: Extent, env: Mapping[str, int]) -> int:
         raise KeyError(f"unbound index variable {err.args[0]}") from None
 
 
+_IX_CTORS = {"add": ix_add, "sub": ix_sub, "mul": ix_mul,
+             "floordiv": ix_floordiv, "min": ix_min, "max": ix_max}
+
+
 def substitute_extent(e: Extent, mapping: dict[str, Extent]) -> Extent:
     if isinstance(e, int):
         return e
     if isinstance(e, IVar):
         return mapping.get(e.name, e)
-    ctor = {"add": ix_add, "sub": ix_sub, "mul": ix_mul,
-            "floordiv": ix_floordiv, "min": ix_min, "max": ix_max}[e.op]
-    return ctor(substitute_extent(e.lhs, mapping), substitute_extent(e.rhs, mapping))
+    return _IX_CTORS[e.op](substitute_extent(e.lhs, mapping), substitute_extent(e.rhs, mapping))
+
+
+def replace_node(e: Extent, old: Extent, new: Extent) -> Extent:
+    """`e` with every subexpression equal to `old` replaced by `new`, the
+    nodes above it rebuilt by the `ix_*` constructors; `e` itself when
+    `old` does not occur in it."""
+    if e == old:
+        return new
+    if not isinstance(e, IBin):
+        return e
+    lhs, rhs = replace_node(e.lhs, old, new), replace_node(e.rhs, old, new)
+    return e if lhs is e.lhs and rhs is e.rhs else _IX_CTORS[e.op](lhs, rhs)
 
 
 _NO_VARS: frozenset[str] = frozenset()
@@ -742,6 +756,44 @@ def map_ops(ops: tuple[Op, ...], fn: Callable[[Op], Optional[tuple[Op, ...]]]) -
                 changed = True
         out.append(op)
     return tuple(out) if changed else ops
+
+
+# the fields of each op type that hold extents, one or a tuple of them (a
+# `CmpPred` for an `if`)
+_EXTENT_FIELDS: dict[type, tuple[str, ...]] = {
+    ForOp: ("lb", "ub", "step"), IfOp: ("pred",), GenericOp: ("domain",),
+    ExtractSliceOp: ("offsets", "sizes"), InsertSliceOp: ("offsets", "sizes"),
+    AllocOp: ("sizes",), DmaStartOp: ("src_offsets", "dst_offsets", "sizes"),
+    AsyncGroupOp: ("size",),
+}
+
+
+def replace_extent(ops: tuple[Op, ...], old: Extent, new: Extent) -> tuple[Op, ...]:
+    """`ops` with `old` replaced by `new` in every extent of every op, bodies
+    included (`replace_node`)."""
+    def swap(value):  # `value` itself when `old` does not occur in it
+        if isinstance(value, tuple):
+            swapped = tuple(swap(v) for v in value)
+            return value if all(map(operator.is_, swapped, value)) else swapped
+        if isinstance(value, CmpPred):
+            lhs, rhs = swap(value.lhs), swap(value.rhs)
+            return value if lhs is value.lhs and rhs is value.rhs else CmpPred(value.op, lhs, rhs)
+        return replace_node(value, old, new)
+
+    def fn(op: Op) -> Optional[tuple[Op, ...]]:
+        changes = {}
+        for f in _EXTENT_FIELDS.get(type(op), ()):
+            value = getattr(op, f)
+            swapped = swap(value)
+            if swapped is not value:
+                changes[f] = swapped
+        if not changes:
+            return None  # map_ops maps its body, if it has one
+        if isinstance(op, _BODY_OPS):
+            changes["body"] = replace_extent(op.body, old, new)
+        return (replace(op, **changes),)
+
+    return map_ops(ops, fn)
 
 
 def count_ops(program: KernelProgram, predicate: Callable[[Op], bool]) -> int:

@@ -45,6 +45,14 @@ class NameAllocator:
             if body is not None:
                 self._collect(body)
 
+    def mark(self) -> tuple[set[str], dict[str, int]]:
+        """The names taken so far, for `reset`."""
+        return set(self.taken), dict(self.counters)
+
+    def reset(self, mark: tuple[set[str], dict[str, int]]) -> None:
+        """Free every name taken since `mark`."""
+        self.taken, self.counters = set(mark[0]), dict(mark[1])
+
     def fresh(self, prefix: str) -> str:
         n = self.counters.get(prefix, 0)
         while True:

@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .. import ir
 from ..ir import (
     AllocOp, CmpPred, DeallocOp, DmaStartOp, DmaWaitOp, Extent, ExtractSliceOp, ForOp, IfOp,
     IVar, KernelProgram, Op, ix_add, ix_floordiv, ix_mul, ix_sub, substitute_extent,
 )
-from .common import NameAllocator, PassError, const_uppers
+from .common import NameAllocator, PassError, const_upper
 
 log = logging.getLogger(__name__)
 
@@ -65,12 +65,21 @@ def recognize_normal_form(loop: ForOp) -> Optional[NormalFormLoop]:
     return NormalFormLoop(loop, body[:n], body[n:])
 
 
-def _full_sizes(stage: ExtractSliceOp) -> tuple[int, ...]:
-    sizes = const_uppers(stage.sizes)
-    if sizes is None:
-        shown = ", ".join(ir.print_extent(s) for s in stage.sizes)
-        raise PassError(f"tile %{stage.result}: cannot bound sizes ({shown})")
-    return sizes
+def _full_sizes(stage: ExtractSliceOp, loop: ForOp) -> tuple[int, ...]:
+    """The largest tile `stage` takes over `loop`'s trips: each size's upper
+    bound over the range of the loop var where the bounds are constant, and
+    never above its `const_upper`."""
+    ranges = {}
+    if isinstance(loop.lb, int) and isinstance(loop.ub, int) and loop.lb < loop.ub:
+        ranges[loop.var] = (loop.lb, loop.ub - 1)
+    sizes = []
+    for s in stage.sizes:
+        bounds = [b for b in (ir.extent_upper(s, ranges), const_upper(s)) if b is not None]
+        if not bounds:
+            shown = ", ".join(ir.print_extent(s) for s in stage.sizes)
+            raise PassError(f"tile %{stage.result}: cannot bound sizes ({shown})")
+        sizes.append(min(bounds))
+    return tuple(sizes)
 
 
 def _slot_offsets(slot: Extent, full: tuple[int, ...]) -> tuple[Extent, ...]:
@@ -94,7 +103,18 @@ def _preload_ops(nf: NormalFormLoop, bufs: dict[str, tuple[str, str, tuple[int, 
 
 def double_buffer_loops(program: KernelProgram) -> KernelProgram:
     """Rewrite normal-form tiled loops into guarded two-slot form with DMA."""
-    names = NameAllocator(program)
+    ops = double_buffer_ops(program.ops, NameAllocator(program), program.is_narrow)
+    if ops is program.ops:
+        log.info("db: no normal-form tiled loop found; pass is a no-op")
+        return program
+    return program.with_ops(ops, stage="db-dma")
+
+
+def double_buffer_ops(ops: tuple[Op, ...], names, is_narrow: Callable[[str], bool]
+                      ) -> tuple[Op, ...]:
+    """`ops` with every normal-form tiled loop in two-slot form, its buffers
+    and tags named by `names`; `is_narrow` tells which sources hold f16.
+    `ops` itself when none is found."""
     found = 0
 
     def expand(op: Op) -> Optional[tuple[Op, ...]]:
@@ -106,13 +126,13 @@ def double_buffer_loops(program: KernelProgram) -> KernelProgram:
         found += 1
         loop = nf.loop
         # per staged tile: its two-slot buffer, its DMA tag and its full sizes
-        bufs = {t.result: (names.fresh("buf"), names.fresh("tag"), _full_sizes(t))
+        bufs = {t.result: (names.fresh("buf"), names.fresh("tag"), _full_sizes(t, loop))
                 for t in nf.stages}
         out: list[Op] = []
         for t in nf.stages:
             buf, _, full = bufs[t.result]
             out.append(AllocOp(buf, (2 * full[0],) + full[1:], "tcm",
-                               narrow=program.is_narrow(t.source)))
+                               narrow=is_narrow(t.source)))
         tags = [tag for _, tag, _ in bufs.values()]
         out.extend(AllocOp(t, (1,), "ddr", annotations=frozenset({"dma_tag"})) for t in tags)
         out.append(IfOp(CmpPred("lt", loop.lb, loop.ub), _preload_ops(nf, bufs, loop.lb, 0),
@@ -133,8 +153,4 @@ def double_buffer_loops(program: KernelProgram) -> KernelProgram:
         out.extend(DeallocOp(buf) for buf, _, _ in bufs.values())
         return tuple(out)
 
-    ops = ir.map_ops(program.ops, expand)
-    if found == 0:
-        log.info("db: no normal-form tiled loop found; pass is a no-op")
-        return program
-    return program.with_ops(ops, stage="db-dma")
+    return ir.map_ops(ops, expand)

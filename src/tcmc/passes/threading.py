@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -92,6 +93,7 @@ from .common import (
     BufInfo, NameAllocator, PassError, const_upper, const_uppers, resident_bytes, split_generic,
     tile_bytes,
 )
+from .double_buffer import double_buffer_ops
 
 
 @dataclass(frozen=True)
@@ -267,18 +269,35 @@ _TIE_THRESHOLD = 32768
 
 
 class _Threader:
-    """One run of `form_virtual_threads`: the walk, and the form each tiled
-    generic takes."""
+    """One run of `form_virtual_threads`: the walk, the form each tiled
+    generic takes and the form of each top-level tile loop."""
 
     def __init__(self, program: KernelProgram, policy: DistributionPolicy,
-                 machine: perf.MachineConfig, threshold: Optional[int]):
+                 machine: perf.MachineConfig, threshold: Optional[int], retile: bool):
         self.policy = policy
         self.machine = machine
         self.threshold = threshold
+        self.retile = retile
         self.names = NameAllocator(program)
         self.info = BufInfo(program)
         # the TCM the resident temps leave to the tiles
         self.tile_room = machine.tcm_bytes - resident_bytes(program)
+        self.decls = {d.name: (d.shape, d.space, d.dtype == "f16") for d in program.decls}
+        # one simulator prices every form, and each form of a generic is priced
+        # once: (generic, form, env) -> (generic, cycles), the generic held alive
+        self.pricer = perf.FragmentPricer(machine)
+        self.costs: dict[tuple, tuple[GenericOp, float]] = {}
+
+    @contextmanager
+    def scratch(self):
+        """Build with scratch names on an overlay of the buffer table, so that
+        what is built inside burns no name of the program's."""
+        saved = self.names, self.info
+        self.names, self.info = _ScratchNames(), self.info.overlay()
+        try:
+            yield
+        finally:
+            self.names, self.info = saved
 
     # -- the form of one generic ----------------------------------------------
 
@@ -324,40 +343,44 @@ class _Threader:
         points = math.prod(uppers)
         if self.threshold is not None:
             return self.fixed_form(g, points, hoisted, self.threshold)
-        info = self.info
-        buffers = {name: (info.shapes[name], info.spaces[name], name in info.narrow)
-                   for name in g.inputs + g.outputs}
         forms = [WHOLE] + [("strips", s) for s in self.strips(g, uppers[0]) if s]
-        costs = [self.cost(g, f, buffers, env) for f in forms]
+        costs = [self.cost(g, f, env) for f in forms]
         cfg = self.machine
         # no fork costs less than its spawns and barrier
         if not hoisted and min(costs) >= (self.policy.num_threads * cfg.thread_spawn_cycles
                                           + cfg.barrier_cycles):
             forks = [("fork", s) for s in self.strips(g, self.part(g))]
             forms += forks
-            costs += [self.cost(g, f, buffers, env) for f in forks]
+            costs += [self.cost(g, f, env) for f in forks]
         least = min(costs)
         cheapest = [f for f, c in zip(forms, costs) if c == least]
         today = self.fixed_form(g, points, hoisted, _TIE_THRESHOLD) if cheapest[1:] else None
         return today if today in cheapest else cheapest[0]
 
-    def cost(self, g: GenericOp, form: Form, buffers, env: dict[str, int]) -> float:
-        """The cycles of `g` in `form`, built with scratch names on an overlay
-        of the walk's buffers and walked by `perf`."""
-        names = _ScratchNames()
-        ops = self.build(g, form, names, self.info.overlay())
-        if form[0] == "fork":
-            ops = _lower_forall(ops[0], names)
-        return perf.fragment_cycles(ops, buffers, env, self.machine)
+    def cost(self, g: GenericOp, form: Form, env: dict[str, int]) -> float:
+        """The cycles of `g` in `form`, built in scratch and walked by `perf`
+        on `g`'s own operands; priced once per run."""
+        key = (id(g), form, tuple(sorted(env.items())))
+        hit = self.costs.get(key)
+        if hit is None:
+            info = self.info
+            buffers = {name: (info.shapes[name], info.spaces[name], name in info.narrow)
+                       for name in g.inputs + g.outputs}
+            with self.scratch():
+                ops = self.build(g, form)
+                if form[0] == "fork":
+                    ops = _lower_forall(ops[0], self.names)
+            hit = self.costs[key] = (g, self.pricer.price(ops, buffers, env)[0])
+        return hit[1]
 
-    def build(self, g: GenericOp, form: Form, names, info: BufInfo) -> tuple[Op, ...]:
+    def build(self, g: GenericOp, form: Form) -> tuple[Op, ...]:
         """The ops that run `g` in `form`."""
         kind, strip = form
         if kind == "fork":
-            return (_wrap_generic(g, self.policy, strip, names, info),)
+            return (_wrap_generic(g, self.policy, strip, self.names, self.info),)
         if kind == "strips":
             n = g.domain[0]
-            return _run_range(g, 0, n, n, strip, names, info, None)
+            return _run_range(g, 0, n, n, strip, self.names, self.info, None)
         return (g,)
 
     # -- the walk ---------------------------------------------------------------
@@ -370,7 +393,7 @@ class _Threader:
         def fn(op: Op) -> Optional[tuple[Op, ...]]:
             if isinstance(op, GenericOp):
                 form = self.form(op, env, hoisted) if in_tiled else WHOLE
-                return None if form == WHOLE else self.build(op, form, self.names, self.info)
+                return None if form == WHOLE else self.build(op, form)
             self.info.learn(op)
             if not in_tiled and isinstance(op, ForOp) and "tiled_generic" in op.annotations:
                 return self.tile_loop(op, env)
@@ -381,44 +404,153 @@ class _Threader:
 
         return ir.map_ops(ops, fn)
 
-    def tile_loop(self, loop: ForOp, env: dict[str, int]) -> tuple[Op, ...]:
-        """A top-level tile loop, hoisted where it qualifies and otherwise
-        with each generic of its body in its form."""
-        threads = self.policy.num_threads
-        trips = _whole_trips(loop)
-        hoisted: tuple[Op, ...] = ()
-        if self.hoistable(loop, trips, env):
-            forall = self.hoist(loop, trips, env)
-            if self.fits(forall):
-                hoisted = (forall,)
-        if hoisted:
-            if not trips % threads:
-                return hoisted
-            # the last trips % threads tiles follow, each generic in its own form
-            loop = replace(loop, lb=loop.lb + (trips - trips % threads) * loop.step)
-        body = self.walk(loop.body, _first_trip(loop, env), True)
-        return (*hoisted, replace(loop, body=body))
+    # -- the form of one tile loop ----------------------------------------------
 
-    def hoistable(self, loop: ForOp, trips: Optional[int], env: dict[str, int]) -> bool:
-        """Whether mt forks once around `loop` (module docstring, "Hoisting")."""
-        threads = self.policy.num_threads
-        if "all_parallel" not in loop.annotations or trips is None or trips < threads:
-            return False
-        body_bytes = _tile_tcm_bytes(loop.body, self.info)
-        if body_bytes is None or threads * body_bytes > self.machine.tcm_bytes // 4:
-            return False
+    def tile_loop(self, loop: ForOp, env: dict[str, int]) -> tuple[Op, ...]:
+        """A top-level tile loop, hoisted at its own or a re-tiled step where
+        that qualifies (under the override, where one of its generics forks;
+        under the model, where it is priced cheaper), and otherwise with each
+        generic of its body in its form."""
+        if self.threshold is not None:
+            chosen = loop if self.qualifies(loop) and self.forks(loop, env) else None
+            hoisted = None if chosen is None else self.hoisted(chosen, env)
+            return hoisted or (self.per_trip(loop, env),)
+        own = self.qualifies(loop) and self.fits(loop)
+        steps = self.retile_steps(loop)
+        start = self.names.mark()
+        per_trip = (self.per_trip(loop, env),)
+        return self.cheapest(loop, per_trip, own, steps, start, env) if own or steps else per_trip
+
+    def per_trip(self, loop: ForOp, env: dict[str, int]) -> ForOp:
+        """`loop` with each generic of its body in its form."""
+        return replace(loop, body=self.walk(loop.body, _first_trip(loop, env), True))
+
+    def forks(self, loop: ForOp, env: dict[str, int]) -> bool:
+        """Whether a generic of `loop`'s body would fork."""
         for op, _ in ir.walk_ops(loop.body):
             self.info.learn(op)  # the forms are priced on the body's tiles
         return any(self.form(g, genv, False)[0] == "fork"
                    for g, genv in _generics(loop.body, _first_trip(loop, env)))
 
-    def fits(self, hoisted: ForallOp) -> bool:
-        """Whether T contexts of `hoisted` fit the TCM the resident temps
-        leave, each with its body's tiles, its staged tiles twice (db gives
-        each two slots)."""
-        (loop,) = hoisted.body
+    def qualifies(self, loop: ForOp) -> bool:
+        """Whether `loop` may fork once (module docstring, "Hoisting"): an
+        `all_parallel` loop of at least T constant trips whose T bodies' TCM
+        tiles fit a quarter of the TCM."""
+        threads = self.policy.num_threads
+        trips = _whole_trips(loop)
+        if "all_parallel" not in loop.annotations or trips is None or trips < threads:
+            return False
+        body_bytes = _tile_tcm_bytes(loop.body, self.info)
+        return body_bytes is not None and threads * body_bytes <= self.machine.tcm_bytes // 4
+
+    def fits(self, loop: ForOp) -> bool:
+        """Whether T contexts of the tile loop `loop` fit the TCM the resident
+        temps leave, each with its body's tiles, its staged tiles twice (db
+        gives each two slots). The forms of a hoisted body add only views,
+        so `loop` may be hoisted already or not."""
         body_bytes = _tile_tcm_bytes(loop.body, self.info, slots=2)
-        return body_bytes is not None and hoisted.threads * body_bytes <= self.tile_room
+        return body_bytes is not None and self.policy.num_threads * body_bytes <= self.tile_room
+
+    def hoisted(self, loop: ForOp, env: dict[str, int]) -> Optional[tuple[Op, ...]]:
+        """`loop` forked once: the forall over its first T * (t // T) trips,
+        then a tail loop of the other t mod T with each generic in its form;
+        None where it does not qualify or fit."""
+        if not self.qualifies(loop):
+            return None
+        threads = self.policy.num_threads
+        trips = _whole_trips(loop)
+        forall = self.hoist(loop, trips, env)
+        if not self.fits(forall.body[0]):
+            return None
+        if not trips % threads:
+            return (forall,)
+        tail = replace(loop, lb=loop.lb + (trips - trips % threads) * loop.step)
+        return (forall, self.per_trip(tail, env))
+
+    def cheapest(self, loop: ForOp, per_trip: tuple[Op, ...], own: bool, steps: list[int],
+                 start, env: dict[str, int]) -> tuple[Op, ...]:
+        """The cheapest loop-level form of `loop` (module docstring,
+        "Hoisting"): `per_trip`, or `loop` hoisted at its own step where it
+        qualifies (`own`), or re-tiled to the first of `steps` at which it
+        qualifies. A hoist is kept only where it prices strictly below the
+        per-trip form both as db will leave the loop and as mt leaves it;
+        the cheaper after db wins, ties going to the own step. Each form is
+        built from the names taken at `start`, and the names the kept one
+        took stay taken. None is built where its least cost rules it out."""
+        threads = self.policy.num_threads
+        least, compute, moved = self.price(per_trip, env, piped=True)
+        if self.hoist_floor(compute, moved, tail=True) >= least:
+            return per_trip
+        candidates = [loop] if own else []
+        retiled = self.retiled(loop, steps)
+        if retiled is not None:
+            candidates.append(retiled)
+        kept, taken, before = per_trip, self.names.mark(), None
+        for candidate in candidates:
+            if self.hoist_floor(compute, moved, _whole_trips(candidate) % threads > 0) >= least:
+                continue
+            self.names.reset(start)
+            hoisted = self.hoisted(candidate, env)
+            price = self.price(hoisted, env, piped=True)[0]
+            if price >= least:
+                continue
+            if before is None:
+                before = self.price(per_trip, env, piped=False)[0]
+            if self.price(hoisted, env, piped=False)[0] < before:
+                kept, taken, least = hoisted, self.names.mark(), price
+        self.names.reset(taken)  # a rejected form burns no name
+        return kept
+
+    def hoist_floor(self, compute: float, moved: float, tail: bool) -> float:
+        """The least cycles a loop can take hoisted, before db or after,
+        where its per-trip form computes `compute` cycles and moves `moved`
+        bytes: T spawns and a barrier around at least a share of the
+        compute, and, with no `tail` loop, at least every byte through the
+        one DMA engine (a re-tiled loop moves no fewer)."""
+        cfg = self.machine
+        threads = self.policy.num_threads
+        busiest = compute / threads
+        if not tail:
+            busiest = max(busiest, moved / cfg.dma_bandwidth_bytes_per_cycle)
+        return threads * cfg.thread_spawn_cycles + cfg.barrier_cycles + busiest
+
+    def price(self, ops: tuple[Op, ...], env: dict[str, int], piped: bool
+              ) -> tuple[float, float, float]:
+        """`perf`'s (cycles, compute cycles, bytes moved) of a loop form, its
+        foralls lowered as async lowers them, as mt leaves it or (`piped`)
+        as db will."""
+        with self.scratch():
+            ops = _lower_foralls(ops, self.names)
+            if piped:
+                ops = double_buffer_ops(ops, self.names, self.info.narrow.__contains__)
+            return self.pricer.price(ops, self.decls, env)
+
+    def retile_steps(self, loop: ForOp) -> list[int]:
+        """The steps t' that `loop` may be re-tiled to, largest first, where
+        `tile` sized it by default: powers of two below its step that give
+        it at least T trips and are a whole number of the body's vectors or
+        row-lane groups."""
+        if not (self.retile and "all_parallel" in loop.annotations and loop.lb == 0
+                and isinstance(loop.ub, int) and isinstance(loop.step, int) and loop.step > 1):
+            return []
+        align = max((_align(g) for g, _ in ir.walk_ops(loop.body) if isinstance(g, GenericOp)),
+                    default=1)
+        steps = []
+        step = 1 << ((loop.step - 1).bit_length() - 1)
+        while step >= align and not step % align:
+            if -(-loop.ub // step) >= self.policy.num_threads:
+                steps.append(step)
+            step //= 2
+        return steps
+
+    def retiled(self, loop: ForOp, steps: list[int]) -> Optional[ForOp]:
+        """`loop` re-tiled to the first of `steps` at which T bodies fit
+        (`qualifies`, `fits`), or None."""
+        for step in steps:
+            retiled = _retiled(loop, step)
+            if self.qualifies(retiled) and self.fits(retiled):
+                return retiled
+        return None
 
     def hoist(self, loop: ForOp, trips: int, env: dict[str, int]) -> ForallOp:
         """`forall th { for %i over context th's whole tiles { body } }` over
@@ -440,20 +572,31 @@ class _Threader:
         return ForallOp(th.name, threads, (inner,), annotations=frozenset({"virtual_threads"}))
 
 
+def _retiled(loop: ForOp, step: int) -> ForOp:
+    """`loop` at `step`. `tile` and `vectorize` build the body as a function
+    of the loop's trip extent `min(step, ub - %i)`, so that node alone
+    becomes `min(step', ub - %i)`."""
+    var = IVar(loop.var)
+    old, new = ix_min(loop.step, ix_sub(loop.ub, var)), ix_min(step, ix_sub(loop.ub, var))
+    return replace(loop, step=step, body=ir.replace_extent(loop.body, old, new))
+
+
 def form_virtual_threads(
     program: KernelProgram,
     policy: DistributionPolicy = DistributionPolicy(),
     machine: Optional[perf.MachineConfig] = None,
     mt_threshold: Optional[int] = None,
+    retile: bool = True,
 ) -> KernelProgram:
     """Give each tiled generic with a parallel, bounded d0 its form (module
     docstring): whole, window-sized strips on one context, or a forall of
-    virtual threads, and fork once around each tile loop that qualifies.
-    `mt_threshold` None lets `perf` price the forms under `machine`; an int
+    virtual threads, and fork once around each tile loop where that pays.
+    `mt_threshold` None lets `perf` price the forms under `machine`, and
+    with `retile` also a hoist at a smaller step than `tile` chose; an int
     forks every such generic of at least that many points instead."""
     if mt_threshold is not None and mt_threshold < 1:
         raise PassError("mt_threshold must be >= 1")
-    threader = _Threader(program, policy, machine or perf.MachineConfig(), mt_threshold)
+    threader = _Threader(program, policy, machine or perf.MachineConfig(), mt_threshold, retile)
     return program.with_ops(threader.walk(program.ops, {}, False), stage="virtual-threads")
 
 
@@ -471,9 +614,12 @@ def _lower_forall(op: ForallOp, names: NameAllocator) -> tuple[Op, ...]:
     return (AsyncGroupOp(group, op.threads), spawn, AwaitAllOp(group))
 
 
+def _lower_foralls(ops: tuple[Op, ...], names) -> tuple[Op, ...]:
+    return ir.map_ops(ops, lambda op: _lower_forall(op, names)
+                      if isinstance(op, ForallOp) else None)
+
+
 def form_async_threads(program: KernelProgram) -> KernelProgram:
     """Rewrite every forall into the async fork-join pattern."""
-    names = NameAllocator(program)
-    ops = ir.map_ops(
-        program.ops, lambda op: _lower_forall(op, names) if isinstance(op, ForallOp) else None)
+    ops = _lower_foralls(program.ops, NameAllocator(program))
     return program.with_ops(ops, stage="async-threads")

@@ -637,16 +637,33 @@ def simulate(program: KernelProgram, config: MachineConfig) -> TimingReport:
     return _Sim(program, config).run()
 
 
-def fragment_cycles(ops: tuple[Op, ...], buffers, env, config: MachineConfig) -> float:
-    """The cycles `ops` take on their own, walked as `simulate` walks them.
+class FragmentPricer:
+    """Prices fragments of a program on one machine, each walked alone as
+    `simulate` walks a program, with one simulator for every call, so a
+    generic's payload cycles and a loop's plan are derived once however
+    many fragments share the op."""
 
-    `buffers` maps each buffer the ops use but do not create to its (shape,
-    space, narrow); `env` binds the loop vars around the ops, and the
-    shapes are evaluated in it.
-    """
-    bufs = {name: _Buf(tuple(ir.eval_extent(s, env) for s in shape), space, narrow)
-            for name, (shape, space, narrow) in buffers.items()}
-    return _Sim(None, config).walk_block(ops, dict(env), bufs, in_prefetch=False).time
+    def __init__(self, config: MachineConfig):
+        self.sim = _Sim(None, config)
+
+    def price(self, ops: tuple[Op, ...], buffers, env) -> tuple[float, float, float]:
+        """(cycles, compute cycles, bytes through the DMA engine) of `ops` on
+        their own.
+
+        `buffers` maps each buffer the ops use but do not create to its
+        (shape, space, narrow); `env` binds the loop vars around the ops,
+        and the shapes are evaluated in it.
+        """
+        bufs = {name: _Buf(tuple(ir.eval_extent(s, env) for s in shape), space, narrow)
+                for name, (shape, space, narrow) in buffers.items()}
+        acc = self.sim.walk_block(ops, dict(env), bufs, in_prefetch=False)
+        return acc.time, acc.compute, acc.moved
+
+
+def fragment_cycles(ops: tuple[Op, ...], buffers, env, config: MachineConfig) -> float:
+    """The cycles `ops` take on their own, walked as `simulate` walks them
+    (`FragmentPricer.price`)."""
+    return FragmentPricer(config).price(ops, buffers, env)[0]
 
 
 def zero_overhead_config(bandwidth: float = 4.0) -> MachineConfig:

@@ -93,7 +93,9 @@ def apply_pass(name: str, program: ir.KernelProgram, opts: PipelineOptions) -> i
         return vectorize_innermost(program, opts.vector_width)
     if name == "mt":
         policy = DistributionPolicy(opts.dist_kind, opts.threads, opts.dist_chunk)
-        return form_virtual_threads(program, policy, opts.machine, opts.mt_threshold)
+        # explicit tile sizes are kept: only a default tile loop is re-tiled
+        return form_virtual_threads(program, policy, opts.machine, opts.mt_threshold,
+                                    retile=opts.tile_sizes is None)
     if name == "async":
         return form_async_threads(program)
     if name == "db":

@@ -1,16 +1,29 @@
-"""Count the perf golden cases whose `total_cycles` fell, held or rose.
+"""Count the perf golden cases whose modeled cycles fell, held or rose.
 
-Each line of a `tests/golden/perf_reports.txt` is a case id followed by the
-`perf.TimingReport` fields as float hex, `total_cycles` first. Cases are
-matched by id. The script prints how many went lower, stayed equal and went
-higher from OLD to NEW, and how many exist in only one file. Every case that
-went higher is listed with both totals, since the gate rule in ROADMAP.md
-asks why any regenerated total rose; `--changed` lists the lower ones too.
+Two golden files are read:
 
-Compare the working tree's golden file with the last commit's:
+- `tests/golden/perf_reports.txt`: each line is a case id followed by the
+  `perf.TimingReport` fields as float hex, `total_cycles` first;
+- `tests/golden/bench_rows.csv`: each row of a `tcmc bench` sweep, its
+  case id the sweep, machine, kernel, size and passes columns joined by
+  `/`, its cycles the `cycles` column.
+
+Cases are matched by id. For each file the script prints how many went
+lower, stayed equal and went higher from OLD to NEW, and how many exist in
+only one file, in two groups: cases costed on the machine their schedule
+was compiled for, and cases compiled for one machine and costed on another
+(the perf ids that end in `/odd`, compiled for the default machine and
+costed on `test_perf.ODD_CONFIG`), whose schedule was never chosen for the
+machine that costs it. Every case that went higher is listed with both
+totals, since the gate rule in ROADMAP.md asks why any regenerated total
+rose; `--changed` lists the lower ones too.
+
+Compare the working tree's golden files with the last commit's:
 
     git show HEAD:tests/golden/perf_reports.txt > old_perf_reports.txt
+    git show HEAD:tests/golden/bench_rows.csv > old_bench_rows.csv
     python tests/compare_perf_goldens.py old_perf_reports.txt tests/golden/perf_reports.txt
+    python tests/compare_perf_goldens.py old_bench_rows.csv tests/golden/bench_rows.csv
 
 The file name keeps pytest from collecting it as a test.
 """
@@ -18,18 +31,32 @@ The file name keeps pytest from collecting it as a test.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
+# a perf golden case compiled for the default machine and costed on ODD_CONFIG
+CROSS_MACHINE_SUFFIX = "/odd"
+BENCH_KEY = ("sweep", "machine", "kernel", "size", "passes")
+
 
 def read_totals(path: Path) -> dict[str, float]:
-    """Each case id of a perf golden file mapped to its `total_cycles`."""
+    """Each case id of a golden file mapped to its modeled cycles."""
+    if path.suffix == ".csv":
+        with path.open(newline="") as f:
+            return {"/".join(row[k] for k in BENCH_KEY): float(row["cycles"])
+                    for row in csv.DictReader(f)}
     totals = {}
     for line in path.read_text().splitlines():
         if line.strip():
             case, total = line.split()[:2]
             totals[case] = float.fromhex(total)
     return totals
+
+
+def is_cross_machine(case: str, path: Path) -> bool:
+    """Whether `case` was compiled for one machine and costed on another."""
+    return path.suffix != ".csv" and case.endswith(CROSS_MACHINE_SUFFIX)
 
 
 def compare(old: dict[str, float], new: dict[str, float]) -> dict[str, list[str]]:
@@ -57,11 +84,16 @@ def main(argv: list[str]) -> int:
                         help="also list each case that went lower")
     args = parser.parse_args(argv)
     old, new = read_totals(args.old), read_totals(args.new)
-    classes = compare(old, new)
-    print(" ".join(f"{k}={len(v)}" for k, v in classes.items()))
-    for kind in ("higher", "lower") if args.changed else ("higher",):
-        for case in classes[kind]:
-            print(f"{kind} {case} {old[case]:.10g} -> {new[case]:.10g}")
+    for label, cross in (("same machine", False), ("cross machine", True)):
+        keep = [c for c in {**old, **new} if is_cross_machine(c, args.new) == cross]
+        if not keep and cross:
+            continue
+        classes = compare({c: old[c] for c in keep if c in old},
+                          {c: new[c] for c in keep if c in new})
+        print(f"{label}: " + " ".join(f"{k}={len(v)}" for k, v in classes.items()))
+        for kind in ("higher", "lower") if args.changed else ("higher",):
+            for case in classes[kind]:
+                print(f"  {kind} {case} {old[case]:.10g} -> {new[case]:.10g}")
     return 0
 
 

@@ -3,7 +3,9 @@
 The hoisted form of gelu and rmsnorm, its race-freedom under the structural
 oracle, bit identity through every pass prefix, and the rule that hoisting
 never raises modeled cycles against the same pipeline with the hoist
-blocked by a smaller TCM.
+blocked by a smaller TCM. Under the cost model a loop of small explicit
+tiles forks once, and a default tile loop re-tiled for T contexts is the
+loop `--tile-size` would have built at that step, bit for bit.
 """
 
 from dataclasses import replace
@@ -11,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tcmc import ir, oracles, perf, pipeline
+from tcmc import cli, ir, oracles, perf, pipeline
 from tcmc.interp import interpret
 from tcmc.ir import (
     AffineIndexMap, AllocOp, AsyncGroupOp, DeallocOp, ForallOp, ForOp, GenericOp, InsertSliceOp,
@@ -20,7 +22,7 @@ from tcmc.ir import (
 from tcmc.passes.common import BufInfo
 from tcmc.passes.threading import _tile_tcm_bytes
 
-from conftest import DEFAULT_PASSES, bitexact, kernel_inputs, kernel_path, lower
+from conftest import DEFAULT_PASSES, VERIFY_DIMS, bitexact, kernel_inputs, kernel_path, lower
 from test_perf import ODD_CONFIG
 from test_thread_strips import tie_inputs
 
@@ -105,6 +107,61 @@ def test_a_shared_buffer_written_twice_is_still_a_race():
     (execution,) = oracles.thread_write_intervals(program)["th"]
     assert execution == [[("y", (0,), (8,))]] * 2
     assert not oracles.regions_disjoint(execution)
+
+
+@pytest.mark.parametrize("kernel,tiles,most", [
+    ("gelu", (4096,), 221492), ("silu", (4096,), 205108), ("rmsnorm", (4, 0), 43772.4375)])
+def test_the_model_forks_once_around_a_loop_of_small_tiles(kernel, tiles, most):
+    # per trip, gelu's 256 tiles each run whole on one context for 851,968
+    # cycles, silu's for 786,432 and rmsnorm's rows for 104,375.8
+    program = staged(kernel, None, DEFAULT_PASSES, tile_sizes=tiles)
+    mt = staged(kernel, None, UP_TO_MT, tile_sizes=tiles)
+    forks = ir.count_ops(program, lambda op: isinstance(op, AsyncGroupOp))
+    assert forks == len(hoisted_loops(mt)) == (2 if kernel == "rmsnorm" else 1)
+    assert perf.simulate(program, perf.MachineConfig()).total_cycles <= most
+
+
+def test_gelu_at_tile_4096_forks_once_from_the_command_line(capsys):
+    argv = ["compile", kernel_path("gelu"), "--tile-size", "4096", "--emit-final"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("async_group") == 1
+
+
+@pytest.mark.parametrize("kernel", ["gelu", "silu", "expseries"])
+def test_a_default_tile_loop_is_retiled_to_the_loop_of_that_tile_size(kernel):
+    # one 131,072-point tile forks per trip; four of 32,768 fork once
+    dims = VERIFY_DIMS[kernel]
+    retiled = staged(kernel, dims, DEFAULT_PASSES)
+    assert ir.print_ir(retiled) == ir.print_ir(
+        staged(kernel, dims, DEFAULT_PASSES, tile_sizes=(32768,)))
+    ((forall, loop),) = hoisted_loops(staged(kernel, dims, UP_TO_MT))
+    assert loop.step == 32768
+    assert ir.print_ir(staged(kernel, dims, ("fuse", "tile"))).count("step 131072") == 1
+
+
+RETILED_CASES = {
+    "gelu-131000": {"N": 131000},  # the last context's tile is partial
+    "gelu-131003": {"N": 131003},  # vectorize splits each tile into main and epilogue
+    "gelu-131073": {"N": 131073},  # five trips: a one-point tail loop
+}
+
+
+@pytest.mark.parametrize("dist", [("block", 1), ("block_cyclic", 1024)])
+@pytest.mark.parametrize("data", ["random", "ties"])
+@pytest.mark.parametrize("case", RETILED_CASES)
+def test_every_pass_prefix_keeps_the_bits_of_retiled_loops(case, data, dist):
+    program = lower("gelu", RETILED_CASES[case])
+    inputs = kernel_inputs(program, "gelu") if data == "random" else tie_inputs(program)
+    opts = pipeline.PipelineOptions(dist_kind=dist[0], dist_chunk=dist[1])
+    with np.errstate(invalid="ignore"):  # ties make NaNs on purpose
+        want = interpret(program, inputs)
+        for name in DEFAULT_PASSES:
+            program = pipeline.apply_pass(name, program, opts)
+            assert ir.verify(program, tcm_bytes=opts.machine.tcm_bytes).ok, name
+            assert bitexact(interpret(program, inputs), want), name
+            if name == "mt":
+                ((_, loop),) = hoisted_loops(program)
+                assert loop.step == 32768 * (1 if dist[0] == "block" else 4)
 
 
 HOIST_CASES = {

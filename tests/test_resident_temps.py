@@ -3,9 +3,10 @@
 Every final schedule fits `tcm_bytes` with its resident temps; no DMA and
 no staged slice reads a resident temp; softmax and rmsnorm stay bit-exact
 through every pass prefix with their temps resident and without; a hoisted
-tile loop that would crowd the resident temps stays per trip; a
-one-point generic over resident temps is left whole; and past `tile`, only
-db allocates: vectorize and mt split through views.
+tile loop that would crowd the resident temps stays per trip; db's slots
+hold only the tile a loop can take; a one-point generic over resident
+temps is left whole; and past `tile`, only db allocates: vectorize and mt
+split through views.
 """
 
 from dataclasses import replace
@@ -192,6 +193,18 @@ def test_a_hoist_that_would_crowd_the_resident_temps_stays_per_trip():
             "t0": "tcm", "t1": "tcm"}
     # run_pipeline verifies every stage against the TCM, db's slots included
     _row_exp(9 * 2**18)
+
+
+def test_db_slots_hold_the_tile_the_loop_can_take():
+    # 8-row tiles of a 5-row `x`: each slot holds 5 rows, so its two take
+    # 1,320 bytes beside the resident temps, where 8-row slots took 2,112
+    # and the schedule peaked at 2,792 bytes of a 2,048-byte TCM
+    opts = pipeline.PipelineOptions(machine=replace(perf.MachineConfig(), tcm_bytes=2048),
+                                    tile_sizes=(8, 0))
+    spec = pipeline.PipelineSpec(DEFAULT_PASSES, opts, "bitexact")
+    result = pipeline.run_pipeline(ROW_EXP, spec, dims={"R": 5, "C": 33})
+    assert "%buf0 = alloc f32[10, 33] @tcm" in ir.print_ir(result.final)
+    assert ir.verify(result.final, tcm_bytes=2048).ok
 
 
 def test_without_the_fit_check_the_crowded_hoist_overflows_the_tcm(monkeypatch):

@@ -1,12 +1,17 @@
 """mt asks the cost model how each tiled generic runs: whole, as strips on
-one context, or forked across the contexts.
+one context, or forked across the contexts; and how each top-level tile
+loop runs: per trip, or forked once at its own step or a re-tiled one.
 
 At every decision the chosen form's fragment cycles are at most every
-rejected form's, and end to end the model's schedule is never slower than
-the fixed point-count rule it replaced (`mt_threshold=32768`). A row-lanes
-generic of which fewer than W rows fit the window runs in strips of fewer
-rows, bit for bit.
+rejected form's, and at every loop-level decision the kept candidate is
+priced no higher than the rejected ones, both before db and after (each
+priced afresh, with nothing pruned). End to end the model's schedule is
+never slower than the fixed point-count rule it replaced
+(`mt_threshold=32768`), nor than the loop-level rule it replaced, under
+the machine it was compiled for. A row-lanes generic of which fewer than
+W rows fit the window runs in strips of fewer rows, bit for bit.
 """
+
 
 import numpy as np
 import pytest
@@ -17,12 +22,14 @@ from tcmc.ir import ForallOp, ForOp, GenericOp
 from tcmc.passes import threading as mt
 from tcmc.passes.common import const_upper
 
-from conftest import ALL_KERNELS, DEFAULT_PASSES, VERIFY_DIMS, bitexact, kernel_path
+from conftest import ALL_KERNELS, DEFAULT_PASSES, ROOT, VERIFY_DIMS, bitexact, kernel_path
 from test_fuzz import FUZZ_SEEDS
 from test_perf import ODD_CONFIG, ROW_DOT, _lowered
 from test_thread_strips import tie_inputs
 
+LOWBW = perf.MachineConfig.from_text((ROOT / "configs" / "lowbw.machine").read_text())
 MACHINES = {"default": perf.MachineConfig(), "odd": ODD_CONFIG}
+LOOP_MACHINES = {**MACHINES, "lowbw": LOWBW}
 FIXED = 32768  # the point-count rule the model replaced, kept as the override
 
 
@@ -43,6 +50,19 @@ def _compile(program, passes, opts):
     for name in passes:
         program = pipeline.apply_pass(name, program, opts)
     return program
+
+
+def _fresh_cost(threader, g, form, env):
+    """The cycles of `g` in `form`, built and walked afresh, outside the
+    pass's cost cache."""
+    info = threader.info
+    buffers = {name: (info.shapes[name], info.spaces[name], name in info.narrow)
+               for name in g.inputs + g.outputs}
+    with threader.scratch():
+        ops = threader.build(g, form)
+        if form[0] == "fork":
+            ops = mt._lower_forall(ops[0], threader.names)
+    return perf.fragment_cycles(ops, buffers, env, threader.machine)
 
 
 @pytest.mark.parametrize("machine", MACHINES)
@@ -68,10 +88,7 @@ def test_every_decision_keeps_the_cheapest_form(monkeypatch, machine):
         forms = [mt.WHOLE] + [("strips", s) for s in threader.strips(g, n) if s]
         if not hoisted:
             forms += [("fork", s) for s in threader.strips(g, threader.part(g))]
-        info = threader.info
-        buffers = {name: (info.shapes[name], info.spaces[name], name in info.narrow)
-                   for name in g.inputs + g.outputs}
-        costs = {f: threader.cost(g, f, buffers, env) for f in forms}
+        costs = {f: _fresh_cost(threader, g, f, env) for f in forms}
         assert form in costs, (g.name, form)
         assert costs[form] == min(costs.values()), (g.name, costs, form)
         kinds.add((form[0], hoisted))
@@ -89,6 +106,80 @@ def test_the_model_is_never_slower_than_the_fixed_rule(machine):
                       for t in (None, FIXED))
         assert got <= fixed, case
         lowered += got < fixed
+    assert lowered
+
+
+def _loop_prices(threader, loop, own, steps, env):
+    """Each loop-level form of `loop` mapped to its (cycles after db, cycles
+    before db), priced afresh and none pruned: "per-trip", and each hoist
+    by its step."""
+    threader.pricer = perf.FragmentPricer(threader.machine)
+    mark = threader.names.mark()
+    forms = {"per-trip": (threader.per_trip(loop, env),)}
+    for candidate in [loop] * own + [threader.retiled(loop, steps)]:
+        if candidate is not None:
+            forms[candidate.step] = threader.hoisted(candidate, env)
+    threader.names.reset(mark)
+    return {key: tuple(threader.price(ops, env, piped)[0] for piped in (True, False))
+            for key, ops in forms.items()}
+
+
+@pytest.mark.parametrize("machine", LOOP_MACHINES)
+def test_every_loop_decision_keeps_the_cheapest_candidate(monkeypatch, machine):
+    decisions = []
+    real = mt._Threader.cheapest
+
+    def spy(self, loop, per_trip, own, steps, start, env):
+        kept = real(self, loop, per_trip, own, steps, start, env)
+        decisions.append((self, loop, own, steps, env, kept))
+        return kept
+
+    monkeypatch.setattr(mt._Threader, "cheapest", spy)
+    for _, program, tiles in _programs():
+        opts = pipeline.PipelineOptions(tile_sizes=tiles, machine=LOOP_MACHINES[machine])
+        _compile(program, ("fuse", "tile", "vectorize", "mt"), opts)
+    kinds = set()
+    for threader, loop, own, steps, env, kept in decisions:
+        prices = _loop_prices(threader, loop, own, steps, env)
+        base = prices.pop("per-trip")
+        # a hoist is kept only below the per-trip form both after db and before
+        wins = {step: p for step, p in prices.items() if p[0] < base[0] and p[1] < base[1]}
+        if isinstance(kept[0], ForOp):
+            assert not wins, (loop.var, base, prices)
+            kinds.add("per-trip")
+            continue
+        (inner,) = kept[0].body
+        step = inner.step  # the tests' policy is block: a context's trips are contiguous
+        assert step in wins, (loop.var, base, prices, step)
+        assert wins[step][0] == min(p[0] for p in wins.values())
+        kinds.add("own" if step == loop.step else "re-tiled")
+    assert kinds >= {"per-trip", "own"}
+    # on the two transfer-bound machines the contexts of a re-tiled loop wait
+    # on the one DMA engine, and no re-tiled hoist is kept
+    assert ("re-tiled" in kinds) == (machine == "default")
+
+
+def _parent_rule(self, loop, per_trip, own, steps, start, env):
+    """mt's loop-level rule before it priced loops: hoist at the loop's own
+    step where it qualifies and one of its generics forks per trip."""
+    if own and any(isinstance(op, ForallOp) for op, _ in ir.walk_ops(per_trip[0].body)):
+        self.names.reset(start)
+        return self.hoisted(loop, env)
+    return per_trip
+
+
+@pytest.mark.parametrize("machine", LOOP_MACHINES)
+def test_loop_forms_never_raise_a_total(monkeypatch, machine):
+    cfg = LOOP_MACHINES[machine]
+    lowered = 0
+    for case, program, tiles in _programs():
+        opts = pipeline.PipelineOptions(tile_sizes=tiles, machine=cfg)
+        got = perf.simulate(_compile(program, DEFAULT_PASSES, opts), cfg).total_cycles
+        with monkeypatch.context() as m:
+            m.setattr(mt._Threader, "cheapest", _parent_rule)
+            was = perf.simulate(_compile(program, DEFAULT_PASSES, opts), cfg).total_cycles
+        assert got <= was, case
+        lowered += got < was
     assert lowered
 
 
