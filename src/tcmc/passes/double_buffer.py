@@ -8,7 +8,10 @@ variable expansion (one two-deep buffer indexed by the trip's slot):
 
 - per staged input of full tile sizes `T`, one buffer `alloc f32[2*T0, T1,
   ...] @tcm` hoisted out of the loop, slot s at rows `[s*T0, (s+1)*T0)`,
-  and one DMA tag;
+  and one DMA tag. `T` is the largest tile the loop takes: each size's
+  upper bound over the loop var's range where the loop's bounds are
+  constant (a 5-row extent under 8-row tiles gives 5-row slots), else its
+  constant bound;
 - a guarded prologue (`db_prologue`) with one `dma_start` per input tile,
   read straight from the tile's source, that preloads tile 0 into slot 0;
 - a loop body that waits on every tag (data resident before compute),

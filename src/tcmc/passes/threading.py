@@ -10,13 +10,15 @@ domain is bounded one of three forms:
   block-cyclic, each thread part run whole or in strips.
 
 By default the cost model chooses: mt builds each form the generic can
-take and keeps the one `perf.fragment_cycles` prices cheapest, walked on
-the generic's own operands with the loops around it at their first trip,
-so the pass and the report cannot disagree. Ties go to the fixed rule the
-model replaced (fork a generic of at least 32,768 points). The forms are
-built with scratch names on a `BufInfo` overlay, so a rejected one burns
-no name of the program, and the forks are priced only where whole and
-strips both cost at least T spawns and a barrier, the least a fork costs.
+take and keeps the one `perf` prices cheapest, walked on the generic's own
+operands with the loops around it at their first trip, so the pass and
+the report cannot disagree. Ties go to the fixed rule the model replaced
+(fork a generic of at least 32,768 points). The forms are built with
+scratch names on a `BufInfo` overlay, so a rejected one burns no name of
+the program, and the forks are priced only where whole and strips both
+cost at least T spawns and a barrier, the least a fork costs. One
+`perf.FragmentPricer` walks every form of a run, and each form of a
+generic is priced once per run, however many loop-level forms hold it.
 An explicit `mt_threshold` (`--mt-threshold`) overrides the model: it
 forks every such generic of at least that many points and keeps every
 other whole, as mt did before the model chose. Thread bodies write
@@ -25,20 +27,39 @@ race-free by construction (the structural scanner in tcmc.oracles checks
 the intervals).
 
 Hoisting (persistent threads). A top-level `for` annotated `tiled_generic`
-and `all_parallel`, of t trips, forks once when all of these hold:
+and `all_parallel`, of t trips, may fork once where:
 
-- its body holds a generic that mt would fork;
 - t is a constant of at least T, the thread count;
 - T copies of the body's TCM tiles fit `tcm_bytes // 4`, the budget the
   default tile sizes give one context. The tiles are every staged
   `extract_slice ... @tcm` and `alloc ... @tcm` in the body, at their upper
   bounds;
-- T copies of the hoisted body as built, each staged tile counted twice
-  for db's two slots, fit the TCM that the resident temps (`@tcm` decls,
-  see tiling.py) leave (`_Threader.fits`).
-  Without resident temps the first rule implies this one; with them, a
-  hoisted loop past it would take the verifier's peak past `tcm_bytes`,
-  so the loop stays in the per-generic form.
+- T copies of the body, each staged tile counted twice for db's two
+  slots, fit the TCM that the resident temps (`@tcm` decls, see
+  tiling.py) leave (`_Threader.fits`). Without resident temps the rule
+  above implies this one; with them, a hoisted loop past it would take the
+  verifier's peak past `tcm_bytes`, so the loop stays per trip.
+
+Under an explicit `mt_threshold` such a loop forks once where its body
+holds a generic that mt would fork, at its own step. Under the model, mt
+prices three loop-level forms and keeps the cheapest: (a) per trip, each
+generic in its form; (b) hoisted at the loop's own step; (c) hoisted at a
+re-tiled step t', only for a loop `tile` sized by default (`retile`): the
+largest power of two below the step that gives the loop at least T trips,
+is a whole number of the body's vectors or row-lane groups, and at which
+the rules above hold. `tile` and `vectorize` build the body as a function
+of the loop's trip extent `min(step, ub - %i)`, so the re-tiled loop is
+the loop with step t' and that one node rewritten to `min(t', ub - %i)`;
+where the step was a whole number of vectors, that is the loop `tile` and
+`vectorize` build at t'. A hoist is kept only where it
+prices strictly below (a) both as mt leaves the loop and as db will leave
+it (ties go to (a)), the cheaper after db first and (b) on a tie; each
+form is lowered as async lowers it and walked by `perf` on the program's
+tensors. A hoist is priced only where the floor of every hoist, T spawns
+and a barrier around a 1/T share of (a)'s compute (and, with no tail
+loop, at least (a)'s bytes through the one DMA engine), is below (a)
+after db. Each form is built from the same names, and only the kept one
+keeps them.
 
 The loop becomes `forall th { for %i over context th's t // T whole tiles
 { the body } }`, each generic of the body whole or in strips on its
@@ -478,7 +499,8 @@ class _Threader:
         built from the names taken at `start`, and the names the kept one
         took stay taken. None is built where its least cost rules it out."""
         threads = self.policy.num_threads
-        least, compute, moved = self.price(per_trip, env, piped=True)
+        lowered = self.lowered(per_trip)
+        least, compute, moved = self.price(lowered, env, piped=True)
         if self.hoist_floor(compute, moved, tail=True) >= least:
             return per_trip
         candidates = [loop] if own else []
@@ -491,12 +513,13 @@ class _Threader:
                 continue
             self.names.reset(start)
             hoisted = self.hoisted(candidate, env)
-            price = self.price(hoisted, env, piped=True)[0]
+            hoisted_lowered = self.lowered(hoisted)
+            price = self.price(hoisted_lowered, env, piped=True)[0]
             if price >= least:
                 continue
             if before is None:
-                before = self.price(per_trip, env, piped=False)[0]
-            if self.price(hoisted, env, piped=False)[0] < before:
+                before = self.price(lowered, env, piped=False)[0]
+            if self.price(hoisted_lowered, env, piped=False)[0] < before:
                 kept, taken, least = hoisted, self.names.mark(), price
         self.names.reset(taken)  # a rejected form burns no name
         return kept
@@ -514,16 +537,19 @@ class _Threader:
             busiest = max(busiest, moved / cfg.dma_bandwidth_bytes_per_cycle)
         return threads * cfg.thread_spawn_cycles + cfg.barrier_cycles + busiest
 
-    def price(self, ops: tuple[Op, ...], env: dict[str, int], piped: bool
-              ) -> tuple[float, float, float]:
-        """`perf`'s (cycles, compute cycles, bytes moved) of a loop form, its
-        foralls lowered as async lowers them, as mt leaves it or (`piped`)
-        as db will."""
+    def lowered(self, ops: tuple[Op, ...]) -> tuple[Op, ...]:
+        """A loop form with its foralls lowered as async lowers them, in scratch."""
         with self.scratch():
-            ops = _lower_foralls(ops, self.names)
-            if piped:
-                ops = double_buffer_ops(ops, self.names, self.info.narrow.__contains__)
-            return self.pricer.price(ops, self.decls, env)
+            return _lower_foralls(ops, self.names)
+
+    def price(self, lowered: tuple[Op, ...], env: dict[str, int], piped: bool
+              ) -> tuple[float, float, float]:
+        """`perf`'s (cycles, compute cycles, bytes moved) of a `lowered` loop
+        form as mt leaves it or (`piped`) as db will."""
+        if piped:
+            with self.scratch():
+                lowered = double_buffer_ops(lowered, self.names, self.info.narrow.__contains__)
+        return self.pricer.price(lowered, self.decls, env)
 
     def retile_steps(self, loop: ForOp) -> list[int]:
         """The steps t' that `loop` may be re-tiled to, largest first, where
@@ -545,9 +571,12 @@ class _Threader:
 
     def retiled(self, loop: ForOp, steps: list[int]) -> Optional[ForOp]:
         """`loop` re-tiled to the first of `steps` at which T bodies fit
-        (`qualifies`, `fits`), or None."""
+        (`qualifies`, `fits`), or None; None too where its body does not
+        hold the trip-extent node, so nothing would follow the new step."""
         for step in steps:
             retiled = _retiled(loop, step)
+            if retiled.body is loop.body:
+                return None
             if self.qualifies(retiled) and self.fits(retiled):
                 return retiled
         return None

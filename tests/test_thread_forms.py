@@ -120,7 +120,8 @@ def _loop_prices(threader, loop, own, steps, env):
         if candidate is not None:
             forms[candidate.step] = threader.hoisted(candidate, env)
     threader.names.reset(mark)
-    return {key: tuple(threader.price(ops, env, piped)[0] for piped in (True, False))
+    return {key: tuple(threader.price(threader.lowered(ops), env, piped)[0]
+                       for piped in (True, False))
             for key, ops in forms.items()}
 
 
@@ -157,6 +158,23 @@ def test_every_loop_decision_keeps_the_cheapest_candidate(monkeypatch, machine):
     # on the two transfer-bound machines the contexts of a re-tiled loop wait
     # on the one DMA engine, and no re-tiled hoist is kept
     assert ("re-tiled" in kinds) == (machine == "default")
+
+
+@pytest.mark.parametrize("after_db,before_db,hoists", [
+    (90000, 90000, True), (90000, 110000, False), (110000, 90000, False),
+    (100000, 90000, False), (90000, 100000, False)])
+def test_a_hoist_is_kept_only_where_it_is_cheaper_before_db_and_after(
+        monkeypatch, after_db, before_db, hoists):
+    # the per-trip loop prices 100,000 both ways; ties go to it
+    def price(self, lowered, env, piped):
+        if not isinstance(lowered[0], ir.AsyncGroupOp):
+            return 100000.0, 0.0, 0.0
+        return float(after_db if piped else before_db), 0.0, 0.0
+
+    monkeypatch.setattr(mt._Threader, "price", price)
+    program = _lowered(kernel_path("gelu"), VERIFY_DIMS["gelu"])
+    staged = _compile(program, ("fuse", "tile", "vectorize", "mt"), pipeline.PipelineOptions())
+    assert isinstance(staged.ops[0], ForallOp) == hoists
 
 
 def _parent_rule(self, loop, per_trip, own, steps, start, env):
