@@ -527,9 +527,11 @@ class _Threader:
     def hoist_floor(self, compute: float, moved: float, tail: bool) -> float:
         """The least cycles a loop can take hoisted, before db or after,
         where its per-trip form computes `compute` cycles and moves `moved`
-        bytes: T spawns and a barrier around at least a share of the
-        compute, and, with no `tail` loop, at least every byte through the
-        one DMA engine (a re-tiled loop moves no fewer)."""
+        bytes: T spawns and a barrier around at least a 1/T share of the
+        compute (a hoisted body computes no less: its generics run whole or
+        in strips, as the per-trip forms do at best), and, with no `tail`
+        loop, at least every byte through the one DMA engine (a re-tiled
+        loop moves no fewer)."""
         cfg = self.machine
         threads = self.policy.num_threads
         busiest = compute / threads

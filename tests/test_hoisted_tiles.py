@@ -113,7 +113,7 @@ def test_a_shared_buffer_written_twice_is_still_a_race():
     ("gelu", (4096,), 221492), ("silu", (4096,), 205108), ("rmsnorm", (4, 0), 43772.4375)])
 def test_the_model_forks_once_around_a_loop_of_small_tiles(kernel, tiles, most):
     # per trip, gelu's 256 tiles each run whole on one context for 851,968
-    # cycles, silu's for 786,432 and rmsnorm's rows for 104,375.8
+    # cycles, silu's for 786,432 and rmsnorm's rows for 71,071.9
     program = staged(kernel, None, DEFAULT_PASSES, tile_sizes=tiles)
     mt = staged(kernel, None, UP_TO_MT, tile_sizes=tiles)
     forks = ir.count_ops(program, lambda op: isinstance(op, AsyncGroupOp))
