@@ -198,10 +198,10 @@ def replace_node(e: Extent, old: Extent, new: Extent) -> Extent:
     """`e` with every subexpression equal to `old` replaced by `new`, the
     nodes above it rebuilt by the `ix_*` constructors; `e` itself when
     `old` does not occur in it."""
-    if e == old:
-        return new
     if not isinstance(e, IBin):
-        return e
+        return new if e == old else e
+    if e is old or (isinstance(old, IBin) and e.op == old.op and e == old):
+        return new
     lhs, rhs = replace_node(e.lhs, old, new), replace_node(e.rhs, old, new)
     return e if lhs is e.lhs and rhs is e.rhs else _IX_CTORS[e.op](lhs, rhs)
 

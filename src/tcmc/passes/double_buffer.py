@@ -69,19 +69,22 @@ def recognize_normal_form(loop: ForOp) -> Optional[NormalFormLoop]:
 
 
 def _full_sizes(stage: ExtractSliceOp, loop: ForOp) -> tuple[int, ...]:
-    """The largest tile `stage` takes over `loop`'s trips: each size's upper
-    bound over the range of the loop var where the bounds are constant, and
-    never above its `const_upper`."""
-    ranges = {}
-    if isinstance(loop.lb, int) and isinstance(loop.ub, int) and loop.lb < loop.ub:
-        ranges[loop.var] = (loop.lb, loop.ub - 1)
+    """The largest tile `stage` takes over `loop`'s trips: each size's
+    `const_upper`, or, where the loop's bounds are constant and that bound
+    is missing or exceeds the loop's extent, its upper bound over the range
+    of the loop var, if lower. (A tile no larger than the extent is taken
+    whole on the first trip, so only a tile past it can be cut.)"""
+    extent = loop.ub - loop.lb if isinstance(loop.lb, int) and isinstance(loop.ub, int) else 0
     sizes = []
     for s in stage.sizes:
-        bounds = [b for b in (ir.extent_upper(s, ranges), const_upper(s)) if b is not None]
-        if not bounds:
+        bound = const_upper(s)
+        if extent > 0 and (bound is None or bound > extent):
+            upper = ir.extent_upper(s, {loop.var: (loop.lb, loop.ub - 1)})
+            bound = upper if bound is None or (upper is not None and upper < bound) else bound
+        if bound is None:
             shown = ", ".join(ir.print_extent(s) for s in stage.sizes)
             raise PassError(f"tile %{stage.result}: cannot bound sizes ({shown})")
-        sizes.append(min(bounds))
+        sizes.append(bound)
     return tuple(sizes)
 
 

@@ -55,11 +55,12 @@ where the step was a whole number of vectors, that is the loop `tile` and
 prices strictly below (a) both as mt leaves the loop and as db will leave
 it (ties go to (a)), the cheaper after db first and (b) on a tie; each
 form is lowered as async lowers it and walked by `perf` on the program's
-tensors. A hoist is priced only where the floor of every hoist, T spawns
-and a barrier around a 1/T share of (a)'s compute (and, with no tail
-loop, at least (a)'s bytes through the one DMA engine), is below (a)
-after db. Each form is built from the same names, and only the kept one
-keeps them.
+tensors. A hoist is built and priced only where its floor, T spawns and
+a barrier around a 1/T share of (a)'s compute (and, with no tail loop,
+at least (a)'s bytes through the one DMA engine), is below (a) after db:
+first below a bound of (a) taken from its first trip and the forms
+already priced there, which needs no walk, then below (a)'s price. Each
+form is built from the same names, and only the kept one keeps them.
 
 The loop becomes `forall th { for %i over context th's t // T whole tiles
 { the body } }`, each generic of the body whole or in strips on its
@@ -107,8 +108,8 @@ from typing import Optional
 from .. import ir, perf
 from ..ir import (
     AddToGroupOp, AllocOp, AsyncExecuteOp, AsyncGroupOp, AwaitAllOp, CmpPred, Extent,
-    ExtractSliceOp, ForallOp, ForOp, GenericOp, IfOp, IVar, KernelProgram, Op, ix_add,
-    ix_floordiv, ix_min, ix_mul, ix_sub,
+    ExtractSliceOp, ForallOp, ForOp, GenericOp, IfOp, InsertSliceOp, IVar, KernelProgram, Op,
+    ix_add, ix_floordiv, ix_min, ix_mul, ix_sub,
 )
 from .common import (
     BufInfo, NameAllocator, PassError, const_upper, const_uppers, resident_bytes, split_generic,
@@ -305,9 +306,12 @@ class _Threader:
         self.tile_room = machine.tcm_bytes - resident_bytes(program)
         self.decls = {d.name: (d.shape, d.space, d.dtype == "f16") for d in program.decls}
         # one simulator prices every form, and each form of a generic is priced
-        # once: (generic, form, env) -> (generic, cycles), the generic held alive
+        # once: (generic, form, env) -> (generic, cycles, compute cycles), the
+        # generic held alive
         self.pricer = perf.FragmentPricer(machine)
-        self.costs: dict[tuple, tuple[GenericOp, float]] = {}
+        self.costs: dict[tuple, tuple[GenericOp, float, float]] = {}
+        # and each generic's form is chosen once: (generic, hoisted, env) -> (generic, form)
+        self.forms: dict[tuple, tuple[GenericOp, Form]] = {}
 
     @contextmanager
     def scratch(self):
@@ -364,7 +368,16 @@ class _Threader:
         points = math.prod(uppers)
         if self.threshold is not None:
             return self.fixed_form(g, points, hoisted, self.threshold)
-        forms = [WHOLE] + [("strips", s) for s in self.strips(g, uppers[0]) if s]
+        key = (id(g), hoisted, tuple(sorted(env.items())))
+        if key not in self.forms:
+            self.forms[key] = (g, self.cheapest_form(g, env, hoisted, points, uppers[0]))
+        return self.forms[key][1]
+
+    def cheapest_form(self, g: GenericOp, env: dict[str, int], hoisted: bool, points: int,
+                      n: int) -> Form:
+        """The form of `g` (d0 of up to `n` indices, `points` in all) that
+        `perf` prices cheapest (`form`)."""
+        forms = [WHOLE] + [("strips", s) for s in self.strips(g, n) if s]
         costs = [self.cost(g, f, env) for f in forms]
         cfg = self.machine
         # no fork costs less than its spawns and barrier
@@ -379,8 +392,12 @@ class _Threader:
         return today if today in cheapest else cheapest[0]
 
     def cost(self, g: GenericOp, form: Form, env: dict[str, int]) -> float:
-        """The cycles of `g` in `form`, built in scratch and walked by `perf`
-        on `g`'s own operands; priced once per run."""
+        """The cycles of `g` in `form` (`form_price`)."""
+        return self.form_price(g, form, env)[0]
+
+    def form_price(self, g: GenericOp, form: Form, env: dict[str, int]) -> tuple[float, float]:
+        """(cycles, compute cycles) of `g` in `form`, built in scratch and
+        walked by `perf` on `g`'s own operands; priced once per run."""
         key = (id(g), form, tuple(sorted(env.items())))
         hit = self.costs.get(key)
         if hit is None:
@@ -391,8 +408,8 @@ class _Threader:
                 ops = self.build(g, form)
                 if form[0] == "fork":
                     ops = _lower_forall(ops[0], self.names)
-            hit = self.costs[key] = (g, self.pricer.price(ops, buffers, env)[0])
-        return hit[1]
+            hit = self.costs[key] = (g, *self.pricer.price(ops, buffers, env)[:2])
+        return hit[1:]
 
     def build(self, g: GenericOp, form: Form) -> tuple[Op, ...]:
         """The ops that run `g` in `form`."""
@@ -497,22 +514,30 @@ class _Threader:
         per-trip form both as db will leave the loop and as mt leaves it;
         the cheaper after db wins, ties going to the own step. Each form is
         built from the names taken at `start`, and the names the kept one
-        took stay taken. None is built where its least cost rules it out."""
+        took stay taken. Nothing is built or priced where the floor of a
+        hoist (`hoist_floor`) rules it out, first against a bound of the
+        per-trip form (`per_trip_bound`), then against its price."""
         threads = self.policy.num_threads
+
+        def room(step: int, least: float, compute: float, moved: float) -> bool:
+            """Whether `loop` hoisted at `step` may cost less than `least`."""
+            tail = -(-(loop.ub - loop.lb) // step) % threads > 0
+            return self.hoist_floor(compute, moved, tail) < least
+
+        candidates = [loop.step] * own + [s for s in [self.retile_step(loop, steps)] if s]
+        bound = self.per_trip_bound(loop, env)
+        if bound is not None:
+            candidates = [step for step in candidates if room(step, *bound)]
+        if not candidates:
+            return per_trip
         lowered = self.lowered(per_trip)
         least, compute, moved = self.price(lowered, env, piped=True)
-        if self.hoist_floor(compute, moved, tail=True) >= least:
-            return per_trip
-        candidates = [loop] if own else []
-        retiled = self.retiled(loop, steps)
-        if retiled is not None:
-            candidates.append(retiled)
         kept, taken, before = per_trip, self.names.mark(), None
-        for candidate in candidates:
-            if self.hoist_floor(compute, moved, _whole_trips(candidate) % threads > 0) >= least:
+        for step in candidates:
+            if not room(step, least, compute, moved):
                 continue
             self.names.reset(start)
-            hoisted = self.hoisted(candidate, env)
+            hoisted = self.hoisted(loop if step == loop.step else _retiled(loop, step), env)
             hoisted_lowered = self.lowered(hoisted)
             price = self.price(hoisted_lowered, env, piped=True)[0]
             if price >= least:
@@ -523,6 +548,50 @@ class _Threader:
                 kept, taken, least = hoisted, self.names.mark(), price
         self.names.reset(taken)  # a rejected form burns no name
         return kept
+
+    def per_trip_bound(self, loop: ForOp, env: dict[str, int]
+                       ) -> Optional[tuple[float, float, float]]:
+        """(no less than the cycles as db will leave it, no more than the
+        compute cycles, no more than the bytes moved) of `loop`'s per-trip
+        form, from its first trip alone, as `perf` costs a db loop: the
+        larger of t times that trip's leading staged tiles (db's prefetch
+        pool) and t times the rest of it, its other transfers and its
+        generics' forms as `form` priced them, guarded ones included (no
+        later trip takes a larger tile); that trip's unguarded compute and
+        bytes. None where the body nests a loop."""
+        genv = _first_trip(loop, env)
+        info, cfg = self.info, self.machine
+
+        def bound(ops: tuple[Op, ...], guarded: bool) -> Optional[list[float]]:
+            pool = side = compute = moved = 0.0
+            for op in ops:
+                if isinstance(op, GenericOp):
+                    c, k = self.form_price(op, self.form(op, genv, False), genv)
+                    side, compute = side + c, compute + (0.0 if guarded else k)
+                elif isinstance(op, ExtractSliceOp) and op.space == "tcm" or (
+                        isinstance(op, InsertSliceOp)
+                        and info.spaces.get(op.source) != info.spaces.get(op.dest)):
+                    points = math.prod(ir.eval_extent(e, genv) for e in op.sizes)
+                    size = points * (2 if op.source in info.narrow else 4)
+                    if side == 0 and isinstance(op, ExtractSliceOp) and not guarded:
+                        pool += cfg.dma_cycles(size)  # db's leading run of staged tiles
+                    else:
+                        side += cfg.dma_cycles(size)
+                    moved += 0 if guarded else size
+                elif isinstance(op, IfOp):
+                    inner = bound(op.body, True)
+                    if inner is None:
+                        return None
+                    side += inner[0] + inner[1]
+                elif getattr(op, "body", None) is not None:
+                    return None
+            return [pool, side, compute, moved]
+
+        first = bound(loop.body, False)
+        if first is None:
+            return None
+        pool, side, compute, moved = first
+        return _whole_trips(loop) * max(pool, side), compute, moved
 
     def hoist_floor(self, compute: float, moved: float, tail: bool) -> float:
         """The least cycles a loop can take hoisted, before db or after,
@@ -571,16 +640,18 @@ class _Threader:
             step //= 2
         return steps
 
-    def retiled(self, loop: ForOp, steps: list[int]) -> Optional[ForOp]:
-        """`loop` re-tiled to the first of `steps` at which T bodies fit
-        (`qualifies`, `fits`), or None; None too where its body does not
-        hold the trip-extent node, so nothing would follow the new step."""
+    def retile_step(self, loop: ForOp, steps: list[int]) -> Optional[int]:
+        """The first of `steps` at which `loop` re-tiled qualifies and fits,
+        judged on its TCM tiles alone, or None; None too where the body
+        does not hold the trip-extent node, so nothing would follow a new
+        step."""
+        tiles = tuple(op for op in loop.body if isinstance(op, (ExtractSliceOp, AllocOp)))
         for step in steps:
-            retiled = _retiled(loop, step)
-            if retiled.body is loop.body:
+            probe = _retiled(replace(loop, body=tiles), step)
+            if probe.body is tiles:
                 return None
-            if self.qualifies(retiled) and self.fits(retiled):
-                return retiled
+            if self.qualifies(probe) and self.fits(probe):
+                return step
         return None
 
     def hoist(self, loop: ForOp, trips: int, env: dict[str, int]) -> ForallOp:

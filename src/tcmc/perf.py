@@ -92,6 +92,10 @@ class MachineConfig:
     def op_cost(self, kind: str) -> float:
         return self.scalar_op_cycles.get(kind, 1.0)
 
+    def dma_cycles(self, bytes_: float) -> float:
+        """The cycles of one transfer of `bytes_` through the DMA engine."""
+        return self.dma_latency_cycles + bytes_ / self.dma_bandwidth_bytes_per_cycle
+
     def to_text(self) -> str:
         lines = [
             f"dma_bandwidth_bytes_per_cycle = {self.dma_bandwidth_bytes_per_cycle:g}",
@@ -439,7 +443,7 @@ class _Sim:
     # -- environment -------------------------------------------------------
 
     def transfer_cost(self, bytes_: float) -> float:
-        return self.cfg.dma_latency_cycles + bytes_ / self.cfg.dma_bandwidth_bytes_per_cycle
+        return self.cfg.dma_cycles(bytes_)
 
     def slice_bytes(self, sizes, env, narrow: bool) -> float:
         n = 1

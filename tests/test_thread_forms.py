@@ -116,9 +116,10 @@ def _loop_prices(threader, loop, own, steps, env):
     threader.pricer = perf.FragmentPricer(threader.machine)
     mark = threader.names.mark()
     forms = {"per-trip": (threader.per_trip(loop, env),)}
-    for candidate in [loop] * own + [threader.retiled(loop, steps)]:
-        if candidate is not None:
-            forms[candidate.step] = threader.hoisted(candidate, env)
+    for step in [loop.step] * own + [threader.retile_step(loop, steps)]:
+        if step is not None:
+            candidate = loop if step == loop.step else mt._retiled(loop, step)
+            forms[step] = threader.hoisted(candidate, env)
     threader.names.reset(mark)
     return {key: tuple(threader.price(threader.lowered(ops), env, piped)[0]
                        for piped in (True, False))
