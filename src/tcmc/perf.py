@@ -49,7 +49,7 @@ import numpy as np
 from . import ir
 from .ir import (
     AllocOp, AsyncExecuteOp, AsyncGroupOp, AddToGroupOp, AwaitAllOp, DeallocOp, DmaStartOp,
-    DmaWaitOp, ExecutionFault, ExtractSliceOp, ForallOp, ForOp, GenericOp, IBin, IfOp,
+    ExecutionFault, ExtractSliceOp, ForallOp, ForOp, GenericOp, IBin, IfOp,
     InsertSliceOp, IVar, KernelProgram, Op,
 )
 
@@ -439,6 +439,16 @@ class _Sim:
         # _LoopPlan | None)
         self.generic_info: dict[int, tuple[GenericOp, float, int, float, bool]] = {}
         self.loop_plans: dict[int, tuple[ForOp, Optional[_LoopPlan]]] = {}
+        # each op type's walker; an op of a type not here is free (dma_wait:
+        # blocking is folded into the db loop's max())
+        self.walkers = {
+            GenericOp: self.walk_generic, ForOp: self.walk_for, ForallOp: self.walk_forall,
+            IfOp: self.walk_if, ExtractSliceOp: self.walk_extract_slice,
+            AllocOp: self.walk_alloc, DeallocOp: self.walk_dealloc,
+            InsertSliceOp: self.walk_insert_slice, DmaStartOp: self.walk_dma_start,
+            AsyncGroupOp: self.walk_async_group, AsyncExecuteOp: self.walk_async_execute,
+            AddToGroupOp: self.walk_add_to_group, AwaitAllOp: self.walk_await_all,
+        }
 
     # -- environment -------------------------------------------------------
 
@@ -512,94 +522,112 @@ class _Sim:
             acc.time += c
 
     def walk_op(self, op: Op, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
-        cfg = self.cfg
-        if isinstance(op, GenericOp):
-            c = self.generic_cost(op, env, buffers)
-            acc.compute += c
-            acc.time += c
-        elif isinstance(op, ForOp):
+        walk = self.walkers.get(type(op))
+        if walk is not None:  # remaining ops are free
+            walk(op, env, buffers, acc, in_prefetch)
+
+    def walk_generic(self, op: GenericOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
+        c = self.generic_cost(op, env, buffers)
+        acc.compute += c
+        acc.time += c
+
+    def walk_for(self, op: ForOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
+        gid = ir.annotation_value(op.annotations, "db_generic")
+        body_acc = self.walk_trips(op, ir.trips(op, env), env, buffers, in_prefetch)
+        if gid is not None:
+            # double-buffered loop: prologue + prefetch transfers overlap
+            # the compute side; stores and overheads already in .time
+            pool = body_acc.prefetch + self.prologue_pool.pop(gid, 0.0)
+            acc.compute += body_acc.compute
+            acc.transfer += body_acc.transfer
+            acc.overhead += body_acc.overhead
+            acc.moved += body_acc.moved
+            acc.time += max(pool, body_acc.time)
+        else:
+            acc.add(body_acc)
+
+    def walk_forall(self, op: ForallOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
+        for t in ir.trips(op, env):
+            acc.add(self.walk_block(op.body, {**env, op.var: t}, dict(buffers), in_prefetch))
+
+    def walk_if(self, op: IfOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
+        if not ir.holds(op.pred, env):
+            return
+        prologue = "db_prologue" in op.annotations
+        prefetching = in_prefetch or prologue or "db_prefetch" in op.annotations
+        inner = self.walk_block(op.body, env, dict(buffers), prefetching)
+        if prologue:
             gid = ir.annotation_value(op.annotations, "db_generic")
-            body_acc = self.walk_trips(op, ir.trips(op, env), env, buffers, in_prefetch)
-            if gid is not None:
-                # double-buffered loop: prologue + prefetch transfers overlap
-                # the compute side; stores and overheads already in .time
-                pool = body_acc.prefetch + self.prologue_pool.pop(gid, 0.0)
-                acc.compute += body_acc.compute
-                acc.transfer += body_acc.transfer
-                acc.overhead += body_acc.overhead
-                acc.moved += body_acc.moved
-                acc.time += max(pool, body_acc.time)
-            else:
-                acc.add(body_acc)
-        elif isinstance(op, ForallOp):
-            for t in ir.trips(op, env):
-                acc.add(self.walk_block(op.body, {**env, op.var: t}, dict(buffers), in_prefetch))
-        elif isinstance(op, IfOp):
-            if not ir.holds(op.pred, env):
-                return
-            prologue = "db_prologue" in op.annotations
-            prefetching = in_prefetch or prologue or "db_prefetch" in op.annotations
-            inner = self.walk_block(op.body, env, dict(buffers), prefetching)
-            if prologue:
-                gid = ir.annotation_value(op.annotations, "db_generic")
-                self.prologue_pool[gid] = self.prologue_pool.get(gid, 0.0) + inner.prefetch
-                inner.prefetch = 0.0
-            acc.add(inner)
-        elif isinstance(op, ExtractSliceOp):
-            src = buffers[op.source]
-            shape = tuple(ir.eval_extent(s, env) for s in op.sizes)
-            tile = buffers[op.result] = _Buf(shape, op.space or src.space, src.narrow)
-            if tile.space != src.space:
-                self._move(acc, tile.bytes, in_prefetch)
-        elif isinstance(op, AllocOp):
-            shape = tuple(ir.eval_extent(s, env) for s in op.sizes)
-            buffers[op.result] = _Buf(shape, op.space, op.narrow)
-        elif isinstance(op, DeallocOp):
-            buffers.pop(op.target, None)
-        elif isinstance(op, InsertSliceOp):
-            src, dst = buffers[op.source], buffers[op.dest]
-            if src.space != dst.space:
-                self._move(acc, self.slice_bytes(op.sizes, env, src.narrow), in_prefetch)
-        elif isinstance(op, DmaStartOp):
-            src = buffers[op.source]
+            self.prologue_pool[gid] = self.prologue_pool.get(gid, 0.0) + inner.prefetch
+            inner.prefetch = 0.0
+        acc.add(inner)
+
+    def walk_extract_slice(self, op: ExtractSliceOp, env, buffers, acc: _Acc,
+                           in_prefetch: bool) -> None:
+        src = buffers[op.source]
+        shape = tuple([ir.eval_extent(s, env) for s in op.sizes])
+        tile = buffers[op.result] = _Buf(shape, op.space or src.space, src.narrow)
+        if tile.space != src.space:
+            self._move(acc, tile.bytes, in_prefetch)
+
+    def walk_alloc(self, op: AllocOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
+        shape = tuple([ir.eval_extent(s, env) for s in op.sizes])
+        buffers[op.result] = _Buf(shape, op.space, op.narrow)
+
+    def walk_dealloc(self, op: DeallocOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
+        buffers.pop(op.target, None)
+
+    def walk_insert_slice(self, op: InsertSliceOp, env, buffers, acc: _Acc,
+                          in_prefetch: bool) -> None:
+        src, dst = buffers[op.source], buffers[op.dest]
+        if src.space != dst.space:
             self._move(acc, self.slice_bytes(op.sizes, env, src.narrow), in_prefetch)
-        elif isinstance(op, DmaWaitOp):
-            pass  # blocking is folded into the db loop's max()
-        elif isinstance(op, AsyncGroupOp):
-            self.groups[op.group] = _Group()
-        elif isinstance(op, AsyncExecuteOp):
-            body = self.walk_block(op.body, dict(env), dict(buffers), in_prefetch)
-            self.pending_token[op.token] = body
-            acc.time += cfg.thread_spawn_cycles
-            acc.overhead += cfg.thread_spawn_cycles
-        elif isinstance(op, AddToGroupOp):
-            group = self.groups.get(op.group)
-            if group is None:
-                raise ExecutionFault(f"add_to_group: unknown group %{op.group}")
-            body = self.pending_token.pop(op.token, None)
-            if body is None:
-                raise ExecutionFault(f"add_to_group: token %{op.token} not issued")
-            group.bodies.append(body)
-        elif isinstance(op, AwaitAllOp):
-            group = self.groups.pop(op.group, None)
-            if group is None:
-                raise ExecutionFault(f"await_all on unknown group %{op.group}")
-            free = [0.0] * cfg.num_hvx_contexts
-            moved = 0.0
-            for body in group.bodies:
-                k = min(range(len(free)), key=lambda i: (free[i], i))
-                free[k] += body.time
-                acc.compute += body.compute
-                acc.transfer += body.transfer
-                acc.overhead += body.overhead
-                acc.prefetch += body.prefetch
-                moved += body.moved
-            acc.moved += moved
-            # the contexts share one DMA engine: their bytes take turns on it
-            busiest = max(max(free), moved / cfg.dma_bandwidth_bytes_per_cycle)
-            acc.time += busiest + cfg.barrier_cycles
-            acc.overhead += cfg.barrier_cycles
-        # remaining ops are free
+
+    def walk_dma_start(self, op: DmaStartOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
+        src = buffers[op.source]
+        self._move(acc, self.slice_bytes(op.sizes, env, src.narrow), in_prefetch)
+
+    def walk_async_group(self, op: AsyncGroupOp, env, buffers, acc: _Acc,
+                         in_prefetch: bool) -> None:
+        self.groups[op.group] = _Group()
+
+    def walk_async_execute(self, op: AsyncExecuteOp, env, buffers, acc: _Acc,
+                           in_prefetch: bool) -> None:
+        body = self.walk_block(op.body, dict(env), dict(buffers), in_prefetch)
+        self.pending_token[op.token] = body
+        acc.time += self.cfg.thread_spawn_cycles
+        acc.overhead += self.cfg.thread_spawn_cycles
+
+    def walk_add_to_group(self, op: AddToGroupOp, env, buffers, acc: _Acc,
+                          in_prefetch: bool) -> None:
+        group = self.groups.get(op.group)
+        if group is None:
+            raise ExecutionFault(f"add_to_group: unknown group %{op.group}")
+        body = self.pending_token.pop(op.token, None)
+        if body is None:
+            raise ExecutionFault(f"add_to_group: token %{op.token} not issued")
+        group.bodies.append(body)
+
+    def walk_await_all(self, op: AwaitAllOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
+        cfg = self.cfg
+        group = self.groups.pop(op.group, None)
+        if group is None:
+            raise ExecutionFault(f"await_all on unknown group %{op.group}")
+        free = [0.0] * cfg.num_hvx_contexts
+        moved = 0.0
+        for body in group.bodies:
+            k = min(range(len(free)), key=lambda i: (free[i], i))
+            free[k] += body.time
+            acc.compute += body.compute
+            acc.transfer += body.transfer
+            acc.overhead += body.overhead
+            acc.prefetch += body.prefetch
+            moved += body.moved
+        acc.moved += moved
+        # the contexts share one DMA engine: their bytes take turns on it
+        busiest = max(max(free), moved / cfg.dma_bandwidth_bytes_per_cycle)
+        acc.time += busiest + cfg.barrier_cycles
+        acc.overhead += cfg.barrier_cycles
 
     def walk_trips(self, op: ForOp, trips: range, env, buffers, in_prefetch: bool) -> _Acc:
         """The body's _Acc summed over `trips` in order, each iteration class walked once."""
