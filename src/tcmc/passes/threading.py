@@ -645,7 +645,8 @@ class _Threader:
         judged on its TCM tiles alone, or None; None too where the body
         does not hold the trip-extent node, so nothing would follow a new
         step."""
-        tiles = tuple(op for op in loop.body if isinstance(op, (ExtractSliceOp, AllocOp)))
+        tiles = tuple(op for op in loop.body
+                      if isinstance(op, (ExtractSliceOp, AllocOp)) and op.space == "tcm")
         for step in steps:
             probe = _retiled(replace(loop, body=tiles), step)
             if probe.body is tiles:
