@@ -449,15 +449,12 @@ class _Threader:
         that qualifies (under the override, where one of its generics forks;
         under the model, where it is priced cheaper), and otherwise with each
         generic of its body in its form."""
-        if self.threshold is not None:
-            chosen = loop if self.qualifies(loop) and self.forks(loop, env) else None
-            hoisted = None if chosen is None else self.hoisted(chosen, env)
-            return hoisted or (self.per_trip(loop, env),)
-        own = self.qualifies(loop) and self.fits(loop)
-        steps = self.retile_steps(loop)
-        start = self.names.mark()
-        per_trip = (self.per_trip(loop, env),)
-        return self.cheapest(loop, per_trip, own, steps, start, env) if own or steps else per_trip
+        if self.threshold is None:
+            return self.cheapest(loop, env)
+        hoisted = None
+        if self.qualifies(loop) and self.forks(loop, env):
+            hoisted = self.hoisted(loop, env)
+        return hoisted or (self.per_trip(loop, env),)
 
     def per_trip(self, loop: ForOp, env: dict[str, int]) -> ForOp:
         """`loop` with each generic of its body in its form."""
@@ -490,11 +487,9 @@ class _Threader:
         return body_bytes is not None and self.policy.num_threads * body_bytes <= self.tile_room
 
     def hoisted(self, loop: ForOp, env: dict[str, int]) -> Optional[tuple[Op, ...]]:
-        """`loop` forked once: the forall over its first T * (t // T) trips,
-        then a tail loop of the other t mod T with each generic in its form;
-        None where it does not qualify or fit."""
-        if not self.qualifies(loop):
-            return None
+        """`loop`, which `qualifies`, forked once: the forall over its first
+        T * (t // T) trips, then a tail loop of the other t mod T with each
+        generic in its form; None where it does not fit."""
         threads = self.policy.num_threads
         trips = _whole_trips(loop)
         forall = self.hoist(loop, trips, env)
@@ -505,18 +500,17 @@ class _Threader:
         tail = replace(loop, lb=loop.lb + (trips - trips % threads) * loop.step)
         return (forall, self.per_trip(tail, env))
 
-    def cheapest(self, loop: ForOp, per_trip: tuple[Op, ...], own: bool, steps: list[int],
-                 start, env: dict[str, int]) -> tuple[Op, ...]:
+    def cheapest(self, loop: ForOp, env: dict[str, int]) -> tuple[Op, ...]:
         """The cheapest loop-level form of `loop` (module docstring,
-        "Hoisting"): `per_trip`, or `loop` hoisted at its own step where it
-        qualifies (`own`), or re-tiled to the first of `steps` at which it
-        qualifies. A hoist is kept only where it prices strictly below the
-        per-trip form both as db will leave the loop and as mt leaves it;
-        the cheaper after db wins, ties going to the own step. Each form is
-        built from the names taken at `start`, and the names the kept one
-        took stay taken. Nothing is built or priced where the floor of a
-        hoist (`hoist_floor`) rules it out, first against a bound of the
-        per-trip form (`per_trip_bound`), then against its price."""
+        "Hoisting"): per trip, or hoisted at its own step where it qualifies
+        and fits, or at its re-tiled step (`retile_step`). A hoist is kept
+        only where it prices strictly below the per-trip form both as db
+        will leave the loop and as mt leaves it; the cheaper after db wins,
+        ties going to the own step. Every form is built from the same
+        names, and only the kept one keeps them. Nothing is built or priced
+        where the floor of a hoist (`hoist_floor`) rules it out, first
+        against a bound of the per-trip form (`per_trip_bound`), then
+        against its price."""
         threads = self.policy.num_threads
 
         def room(step: int, least: float, compute: float, moved: float) -> bool:
@@ -524,7 +518,15 @@ class _Threader:
             tail = -(-(loop.ub - loop.lb) // step) % threads > 0
             return self.hoist_floor(compute, moved, tail) < least
 
-        candidates = [loop.step] * own + [s for s in [self.retile_step(loop, steps)] if s]
+        candidates = [loop.step] if self.qualifies(loop) and self.fits(loop) else []
+        steps = self.retile_steps(loop)
+        start = self.names.mark()
+        per_trip = (self.per_trip(loop, env),)
+        if not (candidates or steps):
+            return per_trip
+        retiled = self.retile_step(loop, steps)
+        if retiled is not None:
+            candidates.append(retiled)
         bound = self.per_trip_bound(loop, env)
         if bound is not None:
             candidates = [step for step in candidates if room(step, *bound)]

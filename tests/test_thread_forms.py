@@ -109,14 +109,15 @@ def test_the_model_is_never_slower_than_the_fixed_rule(machine):
     assert lowered
 
 
-def _loop_prices(threader, loop, own, steps, env):
+def _loop_prices(threader, loop, env):
     """Each loop-level form of `loop` mapped to its (cycles after db, cycles
     before db), priced afresh and none pruned: "per-trip", and each hoist
     by its step."""
     threader.pricer = perf.FragmentPricer(threader.machine)
     mark = threader.names.mark()
     forms = {"per-trip": (threader.per_trip(loop, env),)}
-    for step in [loop.step] * own + [threader.retile_step(loop, steps)]:
+    own = threader.qualifies(loop) and threader.fits(loop)
+    for step in [loop.step] * own + [threader.retile_step(loop, threader.retile_steps(loop))]:
         if step is not None:
             candidate = loop if step == loop.step else mt._retiled(loop, step)
             forms[step] = threader.hoisted(candidate, env)
@@ -131,9 +132,9 @@ def test_every_loop_decision_keeps_the_cheapest_candidate(monkeypatch, machine):
     decisions = []
     real = mt._Threader.cheapest
 
-    def spy(self, loop, per_trip, own, steps, start, env):
-        kept = real(self, loop, per_trip, own, steps, start, env)
-        decisions.append((self, loop, own, steps, env, kept))
+    def spy(self, loop, env):
+        kept = real(self, loop, env)
+        decisions.append((self, loop, env, kept))
         return kept
 
     monkeypatch.setattr(mt._Threader, "cheapest", spy)
@@ -141,8 +142,8 @@ def test_every_loop_decision_keeps_the_cheapest_candidate(monkeypatch, machine):
         opts = pipeline.PipelineOptions(tile_sizes=tiles, machine=LOOP_MACHINES[machine])
         _compile(program, ("fuse", "tile", "vectorize", "mt"), opts)
     kinds = set()
-    for threader, loop, own, steps, env, kept in decisions:
-        prices = _loop_prices(threader, loop, own, steps, env)
+    for threader, loop, env, kept in decisions:
+        prices = _loop_prices(threader, loop, env)
         base = prices.pop("per-trip")
         # a hoist is kept only below the per-trip form both after db and before
         wins = {step: p for step, p in prices.items() if p[0] < base[0] and p[1] < base[1]}
@@ -178,13 +179,14 @@ def test_a_hoist_is_kept_only_where_it_is_cheaper_before_db_and_after(
     assert isinstance(staged.ops[0], ForallOp) == hoists
 
 
-def _parent_rule(self, loop, per_trip, own, steps, start, env):
+def _parent_rule(self, loop, env):
     """mt's loop-level rule before it priced loops: hoist at the loop's own
     step where it qualifies and one of its generics forks per trip."""
-    if own and any(isinstance(op, ForallOp) for op, _ in ir.walk_ops(per_trip[0].body)):
-        self.names.reset(start)
-        return self.hoisted(loop, env)
-    return per_trip
+    if self.qualifies(loop) and self.forks(loop, env):
+        hoisted = self.hoisted(loop, env)
+        if hoisted:
+            return hoisted
+    return (self.per_trip(loop, env),)
 
 
 @pytest.mark.parametrize("machine", LOOP_MACHINES)
