@@ -378,22 +378,18 @@ class _Threader:
         """The form of `g` (d0 of up to `n` indices, `points` in all) that
         `perf` prices cheapest (`form`)."""
         forms = [WHOLE] + [("strips", s) for s in self.strips(g, n) if s]
-        costs = [self.cost(g, f, env) for f in forms]
+        costs = [self.form_price(g, f, env)[0] for f in forms]
         cfg = self.machine
         # no fork costs less than its spawns and barrier
         if not hoisted and min(costs) >= (self.policy.num_threads * cfg.thread_spawn_cycles
                                           + cfg.barrier_cycles):
             forks = [("fork", s) for s in self.strips(g, self.part(g))]
             forms += forks
-            costs += [self.cost(g, f, env) for f in forks]
+            costs += [self.form_price(g, f, env)[0] for f in forks]
         least = min(costs)
         cheapest = [f for f, c in zip(forms, costs) if c == least]
         today = self.fixed_form(g, points, hoisted, _TIE_THRESHOLD) if cheapest[1:] else None
         return today if today in cheapest else cheapest[0]
-
-    def cost(self, g: GenericOp, form: Form, env: dict[str, int]) -> float:
-        """The cycles of `g` in `form` (`form_price`)."""
-        return self.form_price(g, form, env)[0]
 
     def form_price(self, g: GenericOp, form: Form, env: dict[str, int]) -> tuple[float, float]:
         """(cycles, compute cycles) of `g` in `form`, built in scratch and
