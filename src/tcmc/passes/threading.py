@@ -42,37 +42,37 @@ and `all_parallel`, of t trips, may fork once where:
 
 Under an explicit `mt_threshold` such a loop forks once where its body
 holds a generic that mt would fork, at its own step. Under the model, mt
-prices three loop-level forms and keeps the cheapest: (a) per trip, each
+prices these loop-level forms and keeps the cheapest: (a) per trip, each
 generic in its form; (b) hoisted at the loop's own step; (c) hoisted at a
 re-tiled step t', only for a loop `tile` sized by default (`retile`): the
-largest power of two below the step that gives the loop at least T trips,
-is a whole number of the body's vectors or row-lane groups, and at which
-the rules above hold. `tile` and `vectorize` build the body as a function
-of the loop's trip extent `min(step, ub - %i)`, so the re-tiled loop is
-the loop with step t' and that one node rewritten to `min(t', ub - %i)`;
-where the step was a whole number of vectors, that is the loop `tile` and
-`vectorize` build at t'. A hoist is kept only where it
-prices strictly below (a) both as mt leaves the loop and as db will leave
-it (ties go to (a)), the cheaper after db first and (b) on a tie; each
-form is lowered as async lowers it and walked by `perf` on the program's
-tensors. A hoist is built and priced only where its floor, T spawns and
-a barrier around a 1/T share of (a)'s compute (and, with no tail loop,
-at least (a)'s bytes through the one DMA engine), is below (a) after db:
-first below a bound of (a) taken from its first trip and the forms
-already priced there, which needs no walk, then below (a)'s price. Each
-form is built from the same names, and only the kept one keeps them.
+largest power of two below the step, and the balanced step, ceil(extent
+/ T), each a whole number of the body's vectors or row-lane groups, and
+each where it gives the loop at least T trips and the rules above hold.
+`tile` and `vectorize` build the body as a function of the loop's trip
+extent `min(step, ub - %i)`, so the re-tiled loop is the loop with step
+t' and that one node rewritten to `min(t', ub - %i)`; where the step was
+a whole number of vectors, that is the loop `tile` and `vectorize` build
+at t'. A hoist is kept only where it prices strictly below (a) both as
+mt leaves the loop and as db will leave it (ties go to (a)), the
+cheapest after db and the earlier on a tie; each form is lowered as
+async lowers it and walked by `perf` on the program's tensors. A hoist
+is built and priced only where its floor is below the cheapest form
+priced so far: T spawns and a barrier around the larger of (a)'s bytes
+through the one DMA engine and a 1/T share of (a)'s compute less the part
+the window miss factor adds, which a hoist's smaller tiles may escape;
+`perf` reports both with (a)'s price. Each form is built from the same
+names, and only the kept one keeps them.
 
-The loop becomes `forall th { for %i over context th's t // T whole tiles
-{ the body } }`, each generic of the body whole or in strips on its
-context (chosen as above, between those two forms). Under block the tiles
-of a context are contiguous; under block-cyclic they are dealt
-round-robin, one tile at a time, and the chunk C of `--dist cyclic:C`, a
-count of points of a generic's d0, applies only where mt forks per
-generic. The loop keeps its annotations, so db gives each context its own
-two-slot buffers and tags. The last t mod T tiles follow in a second loop
-with the same bounds, step and body, in the per-generic form. Only whole
-`all_parallel` iterations change context and no fold changes order, so
-every output bit is kept. Forks drop from t to at most 1 + t mod T, and
+The loop becomes `forall th { for %i over context th's tiles { the body
+} }`, over all t trips, each generic of the body whole or in strips on
+its context (chosen as above, between those two forms). Under block the
+tiles of a context are contiguous, and the first t mod T contexts run one
+more than the others; under block-cyclic they are dealt round-robin, one
+tile at a time, and the chunk C of `--dist cyclic:C`, a count of points
+of a generic's d0, applies only where mt forks per generic. The loop
+keeps its annotations, so db gives each context its own two-slot buffers
+and tags. Only whole `all_parallel` iterations change context and no fold
+changes order, so every output bit is kept. Forks drop from t to 1, and
 each context does the work of its tiles.
 
 Strips. A part `[offset, end)` whose operand footprint exceeds the compute
@@ -108,7 +108,7 @@ from typing import Optional
 from .. import ir, perf
 from ..ir import (
     AddToGroupOp, AllocOp, AsyncExecuteOp, AsyncGroupOp, AwaitAllOp, CmpPred, Extent,
-    ExtractSliceOp, ForallOp, ForOp, GenericOp, IfOp, InsertSliceOp, IVar, KernelProgram, Op,
+    ExtractSliceOp, ForallOp, ForOp, GenericOp, IfOp, IVar, KernelProgram, Op,
     ix_add, ix_floordiv, ix_min, ix_mul, ix_sub,
 )
 from .common import (
@@ -483,57 +483,34 @@ class _Threader:
         return body_bytes is not None and self.policy.num_threads * body_bytes <= self.tile_room
 
     def hoisted(self, loop: ForOp, env: dict[str, int]) -> Optional[tuple[Op, ...]]:
-        """`loop`, which `qualifies`, forked once: the forall over its first
-        T * (t // T) trips, then a tail loop of the other t mod T with each
-        generic in its form; None where it does not fit."""
-        threads = self.policy.num_threads
-        trips = _whole_trips(loop)
-        forall = self.hoist(loop, trips, env)
-        if not self.fits(forall.body[0]):
-            return None
-        if not trips % threads:
-            return (forall,)
-        tail = replace(loop, lb=loop.lb + (trips - trips % threads) * loop.step)
-        return (forall, self.per_trip(tail, env))
+        """`loop`, which `qualifies`, forked once over all its trips; None
+        where it does not fit."""
+        forall = self.hoist(loop, _whole_trips(loop), env)
+        return (forall,) if self.fits(forall.body[0]) else None
 
     def cheapest(self, loop: ForOp, env: dict[str, int]) -> tuple[Op, ...]:
         """The cheapest loop-level form of `loop` (module docstring,
         "Hoisting"): per trip, or hoisted at its own step where it qualifies
-        and fits, or at its re-tiled step (`retile_step`). A hoist is kept
+        and fits, or at a re-tiled step (`retile_steps`). A hoist is kept
         only where it prices strictly below the per-trip form both as db
         will leave the loop and as mt leaves it; the cheaper after db wins,
-        ties going to the own step. Every form is built from the same
-        names, and only the kept one keeps them. Nothing is built or priced
-        where the floor of a hoist (`hoist_floor`) rules it out, first
-        against a bound of the per-trip form (`per_trip_bound`), then
-        against its price."""
-        threads = self.policy.num_threads
-
-        def room(step: int, least: float, compute: float, moved: float) -> bool:
-            """Whether `loop` hoisted at `step` may cost less than `least`."""
-            tail = -(-(loop.ub - loop.lb) // step) % threads > 0
-            return self.hoist_floor(compute, moved, tail) < least
-
+        ties going to the earlier step. Every form is built from the same
+        names, and only the kept one keeps them. No hoist is built or
+        priced where its floor (`hoist_floor`) is not below the cheapest
+        form priced so far."""
         candidates = [loop.step] if self.qualifies(loop) and self.fits(loop) else []
-        steps = self.retile_steps(loop)
+        candidates += self.retile_steps(loop)
         start = self.names.mark()
         per_trip = (self.per_trip(loop, env),)
-        if not (candidates or steps):
-            return per_trip
-        retiled = self.retile_step(loop, steps)
-        if retiled is not None:
-            candidates.append(retiled)
-        bound = self.per_trip_bound(loop, env)
-        if bound is not None:
-            candidates = [step for step in candidates if room(step, *bound)]
         if not candidates:
             return per_trip
         lowered = self.lowered(per_trip)
-        least, compute, moved = self.price(lowered, env, piped=True)
+        least, compute, moved, missed = self.price(lowered, env, piped=True)
+        floor = self.hoist_floor(compute - missed, moved)
         kept, taken, before = per_trip, self.names.mark(), None
         for step in candidates:
-            if not room(step, least, compute, moved):
-                continue
+            if floor >= least:
+                break
             self.names.reset(start)
             hoisted = self.hoisted(loop if step == loop.step else _retiled(loop, step), env)
             hoisted_lowered = self.lowered(hoisted)
@@ -547,63 +524,17 @@ class _Threader:
         self.names.reset(taken)  # a rejected form burns no name
         return kept
 
-    def per_trip_bound(self, loop: ForOp, env: dict[str, int]
-                       ) -> Optional[tuple[float, float, float]]:
-        """(no less than the cycles as db will leave it, no more than the
-        compute cycles, no more than the bytes moved) of `loop`'s per-trip
-        form, from its first trip alone, as `perf` costs a db loop: the
-        larger of t times that trip's leading staged tiles (db's prefetch
-        pool) and t times the rest of it, its other transfers and its
-        generics' forms as `form` priced them, guarded ones included (no
-        later trip takes a larger tile); that trip's unguarded compute and
-        bytes. None where the body nests a loop."""
-        genv = _first_trip(loop, env)
-        info, cfg = self.info, self.machine
-
-        def bound(ops: tuple[Op, ...], guarded: bool) -> Optional[list[float]]:
-            pool = side = compute = moved = 0.0
-            for op in ops:
-                if isinstance(op, GenericOp):
-                    c, k = self.form_price(op, self.form(op, genv, False), genv)
-                    side, compute = side + c, compute + (0.0 if guarded else k)
-                elif isinstance(op, ExtractSliceOp) and op.space == "tcm" or (
-                        isinstance(op, InsertSliceOp)
-                        and info.spaces.get(op.source) != info.spaces.get(op.dest)):
-                    points = math.prod(ir.eval_extent(e, genv) for e in op.sizes)
-                    size = points * (2 if op.source in info.narrow else 4)
-                    if side == 0 and isinstance(op, ExtractSliceOp) and not guarded:
-                        pool += cfg.dma_cycles(size)  # db's leading run of staged tiles
-                    else:
-                        side += cfg.dma_cycles(size)
-                    moved += 0 if guarded else size
-                elif isinstance(op, IfOp):
-                    inner = bound(op.body, True)
-                    if inner is None:
-                        return None
-                    side += inner[0] + inner[1]
-                elif getattr(op, "body", None) is not None:
-                    return None
-            return [pool, side, compute, moved]
-
-        first = bound(loop.body, False)
-        if first is None:
-            return None
-        pool, side, compute, moved = first
-        return _whole_trips(loop) * max(pool, side), compute, moved
-
-    def hoist_floor(self, compute: float, moved: float, tail: bool) -> float:
-        """The least cycles a loop can take hoisted, before db or after,
-        where its per-trip form computes `compute` cycles and moves `moved`
-        bytes: T spawns and a barrier around at least a 1/T share of the
-        compute (a hoisted body computes no less: its generics run whole or
-        in strips, as the per-trip forms do at best), and, with no `tail`
-        loop, at least every byte through the one DMA engine (a re-tiled
-        loop moves no fewer)."""
+    def hoist_floor(self, compute: float, moved: float) -> float:
+        """The least cycles a loop can take hoisted, at any step, before db
+        or after, where its per-trip form computes `compute` cycles without
+        the window miss factor and moves `moved` bytes: T spawns and a
+        barrier around the larger of every byte through the one DMA engine
+        and a 1/T share of that compute. A hoist moves no fewer bytes and
+        computes the same points, and its smaller tiles may escape the miss
+        factor but no more."""
         cfg = self.machine
         threads = self.policy.num_threads
-        busiest = compute / threads
-        if not tail:
-            busiest = max(busiest, moved / cfg.dma_bandwidth_bytes_per_cycle)
+        busiest = max(compute / threads, moved / cfg.dma_bandwidth_bytes_per_cycle)
         return threads * cfg.thread_spawn_cycles + cfg.barrier_cycles + busiest
 
     def lowered(self, ops: tuple[Op, ...]) -> tuple[Op, ...]:
@@ -612,61 +543,71 @@ class _Threader:
             return _lower_foralls(ops, self.names)
 
     def price(self, lowered: tuple[Op, ...], env: dict[str, int], piped: bool
-              ) -> tuple[float, float, float]:
-        """`perf`'s (cycles, compute cycles, bytes moved) of a `lowered` loop
-        form as mt leaves it or (`piped`) as db will."""
+              ) -> tuple[float, float, float, float]:
+        """`perf`'s (cycles, compute cycles, bytes moved, compute the window
+        miss factor adds) of a `lowered` loop form as mt leaves it or
+        (`piped`) as db will."""
         if piped:
             with self.scratch():
                 lowered = double_buffer_ops(lowered, self.names, self.info.narrow.__contains__)
         return self.pricer.price(lowered, self.decls, env)
 
     def retile_steps(self, loop: ForOp) -> list[int]:
-        """The steps t' that `loop` may be re-tiled to, largest first, where
-        `tile` sized it by default: powers of two below its step that give
-        it at least T trips and are a whole number of the body's vectors or
-        row-lane groups."""
+        """The steps t' besides its own that `loop` is priced hoisted at,
+        where `tile` sized it by default: the largest power of two below
+        its step, and the balanced step, ceil(extent / T) rounded up; each
+        a whole number of the body's vectors or row-lane groups, and kept
+        only where `loop` re-tiled to it qualifies and fits, judged on its
+        TCM tiles alone. None at all where the body does not hold the
+        trip-extent node, so that nothing would follow a new step."""
         if not (self.retile and "all_parallel" in loop.annotations and loop.lb == 0
                 and isinstance(loop.ub, int) and isinstance(loop.step, int) and loop.step > 1):
             return []
         align = max((_align(g) for g, _ in ir.walk_ops(loop.body) if isinstance(g, GenericOp)),
                     default=1)
+        tiles = tuple(op for op in loop.body
+                      if isinstance(op, (ExtractSliceOp, AllocOp)) and op.space == "tcm")
+        if _retiled(replace(loop, body=tiles), loop.step).body is tiles:
+            return []  # no trip-extent node to rewrite, even to the same step
+        threads = self.policy.num_threads
+
+        def hoists(step: int) -> bool:
+            if -(-loop.ub // step) < threads:
+                return False
+            probe = _retiled(replace(loop, body=tiles), step)
+            return self.qualifies(probe) and self.fits(probe)
+
         steps = []
         step = 1 << ((loop.step - 1).bit_length() - 1)
         while step >= align and not step % align:
-            if -(-loop.ub // step) >= self.policy.num_threads:
+            if hoists(step):
                 steps.append(step)
+                break
             step //= 2
+        balanced = -(-loop.ub // (threads * align)) * align
+        if balanced != loop.step and balanced not in steps and hoists(balanced):
+            steps.append(balanced)
         return steps
-
-    def retile_step(self, loop: ForOp, steps: list[int]) -> Optional[int]:
-        """The first of `steps` at which `loop` re-tiled qualifies and fits,
-        judged on its TCM tiles alone, or None; None too where the body
-        does not hold the trip-extent node, so nothing would follow a new
-        step."""
-        tiles = tuple(op for op in loop.body
-                      if isinstance(op, (ExtractSliceOp, AllocOp)) and op.space == "tcm")
-        for step in steps:
-            probe = _retiled(replace(loop, body=tiles), step)
-            if probe.body is tiles:
-                return None
-            if self.qualifies(probe) and self.fits(probe):
-                return step
-        return None
 
     def hoist(self, loop: ForOp, trips: int, env: dict[str, int]) -> ForallOp:
         """`forall th { for %i over context th's whole tiles { body } }` over
-        the first `threads * (trips // threads)` trips of `loop`; a generic
-        of the body runs whole or as strips on its context."""
+        all `trips` trips of `loop`; a generic of the body runs whole or as
+        strips on its context."""
         threads = self.policy.num_threads
-        share = trips // threads  # the tiles each context runs
+        share, extra = divmod(trips, threads)  # the first `extra` contexts run one more
         th = IVar(self.names.fresh("th"))
         step = loop.step
         if self.policy.kind == "block":  # contiguous shares
-            lb = ix_add(loop.lb, ix_mul(th, share * step))
-            ub = ix_add(loop.lb, ix_mul(ix_add(th, 1), share * step))
+            def start(k: Extent) -> Extent:
+                first = ix_mul(k, share * step)
+                if extra:
+                    first = ix_add(first, ix_mul(ix_min(k, extra), step))
+                return ix_add(loop.lb, first)
+
+            lb, ub = start(th), start(ix_add(th, 1))
         else:  # tiles dealt round-robin, one at a time
             lb = ix_add(loop.lb, ix_mul(th, step))
-            ub = loop.lb + threads * share * step
+            ub = loop.lb + trips * step
             step = threads * step
         body = self.walk(loop.body, _first_trip(loop, env), True, hoisted=True)
         inner = replace(loop, lb=lb, ub=ub, step=step, body=body)

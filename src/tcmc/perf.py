@@ -187,6 +187,7 @@ class _Acc:
     overhead: float = 0.0
     prefetch: float = 0.0  # transfer pooled for overlap inside a db loop
     moved: float = 0.0  # bytes through the DMA engine
+    missed: float = 0.0  # the part of compute the window miss factor adds
 
     def add(self, other: "_Acc") -> None:
         self.time += other.time
@@ -195,6 +196,7 @@ class _Acc:
         self.overhead += other.overhead
         self.prefetch += other.prefetch
         self.moved += other.moved
+        self.missed += other.missed
 
 
 class _Group:
@@ -461,7 +463,8 @@ class _Sim:
             n *= ir.eval_extent(s, env)
         return float(n * (2 if narrow else 4))
 
-    def generic_cost(self, op: GenericOp, env, buffers) -> float:
+    def generic_cost(self, op: GenericOp, env, buffers) -> tuple[float, float]:
+        """(cycles, the part of them the window miss factor adds) of `op`."""
         info = self.generic_info.get(id(op))
         if info is None:
             cost = red_cost = 0.0
@@ -494,8 +497,10 @@ class _Sim:
             groups = -(-height // width)  # the last one's spare lanes masked off
             if narrow:
                 groups = min(groups, height / 2)  # one row: no more than the scalar charge
-            return groups * (points // max(height, 1)) * cost * factor
-        return points * cost * factor / width + out_points * combine
+            work = groups * (points // max(height, 1)) * cost
+            return work * factor, work * (factor - 1.0)
+        work = points * cost
+        return work * factor / width + out_points * combine, work * (factor - 1.0) / width
 
     # -- walk ----------------------------------------------------------------
 
@@ -527,9 +532,10 @@ class _Sim:
             walk(op, env, buffers, acc, in_prefetch)
 
     def walk_generic(self, op: GenericOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
-        c = self.generic_cost(op, env, buffers)
+        c, missed = self.generic_cost(op, env, buffers)
         acc.compute += c
         acc.time += c
+        acc.missed += missed
 
     def walk_for(self, op: ForOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
         gid = ir.annotation_value(op.annotations, "db_generic")
@@ -542,6 +548,7 @@ class _Sim:
             acc.transfer += body_acc.transfer
             acc.overhead += body_acc.overhead
             acc.moved += body_acc.moved
+            acc.missed += body_acc.missed
             acc.time += max(pool, body_acc.time)
         else:
             acc.add(body_acc)
@@ -622,6 +629,7 @@ class _Sim:
             acc.transfer += body.transfer
             acc.overhead += body.overhead
             acc.prefetch += body.prefetch
+            acc.missed += body.missed
             moved += body.moved
         acc.moved += moved
         # the contexts share one DMA engine: their bytes take turns on it
@@ -678,9 +686,10 @@ class FragmentPricer:
     def __init__(self, config: MachineConfig):
         self.sim = _Sim(None, config)
 
-    def price(self, ops: tuple[Op, ...], buffers, env) -> tuple[float, float, float]:
-        """(cycles, compute cycles, bytes through the DMA engine) of `ops` on
-        their own.
+    def price(self, ops: tuple[Op, ...], buffers, env) -> tuple[float, float, float, float]:
+        """(cycles, compute cycles, bytes through the DMA engine, the part of
+        the compute cycles the window miss factor adds) of `ops` on their
+        own.
 
         `buffers` maps each buffer the ops use but do not create to its
         (shape, space, narrow); `env` binds the loop vars around the ops,
@@ -689,7 +698,7 @@ class FragmentPricer:
         bufs = {name: _Buf(tuple(ir.eval_extent(s, env) for s in shape), space, narrow)
                 for name, (shape, space, narrow) in buffers.items()}
         acc = self.sim.walk_block(ops, dict(env), bufs, in_prefetch=False)
-        return acc.time, acc.compute, acc.moved
+        return acc.time, acc.compute, acc.moved, acc.missed
 
 
 def fragment_cycles(ops: tuple[Op, ...], buffers, env, config: MachineConfig) -> float:

@@ -1,11 +1,13 @@
 """mt forks once around a tile loop: each context runs its own whole tiles.
 
-The hoisted form of gelu and rmsnorm, its race-freedom under the structural
-oracle, bit identity through every pass prefix, and the rule that hoisting
-never raises modeled cycles against the same pipeline with the hoist
-blocked by a smaller TCM. Under the cost model a loop of small explicit
-tiles forks once, and a default tile loop re-tiled for T contexts is the
-loop `--tile-size` would have built at that step, bit for bit.
+The hoisted form of gelu and rmsnorm, each context's share of the trips
+(every trip once, the first t mod T contexts one more, no tail loop), its
+race-freedom under the structural oracle, bit identity through every pass
+prefix, and the rule that hoisting never raises modeled cycles against the
+same pipeline with the hoist blocked by a smaller TCM. Under the cost model
+a loop of small explicit tiles forks once, and a default tile loop
+re-tiled for T contexts is the loop `--tile-size` would have built at that
+step, bit for bit, at a power of two or at the balanced step.
 """
 
 from dataclasses import replace
@@ -51,7 +53,7 @@ def test_gelu_at_tile_4096_forks_once():
 
 
 @pytest.mark.parametrize("dist", [("block", 1), ("block_cyclic", 1024)])
-def test_rmsnorm_rows_hoist_124_trips_and_leave_a_3_trip_tail(dist):
+def test_rmsnorm_rows_hoist_all_127_trips_with_no_tail(dist):
     kind, chunk = dist
     program = staged("rmsnorm", None, UP_TO_MT, tile_sizes=(1, 0), mt_threshold=1,
                      dist_kind=kind, dist_chunk=chunk)
@@ -59,19 +61,16 @@ def test_rmsnorm_rows_hoist_124_trips_and_leave_a_3_trip_tail(dist):
     assert len(hoisted) == 2  # the row sum and the normalize; the sqrt has one trip
     for forall, loop in hoisted:
         rows = [[i for i in ir.trips(loop, {forall.var: t})] for t in range(4)]
-        assert [len(r) for r in rows] == [31] * 4
-        assert sorted(i for r in rows for i in r) == list(range(124))
+        # 127 = 4 * 31 + 3: the first three contexts run one row more
+        assert [len(r) for r in rows] == [32, 32, 32, 31]
+        assert sorted(i for r in rows for i in r) == list(range(127))
         if kind == "block":
-            assert rows[1] == list(range(31, 62))
+            assert rows[1] == list(range(32, 64))
         else:  # tiles dealt round-robin
-            assert rows[1] == list(range(1, 124, 4))
-        # the tail runs the last 3 rows right after, forked per generic
-        k = program.ops.index(forall)
-        tail = program.ops[k + 1]
-        assert isinstance(tail, ForOp) and list(ir.trips(tail, {})) == [124, 125, 126]
-        assert tail.annotations == loop.annotations
-        assert any(isinstance(op, ForallOp) for op, _ in ir.walk_ops(tail.body))
+            assert rows[1] == list(range(1, 127, 4))
         assert not any(isinstance(op, ForallOp) for op, _ in ir.walk_ops(loop.body))
+    # no tail loop follows: every loop left at the top runs one trip
+    assert all(len(ir.trips(op, {})) == 1 for op in program.ops if isinstance(op, ForOp))
 
 
 def test_a_hoisted_tile_over_the_window_runs_as_strips():
@@ -90,7 +89,7 @@ def test_hoisted_contexts_write_disjoint_regions_of_y():
     ((forall, _),) = hoisted_loops(program)
     (execution,) = oracles.thread_write_intervals(program)[forall.var]
     assert all(body and {dest for dest, _, _ in body} == {"y"} for body in execution)
-    assert sum(len(body) for body in execution) == 24
+    assert sum(len(body) for body in execution) == 25  # 24 whole tiles and the partial one
     assert oracles.regions_disjoint(execution)
 
 
@@ -127,23 +126,34 @@ def test_gelu_at_tile_4096_forks_once_from_the_command_line(capsys):
     assert capsys.readouterr().out.count("async_group") == 1
 
 
-@pytest.mark.parametrize("kernel", ["gelu", "silu", "expseries"])
-def test_a_default_tile_loop_is_retiled_to_the_loop_of_that_tile_size(kernel):
-    # one 131,072-point tile forks per trip; four of 32,768 fork once
-    dims = VERIFY_DIMS[kernel]
+# (kernel, dims, the step its one default tile is re-tiled to)
+RETILE_IDENTITY_CASES = {
+    **{k: (k, VERIFY_DIMS[k], 32768) for k in ("gelu", "silu", "expseries")},
+    "gelu-100000": ("gelu", {"N": 100000}, 25024),  # the balanced step
+}
+
+
+@pytest.mark.parametrize("case", RETILE_IDENTITY_CASES)
+def test_a_default_tile_loop_is_retiled_to_the_loop_of_that_tile_size(case):
+    # one tile of N points forks per trip; four of `step` fork once
+    kernel, dims, step = RETILE_IDENTITY_CASES[case]
     retiled = staged(kernel, dims, DEFAULT_PASSES)
     assert ir.print_ir(retiled) == ir.print_ir(
-        staged(kernel, dims, DEFAULT_PASSES, tile_sizes=(32768,)))
+        staged(kernel, dims, DEFAULT_PASSES, tile_sizes=(step,)))
     ((forall, loop),) = hoisted_loops(staged(kernel, dims, UP_TO_MT))
-    assert loop.step == 32768
-    assert ir.print_ir(staged(kernel, dims, ("fuse", "tile"))).count("step 131072") == 1
+    assert loop.step == step
+    assert ir.print_ir(staged(kernel, dims, ("fuse", "tile"))).count(f"step {dims['N']}") == 1
 
 
 RETILED_CASES = {
     "gelu-131000": {"N": 131000},  # the last context's tile is partial
     "gelu-131003": {"N": 131003},  # vectorize splits each tile into main and epilogue
-    "gelu-131073": {"N": 131073},  # five trips: a one-point tail loop
+    "gelu-131073": {"N": 131073},  # five trips of 32,768, four of the balanced 32,800
 }
+
+# the step each case is re-tiled to: the largest power of two that gives four
+# trips, unless ceil(N / 4) in whole vectors differs and prices cheaper
+RETILED_STEPS = {"gelu-131000": 32768, "gelu-131003": 32768, "gelu-131073": 32800}
 
 
 @pytest.mark.parametrize("dist", [("block", 1), ("block_cyclic", 1024)])
@@ -161,7 +171,7 @@ def test_every_pass_prefix_keeps_the_bits_of_retiled_loops(case, data, dist):
             assert bitexact(interpret(program, inputs), want), name
             if name == "mt":
                 ((_, loop),) = hoisted_loops(program)
-                assert loop.step == 32768 * (1 if dist[0] == "block" else 4)
+                assert loop.step == RETILED_STEPS[case] * (1 if dist[0] == "block" else 4)
 
 
 HOIST_CASES = {
@@ -188,6 +198,65 @@ def test_every_pass_prefix_keeps_the_bits_of_hoisted_loops(case, data, dist):
             assert bitexact(interpret(program, inputs), want), name
             if name == "mt":
                 assert hoisted_loops(program)
+
+
+# t mod T of each case: a hoist runs every trip, the first t mod T contexts
+# one more than the rest, and no tail loop follows
+SHARE_CASES = {
+    **{f"gelu-{8 + extra}x512": ("gelu", {"N": 512 * (8 + extra) - 96}, (512,))
+       for extra in range(4)},  # a partial last tile, whole vectors
+    **{f"vecadd2d-{8 + extra}x96-1x0": ("vecadd2d", {"R": 8 + extra, "C": 96}, (1, 0))
+       for extra in range(4)},
+}
+
+
+def _covered_once(writes, shape):
+    """Whether the regions `writes` cover a buffer of `shape` exactly once,
+    each a run of whole rows of its d0."""
+    row = 0
+    for offsets, sizes in sorted(writes):
+        if offsets[0] != row or tuple(offsets[1:]) != (0,) * (len(shape) - 1) \
+                or tuple(sizes[1:]) != tuple(shape[1:]):
+            return False
+        row += sizes[0]
+    return row == shape[0]
+
+
+@pytest.mark.parametrize("dist", [("block", 1), ("block_cyclic", 1024)])
+@pytest.mark.parametrize("case", SHARE_CASES)
+def test_hoisted_contexts_split_every_trip_once(case, dist):
+    kernel, dims, tiles = SHARE_CASES[case]
+    program = lower(kernel, dims)
+    inputs = kernel_inputs(program, kernel)
+    shape = next(d.shape for d in program.decls if d.role == "output")
+    opts = pipeline.PipelineOptions(tile_sizes=tiles, mt_threshold=1, dist_kind=dist[0],
+                                    dist_chunk=dist[1])
+    want = interpret(program, inputs)
+    for name in DEFAULT_PASSES:
+        program = pipeline.apply_pass(name, program, opts)
+        assert ir.verify(program, tcm_bytes=opts.machine.tcm_bytes).ok, name
+        assert bitexact(interpret(program, inputs), want), name
+        if name != "mt":
+            continue
+        ((forall, loop),) = hoisted_loops(program)
+        assert program.ops == (forall,)  # no tail loop
+        shares = [list(ir.trips(loop, {forall.var: t})) for t in range(opts.threads)]
+        trips = list(range(0, shape[0], tiles[0]))
+        assert sorted(i for share in shares for i in share) == trips
+        each, extra = divmod(len(trips), opts.threads)
+        assert [len(share) for share in shares] == [each + (t < extra) for t in range(opts.threads)]
+        (execution,) = oracles.thread_write_intervals(program)[forall.var]
+        assert oracles.regions_disjoint(execution)
+        assert _covered_once([(off, sz) for body in execution for _, off, sz in body], shape)
+
+
+def test_gelu_at_100000_points_forks_once_at_the_balanced_step():
+    # the largest power of two that gives four trips, 32,768, leaves the last
+    # context 1,696 points and prices above the one 100,000-point tile
+    # (30,902 cycles); ceil(100000 / 4) in whole vectors, 25,024, forks once
+    program = staged("gelu", {"N": 100000}, DEFAULT_PASSES)
+    assert ir.count_ops(program, lambda op: isinstance(op, AsyncGroupOp)) == 1
+    assert perf.simulate(program, perf.MachineConfig()).total_cycles <= 26216
 
 
 # the schedule_grid kernels at their explicit tiles

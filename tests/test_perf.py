@@ -306,6 +306,22 @@ def test_no_generic_pays_the_window_miss_factor(monkeypatch, kernel, dims):
     assert missed and not any(missed)
 
 
+@pytest.mark.parametrize("kernel,passes,dims", [
+    ("vecadd2d", FULL_PASSES, {"R": 64, "C": 16384}),  # in the thread parts of a fork-join
+    ("softmax", ("fuse", "tile", "vectorize"), {"N": REMAINDER_N}),  # in whole tiles
+])
+def test_the_miss_share_is_what_the_window_miss_factor_adds(kernel, passes, dims):
+    # mt's hoist floor takes the compute without the factor from this share
+    program = _final(kernel, passes, pipeline.PipelineOptions(), dims)
+    decls = {d.name: (d.shape, d.space, d.dtype == "f16") for d in program.decls}
+    cfg = perf.MachineConfig()
+    _, compute, _, missed = perf.FragmentPricer(cfg).price(program.ops, decls, {})
+    flat = perf.FragmentPricer(replace(cfg, window_miss_factor=1.0)).price(program.ops, decls, {})
+    assert missed > 0
+    assert compute - missed == pytest.approx(flat[1], rel=1e-12)
+    assert flat[3] == 0
+
+
 @pytest.mark.parametrize("rows", [1, 5])
 def test_a_vectorized_max_costs_its_lanes_plus_their_combine(rows):
     # W divides the extent: compute / W, plus W - 1 max2 per output point

@@ -117,18 +117,18 @@ def _loop_prices(threader, loop, env):
     mark = threader.names.mark()
     forms = {"per-trip": (threader.per_trip(loop, env),)}
     own = threader.qualifies(loop) and threader.fits(loop)
-    for step in [loop.step] * own + [threader.retile_step(loop, threader.retile_steps(loop))]:
-        if step is not None:
-            candidate = loop if step == loop.step else mt._retiled(loop, step)
-            forms[step] = threader.hoisted(candidate, env)
+    for step in [loop.step] * own + threader.retile_steps(loop):
+        candidate = loop if step == loop.step else mt._retiled(loop, step)
+        forms[step] = threader.hoisted(candidate, env)
     threader.names.reset(mark)
     return {key: tuple(threader.price(threader.lowered(ops), env, piped)[0]
                        for piped in (True, False))
             for key, ops in forms.items()}
 
 
-@pytest.mark.parametrize("machine", LOOP_MACHINES)
-def test_every_loop_decision_keeps_the_cheapest_candidate(monkeypatch, machine):
+def _spy_loop_decisions(monkeypatch) -> list:
+    """The list each loop-level decision of `mt` is appended to, as
+    (threader, loop, env, kept form)."""
     decisions = []
     real = mt._Threader.cheapest
 
@@ -138,10 +138,13 @@ def test_every_loop_decision_keeps_the_cheapest_candidate(monkeypatch, machine):
         return kept
 
     monkeypatch.setattr(mt._Threader, "cheapest", spy)
-    for _, program, tiles in _programs():
-        opts = pipeline.PipelineOptions(tile_sizes=tiles, machine=LOOP_MACHINES[machine])
-        _compile(program, ("fuse", "tile", "vectorize", "mt"), opts)
-    kinds = set()
+    return decisions
+
+
+def _check_loop_decisions(decisions) -> list[str]:
+    """Assert that each decision kept the cheapest candidate, and return the
+    kind each kept: "per-trip", "own" or "re-tiled"."""
+    kinds = []
     for threader, loop, env, kept in decisions:
         prices = _loop_prices(threader, loop, env)
         base = prices.pop("per-trip")
@@ -149,17 +152,43 @@ def test_every_loop_decision_keeps_the_cheapest_candidate(monkeypatch, machine):
         wins = {step: p for step, p in prices.items() if p[0] < base[0] and p[1] < base[1]}
         if isinstance(kept[0], ForOp):
             assert not wins, (loop.var, base, prices)
-            kinds.add("per-trip")
+            kinds.append("per-trip")
             continue
         (inner,) = kept[0].body
         step = inner.step  # the tests' policy is block: a context's trips are contiguous
         assert step in wins, (loop.var, base, prices, step)
         assert wins[step][0] == min(p[0] for p in wins.values())
-        kinds.add("own" if step == loop.step else "re-tiled")
+        kinds.append("own" if step == loop.step else "re-tiled")
+    return kinds
+
+
+@pytest.mark.parametrize("machine", LOOP_MACHINES)
+def test_every_loop_decision_keeps_the_cheapest_candidate(monkeypatch, machine):
+    decisions = _spy_loop_decisions(monkeypatch)
+    for _, program, tiles in _programs():
+        opts = pipeline.PipelineOptions(tile_sizes=tiles, machine=LOOP_MACHINES[machine])
+        _compile(program, ("fuse", "tile", "vectorize", "mt"), opts)
+    kinds = set(_check_loop_decisions(decisions))
     assert kinds >= {"per-trip", "own"}
     # on the two transfer-bound machines the contexts of a re-tiled loop wait
     # on the one DMA engine, and no re-tiled hoist is kept
     assert ("re-tiled" in kinds) == (machine == "default")
+
+
+@pytest.mark.parametrize("machine,step", [("default", 4128), ("lowbw", 4096)])
+def test_a_retiled_hoist_may_shed_the_window_miss_factor(monkeypatch, machine, step):
+    # softmax's exp loop at N=16397 is one tile, and its vector part, whose
+    # extent has no constant bound, runs whole and pays the window miss
+    # factor; re-tiled at 4,096 or at the balanced 4,128 points, every tile
+    # fits the window, so the hoist computes less than a 1/T share of the
+    # per-trip form, and the floor that prunes hoists must allow for that
+    decisions = _spy_loop_decisions(monkeypatch)
+    program = _lowered(kernel_path("softmax"), {"N": 16397})
+    opts = pipeline.PipelineOptions(machine=LOOP_MACHINES[machine])
+    staged = _compile(program, ("fuse", "tile", "vectorize", "mt"), opts)
+    assert _check_loop_decisions(decisions) == ["re-tiled", "per-trip"]  # exp, then divide
+    (forall,) = [op for op in staged.ops if isinstance(op, ForallOp)]
+    assert forall.body[0].step == step
 
 
 @pytest.mark.parametrize("after_db,before_db,hoists", [
@@ -170,8 +199,8 @@ def test_a_hoist_is_kept_only_where_it_is_cheaper_before_db_and_after(
     # the per-trip loop prices 100,000 both ways; ties go to it
     def price(self, lowered, env, piped):
         if not isinstance(lowered[0], ir.AsyncGroupOp):
-            return 100000.0, 0.0, 0.0
-        return float(after_db if piped else before_db), 0.0, 0.0
+            return 100000.0, 0.0, 0.0, 0.0
+        return float(after_db if piped else before_db), 0.0, 0.0, 0.0
 
     monkeypatch.setattr(mt._Threader, "price", price)
     program = _lowered(kernel_path("gelu"), VERIFY_DIMS["gelu"])
