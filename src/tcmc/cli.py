@@ -166,10 +166,11 @@ def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tcmc",
         description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("compile", help="run the pass pipeline over a kernel")
+    c = sub.add_parser("compile", help="run the pass pipeline over a kernel", allow_abbrev=False)
     c.add_argument("kernel")
     _add_pipeline_args(c)
     c.add_argument("--verify", default="off", help="off | bitexact | reltol:TOL")
@@ -178,14 +179,14 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--emit-final", action="store_true", help="print the final IR")
     c.set_defaults(fn=cmd_compile)
 
-    r = sub.add_parser("run", help="execute a kernel on tensor files")
+    r = sub.add_parser("run", help="execute a kernel on tensor files", allow_abbrev=False)
     r.add_argument("kernel")
     r.add_argument("--inputs", required=True, help="directory of name.bin/name.shape files")
     r.add_argument("--out", required=True, help="output directory")
     _add_pipeline_args(r)
     r.set_defaults(fn=cmd_run, verify="off")
 
-    b = sub.add_parser("bench", help="emit cost-model sweep CSV")
+    b = sub.add_parser("bench", help="emit cost-model sweep CSV", allow_abbrev=False)
     b.add_argument("--kernels", default="", help="comma-separated kernel files")
     b.add_argument("--machine", default=None)
     b.add_argument("--shape", action="append", default=[],

@@ -12,11 +12,12 @@ domain is bounded one of three forms:
 By default the cost model chooses: mt builds each form the generic can
 take and keeps the one `perf` prices cheapest, walked on the generic's own
 operands with the loops around it at their first trip, so the pass and
-the report cannot disagree. Ties go to the fixed rule the model replaced
-(fork a generic of at least 32,768 points). The forms are built with
-scratch names on a `BufInfo` overlay, so a rejected one burns no name of
-the program, and the forks are priced only where whole and strips both
-cost at least T spawns and a barrier, the least a fork costs. One
+the report cannot disagree; a tie goes to the first of whole, strips and
+forks. `perf` prices a forall as the fork-join `async` lowers it to, so
+each form is priced as it is built. The forms are built with scratch
+names on a `BufInfo` overlay, so a rejected one burns no name of the
+program, and the forks are priced only where whole and strips both cost
+at least `perf.fork_join_floor`, the least a fork costs. One
 `perf.FragmentPricer` walks every form of a run, and each form of a
 generic is priced once per run, however many loop-level forms hold it.
 An explicit `mt_threshold` (`--mt-threshold`) overrides the model: it
@@ -54,11 +55,10 @@ t' and that one node rewritten to `min(t', ub - %i)`; where the step was
 a whole number of vectors, that is the loop `tile` and `vectorize` build
 at t'. A hoist is kept only where it prices strictly below (a) both as
 mt leaves the loop and as db will leave it (ties go to (a)), the
-cheapest after db and the earlier on a tie; each form is lowered as
-async lowers it and walked by `perf` on the program's tensors. A hoist
-is built and priced only where its floor is below the cheapest form
-priced so far: T spawns and a barrier around the larger of (a)'s bytes
-through the one DMA engine and a 1/T share of (a)'s compute less the part
+cheapest after db and the earlier on a tie; each form is walked by
+`perf` on the program's tensors. A hoist is built and priced only where
+its floor is below the cheapest form priced so far: the
+`perf.fork_join_floor` of (a)'s bytes and of (a)'s compute less the part
 the window miss factor adds, which a hoist's smaller tiles may escape;
 `perf` reports both with (a)'s price. Each form is built from the same
 names, and only the kept one keeps them.
@@ -285,11 +285,6 @@ class _ScratchNames:
 Form = tuple[str, Optional[int]]
 WHOLE: Form = ("whole", None)
 
-# Ties between priced forms go to the fixed rule the cost model replaced:
-# fork every tiled generic of at least this many points.
-_TIE_THRESHOLD = 32768
-
-
 class _Threader:
     """One run of `form_virtual_threads`: the walk, the form each tiled
     generic takes and the form of each top-level tile loop."""
@@ -306,10 +301,9 @@ class _Threader:
         self.tile_room = machine.tcm_bytes - resident_bytes(program)
         self.decls = {d.name: (d.shape, d.space, d.dtype == "f16") for d in program.decls}
         # one simulator prices every form, and each form of a generic is priced
-        # once: (generic, form, env) -> (generic, cycles, compute cycles), the
-        # generic held alive
+        # once: (generic, form, env) -> (generic, cycles), the generic held alive
         self.pricer = perf.FragmentPricer(machine)
-        self.costs: dict[tuple, tuple[GenericOp, float, float]] = {}
+        self.costs: dict[tuple, tuple[GenericOp, float]] = {}
         # and each generic's form is chosen once: (generic, hoisted, env) -> (generic, form)
         self.forms: dict[tuple, tuple[GenericOp, Form]] = {}
 
@@ -370,30 +364,24 @@ class _Threader:
             return self.fixed_form(g, points, hoisted, self.threshold)
         key = (id(g), hoisted, tuple(sorted(env.items())))
         if key not in self.forms:
-            self.forms[key] = (g, self.cheapest_form(g, env, hoisted, points, uppers[0]))
+            self.forms[key] = (g, self.cheapest_form(g, env, hoisted, uppers[0]))
         return self.forms[key][1]
 
-    def cheapest_form(self, g: GenericOp, env: dict[str, int], hoisted: bool, points: int,
-                      n: int) -> Form:
-        """The form of `g` (d0 of up to `n` indices, `points` in all) that
-        `perf` prices cheapest (`form`)."""
+    def cheapest_form(self, g: GenericOp, env: dict[str, int], hoisted: bool, n: int) -> Form:
+        """The form of `g` (d0 of up to `n` indices) that `perf` prices
+        cheapest (`form`), the first of whole, strips and forks on a tie."""
         forms = [WHOLE] + [("strips", s) for s in self.strips(g, n) if s]
-        costs = [self.form_price(g, f, env)[0] for f in forms]
-        cfg = self.machine
-        # no fork costs less than its spawns and barrier
-        if not hoisted and min(costs) >= (self.policy.num_threads * cfg.thread_spawn_cycles
-                                          + cfg.barrier_cycles):
+        costs = [self.form_price(g, f, env) for f in forms]
+        threads = self.policy.num_threads
+        if not hoisted and min(costs) >= perf.fork_join_floor(self.machine, threads):
             forks = [("fork", s) for s in self.strips(g, self.part(g))]
             forms += forks
-            costs += [self.form_price(g, f, env)[0] for f in forks]
-        least = min(costs)
-        cheapest = [f for f, c in zip(forms, costs) if c == least]
-        today = self.fixed_form(g, points, hoisted, _TIE_THRESHOLD) if cheapest[1:] else None
-        return today if today in cheapest else cheapest[0]
+            costs += [self.form_price(g, f, env) for f in forks]
+        return forms[costs.index(min(costs))]
 
-    def form_price(self, g: GenericOp, form: Form, env: dict[str, int]) -> tuple[float, float]:
-        """(cycles, compute cycles) of `g` in `form`, built in scratch and
-        walked by `perf` on `g`'s own operands; priced once per run."""
+    def form_price(self, g: GenericOp, form: Form, env: dict[str, int]) -> float:
+        """The cycles of `g` in `form`, built in scratch and walked by `perf`
+        on `g`'s own operands; priced once per run."""
         key = (id(g), form, tuple(sorted(env.items())))
         hit = self.costs.get(key)
         if hit is None:
@@ -402,10 +390,8 @@ class _Threader:
                        for name in g.inputs + g.outputs}
             with self.scratch():
                 ops = self.build(g, form)
-                if form[0] == "fork":
-                    ops = _lower_forall(ops[0], self.names)
-            hit = self.costs[key] = (g, *self.pricer.price(ops, buffers, env)[:2])
-        return hit[1:]
+            hit = self.costs[key] = (g, self.pricer.price(ops, buffers, env)[0])
+        return hit[1]
 
     def build(self, g: GenericOp, form: Form) -> tuple[Op, ...]:
         """The ops that run `g` in `form`."""
@@ -496,61 +482,44 @@ class _Threader:
         will leave the loop and as mt leaves it; the cheaper after db wins,
         ties going to the earlier step. Every form is built from the same
         names, and only the kept one keeps them. No hoist is built or
-        priced where its floor (`hoist_floor`) is not below the cheapest
-        form priced so far."""
+        priced where its floor (`perf.fork_join_floor`) is not below the
+        cheapest form priced so far."""
         candidates = [loop.step] if self.qualifies(loop) and self.fits(loop) else []
         candidates += self.retile_steps(loop)
         start = self.names.mark()
         per_trip = (self.per_trip(loop, env),)
         if not candidates:
             return per_trip
-        lowered = self.lowered(per_trip)
-        least, compute, moved, missed = self.price(lowered, env, piped=True)
-        floor = self.hoist_floor(compute - missed, moved)
+        least, compute, moved, missed = self.price(per_trip, env, piped=True)
+        # a hoist moves no fewer bytes and computes the same points; its
+        # smaller tiles may escape the window miss factor, but no more
+        floor = perf.fork_join_floor(self.machine, self.policy.num_threads, compute - missed,
+                                     moved)
         kept, taken, before = per_trip, self.names.mark(), None
         for step in candidates:
             if floor >= least:
                 break
             self.names.reset(start)
             hoisted = self.hoisted(loop if step == loop.step else _retiled(loop, step), env)
-            hoisted_lowered = self.lowered(hoisted)
-            price = self.price(hoisted_lowered, env, piped=True)[0]
+            price = self.price(hoisted, env, piped=True)[0]
             if price >= least:
                 continue
             if before is None:
-                before = self.price(lowered, env, piped=False)[0]
-            if self.price(hoisted_lowered, env, piped=False)[0] < before:
+                before = self.price(per_trip, env, piped=False)[0]
+            if self.price(hoisted, env, piped=False)[0] < before:
                 kept, taken, least = hoisted, self.names.mark(), price
         self.names.reset(taken)  # a rejected form burns no name
         return kept
 
-    def hoist_floor(self, compute: float, moved: float) -> float:
-        """The least cycles a loop can take hoisted, at any step, before db
-        or after, where its per-trip form computes `compute` cycles without
-        the window miss factor and moves `moved` bytes: T spawns and a
-        barrier around the larger of every byte through the one DMA engine
-        and a 1/T share of that compute. A hoist moves no fewer bytes and
-        computes the same points, and its smaller tiles may escape the miss
-        factor but no more."""
-        cfg = self.machine
-        threads = self.policy.num_threads
-        busiest = max(compute / threads, moved / cfg.dma_bandwidth_bytes_per_cycle)
-        return threads * cfg.thread_spawn_cycles + cfg.barrier_cycles + busiest
-
-    def lowered(self, ops: tuple[Op, ...]) -> tuple[Op, ...]:
-        """A loop form with its foralls lowered as async lowers them, in scratch."""
-        with self.scratch():
-            return _lower_foralls(ops, self.names)
-
-    def price(self, lowered: tuple[Op, ...], env: dict[str, int], piped: bool
+    def price(self, ops: tuple[Op, ...], env: dict[str, int], piped: bool
               ) -> tuple[float, float, float, float]:
         """`perf`'s (cycles, compute cycles, bytes moved, compute the window
-        miss factor adds) of a `lowered` loop form as mt leaves it or
-        (`piped`) as db will."""
+        miss factor adds) of a loop form as mt leaves it or (`piped`) as db
+        will."""
         if piped:
             with self.scratch():
-                lowered = double_buffer_ops(lowered, self.names, self.info.narrow.__contains__)
-        return self.pricer.price(lowered, self.decls, env)
+                ops = double_buffer_ops(ops, self.names, self.info.narrow.__contains__)
+        return self.pricer.price(ops, self.decls, env)
 
     def retile_steps(self, loop: ForOp) -> list[int]:
         """The steps t' besides its own that `loop` is priced hoisted at,

@@ -231,7 +231,8 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     An input, or a parallel tile's output, already in the target space is
     sliced as a view, after the run of staged slices, so that db still
     finds every staged tile in the leading run (`recognize_normal_form`).
-    The generic writes such an output in place.
+    The generic writes such an output in place. A loop whose live tile set
+    as db will leave it (`_live_tile_bytes`) exceeds `tcm_bytes` is refused.
     """
     rank = len(generic.domain)
     if len(spec.sizes) != rank:
@@ -245,6 +246,12 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
             raise PassError(f"@{generic.name}: dynamic extent cannot be tiled")
     if not tiled_dims:
         raise PassError(f"@{generic.name}: tile spec selects no dims")
+    if tcm_bytes is not None:
+        resident = {d.name for d in program.decls if d.space == "tcm"}
+        live = _live_tile_bytes(generic, spec, program, resident)
+        if live > tcm_bytes:
+            raise PassError(f"@{generic.name}: live tile set of {live} bytes exceeds "
+                            f"TCM budget {tcm_bytes}")
 
     loop_vars = {d: names.fresh("i") for d in tiled_dims}
     start = {d: IVar(v) for d, v in loop_vars.items()}
@@ -254,7 +261,6 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     body: list[Op] = []
     views: list[Op] = []
     allocs: list[Op] = []
-    live_tile_bytes = 0
     new_inputs: list[str] = []
     for name, m in zip(generic.inputs, generic.input_maps()):
         decl = program.decl(name)
@@ -264,7 +270,6 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
             views.append(ExtractSliceOp(tile, name, offsets, sizes))
         else:
             body.append(ExtractSliceOp(tile, name, offsets, sizes, spec.target_space))
-            live_tile_bytes += tile_bytes(sizes, program.is_narrow(name)) or 0
         new_inputs.append(tile)
 
     inner_domain = tuple(tile_size.get(d, generic.domain[d]) for d in range(rank))
@@ -284,12 +289,6 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
                               fill=red.init if carried else None))
         writebacks.append(InsertSliceOp(otile, name, offsets, sizes))
         deallocs.append(DeallocOp(otile))
-        live_tile_bytes += tile_bytes(sizes, narrow) or 0
-
-    if tcm_bytes is not None and live_tile_bytes > tcm_bytes:
-        raise PassError(
-            f"@{generic.name}: live tile set of {live_tile_bytes} bytes exceeds "
-            f"TCM budget {tcm_bytes}")
 
     inner = replace(generic, domain=inner_domain, inputs=tuple(new_inputs),
                     outputs=tuple(new_outputs))

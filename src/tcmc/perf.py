@@ -24,10 +24,13 @@ rules:
   ceil(L/W') * (points / L) * payload-cycles * the window factor, for L
   rows (d0's extent) in groups of W' = W lanes (2W for narrow data, capped
   at the scalar charge), with no combine;
-- async bodies are packed greedily onto num_hvx_contexts contexts, each
-  async_execute charges spawn cycles and await_all a barrier; the contexts
-  share one DMA engine, so an await_all takes the larger of its busiest
-  context and the bytes its bodies moved / bandwidth;
+- a fork-join, a forall or the async pattern that `async` lowers it to,
+  charges spawn cycles per thread (per async_execute) and packs the bodies
+  greedily onto num_hvx_contexts contexts; the contexts share one DMA
+  engine, so the join (the forall's end, or await_all) takes the larger of
+  its busiest context and the bytes its bodies moved / bandwidth, then a
+  barrier (`_Sim.join`). Both forms price alike, bit for bit, and
+  `fork_join_floor` is the least any fork-join can cost;
 - a double-buffered loop overlaps its prologue+prefetch transfers with its
   compute: loop time = max(prefetch transfer, compute side) + serial stores.
   Everything else serializes.
@@ -197,13 +200,6 @@ class _Acc:
         self.prefetch += other.prefetch
         self.moved += other.moved
         self.missed += other.missed
-
-
-class _Group:
-    __slots__ = ("bodies",)
-
-    def __init__(self):
-        self.bodies: list[_Acc] = []
 
 
 @dataclass(slots=True)
@@ -432,7 +428,7 @@ class _Sim:
     def __init__(self, program: KernelProgram, config: MachineConfig):
         self.program = program
         self.cfg = config
-        self.groups: dict[str, _Group] = {}
+        self.groups: dict[str, list[_Acc]] = {}  # each group's bodies, in the order added
         self.pending_token: dict[str, _Acc] = {}
         self.prologue_pool: dict[str, float] = {}
         # per-op invariants, keyed by id() while holding the op alive:
@@ -554,8 +550,15 @@ class _Sim:
             acc.add(body_acc)
 
     def walk_forall(self, op: ForallOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
+        # a spawn per thread, summed as the lowered spawn loop sums its trips
+        spawns = 0.0
+        bodies = []
         for t in ir.trips(op, env):
-            acc.add(self.walk_block(op.body, {**env, op.var: t}, dict(buffers), in_prefetch))
+            bodies.append(self.walk_block(op.body, {**env, op.var: t}, dict(buffers), in_prefetch))
+            spawns += self.cfg.thread_spawn_cycles
+        acc.time += spawns
+        acc.overhead += spawns
+        self.join(bodies, acc)
 
     def walk_if(self, op: IfOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
         if not ir.holds(op.pred, env):
@@ -596,7 +599,7 @@ class _Sim:
 
     def walk_async_group(self, op: AsyncGroupOp, env, buffers, acc: _Acc,
                          in_prefetch: bool) -> None:
-        self.groups[op.group] = _Group()
+        self.groups[op.group] = []
 
     def walk_async_execute(self, op: AsyncExecuteOp, env, buffers, acc: _Acc,
                            in_prefetch: bool) -> None:
@@ -613,16 +616,22 @@ class _Sim:
         body = self.pending_token.pop(op.token, None)
         if body is None:
             raise ExecutionFault(f"add_to_group: token %{op.token} not issued")
-        group.bodies.append(body)
+        group.append(body)
 
     def walk_await_all(self, op: AwaitAllOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
-        cfg = self.cfg
         group = self.groups.pop(op.group, None)
         if group is None:
             raise ExecutionFault(f"await_all on unknown group %{op.group}")
+        self.join(group, acc)
+
+    def join(self, bodies: list[_Acc], acc: _Acc) -> None:
+        """Charge `acc` the join of a fork whose spawns it holds: `bodies`
+        packed greedily onto the contexts, the larger of the busiest context
+        and every byte through the one DMA engine, then the barrier."""
+        cfg = self.cfg
         free = [0.0] * cfg.num_hvx_contexts
         moved = 0.0
-        for body in group.bodies:
+        for body in bodies:
             k = min(range(len(free)), key=lambda i: (free[i], i))
             free[k] += body.time
             acc.compute += body.compute
@@ -701,10 +710,14 @@ class FragmentPricer:
         return acc.time, acc.compute, acc.moved, acc.missed
 
 
-def fragment_cycles(ops: tuple[Op, ...], buffers, env, config: MachineConfig) -> float:
-    """The cycles `ops` take on their own, walked as `simulate` walks them
-    (`FragmentPricer.price`)."""
-    return FragmentPricer(config).price(ops, buffers, env)[0]
+def fork_join_floor(config: MachineConfig, threads: int, compute: float = 0.0,
+                    moved: float = 0.0) -> float:
+    """The least cycles a fork-join of `threads` threads can take whose bodies
+    compute `compute` cycles in all and move `moved` bytes: a spawn per
+    thread and the barrier, around the larger of a 1/`threads` share of the
+    compute and every byte through the one DMA engine."""
+    busiest = max(compute / threads, moved / config.dma_bandwidth_bytes_per_cycle)
+    return threads * config.thread_spawn_cycles + config.barrier_cycles + busiest
 
 
 def zero_overhead_config(bandwidth: float = 4.0) -> MachineConfig:

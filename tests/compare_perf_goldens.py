@@ -16,7 +16,10 @@ was compiled for, and cases compiled for one machine and costed on another
 costed on `test_perf.ODD_CONFIG`), whose schedule was never chosen for the
 machine that costs it. Every case that went higher is listed with both
 totals, since the gate rule in ROADMAP.md asks why any regenerated total
-rose; `--changed` lists the lower ones too.
+rose; `--changed` lists the lower ones too. Last, each class of cases that
+moved gets its count of lower and higher ones, a class being a case id
+with each run of digits replaced by `N` (`random/N/mt=N/fuse,tile,
+vectorize,mt/odd`), since the gate rule asks why each class moved.
 
 Compare the working tree's golden files with the last commit's:
 
@@ -32,7 +35,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 # a perf golden case compiled for the default machine and costed on ODD_CONFIG
@@ -76,6 +81,11 @@ def compare(old: dict[str, float], new: dict[str, float]) -> dict[str, list[str]
     return classes
 
 
+def case_class(case: str) -> str:
+    """The class of `case`: its id with each run of digits replaced by `N`."""
+    return re.sub(r"\d+", "N", case)
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path)
@@ -94,6 +104,9 @@ def main(argv: list[str]) -> int:
         for kind in ("higher", "lower") if args.changed else ("higher",):
             for case in classes[kind]:
                 print(f"  {kind} {case} {old[case]:.10g} -> {new[case]:.10g}")
+        moved = {kind: Counter(map(case_class, classes[kind])) for kind in ("lower", "higher")}
+        for cls in sorted(moved["lower"] | moved["higher"]):
+            print(f"  class {cls} lower={moved['lower'][cls]} higher={moved['higher'][cls]}")
     return 0
 
 

@@ -44,6 +44,22 @@ def test_thread_parts_of_a_small_tcm_hold_no_copies(tmp_path):
     assert cfg.tcm_bytes == 4120 and ir.verify(final, tcm_bytes=4120).ok
 
 
+def test_tile_refuses_a_tile_set_that_db_would_take_past_the_tcm(tmp_path, capsys):
+    # the last generic's staged tiles of x, the 1/rms temp and g take two
+    # slots each under db: with its output tile, 6,720 bytes, where one slot
+    # each is 4,384. tile refuses the loop rather than hand db one the
+    # verifier rejects at that same 6,720-byte peak
+    text = re.sub(r"^(tcm_bytes|compute_window_bytes) = \d+", r"\1 = 4608",
+                  (ROOT / "configs" / "default.machine").read_text(), flags=re.M)
+    machine = tmp_path / "small.machine"
+    machine.write_text(text)
+    for passes in ("fuse,tile", cli.DEFAULT_PASSES):
+        argv = ["compile", kernel_path("rmsnorm"), "--shape", "R=33", "--shape", "C=64",
+                "--tile-size", "8,0", "--machine", str(machine), "--passes", passes]
+        assert cli.main(argv) == cli.EXIT_SPEC
+        assert "live tile set of 6720 bytes exceeds TCM budget 4608" in capsys.readouterr().err
+
+
 def test_exit_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.tk"
     bad.write_text("kernel k(x: f32[N], y: f32[N]) { y2 = x + }\n")
@@ -203,6 +219,23 @@ def test_removed_double_buffer_flags_are_rejected(flag, capsys):
         cli.main(["compile", kernel_path("gelu"), flag])
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # taken as prefixes, these were `--dump-after-all zz`, `--mt-threshold 1`
+    # and `--kernels`
+    (["compile", "gelu", "--passes", "fuse", "--dump-after", "zz"], "--dump-after"),
+    (["compile", "gelu", "--mt", "1"], "--mt"),
+    (["run", "gelu", "--inputs", "in", "--out", "out", "--mt", "1"], "--mt"),
+    (["bench", "--sweep", "passes", "--kern", "gelu"], "--kern"),
+])
+def test_a_prefix_of_an_option_is_rejected(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([kernel_path(a) if a == "gelu" else a for a in argv])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_evaluates_a_shared_24_link_chain(tmp_path, capsys):

@@ -9,7 +9,9 @@ priced afresh, with nothing pruned). End to end the model's schedule is
 never slower than the fixed point-count rule it replaced
 (`mt_threshold=32768`), nor than the loop-level rule it replaced, under
 the machine it was compiled for. A row-lanes generic of which fewer than
-W rows fit the window runs in strips of fewer rows, bit for bit.
+W rows fit the window runs in strips of fewer rows, bit for bit. `perf`
+prices a forall as the fork-join `async` lowers it to, so mt prices its
+forms as it builds them and `async` changes no cycle.
 """
 
 
@@ -60,9 +62,7 @@ def _fresh_cost(threader, g, form, env):
                for name in g.inputs + g.outputs}
     with threader.scratch():
         ops = threader.build(g, form)
-        if form[0] == "fork":
-            ops = mt._lower_forall(ops[0], threader.names)
-    return perf.fragment_cycles(ops, buffers, env, threader.machine)
+    return perf.FragmentPricer(threader.machine).price(ops, buffers, env)[0]
 
 
 @pytest.mark.parametrize("machine", MACHINES)
@@ -109,6 +109,21 @@ def test_the_model_is_never_slower_than_the_fixed_rule(machine):
     assert lowered
 
 
+@pytest.mark.parametrize("machine", LOOP_MACHINES)
+def test_async_changes_no_cycle(machine):
+    # perf prices a forall as the fork-join async lowers it to: a spawn per
+    # thread, the bodies packed onto the contexts and the barrier
+    cfg = LOOP_MACHINES[machine]
+    forked = 0
+    for case, program, tiles in _programs():
+        opts = pipeline.PipelineOptions(tile_sizes=tiles, machine=cfg)
+        staged = _compile(program, ("fuse", "tile", "vectorize", "mt"), opts)
+        lowered = pipeline.apply_pass("async", staged, opts)
+        assert perf.simulate(lowered, cfg) == perf.simulate(staged, cfg), case
+        forked += any(isinstance(op, ForallOp) for op, _ in ir.walk_ops(staged.ops))
+    assert forked
+
+
 def _loop_prices(threader, loop, env):
     """Each loop-level form of `loop` mapped to its (cycles after db, cycles
     before db), priced afresh and none pruned: "per-trip", and each hoist
@@ -121,7 +136,7 @@ def _loop_prices(threader, loop, env):
         candidate = loop if step == loop.step else mt._retiled(loop, step)
         forms[step] = threader.hoisted(candidate, env)
     threader.names.reset(mark)
-    return {key: tuple(threader.price(threader.lowered(ops), env, piped)[0]
+    return {key: tuple(threader.price(ops, env, piped)[0]
                        for piped in (True, False))
             for key, ops in forms.items()}
 
@@ -197,8 +212,8 @@ def test_a_retiled_hoist_may_shed_the_window_miss_factor(monkeypatch, machine, s
 def test_a_hoist_is_kept_only_where_it_is_cheaper_before_db_and_after(
         monkeypatch, after_db, before_db, hoists):
     # the per-trip loop prices 100,000 both ways; ties go to it
-    def price(self, lowered, env, piped):
-        if not isinstance(lowered[0], ir.AsyncGroupOp):
+    def price(self, ops, env, piped):
+        if not isinstance(ops[0], ForallOp):
             return 100000.0, 0.0, 0.0, 0.0
         return float(after_db if piped else before_db), 0.0, 0.0, 0.0
 
