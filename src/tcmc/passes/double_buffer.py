@@ -25,6 +25,18 @@ variable expansion (one two-deep buffer indexed by the trip's slot):
   next op would wait on at once overlaps nothing;
 - deallocs of every tag after the loop, then of the buffers.
 
+A loop whose body writes the source of a staged tile, through a view or
+not, is left as it is: the prefetch of the next trip's tile would read
+that source before this trip's write lands. In a loop db takes, a staged
+input whose offsets and sizes do not name the loop var is invariant:
+every trip would stage the same values. It gets a one-slot buffer `alloc
+f32[T] @tcm`, filled by its `dma_start` in the prologue beside the other
+tiles; the body waits on its tag on the first trip only (`if (%i < lb +
+step) { dma_wait ... }`), takes the whole buffer as its view, and no
+prefetch loads it again. A loop of constant bounds and at most one trip,
+or whose inputs are all invariant, has no prefetch guard, and a one-trip
+loop waits on every tag unguarded.
+
 The `db_generic=<id>` annotation on the prologue and the loop ties them
 together for the cost model and keeps the pass from firing twice.
 """
@@ -37,8 +49,9 @@ from typing import Callable, Optional
 
 from .. import ir
 from ..ir import (
-    AllocOp, CmpPred, DeallocOp, DmaStartOp, DmaWaitOp, Extent, ExtractSliceOp, ForOp, IfOp,
-    IVar, KernelProgram, Op, ix_add, ix_floordiv, ix_mul, ix_sub, substitute_extent,
+    AllocOp, CmpPred, DeallocOp, DmaStartOp, DmaWaitOp, Extent, ExtractSliceOp, ForOp, GenericOp,
+    IfOp, InsertSliceOp, IVar, KernelProgram, Op, ix_add, ix_floordiv, ix_mul, ix_sub,
+    substitute_extent,
 )
 from .common import NameAllocator, PassError, const_upper
 
@@ -52,6 +65,28 @@ class NormalFormLoop:
     loop: ForOp
     stages: tuple[ExtractSliceOp, ...]  # the leading `extract_slice ... @tcm` run
     compute: tuple[Op, ...]  # remainder of the body, write-backs included
+    invariant: frozenset[str]  # the stages no trip moves: one slot each (module docstring)
+
+
+def _written(ops: tuple[Op, ...]) -> set[str]:
+    """Every buffer `ops` write, and the source of each view they write."""
+    views: dict[str, str] = {}
+    written: set[str] = set()
+    stack = list(ops)
+    while stack:
+        op = stack.pop()
+        stack.extend(getattr(op, "body", ()))
+        if isinstance(op, ExtractSliceOp) and op.space is None:
+            views[op.result] = op.source
+        elif isinstance(op, GenericOp):
+            written.update(op.outputs)
+        elif isinstance(op, (InsertSliceOp, DmaStartOp)):
+            written.add(op.dest)
+    for name in list(written):
+        while name in views:
+            name = views[name]
+            written.add(name)
+    return written
 
 
 def recognize_normal_form(loop: ForOp) -> Optional[NormalFormLoop]:
@@ -65,7 +100,12 @@ def recognize_normal_form(loop: ForOp) -> Optional[NormalFormLoop]:
         n += 1
     if n == 0:
         return None
-    return NormalFormLoop(loop, body[:n], body[n:])
+    written = _written(body)
+    if any(t.source in written for t in body[:n]):
+        return None  # a prefetch would read the source before this trip writes it
+    invariant = frozenset(t.result for t in body[:n]
+                          if not any(loop.var in ir._extent_vars(e) for e in t.offsets + t.sizes))
+    return NormalFormLoop(loop, body[:n], body[n:], invariant)
 
 
 def _full_sizes(stage: ExtractSliceOp, loop: ForOp) -> tuple[int, ...]:
@@ -93,13 +133,14 @@ def _slot_offsets(slot: Extent, full: tuple[int, ...]) -> tuple[Extent, ...]:
     return (ix_mul(slot, full[0]),) + (0,) * (len(full) - 1)
 
 
-def _preload_ops(nf: NormalFormLoop, bufs: dict[str, tuple[str, str, tuple[int, ...]]],
+def _preload_ops(var: str, stages: tuple[ExtractSliceOp, ...],
+                 bufs: dict[str, tuple[str, str, tuple[int, ...]]],
                  at: Extent, slot: Extent) -> tuple[Op, ...]:
-    """One dma_start per input tile, from its source with the loop var at
-    `at`, into slot `slot` of its buffer."""
+    """One dma_start per tile of `stages`, from its source with the loop var
+    `var` at `at`, into slot `slot` of its buffer."""
     ops: list[Op] = []
-    m = {nf.loop.var: at}
-    for t in nf.stages:
+    m = {var: at}
+    for t in stages:
         buf, tag, full = bufs[t.result]
         ops.append(DmaStartOp(tag, t.source, tuple(substitute_extent(o, m) for o in t.offsets),
                               buf, _slot_offsets(slot, full),
@@ -131,28 +172,41 @@ def double_buffer_ops(ops: tuple[Op, ...], names, is_narrow: Callable[[str], boo
         gid = f"db_generic={found}"
         found += 1
         loop = nf.loop
-        # per staged tile: its two-slot buffer, its DMA tag and its full sizes
+        # per staged tile: its buffer of one or two slots, its DMA tag and its full sizes
         bufs = {t.result: (names.fresh("buf"), names.fresh("tag"), _full_sizes(t, loop))
                 for t in nf.stages}
+        varying = tuple(t for t in nf.stages if t.result not in nf.invariant)
         out: list[Op] = []
         for t in nf.stages:
             buf, _, full = bufs[t.result]
-            out.append(AllocOp(buf, (2 * full[0],) + full[1:], "tcm",
+            slots = 1 if t.result in nf.invariant else 2
+            out.append(AllocOp(buf, (slots * full[0],) + full[1:], "tcm",
                                narrow=is_narrow(t.source)))
         tags = [tag for _, tag, _ in bufs.values()]
         out.extend(AllocOp(t, (1,), "ddr", annotations=frozenset({"dma_tag"})) for t in tags)
-        out.append(IfOp(CmpPred("lt", loop.lb, loop.ub), _preload_ops(nf, bufs, loop.lb, 0),
+        out.append(IfOp(CmpPred("lt", loop.lb, loop.ub),
+                        _preload_ops(loop.var, nf.stages, bufs, loop.lb, 0),
                         annotations=frozenset({"db_prologue", gid})))
 
+        bounds = (loop.lb, loop.ub, loop.step)
+        one_trip = all(isinstance(e, int) for e in bounds) and len(range(*bounds)) <= 1
         trip = ix_floordiv(ix_sub(IVar(loop.var), loop.lb), loop.step)
         slot = ix_sub(trip, ix_mul(ix_floordiv(trip, 2), 2))
         nxt_at = ix_add(IVar(loop.var), loop.step)
-        body: list[Op] = [DmaWaitOp(t) for t in tags]
-        body.extend(ExtractSliceOp(t, buf, _slot_offsets(slot, full), full)
+        body: list[Op] = [DmaWaitOp(bufs[t.result][1]) for t in varying]
+        once = [DmaWaitOp(bufs[t][1]) for t in bufs if t in nf.invariant]
+        if once and one_trip:
+            body.extend(once)
+        elif once:  # filled once, by the prologue: waited on the first trip only
+            first = CmpPred("lt", IVar(loop.var), ix_add(loop.lb, loop.step))
+            body.append(IfOp(first, tuple(once)))
+        body.extend(ExtractSliceOp(t, buf, _slot_offsets(0 if t in nf.invariant else slot, full),
+                                   full)
                     for t, (buf, _, full) in bufs.items())
-        body.append(IfOp(CmpPred("lt", nxt_at, loop.ub),
-                         _preload_ops(nf, bufs, nxt_at, ix_sub(1, slot)),
-                         annotations=frozenset({"db_prefetch"})))
+        if varying and not one_trip:
+            body.append(IfOp(CmpPred("lt", nxt_at, loop.ub),
+                             _preload_ops(loop.var, varying, bufs, nxt_at, ix_sub(1, slot)),
+                             annotations=frozenset({"db_prefetch"})))
         out.append(ForOp(loop.var, loop.lb, loop.ub, loop.step, (*body, *nf.compute),
                          annotations=loop.annotations | {gid}))
         out.extend(DeallocOp(t) for t in tags)

@@ -36,10 +36,11 @@ and `all_parallel`, of t trips, may fork once where:
   `extract_slice ... @tcm` and `alloc ... @tcm` in the body, at their upper
   bounds;
 - T copies of the body, each staged tile counted twice for db's two
-  slots, fit the TCM that the resident temps (`@tcm` decls, see
-  tiling.py) leave (`_Threader.fits`). Without resident temps the rule
-  above implies this one; with them, a hoisted loop past it would take the
-  verifier's peak past `tcm_bytes`, so the loop stays per trip.
+  slots (once where db gives an invariant tile one slot), fit the TCM
+  that the resident temps (`@tcm` decls, see tiling.py) leave
+  (`_Threader.fits`). Without resident temps the rule above implies this
+  one; with them, a hoisted loop past it would take the verifier's peak
+  past `tcm_bytes`, so the loop stays per trip.
 
 Under an explicit `mt_threshold` such a loop forks once where its body
 holds a generic that mt would fork, at its own step. Under the model, mt
@@ -70,10 +71,11 @@ tiles of a context are contiguous, and the first t mod T contexts run one
 more than the others; under block-cyclic they are dealt round-robin, one
 tile at a time, and the chunk C of `--dist cyclic:C`, a count of points
 of a generic's d0, applies only where mt forks per generic. The loop
-keeps its annotations, so db gives each context its own two-slot buffers
-and tags. Only whole `all_parallel` iterations change context and no fold
-changes order, so every output bit is kept. Forks drop from t to 1, and
-each context does the work of its tiles.
+keeps its annotations, so db gives each context its own buffers (two
+slots, or one for an invariant tile) and tags. Only whole `all_parallel`
+iterations change context and no fold changes order, so every output bit
+is kept. Forks drop from t to 1, and each context does the work of its
+tiles.
 
 Strips. A part `[offset, end)` whose operand footprint exceeds the compute
 window (counted as the cost model counts it: every operand buffer whole)
@@ -115,7 +117,7 @@ from .common import (
     BufInfo, NameAllocator, PassError, const_upper, const_uppers, resident_bytes, split_generic,
     tile_bytes,
 )
-from .double_buffer import double_buffer_ops
+from .double_buffer import double_buffer_ops, recognize_normal_form
 
 
 @dataclass(frozen=True)
@@ -226,15 +228,22 @@ def _wrap_generic(g: GenericOp, policy: DistributionPolicy, strip: Optional[int]
     return ForallOp(tvar, threads, (inner,), annotations=frozenset({"virtual_threads"}))
 
 
-def _tile_tcm_bytes(ops: tuple[Op, ...], info: BufInfo, slots: int = 1) -> Optional[int]:
-    """The TCM bytes of every staged `extract_slice ... @tcm` (`slots` times
-    each) and `alloc ... @tcm` in `ops`, at their upper bounds; None when one
-    has no bound."""
+def _tile_tcm_bytes(ops: tuple[Op, ...], info: BufInfo, db: bool = False) -> Optional[int]:
+    """The TCM bytes of every staged `extract_slice ... @tcm` and `alloc ...
+    @tcm` in `ops`, at their upper bounds, with `db` each staged tile as
+    many times as db gives it slots: twice, or once where it is invariant
+    in its loop; None when one has no bound."""
+    twice: set[str] = set()
+    for op, _ in ir.walk_ops(ops) if db else ():
+        nf = recognize_normal_form(op) if isinstance(op, ForOp) else None
+        if nf is not None:
+            twice.update(t.result for t in nf.stages if t.result not in nf.invariant)
     total = 0
     for op, _ in ir.walk_ops(ops):
         if isinstance(op, ExtractSliceOp) and op.space == "tcm":
             b = tile_bytes(op.sizes, op.source in info.narrow)
-            b = None if b is None else slots * b
+            if b is not None and op.result in twice:
+                b *= 2
         elif isinstance(op, AllocOp) and op.space == "tcm":
             b = tile_bytes(op.sizes, op.narrow)
         else:
@@ -462,10 +471,11 @@ class _Threader:
 
     def fits(self, loop: ForOp) -> bool:
         """Whether T contexts of the tile loop `loop` fit the TCM the resident
-        temps leave, each with its body's tiles, its staged tiles twice (db
-        gives each two slots). The forms of a hoisted body add only views,
-        so `loop` may be hoisted already or not."""
-        body_bytes = _tile_tcm_bytes(loop.body, self.info, slots=2)
+        temps leave, each with its body's tiles, a staged tile in as many
+        slots as db gives it (two, or one where it is invariant). The forms
+        of a hoisted body add only views, so `loop` may be hoisted already
+        or not."""
+        body_bytes = _tile_tcm_bytes((loop,), self.info, db=True)
         return body_bytes is not None and self.policy.num_threads * body_bytes <= self.tile_room
 
     def hoisted(self, loop: ForOp, env: dict[str, int]) -> Optional[tuple[Op, ...]]:

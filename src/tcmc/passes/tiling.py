@@ -172,22 +172,37 @@ def _slice_of(shape: tuple[Extent, ...], m: AffineIndexMap, start: dict[int, Ext
     return tuple(offsets), tuple(sizes)
 
 
+def _loop_order(generic: GenericOp, spec: TileSpec) -> list[int]:
+    """The dims `spec` tiles, outermost loop first."""
+    tiled_dims = [d for d, t in enumerate(spec.sizes) if t > 0]
+    if not tiled_dims:
+        raise PassError(f"@{generic.name}: tile spec selects no dims")
+    if spec.interchange is None:
+        return tiled_dims
+    if sorted(spec.interchange) != list(range(len(tiled_dims))):
+        raise PassError(
+            f"@{generic.name}: interchange must permute the {len(tiled_dims)} tiled dims")
+    return [tiled_dims[k] for k in spec.interchange]
+
+
 def _live_tile_bytes(generic: GenericOp, spec: TileSpec, program: KernelProgram,
                      resident: set[str]) -> int:
     """The TCM a tile loop of `generic` may hold once every later pass has
     run, at the tiles' upper bounds.
 
-    A staged input tile counts twice: db gives it two slots. An operand in
-    `resident` is a view and holds nothing, but an accumulator counts once
-    whatever its output. Every other output tile counts once: vectorize and
-    mt split it through views.
+    A staged input tile counts twice, for db's two slots, but once where db
+    gives it one: where it does not read the innermost tile loop's dim, so
+    no trip moves it. An operand in `resident` is a view and holds nothing,
+    but an accumulator counts once whatever its output. Every other output
+    tile counts once: vectorize and mt split it through views.
     """
     size = {d: min(t, generic.domain[d]) for d, t in enumerate(spec.sizes) if t > 0}
     carried = any(generic.iterators[d] == "reduction" for d in size)
+    innermost = _loop_order(generic, spec)[-1]
     total = 0
     for k, (name, m) in enumerate(zip(generic.inputs + generic.outputs, generic.maps)):
         if k < len(generic.inputs):
-            copies = 0 if name in resident else 2
+            copies = 0 if name in resident else 2 if innermost in m.results else 1
         else:
             copies = 1 if carried or name not in resident else 0
         _, sizes = _slice_of(program.decl(name).shape, m, size, size)
@@ -244,8 +259,6 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
             raise PassError(f"@{generic.name}: cannot tile parallel dim d{d} with a reduction dim")
         if not isinstance(generic.domain[d], int):
             raise PassError(f"@{generic.name}: dynamic extent cannot be tiled")
-    if not tiled_dims:
-        raise PassError(f"@{generic.name}: tile spec selects no dims")
     if tcm_bytes is not None:
         resident = {d.name for d in program.decls if d.space == "tcm"}
         live = _live_tile_bytes(generic, spec, program, resident)
@@ -298,12 +311,7 @@ def _tile_one(generic: GenericOp, spec: TileSpec, program: KernelProgram,
     else:
         body += views + allocs + [inner] + writebacks + deallocs
 
-    order = list(tiled_dims)
-    if spec.interchange is not None:
-        if sorted(spec.interchange) != list(range(len(tiled_dims))):
-            raise PassError(f"@{generic.name}: interchange must permute the {len(tiled_dims)} tiled dims")
-        order = [tiled_dims[k] for k in spec.interchange]
-
+    order = _loop_order(generic, spec)
     annotations = frozenset({"tiled_generic"} if carried else {"tiled_generic", "all_parallel"})
     inner_ops = tuple(body)
     for d in reversed(order):

@@ -5,7 +5,8 @@ sizes perfbench's verify workloads compile) and staged through fuse, tile
 and vectorize under the default options; `mt` is then timed on that
 program alone. One run times `--calls` calls of `mt` per kernel in a fresh
 interpreter and keeps the fastest. The script prints, per kernel, the
-minimum over `--runs` runs.
+minimum over `--runs` runs, one column per tree, labelled `[1]`, `[2]`, ...
+in the order given, and then a legend of `[k] <tree>` lines.
 
 Given several source trees (`--src`, each a directory that holds the
 `tcmc` package), the runs alternate between them, one tree after the
@@ -79,9 +80,11 @@ def main(argv: list[str]) -> int:
             for kernel, seconds in run_once(src, args.calls).items():
                 best[src][kernel] = min(best[src].get(kernel, seconds), seconds)
     kernels = list(best[trees[0]])
-    print("kernel    " + "".join(f"{str(src):>24}" for src in trees))
+    print("kernel    " + "".join(f"{f'[{k}]':>24}" for k in range(1, len(trees) + 1)))
     for kernel in kernels:
         print(f"{kernel:<10}" + "".join(f"{best[src][kernel] * 1e3:>21.2f} ms" for src in trees))
+    for k, src in enumerate(trees, 1):
+        print(f"[{k}] {src}")
     return 0
 
 

@@ -233,7 +233,7 @@ def test_a_one_point_generic_over_resident_temps_is_left_untiled(monkeypatch):
               if isinstance(op, GenericOp) and op.name.startswith(t.name)]
     assert epi.name == f"{t.name}_epi" and "vec_epilogue" in epi.annotations
     assert (epi.inputs, epi.outputs) == (t.inputs, t.outputs)
-    assert len(ir.print_ir(result.final).splitlines()) == 33
+    assert len(ir.print_ir(result.final).splitlines()) == 30
     cfg = perf.MachineConfig()
     untiled = perf.simulate(result.final, cfg).total_cycles
     assert untiled <= perf.simulate(_one_point(monkeypatch).final, cfg).total_cycles
