@@ -29,13 +29,15 @@ A loop whose body writes the source of a staged tile, through a view or
 not, is left as it is: the prefetch of the next trip's tile would read
 that source before this trip's write lands. In a loop db takes, a staged
 input whose offsets and sizes do not name the loop var is invariant:
-every trip would stage the same values. It gets a one-slot buffer `alloc
-f32[T] @tcm`, filled by its `dma_start` in the prologue beside the other
-tiles; the body waits on its tag on the first trip only (`if (%i < lb +
-step) { dma_wait ... }`), takes the whole buffer as its view, and no
-prefetch loads it again. A loop of constant bounds and at most one trip,
-or whose inputs are all invariant, has no prefetch guard, and a one-trip
-loop waits on every tag unguarded.
+every trip would stage the same values. In a loop of constant bounds and
+at most one trip every staged input is, since no trip stages a second
+tile. An invariant input gets a one-slot buffer `alloc f32[T] @tcm`,
+filled by its `dma_start` in the prologue beside the other tiles; the
+body waits on its tag on the first trip only (`if (%i < lb + step) {
+dma_wait ... }`), takes the whole buffer as its view, and no prefetch
+loads it again. A loop whose inputs are all invariant, a one-trip loop
+among them, has no prefetch guard, and a one-trip loop waits on every
+tag unguarded.
 
 The `db_generic=<id>` annotation on the prologue and the loop ties them
 together for the cost model and keeps the pass from firing twice.
@@ -89,6 +91,12 @@ def _written(ops: tuple[Op, ...]) -> set[str]:
     return written
 
 
+def _one_trip(loop: ForOp) -> bool:
+    """Whether `loop` has constant bounds and at most one trip."""
+    bounds = (loop.lb, loop.ub, loop.step)
+    return all(isinstance(e, int) for e in bounds) and len(range(*bounds)) <= 1
+
+
 def recognize_normal_form(loop: ForOp) -> Optional[NormalFormLoop]:
     if "tiled_generic" not in loop.annotations:
         return None
@@ -103,8 +111,9 @@ def recognize_normal_form(loop: ForOp) -> Optional[NormalFormLoop]:
     written = _written(body)
     if any(t.source in written for t in body[:n]):
         return None  # a prefetch would read the source before this trip writes it
-    invariant = frozenset(t.result for t in body[:n]
-                          if not any(loop.var in ir._extent_vars(e) for e in t.offsets + t.sizes))
+    one_trip = _one_trip(loop)  # no second trip to stage for
+    invariant = frozenset(t.result for t in body[:n] if one_trip or not any(
+        loop.var in ir._extent_vars(e) for e in t.offsets + t.sizes))
     return NormalFormLoop(loop, body[:n], body[n:], invariant)
 
 
@@ -188,14 +197,12 @@ def double_buffer_ops(ops: tuple[Op, ...], names, is_narrow: Callable[[str], boo
                         _preload_ops(loop.var, nf.stages, bufs, loop.lb, 0),
                         annotations=frozenset({"db_prologue", gid})))
 
-        bounds = (loop.lb, loop.ub, loop.step)
-        one_trip = all(isinstance(e, int) for e in bounds) and len(range(*bounds)) <= 1
         trip = ix_floordiv(ix_sub(IVar(loop.var), loop.lb), loop.step)
         slot = ix_sub(trip, ix_mul(ix_floordiv(trip, 2), 2))
         nxt_at = ix_add(IVar(loop.var), loop.step)
         body: list[Op] = [DmaWaitOp(bufs[t.result][1]) for t in varying]
         once = [DmaWaitOp(bufs[t][1]) for t in bufs if t in nf.invariant]
-        if once and one_trip:
+        if once and _one_trip(loop):
             body.extend(once)
         elif once:  # filled once, by the prologue: waited on the first trip only
             first = CmpPred("lt", IVar(loop.var), ix_add(loop.lb, loop.step))
@@ -203,7 +210,7 @@ def double_buffer_ops(ops: tuple[Op, ...], names, is_narrow: Callable[[str], boo
         body.extend(ExtractSliceOp(t, buf, _slot_offsets(0 if t in nf.invariant else slot, full),
                                    full)
                     for t, (buf, _, full) in bufs.items())
-        if varying and not one_trip:
+        if varying:
             body.append(IfOp(CmpPred("lt", nxt_at, loop.ub),
                              _preload_ops(loop.var, varying, bufs, nxt_at, ix_sub(1, slot)),
                              annotations=frozenset({"db_prefetch"})))

@@ -43,7 +43,12 @@ and `all_parallel`, of t trips, may fork once where:
   past `tcm_bytes`, so the loop stays per trip.
 
 Under an explicit `mt_threshold` such a loop forks once where its body
-holds a generic that mt would fork, at its own step. Under the model, mt
+holds a generic that mt would fork: at its own step where that qualifies
+and fits, else, where `tile` sized it by default and it has at least two
+constant trips, at the first re-tiled step t' of (c) below that fits.
+Nothing is priced: per trip such a loop pays two fork-joins or more, and
+hoisted one. A one-trip loop stays per trip, as under the model its
+price turns on db's credit for a one-trip loop. Under the model, mt
 prices these loop-level forms and keeps the cheapest: (a) per trip, each
 generic in its form; (b) hoisted at the loop's own step; (c) hoisted at a
 re-tiled step t', only for a loop `tile` sized by default (`retile`): the
@@ -437,15 +442,23 @@ class _Threader:
 
     def tile_loop(self, loop: ForOp, env: dict[str, int]) -> tuple[Op, ...]:
         """A top-level tile loop, hoisted at its own or a re-tiled step where
-        that qualifies (under the override, where one of its generics forks;
-        under the model, where it is priced cheaper), and otherwise with each
-        generic of its body in its form."""
+        that qualifies (under the override, where one of its generics forks,
+        at a re-tiled step only with two trips or more; under the model,
+        where it is priced cheaper), and otherwise with each generic of its
+        body in its form. A rejected hoist burns no name."""
         if self.threshold is None:
             return self.cheapest(loop, env)
-        hoisted = None
-        if self.qualifies(loop) and self.forks(loop, env):
-            hoisted = self.hoisted(loop, env)
-        return hoisted or (self.per_trip(loop, env),)
+        steps = [loop.step] if self.qualifies(loop) else []
+        if (_whole_trips(loop) or 0) >= 2:  # two fork-joins or more per trip, one hoisted
+            steps += self.retile_steps(loop)
+        if steps and self.forks(loop, env):
+            for step in steps:
+                start = self.names.mark()
+                hoisted = self.hoisted(loop if step == loop.step else _retiled(loop, step), env)
+                if hoisted:
+                    return hoisted
+                self.names.reset(start)
+        return (self.per_trip(loop, env),)
 
     def per_trip(self, loop: ForOp, env: dict[str, int]) -> ForOp:
         """`loop` with each generic of its body in its form."""

@@ -111,16 +111,18 @@ def _pow2_floor(n: int) -> int:
 
 
 def default_tile_sizes(generic: GenericOp, program: KernelProgram, tcm_bytes: int,
-                       compute_window_bytes: int) -> Optional[TileSpec]:
+                       compute_window_bytes: int, vector_width: int = 1) -> Optional[TileSpec]:
     """Largest power-of-two tile of the outermost parallel dim such that a
     two-slot buffer of all operand tiles fits in half the TCM.
 
     A generic without parallel dims is tiled along its reduction dim only
     when it is rank 1 and its operands exceed `compute_window_bytes`
-    (`_reduction_tile_sizes`)."""
+    (`_reduction_tile_sizes`), in whole vectors of `vector_width` where
+    they fit."""
     par = [d for d, it in enumerate(generic.iterators) if it == "parallel"]
     if not par:
-        return _reduction_tile_sizes(generic, program, tcm_bytes, compute_window_bytes)
+        return _reduction_tile_sizes(generic, program, tcm_bytes, compute_window_bytes,
+                                     vector_width)
     dim = par[0]
     extent = generic.domain[dim]
     assert isinstance(extent, int)
@@ -139,22 +141,29 @@ def default_tile_sizes(generic: GenericOp, program: KernelProgram, tcm_bytes: in
 
 
 def _reduction_tile_sizes(generic: GenericOp, program: KernelProgram, tcm_bytes: int,
-                          window_bytes: int) -> Optional[TileSpec]:
+                          window_bytes: int, width: int) -> Optional[TileSpec]:
     """The tile of a rank-1 reduction whose operands exceed the compute window.
 
     The footprint counts every input and output buffer whole, as the cost
-    model does for its window test. The tile is the largest power of two T
-    whose tile footprint stays within the window (and, as for a parallel
-    tile, within a quarter of the TCM). A generic that fits the window, or
-    whose broadcast operands alone fill it, stays whole.
+    model does for its window test. The extent is split evenly into the
+    fewest tiles whose footprint stays within the window (and, as for a
+    parallel tile, within a quarter of the TCM), each rounded up to whole
+    `width`-point vectors where that still fits. A generic that fits the
+    window, or whose broadcast operands alone fill it, stays whole.
     """
     if len(generic.domain) != 1 or not isinstance(generic.domain[0], int):
         return None
+    n = generic.domain[0]
     per_t, fixed = _dim_bytes(generic, program, 0)
-    if per_t == 0 or per_t * generic.domain[0] + fixed <= window_bytes:
+    if per_t == 0 or per_t * n + fixed <= window_bytes:
         return None
     t_max = (min(window_bytes, tcm_bytes // 4) - fixed) // per_t
-    return TileSpec((_pow2_floor(t_max),)) if t_max >= 1 else None
+    if t_max < 1:
+        return None
+    tiles = -(-n // t_max)  # the fewest that fit
+    t = -(-n // tiles)  # split evenly
+    whole = -(-t // width) * width
+    return TileSpec((whole if whole <= t_max else t,))
 
 
 def _slice_of(shape: tuple[Extent, ...], m: AffineIndexMap, start: dict[int, Extent],
@@ -192,17 +201,19 @@ def _live_tile_bytes(generic: GenericOp, spec: TileSpec, program: KernelProgram,
 
     A staged input tile counts twice, for db's two slots, but once where db
     gives it one: where it does not read the innermost tile loop's dim, so
-    no trip moves it. An operand in `resident` is a view and holds nothing,
-    but an accumulator counts once whatever its output. Every other output
-    tile counts once: vectorize and mt split it through views.
+    no trip moves it, or where that loop has one trip. An operand in
+    `resident` is a view and holds nothing, but an accumulator counts once
+    whatever its output. Every other output tile counts once: vectorize and
+    mt split it through views.
     """
     size = {d: min(t, generic.domain[d]) for d, t in enumerate(spec.sizes) if t > 0}
     carried = any(generic.iterators[d] == "reduction" for d in size)
     innermost = _loop_order(generic, spec)[-1]
+    moves = size[innermost] < generic.domain[innermost]  # the loop has a second trip
     total = 0
     for k, (name, m) in enumerate(zip(generic.inputs + generic.outputs, generic.maps)):
         if k < len(generic.inputs):
-            copies = 0 if name in resident else 2 if innermost in m.results else 1
+            copies = 0 if name in resident else 2 if moves and innermost in m.results else 1
         else:
             copies = 1 if carried or name not in resident else 0
         _, sizes = _slice_of(program.decl(name).shape, m, size, size)
@@ -335,6 +346,7 @@ def tile_generic(
     interchange: Optional[tuple[int, ...]] = None,
     tcm_bytes: int = 8 * 1024 * 1024,
     compute_window_bytes: int = 131072,
+    vector_width: int = 1,
 ) -> KernelProgram:
     """Tile every top-level generic over DDR -> TCM tiles.
 
@@ -342,12 +354,13 @@ def tile_generic(
     generics fall back to the default sizing policy. Generics with no
     parallel dims are left untouched, except a rank-1 reduction whose
     operands exceed `compute_window_bytes`: it folds tile by tile into a
-    carried accumulator. Each temp that fits is declared `@tcm` first
+    carried accumulator, its tiles whole vectors of `vector_width` where
+    they fit. Each temp that fits is declared `@tcm` first
     (`_resident_temps`); a one-point generic over TCM operands alone is
     left whole.
     """
-    specs = [tile_spec(op, program, tile_sizes, interchange, tcm_bytes, compute_window_bytes)
-             if isinstance(op, GenericOp) else None for op in program.ops]
+    specs = [tile_spec(op, program, tile_sizes, interchange, tcm_bytes, compute_window_bytes,
+                       vector_width) if isinstance(op, GenericOp) else None for op in program.ops]
     program = _resident_temps(
         program, [(op, s) for op, s in zip(program.ops, specs) if s is not None], tcm_bytes)
     names = NameAllocator(program)
@@ -367,6 +380,7 @@ def tile_spec(
     interchange: Optional[tuple[int, ...]],
     tcm_bytes: int,
     compute_window_bytes: int,
+    vector_width: int = 1,
 ) -> Optional[TileSpec]:
     """The tiling `tile_generic` gives `op`, or None when it leaves `op` whole.
 
@@ -381,7 +395,7 @@ def tile_spec(
                 raise PassError(f"@{op.name}: negative tile size")
         if any(t > 0 for t in tile_sizes):
             return TileSpec(tuple(tile_sizes), interchange)
-    spec = default_tile_sizes(op, program, tcm_bytes, compute_window_bytes)
+    spec = default_tile_sizes(op, program, tcm_bytes, compute_window_bytes, vector_width)
     if spec is not None and interchange is not None and len(
             [t for t in spec.sizes if t > 0]) == len(interchange):
         spec = replace(spec, interchange=interchange)

@@ -88,7 +88,8 @@ def apply_pass(name: str, program: ir.KernelProgram, opts: PipelineOptions) -> i
     if name == "tile":
         return tile_generic(program, opts.tile_sizes, opts.interchange,
                             tcm_bytes=opts.machine.tcm_bytes,
-                            compute_window_bytes=opts.machine.compute_window_bytes)
+                            compute_window_bytes=opts.machine.compute_window_bytes,
+                            vector_width=opts.vector_width)
     if name == "vectorize":
         return vectorize_innermost(program, opts.vector_width)
     if name == "mt":

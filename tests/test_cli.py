@@ -334,10 +334,13 @@ def test_bench_exit_spec_option_the_sweep_never_reads(sweep, option, reader, cap
 @pytest.mark.parametrize("kernel", ALL_KERNELS)
 def test_an_explicit_mt_threshold_prints_the_fixed_rules_final_ir(kernel, capsys, golden_dir):
     # the override's contract: the point-count rule's schedule, byte for byte,
-    # as the golden digests recorded it before the cost model chose. The
-    # digests now record db's one-slot form of an invariant tile (rmsnorm's
-    # g) and no prefetch guard in a one-trip loop; mt's point-count rule is
-    # unchanged
+    # as the golden digests record it. Since the cost model chose, the
+    # digests record db's one-slot form of an invariant tile (rmsnorm's g)
+    # and of every tile of a one-trip loop, with no prefetch guard there;
+    # reduction tiles split evenly (softmax); and an override loop `tile`
+    # sized by default, of two trips or more, forked once at the first
+    # re-tiled step that fits where its own step does not (gelu, silu and
+    # expseries). One-trip and explicit-tile loops keep the point-count rule
     shapes = [f"--shape={k}={v}" for k, v in BENCH_DIMS[kernel].items()]
     argv = ["compile", kernel_path(kernel), "--mt-threshold", "32768", "--emit-final", *shapes]
     assert cli.main(argv) == cli.EXIT_OK

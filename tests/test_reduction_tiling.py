@@ -42,7 +42,8 @@ def test_softmax_reductions_fold_window_sized_tiles_into_tcm_accumulators():
     loops = reduction_loops(program)
     assert len(loops) == 2
     max_loop, sum_loop = loops
-    partition = oracles.tile_partition(40000, 16384)
+    # 32,767 points and the accumulator fill the window: two tiles, split evenly
+    partition = oracles.tile_partition(40000, 20000)
     # the max stages its tiles of %x from DDR
     tiles = oracles.enumerate_tiles(program)
     assert [(o[0], s[0]) for o, s in tiles[max_loop.var]] == partition
@@ -64,11 +65,21 @@ def test_softmax_reductions_fold_window_sized_tiles_into_tcm_accumulators():
     assert "reduce sum init=out of a0\n" in text
 
 
-@pytest.mark.parametrize("window,tile", [(131072, 16384), (4096, 512), (65540, 16384)])
-def test_the_tile_is_the_largest_power_of_two_whose_footprint_fits_the_window(window, tile):
+@pytest.mark.parametrize("window,width,tile", [
+    (131072, 1, 20000), (131072, 32, 20000),  # 2 tiles; 20,000 is whole vectors already
+    (65540, 1, 13334), (65540, 32, 13344),    # 3 tiles, rounded up to 417 vectors
+    (4096, 32, 1000),                         # 40 tiles; 1,024 points would not fit
+])
+def test_the_tiles_are_the_fewest_that_fit_the_window_split_evenly(window, width, tile):
     # the footprint of a tile is its input tile plus the 4-byte accumulator
-    (loop,) = reduction_loops(tile_generic(fold_program(40000), compute_window_bytes=window))
-    assert loop.step == tile
+    program = tile_generic(fold_program(40000), compute_window_bytes=window, vector_width=width)
+    (loop,) = reduction_loops(program)
+    assert loop.step == tile and 4 * tile + 4 <= window
+    fewest = -(-40000 // ((window - 4) // 4))
+    assert len(range(0, 40000, tile)) == fewest
+    # the tiles fold in order and cover the extent once
+    assert oracles.enumerate_tiles(program)[loop.var] == [
+        ((o,), (s,)) for o, s in oracles.tile_partition(40000, tile)]
 
 
 @pytest.mark.parametrize("program", [
@@ -85,9 +96,9 @@ def test_reductions_that_fit_the_window_or_have_a_parallel_dim_keep_their_schedu
 
 def test_the_accumulator_counts_toward_live_tcm():
     program = tile_generic(fold_program(40000))
-    # the staged 16384-point tile and the accumulator, both live in the loop
-    assert verify(program, tcm_bytes=16384 * 4 + 4).ok
-    rules = [v.rule for v in verify(program, tcm_bytes=16384 * 4 + 3).violations]
+    # the staged 20000-point tile and the accumulator, both live in the loop
+    assert verify(program, tcm_bytes=20000 * 4 + 4).ok
+    rules = [v.rule for v in verify(program, tcm_bytes=20000 * 4 + 3).violations]
     assert rules == ["tcm budget"]
 
 

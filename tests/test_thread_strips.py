@@ -41,11 +41,14 @@ def test_rmsnorm_runs_its_last_thread_part_as_strips_of_16_and_15_rows():
 
 
 # at W = 24 the largest power of two that fits, 16,384 points, is not a whole vector
-# (forced to fork per trip: the cost model forks once around a re-tiled loop)
+# (forced to fork per trip: the cost model, and the override on a default loop
+# of two trips or more, fork once around a re-tiled loop; 1M points take four
+# default tiles, so their 262,144-point tiles are given explicitly)
 @pytest.mark.parametrize("n,width", [(1048576, W), (100000, W), (120000, 24)])
 def test_gelu_strips_start_and_end_on_whole_vectors(n, width):
+    tiles = (262144,) if n == 1048576 else None
     executions = thread_writes(staged("gelu", {"N": n}, UP_TO_MT, vector_width=width,
-                                      mt_threshold=32768), "g0")
+                                      mt_threshold=32768, tile_sizes=tiles), "g0")
     for bodies in executions:
         for body in bodies:
             assert len(body) > 1
