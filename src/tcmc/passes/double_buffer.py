@@ -31,7 +31,8 @@ that source before this trip's write lands. In a loop db takes, a staged
 input whose offsets and sizes do not name the loop var is invariant:
 every trip would stage the same values. In a loop of constant bounds and
 at most one trip every staged input is, since no trip stages a second
-tile. An invariant input gets a one-slot buffer `alloc f32[T] @tcm`,
+tile; so in a loop from `lb` to `lb + step`, as mt gives a context of
+one trip. An invariant input gets a one-slot buffer `alloc f32[T] @tcm`,
 filled by its `dma_start` in the prologue beside the other tiles; the
 body waits on its tag on the first trip only (`if (%i < lb + step) {
 dma_wait ... }`), takes the whole buffer as its view, and no prefetch
@@ -55,7 +56,7 @@ from ..ir import (
     IfOp, InsertSliceOp, IVar, KernelProgram, Op, ix_add, ix_floordiv, ix_mul, ix_sub,
     substitute_extent,
 )
-from .common import NameAllocator, PassError, const_upper
+from .common import NameAllocator, PassError, const_upper, tile_bytes
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +71,7 @@ class NormalFormLoop:
     invariant: frozenset[str]  # the stages no trip moves: one slot each (module docstring)
 
 
-def _written(ops: tuple[Op, ...]) -> set[str]:
+def written_buffers(ops: tuple[Op, ...]) -> set[str]:
     """Every buffer `ops` write, and the source of each view they write."""
     views: dict[str, str] = {}
     written: set[str] = set()
@@ -92,9 +93,12 @@ def _written(ops: tuple[Op, ...]) -> set[str]:
 
 
 def _one_trip(loop: ForOp) -> bool:
-    """Whether `loop` has constant bounds and at most one trip."""
+    """Whether `loop` has constant bounds and at most one trip, or runs from
+    `lb` to `lb + step`."""
     bounds = (loop.lb, loop.ub, loop.step)
-    return all(isinstance(e, int) for e in bounds) and len(range(*bounds)) <= 1
+    if all(isinstance(e, int) for e in bounds):
+        return len(range(*bounds)) <= 1
+    return loop.ub == ix_add(loop.lb, loop.step)
 
 
 def recognize_normal_form(loop: ForOp) -> Optional[NormalFormLoop]:
@@ -108,7 +112,7 @@ def recognize_normal_form(loop: ForOp) -> Optional[NormalFormLoop]:
         n += 1
     if n == 0:
         return None
-    written = _written(body)
+    written = written_buffers(body)
     if any(t.source in written for t in body[:n]):
         return None  # a prefetch would read the source before this trip writes it
     one_trip = _one_trip(loop)  # no second trip to stage for
@@ -221,3 +225,31 @@ def double_buffer_ops(ops: tuple[Op, ...], names, is_narrow: Callable[[str], boo
         return tuple(out)
 
     return ir.map_ops(ops, expand)
+
+
+def tile_tcm_bytes(ops: tuple[Op, ...], is_narrow: Callable[[str], bool],
+                   db: bool = False) -> Optional[int]:
+    """The TCM bytes of every staged `extract_slice ... @tcm` and `alloc ...
+    @tcm` in `ops`, at their upper bounds, with `db` each staged tile as
+    many times as db gives it slots: twice, or once where it is invariant
+    in its loop; None when one has no bound. `is_narrow` tells which
+    sources hold f16."""
+    twice: set[str] = set()
+    for op, _ in ir.walk_ops(ops) if db else ():
+        nf = recognize_normal_form(op) if isinstance(op, ForOp) else None
+        if nf is not None:
+            twice.update(t.result for t in nf.stages if t.result not in nf.invariant)
+    total = 0
+    for op, _ in ir.walk_ops(ops):
+        if isinstance(op, ExtractSliceOp) and op.space == "tcm":
+            b = tile_bytes(op.sizes, is_narrow(op.source))
+            if b is not None and op.result in twice:
+                b *= 2
+        elif isinstance(op, AllocOp) and op.space == "tcm":
+            b = tile_bytes(op.sizes, op.narrow)
+        else:
+            continue
+        if b is None:
+            return None
+        total += b
+    return total

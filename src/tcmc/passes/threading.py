@@ -77,7 +77,9 @@ more than the others; under block-cyclic they are dealt round-robin, one
 tile at a time, and the chunk C of `--dist cyclic:C`, a count of points
 of a generic's d0, applies only where mt forks per generic. The loop
 keeps its annotations, so db gives each context its own buffers (two
-slots, or one for an invariant tile) and tags. Only whole `all_parallel`
+slots, or one for an invariant tile) and tags. Where every context runs
+the same number s of trips, its loop's bound is `lb + s·step`, so that db
+sees a one-trip context loop as one (one slot a tile, no prefetch). Only whole `all_parallel`
 iterations change context and no fold changes order, so every output bit
 is kept. Forks drop from t to 1, and each context does the work of its
 tiles.
@@ -122,7 +124,7 @@ from .common import (
     BufInfo, NameAllocator, PassError, const_upper, const_uppers, resident_bytes, split_generic,
     tile_bytes,
 )
-from .double_buffer import double_buffer_ops, recognize_normal_form
+from .double_buffer import double_buffer_ops, tile_tcm_bytes
 
 
 @dataclass(frozen=True)
@@ -231,32 +233,6 @@ def _wrap_generic(g: GenericOp, policy: DistributionPolicy, strip: Optional[int]
     else:
         inner = ForOp(cvar, IVar(tvar), ix_floordiv(ix_add(n, chunk - 1), chunk), threads, body)
     return ForallOp(tvar, threads, (inner,), annotations=frozenset({"virtual_threads"}))
-
-
-def _tile_tcm_bytes(ops: tuple[Op, ...], info: BufInfo, db: bool = False) -> Optional[int]:
-    """The TCM bytes of every staged `extract_slice ... @tcm` and `alloc ...
-    @tcm` in `ops`, at their upper bounds, with `db` each staged tile as
-    many times as db gives it slots: twice, or once where it is invariant
-    in its loop; None when one has no bound."""
-    twice: set[str] = set()
-    for op, _ in ir.walk_ops(ops) if db else ():
-        nf = recognize_normal_form(op) if isinstance(op, ForOp) else None
-        if nf is not None:
-            twice.update(t.result for t in nf.stages if t.result not in nf.invariant)
-    total = 0
-    for op, _ in ir.walk_ops(ops):
-        if isinstance(op, ExtractSliceOp) and op.space == "tcm":
-            b = tile_bytes(op.sizes, op.source in info.narrow)
-            if b is not None and op.result in twice:
-                b *= 2
-        elif isinstance(op, AllocOp) and op.space == "tcm":
-            b = tile_bytes(op.sizes, op.narrow)
-        else:
-            continue
-        if b is None:
-            return None
-        total += b
-    return total
 
 
 def _whole_trips(loop: ForOp) -> Optional[int]:
@@ -479,7 +455,7 @@ class _Threader:
         trips = _whole_trips(loop)
         if "all_parallel" not in loop.annotations or trips is None or trips < threads:
             return False
-        body_bytes = _tile_tcm_bytes(loop.body, self.info)
+        body_bytes = tile_tcm_bytes(loop.body, self.info.narrow.__contains__)
         return body_bytes is not None and threads * body_bytes <= self.machine.tcm_bytes // 4
 
     def fits(self, loop: ForOp) -> bool:
@@ -488,7 +464,7 @@ class _Threader:
         slots as db gives it (two, or one where it is invariant). The forms
         of a hoisted body add only views, so `loop` may be hoisted already
         or not."""
-        body_bytes = _tile_tcm_bytes((loop,), self.info, db=True)
+        body_bytes = tile_tcm_bytes((loop,), self.info.narrow.__contains__, db=True)
         return body_bytes is not None and self.policy.num_threads * body_bytes <= self.tile_room
 
     def hoisted(self, loop: ForOp, env: dict[str, int]) -> Optional[tuple[Op, ...]]:
@@ -601,6 +577,8 @@ class _Threader:
             lb = ix_add(loop.lb, ix_mul(th, step))
             ub = loop.lb + trips * step
             step = threads * step
+        if not extra:  # every context runs `share` trips, db's one-trip test can see
+            ub = ix_add(lb, share * step)
         body = self.walk(loop.body, _first_trip(loop, env), True, hoisted=True)
         inner = replace(loop, lb=lb, ub=ub, step=step, body=body)
         return ForallOp(th.name, threads, (inner,), annotations=frozenset({"virtual_threads"}))

@@ -15,6 +15,22 @@ slices so that db still double-buffers every staged one. So a resident
 temp is never written to DDR, staged again or copied. A generic whose
 domain is one point and whose operands all live in TCM is left untiled.
 
+Tile-loop fusion. After tiling, consecutive top-level `all_parallel` tile
+loops of equal constant bounds and step, with no loop or guard in their
+bodies, merge into one loop that runs each body in turn on every trip: the
+later body's loop var becomes the first's, its staged slices join the
+leading run (so db still finds its normal form), and a slice that repeats
+an earlier one (same source, offsets, sizes and space) is dropped, its
+users reading the earlier tile or view. A merge is refused where a later
+body slices a buffer an earlier body writes back, or stages one it writes;
+where an earlier body slices a buffer a later body writes; where a buffer
+both slice is taken at different regions, or, written by the earlier one,
+at a region that does not move with the loop var; and where the merged
+loop's tiles, as db will slot them, do not fit the TCM the resident temps
+leave. Each trip then runs the same points in the same order as the loops
+did, each fold in its order, so every output bit is kept. rmsnorm's row
+sum, sqrt and normalize become one loop that stages `%x` once.
+
 A rank-1 reduction whose operands exceed the compute window is tiled along
 its reduction dim: its outputs become TCM accumulators, filled with the
 fold's init before the loop, and every trip folds its tile into them with
@@ -64,6 +80,7 @@ from ..ir import (
 from .common import (
     BufInfo, NameAllocator, PassError, resident_bytes, split_generic, tile_bytes,
 )
+from .double_buffer import tile_tcm_bytes, written_buffers
 
 
 @dataclass(frozen=True)
@@ -370,7 +387,114 @@ def tile_generic(
             new_ops.append(op)
         else:
             new_ops.extend(_tile_one(op, spec, program, names, tcm_bytes))
-    return program.with_ops(tuple(new_ops), stage="tiled")
+    return program.with_ops(_fuse_tile_loops(new_ops, program, tcm_bytes), stage="tiled")
+
+
+# ---------------------------------------------------------------------------
+# Tile-loop fusion
+# ---------------------------------------------------------------------------
+
+
+def _fusible(op: Op) -> bool:
+    """Whether `op` is a tile loop fusion may merge: `all_parallel`, of
+    constant bounds and step, and with no loop or guard in its body."""
+    return (isinstance(op, ForOp) and "all_parallel" in op.annotations
+            and all(isinstance(e, int) for e in (op.lb, op.ub, op.step))
+            and not any(getattr(b, "body", None) is not None for b in op.body))
+
+
+def _regions(body: tuple[Op, ...]) -> dict[str, set[tuple]]:
+    """Each buffer `body` slices or writes back, to the regions it does so at."""
+    regions: dict[str, set[tuple]] = {}
+    for op in body:
+        if isinstance(op, (ExtractSliceOp, InsertSliceOp)):
+            buf = op.source if isinstance(op, ExtractSliceOp) else op.dest
+            regions.setdefault(buf, set()).add((op.offsets, op.sizes))
+    return regions
+
+
+def _staged_run(body: tuple[Op, ...]) -> int:
+    """The length of `body`'s leading run of staged slices."""
+    n = 0
+    while n < len(body) and isinstance(body[n], ExtractSliceOp) and body[n].space == "tcm":
+        n += 1
+    return n
+
+
+def _may_merge(a: ForOp, b: ForOp) -> bool:
+    """Whether `b`'s body, its loop var already `a`'s, may run right after
+    `a`'s in every trip of one loop (the refusals of the module docstring's
+    "Tile-loop fusion")."""
+    ra, rb = _regions(a.body), _regions(b.body)
+    written_a, written_b = written_buffers(a.body), written_buffers(b.body)
+    back_a = {op.dest for op in a.body if isinstance(op, InsertSliceOp)}
+    staged_b = {op.source for op in b.body[:_staged_run(b.body)]}
+    if back_a & rb.keys() or staged_b & written_a or ra.keys() & written_b:
+        return False
+    var = IVar(a.var)
+    for buf in ra.keys() & rb.keys():
+        regions = ra[buf] | rb[buf]
+        if len(regions) > 1:
+            return False
+        # a shared buffer one of them writes: each trip takes its own region
+        (offsets, _), = regions
+        if buf in written_a and var not in offsets:
+            return False
+    return True
+
+
+def _renamed(op: Op, alias: dict[str, str]) -> Op:
+    """`op` reading each buffer of `alias` under its alias."""
+    if isinstance(op, GenericOp):
+        return replace(op, inputs=tuple(alias.get(n, n) for n in op.inputs),
+                       outputs=tuple(alias.get(n, n) for n in op.outputs))
+    if isinstance(op, ExtractSliceOp) and op.source in alias:
+        return replace(op, source=alias[op.source])
+    return op
+
+
+def _merged(a: ForOp, b: ForOp) -> ForOp:
+    """One loop running `a`'s body and then `b`'s in every trip: `b`'s staged
+    slices join `a`'s leading run, and a slice of `b` that repeats one of
+    `a`'s (same source, offsets, sizes and space) is dropped, its users
+    reading `a`'s."""
+    seen = {(op.source, op.offsets, op.sizes, op.space): op.result
+            for op in a.body if isinstance(op, ExtractSliceOp)}
+    alias: dict[str, str] = {}
+    kept: list[Op] = []
+    for op in b.body:
+        if isinstance(op, ExtractSliceOp):
+            key = (op.source, op.offsets, op.sizes, op.space)
+            if key in seen:
+                alias[op.result] = seen[key]
+                continue
+            seen[key] = op.result
+        kept.append(_renamed(op, alias))
+    n, m = _staged_run(a.body), _staged_run(tuple(kept))
+    return replace(a, body=(*a.body[:n], *kept[:m], *a.body[n:], *kept[m:]))
+
+
+def _fuse_tile_loops(ops: list[Op], program: KernelProgram,
+                     tcm_bytes: Optional[int]) -> tuple[Op, ...]:
+    """`ops` with each run of consecutive fusible tile loops of equal bounds
+    and step merged into one loop, where each merge is safe and the merged
+    loop's tiles, as db will slot them, fit the TCM the resident temps
+    leave."""
+    room = None if tcm_bytes is None else tcm_bytes - resident_bytes(program)
+    out: list[Op] = []
+    for op in ops:
+        prev = out[-1] if out else None
+        if (_fusible(op) and prev is not None and _fusible(prev)
+                and (prev.lb, prev.ub, prev.step) == (op.lb, op.ub, op.step)):
+            b = replace(op, body=ir.replace_extent(op.body, IVar(op.var), IVar(prev.var)))
+            if _may_merge(prev, b):
+                merged = _merged(prev, b)
+                need = tile_tcm_bytes((merged,), program.is_narrow, db=True)
+                if room is None or (need is not None and need <= room):
+                    out[-1] = merged
+                    continue
+        out.append(op)
+    return tuple(out)
 
 
 def tile_spec(

@@ -1,14 +1,22 @@
-"""Print `mt`'s pass time for each verify kernel, in milliseconds.
+"""Print `mt`'s pass time for each verify kernel, in milliseconds, and the
+time each stage of its default pipeline takes to interpret and to verify.
 
 Each kernel is lowered at its verify dims (`conftest.VERIFY_DIMS`, the
 sizes perfbench's verify workloads compile) and staged through fuse, tile
 and vectorize under the default options; `mt` is then timed on that
 program alone, once as the cost model chooses and once under the override
 `mt_threshold=1`. One run times `--calls` calls of `mt` per kernel and
-mode in a fresh interpreter and keeps the fastest. The script prints two
-tables, the model's and the override's, each giving per kernel the
-minimum over `--runs` runs, one column per tree, labelled `[1]`, `[2]`,
-... in the order given, and then a legend of `[k] <tree>` lines.
+mode in a fresh interpreter and keeps the fastest. The same run compiles
+each kernel through the default passes and times, per stage (`input` the
+lowered program), `interp.interpret` on `conftest.kernel_inputs` and
+`ir.verify` against the machine's TCM, keeping the fastest of a tenth of
+`--calls` calls (at least one) of each. The script prints four tables:
+the model's `mt` and the override's, each giving per kernel the minimum
+over `--runs` runs, then `interpret` and `ir.verify`, each giving per
+kernel and stage that minimum and, after its stages, the minimum of the
+kernel's sum over them (`all`).
+Each table has one column per tree, labelled `[1]`, `[2]`, ... in the
+order given, and a legend of `[k] <tree>` lines ends the output.
 
 Given several source trees (`--src`, each a directory that holds the
 `tcmc` package), the runs alternate between them, one tree after the
@@ -33,31 +41,49 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 
-# each table's title and the `mt_threshold` its `mt` runs under
+# each `mt` table's mode and the `mt_threshold` its `mt` runs under
 MODES = {"the cost model": None, "mt_threshold=1": 1}
+# the tables of per-stage times, each row a kernel and a stage
+STAGE_TABLES = ("interpret", "ir.verify")
 
 
 def child(calls: int) -> dict[str, dict[str, float]]:
-    """Per mode (`MODES`), each verify kernel mapped to the fastest of
-    `calls` calls of `mt`, in seconds, timed on the `tcmc` the interpreter
-    imports."""
+    """Per table title, each row (a verify kernel, or a kernel and stage)
+    mapped to the fastest of its calls, in seconds, timed on the `tcmc` the
+    interpreter imports: `calls` calls of `mt` per kernel and mode
+    (`MODES`), a tenth as many of `interp.interpret` and `ir.verify` per
+    stage."""
     sys.path.insert(0, str(TESTS))
-    from conftest import VERIFY_DIMS, kernel_path
-    from tcmc import pipeline
+    from conftest import DEFAULT_PASSES, VERIFY_DIMS, kernel_inputs, kernel_path
+    from tcmc import interp, ir, pipeline
 
-    times: dict[str, dict[str, float]] = {mode: {} for mode in MODES}
+    def fastest(fn, n: int) -> float:
+        best = float("inf")
+        for _ in range(n):
+            start = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    times: dict[str, dict[str, float]] = {f"mt under {mode}": {} for mode in MODES}
+    times.update({title: {} for title in STAGE_TABLES})
     for kernel, dims in VERIFY_DIMS.items():
         spec = pipeline.PipelineSpec(("fuse", "tile", "vectorize"), pipeline.PipelineOptions(),
                                      "off")
         program = pipeline.run_pipeline(kernel_path(kernel), spec, dims=dims).final
         for mode, threshold in MODES.items():
             opts = pipeline.PipelineOptions(mt_threshold=threshold)
-            best = float("inf")
-            for _ in range(calls):
-                start = time.perf_counter()
-                pipeline.apply_pass("mt", program, opts)
-                best = min(best, time.perf_counter() - start)
-            times[mode][kernel] = best
+            times[f"mt under {mode}"][kernel] = fastest(
+                lambda: pipeline.apply_pass("mt", program, opts), calls)
+        spec = pipeline.PipelineSpec(DEFAULT_PASSES, pipeline.PipelineOptions(), "off")
+        stages = pipeline.run_pipeline(kernel_path(kernel), spec, dims=dims).stages
+        inputs = kernel_inputs(stages[0].program, kernel)
+        tcm = spec.options.machine.tcm_bytes
+        for title, fn in (("interpret", lambda p: interp.interpret(p, inputs)),
+                          ("ir.verify", lambda p: ir.verify(p, tcm_bytes=tcm))):
+            rows = {f"{kernel:<10}{st.name}": fastest(lambda: fn(st.program), max(1, calls // 10))
+                    for st in stages}
+            times[title].update(rows, **{f"{kernel:<10}all": sum(rows.values())})
     return times
 
 
@@ -82,19 +108,20 @@ def main(argv: list[str]) -> int:
         print(json.dumps(child(args.calls)))
         return 0
     trees = args.src or [TESTS.parent / "src"]
-    best: dict[tuple[Path, str], dict[str, float]] = {(src, m): {} for src in trees for m in MODES}
+    best: dict[tuple[Path, str], dict[str, float]] = {}
     for _ in range(args.runs):
         for src in trees:
-            for mode, times in run_once(src, args.calls).items():
-                for kernel, seconds in times.items():
-                    kept = best[src, mode]
-                    kept[kernel] = min(kept.get(kernel, seconds), seconds)
-    for mode in MODES:
-        print(f"mt under {mode}")
-        print("kernel    " + "".join(f"{f'[{k}]':>24}" for k in range(1, len(trees) + 1)))
-        for kernel in best[trees[0], mode]:
-            print(f"{kernel:<10}"
-                  + "".join(f"{best[src, mode][kernel] * 1e3:>21.2f} ms" for src in trees))
+            for title, times in run_once(src, args.calls).items():
+                kept = best.setdefault((src, title), {})
+                for row, seconds in times.items():
+                    kept[row] = min(kept.get(row, seconds), seconds)
+    for title in [f"mt under {mode}" for mode in MODES] + list(STAGE_TABLES):
+        print(title)
+        print(f"{'':<22}" + "".join(f"{f'[{k}]':>14}" for k in range(1, len(trees) + 1)))
+        for row in best[trees[0], title]:
+            cells = [best[src, title].get(row) for src in trees]
+            print(f"{row:<22}" + "".join(f"{'-':>14}" if c is None else f"{c * 1e3:>11.2f} ms"
+                                         for c in cells))
         print()
     for k, src in enumerate(trees, 1):
         print(f"[{k}] {src}")

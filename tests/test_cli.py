@@ -340,7 +340,8 @@ def test_an_explicit_mt_threshold_prints_the_fixed_rules_final_ir(kernel, capsys
     # reduction tiles split evenly (softmax); and an override loop `tile`
     # sized by default, of two trips or more, forked once at the first
     # re-tiled step that fits where its own step does not (gelu, silu and
-    # expseries). One-trip and explicit-tile loops keep the point-count rule
+    # expseries); rmsnorm's three row loops run as one. One-trip and
+    # explicit-tile loops keep the point-count rule
     shapes = [f"--shape={k}={v}" for k, v in BENCH_DIMS[kernel].items()]
     argv = ["compile", kernel_path(kernel), "--mt-threshold", "32768", "--emit-final", *shapes]
     assert cli.main(argv) == cli.EXIT_OK

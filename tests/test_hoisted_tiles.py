@@ -22,7 +22,7 @@ from tcmc.ir import (
     KernelProgram, Payload, TensorDecl,
 )
 from tcmc.passes.common import BufInfo
-from tcmc.passes.threading import _tile_tcm_bytes
+from tcmc.passes.double_buffer import tile_tcm_bytes
 
 from conftest import DEFAULT_PASSES, VERIFY_DIMS, bitexact, kernel_inputs, kernel_path, lower
 from test_perf import ODD_CONFIG
@@ -275,7 +275,7 @@ def _blocking_machine(kernel, opts):
     holds no TCM at all.)"""
     program = staged(kernel, None, ("fuse", "tile", "vectorize"), tile_sizes=opts.tile_sizes)
     info = BufInfo(program)
-    sizes = [_tile_tcm_bytes(op.body, info) for op in program.ops
+    sizes = [tile_tcm_bytes(op.body, info.narrow.__contains__) for op in program.ops
              if isinstance(op, ForOp) and "all_parallel" in op.annotations
              and len(ir.trips(op, {})) >= opts.threads]
     smallest = min(b for b in sizes if b is not None)

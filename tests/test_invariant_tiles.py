@@ -27,8 +27,8 @@ from tcmc.ir import (
     ForOp, GenericOp, IfOp, InsertSliceOp, IVar, KernelProgram, Payload, TensorDecl,
 )
 from tcmc.passes.common import BufInfo, resident_bytes
-from tcmc.passes.double_buffer import double_buffer_loops, recognize_normal_form
-from tcmc.passes.threading import DistributionPolicy, _Threader, _tile_tcm_bytes
+from tcmc.passes.double_buffer import double_buffer_loops, recognize_normal_form, tile_tcm_bytes
+from tcmc.passes.threading import DistributionPolicy, _Threader
 from tcmc.passes.tiling import TileSpec, _live_tile_bytes
 
 from conftest import ALL_KERNELS, DEFAULT_PASSES, ROOT, bitexact, kernel_inputs, kernel_path
@@ -228,10 +228,10 @@ def test_tile_and_mt_count_tcm_as_the_verifier_does():
     assert ir.count_ops(forked, lambda op: isinstance(op, ir.AsyncGroupOp)) == 2
     vectorized = stages["vectorize"]
     loops = [op for op in vectorized.ops if isinstance(op, ForOp)]
-    info = BufInfo(vectorized)
-    normalize = max(loops, key=lambda loop: _tile_tcm_bytes((loop,), info, db=True))
+    narrow = BufInfo(vectorized).narrow.__contains__
+    normalize = max(loops, key=lambda loop: tile_tcm_bytes((loop,), narrow, db=True))
     peak = tcm_peak(forked)
-    assert resident_bytes(vectorized) + 4 * _tile_tcm_bytes((normalize,), info, db=True) == peak
+    assert resident_bytes(vectorized) + 4 * tile_tcm_bytes((normalize,), narrow, db=True) == peak
     for tcm, fits in ((peak, True), (peak - 1, False)):
         machine = replace(perf.MachineConfig(), tcm_bytes=tcm)
         threader = _Threader(vectorized, DistributionPolicy(), machine, 1, True)
