@@ -194,28 +194,16 @@ def substitute_extent(e: Extent, mapping: dict[str, Extent]) -> Extent:
     return _IX_CTORS[e.op](substitute_extent(e.lhs, mapping), substitute_extent(e.rhs, mapping))
 
 
-def replace_node(e: Extent, old: Extent, new: Extent, memo: Optional[dict] = None) -> Extent:
+def replace_node(e: Extent, old: Extent, new: Extent) -> Extent:
     """`e` with every subexpression equal to `old` replaced by `new`, the
     nodes above it rebuilt by the `ix_*` constructors; `e` itself when
-    `old` does not occur in it. A subtree that lacks one of `old`'s
-    variables is left alone. With a `memo` (id of a node -> the node and
-    its replacement), a node shared by several extents is rebuilt once and
-    its replacement shared in turn."""
+    `old` does not occur in it."""
     if not isinstance(e, IBin):
         return new if e == old else e
-    if not _extent_vars(old) <= _extent_vars(e):
-        return e
-    hit = memo.get(id(e)) if memo is not None else None
-    if hit is not None:
-        return hit[1]
     if e is old or (isinstance(old, IBin) and e.op == old.op and e == old):
-        out = new
-    else:
-        lhs, rhs = replace_node(e.lhs, old, new, memo), replace_node(e.rhs, old, new, memo)
-        out = e if lhs is e.lhs and rhs is e.rhs else _IX_CTORS[e.op](lhs, rhs)
-    if memo is not None:
-        memo[id(e)] = (e, out)  # `e` held, so its id is not reused
-    return out
+        return new
+    lhs, rhs = replace_node(e.lhs, old, new), replace_node(e.rhs, old, new)
+    return e if lhs is e.lhs and rhs is e.rhs else _IX_CTORS[e.op](lhs, rhs)
 
 
 _NO_VARS: frozenset[str] = frozenset()
@@ -780,13 +768,9 @@ _EXTENT_FIELDS: dict[type, tuple[str, ...]] = {
 }
 
 
-def replace_extent(ops: tuple[Op, ...], old: Extent, new: Extent,
-                   memo: Optional[dict] = None) -> tuple[Op, ...]:
+def replace_extent(ops: tuple[Op, ...], old: Extent, new: Extent) -> tuple[Op, ...]:
     """`ops` with `old` replaced by `new` in every extent of every op, bodies
-    included (`replace_node`). A node the extents share is rebuilt once, so
-    the replacements share it as the originals did."""
-    memo = {} if memo is None else memo
-
+    included (`replace_node`)."""
     def swap(value):  # `value` itself when `old` does not occur in it
         if isinstance(value, tuple):
             swapped = tuple(swap(v) for v in value)
@@ -794,7 +778,7 @@ def replace_extent(ops: tuple[Op, ...], old: Extent, new: Extent,
         if isinstance(value, CmpPred):
             lhs, rhs = swap(value.lhs), swap(value.rhs)
             return value if lhs is value.lhs and rhs is value.rhs else CmpPred(value.op, lhs, rhs)
-        return replace_node(value, old, new, memo)
+        return replace_node(value, old, new)
 
     def fn(op: Op) -> Optional[tuple[Op, ...]]:
         changes = {}
@@ -806,7 +790,7 @@ def replace_extent(ops: tuple[Op, ...], old: Extent, new: Extent,
         if not changes:
             return None  # map_ops maps its body, if it has one
         if isinstance(op, _BODY_OPS):
-            changes["body"] = replace_extent(op.body, old, new, memo)
+            changes["body"] = replace_extent(op.body, old, new)
         return (replace(op, **changes),)
 
     return map_ops(ops, fn)

@@ -101,15 +101,21 @@ def _one_trip(loop: ForOp) -> bool:
     return loop.ub == ix_add(loop.lb, loop.step)
 
 
+def staged_run(body: tuple[Op, ...]) -> int:
+    """The length of `body`'s leading run of staged `extract_slice ... @tcm` ops."""
+    n = 0
+    while n < len(body) and isinstance(body[n], ExtractSliceOp) and body[n].space == "tcm":
+        n += 1
+    return n
+
+
 def recognize_normal_form(loop: ForOp) -> Optional[NormalFormLoop]:
     if "tiled_generic" not in loop.annotations:
         return None
     if ir.annotation_value(loop.annotations, "db_generic") is not None:
         return None
     body = loop.body
-    n = 0
-    while n < len(body) and isinstance(body[n], ExtractSliceOp) and body[n].space == "tcm":
-        n += 1
+    n = staged_run(body)
     if n == 0:
         return None
     written = written_buffers(body)

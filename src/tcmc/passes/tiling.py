@@ -27,7 +27,9 @@ where an earlier body slices a buffer a later body writes; where a buffer
 both slice is taken at different regions, or, written by the earlier one,
 at a region that does not move with the loop var; and where the merged
 loop's tiles, as db will slot them, do not fit the TCM the resident temps
-leave. Each trip then runs the same points in the same order as the loops
+leave, or not T times over (T the thread count) where one of the loops'
+did: mt forks a tile loop only where T contexts of it fit (`threading.py`,
+"Hoisting"), so such a merge would cost that loop its fork. Each trip then runs the same points in the same order as the loops
 did, each fold in its order, so every output bit is kept. rmsnorm's row
 sum, sqrt and normalize become one loop that stages `%x` once.
 
@@ -80,7 +82,7 @@ from ..ir import (
 from .common import (
     BufInfo, NameAllocator, PassError, resident_bytes, split_generic, tile_bytes,
 )
-from .double_buffer import tile_tcm_bytes, written_buffers
+from .double_buffer import staged_run, tile_tcm_bytes, written_buffers
 
 
 @dataclass(frozen=True)
@@ -364,6 +366,7 @@ def tile_generic(
     tcm_bytes: int = 8 * 1024 * 1024,
     compute_window_bytes: int = 131072,
     vector_width: int = 1,
+    threads: int = 4,
 ) -> KernelProgram:
     """Tile every top-level generic over DDR -> TCM tiles.
 
@@ -374,7 +377,8 @@ def tile_generic(
     carried accumulator, its tiles whole vectors of `vector_width` where
     they fit. Each temp that fits is declared `@tcm` first
     (`_resident_temps`); a one-point generic over TCM operands alone is
-    left whole.
+    left whole. Sibling tile loops then merge where that is safe and costs
+    no fork of `threads` contexts (module docstring, "Tile-loop fusion").
     """
     specs = [tile_spec(op, program, tile_sizes, interchange, tcm_bytes, compute_window_bytes,
                        vector_width) if isinstance(op, GenericOp) else None for op in program.ops]
@@ -387,7 +391,8 @@ def tile_generic(
             new_ops.append(op)
         else:
             new_ops.extend(_tile_one(op, spec, program, names, tcm_bytes))
-    return program.with_ops(_fuse_tile_loops(new_ops, program, tcm_bytes), stage="tiled")
+    return program.with_ops(_fuse_tile_loops(new_ops, program, tcm_bytes, threads),
+                            stage="tiled")
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +418,6 @@ def _regions(body: tuple[Op, ...]) -> dict[str, set[tuple]]:
     return regions
 
 
-def _staged_run(body: tuple[Op, ...]) -> int:
-    """The length of `body`'s leading run of staged slices."""
-    n = 0
-    while n < len(body) and isinstance(body[n], ExtractSliceOp) and body[n].space == "tcm":
-        n += 1
-    return n
-
-
 def _may_merge(a: ForOp, b: ForOp) -> bool:
     """Whether `b`'s body, its loop var already `a`'s, may run right after
     `a`'s in every trip of one loop (the refusals of the module docstring's
@@ -428,7 +425,7 @@ def _may_merge(a: ForOp, b: ForOp) -> bool:
     ra, rb = _regions(a.body), _regions(b.body)
     written_a, written_b = written_buffers(a.body), written_buffers(b.body)
     back_a = {op.dest for op in a.body if isinstance(op, InsertSliceOp)}
-    staged_b = {op.source for op in b.body[:_staged_run(b.body)]}
+    staged_b = {op.source for op in b.body[:staged_run(b.body)]}
     if back_a & rb.keys() or staged_b & written_a or ra.keys() & written_b:
         return False
     var = IVar(a.var)
@@ -470,17 +467,23 @@ def _merged(a: ForOp, b: ForOp) -> ForOp:
                 continue
             seen[key] = op.result
         kept.append(_renamed(op, alias))
-    n, m = _staged_run(a.body), _staged_run(tuple(kept))
+    n, m = staged_run(a.body), staged_run(tuple(kept))
     return replace(a, body=(*a.body[:n], *kept[:m], *a.body[n:], *kept[m:]))
 
 
-def _fuse_tile_loops(ops: list[Op], program: KernelProgram,
-                     tcm_bytes: Optional[int]) -> tuple[Op, ...]:
+def _fuse_tile_loops(ops: list[Op], program: KernelProgram, tcm_bytes: Optional[int],
+                     threads: int = 4) -> tuple[Op, ...]:
     """`ops` with each run of consecutive fusible tile loops of equal bounds
-    and step merged into one loop, where each merge is safe and the merged
-    loop's tiles, as db will slot them, fit the TCM the resident temps
-    leave."""
+    and step merged into one loop, where each merge is safe and costs no
+    fork: the merged loop's tiles, as db will slot them, fit the TCM the
+    resident temps leave `threads` times over where one of the parts' did
+    (so mt could still fork it, `_Threader.fits`), and at least once."""
     room = None if tcm_bytes is None else tcm_bytes - resident_bytes(program)
+
+    def fits(loop: ForOp, contexts: int) -> bool:
+        need = tile_tcm_bytes((loop,), program.is_narrow, db=True)
+        return room is None or (need is not None and contexts * need <= room)
+
     out: list[Op] = []
     for op in ops:
         prev = out[-1] if out else None
@@ -489,8 +492,8 @@ def _fuse_tile_loops(ops: list[Op], program: KernelProgram,
             b = replace(op, body=ir.replace_extent(op.body, IVar(op.var), IVar(prev.var)))
             if _may_merge(prev, b):
                 merged = _merged(prev, b)
-                need = tile_tcm_bytes((merged,), program.is_narrow, db=True)
-                if room is None or (need is not None and need <= room):
+                forked = fits(prev, threads) or fits(op, threads)
+                if fits(merged, threads if forked else 1):
                     out[-1] = merged
                     continue
         out.append(op)

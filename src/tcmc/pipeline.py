@@ -89,7 +89,7 @@ def apply_pass(name: str, program: ir.KernelProgram, opts: PipelineOptions) -> i
         return tile_generic(program, opts.tile_sizes, opts.interchange,
                             tcm_bytes=opts.machine.tcm_bytes,
                             compute_window_bytes=opts.machine.compute_window_bytes,
-                            vector_width=opts.vector_width)
+                            vector_width=opts.vector_width, threads=opts.threads)
     if name == "vectorize":
         return vectorize_innermost(program, opts.vector_width)
     if name == "mt":

@@ -3,8 +3,9 @@
 rmsnorm's row sum, sqrt and normalize run as one tile loop that stages `%x`
 from DDR once; the merges fusion must refuse (temps left in DDR, a later
 body writing an earlier body's input, loops of different steps) are
-refused; and random rmsnorm shapes and row tiles stay bit-exact through
-every pass prefix on the default and the low-bandwidth machine.
+refused, as is one that would cost a loop its fork; and random rmsnorm
+shapes and row tiles stay bit-exact through every pass prefix on the
+default and the low-bandwidth machine.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -106,6 +107,18 @@ def test_a_merge_whose_tiles_would_overflow_the_tcm_is_refused():
     loops = [_copy_loop("i", "a", "b", True), _copy_loop("j", "a", "c", True)]
     assert len(tiling._fuse_tile_loops(loops, program, 48)) == 2
     assert len(tiling._fuse_tile_loops(loops, program, 64)) == 1
+
+
+def test_a_merge_that_would_cost_a_loop_its_fork_is_refused():
+    # each loop's four contexts fit 192 bytes (4 x 48); the merged loop's
+    # four need 256, so mt could fork the parts but not the merge
+    decls = tuple(TensorDecl(n, (8,), "f32", "ddr", role) for n, role in
+                  (("a", "input"), ("b", "output"), ("c", "output")))
+    program = KernelProgram("k", decls, ())
+    loops = [_copy_loop("i", "a", "b", True), _copy_loop("j", "a", "c", True)]
+    assert len(tiling._fuse_tile_loops(loops, program, 192)) == 2
+    assert len(tiling._fuse_tile_loops(loops, program, 256)) == 1
+    assert len(tiling._fuse_tile_loops(loops, program, 192, threads=1)) == 1
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

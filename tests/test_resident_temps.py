@@ -184,11 +184,15 @@ def _row_exp(tcm_bytes, passes=DEFAULT_PASSES):
 
 def test_a_hoist_that_would_crowd_the_resident_temps_stays_per_trip():
     up_to_mt = DEFAULT_PASSES[:DEFAULT_PASSES.index("mt") + 1]
-    # the exp, the row sum and the divide run in one tile loop. 2.25 MiB
-    # holds the 2 MiB `e` beside one context's tiles, not four
+    # 2.25 MiB holds the 2 MiB `e` beside one context's tiles of the exp
+    # loop, not four, so that loop stays per trip, and `tile` does not merge
+    # it into the others, which would cost them their fork
     crowded = _row_exp(9 * 2**18, up_to_mt)
-    assert [type(op) for op in crowded.ops] == [ForOp]
-    # with room, the loop, which reads and writes `e` as views, forks once
+    assert [type(op) for op in crowded.ops] == [ForOp, ForallOp]
+    # the row sum and the divide read `e` as views: merged, they still fork once
+    assert not any(isinstance(op, ExtractSliceOp) and op.space == "tcm" and op.source == "t0"
+                   for op, _ in ir.walk_ops(crowded.ops[1:]))
+    # with room, one loop runs all three and forks once
     roomy = _row_exp(2**23, up_to_mt)
     assert [type(op) for op in roomy.ops] == [ForallOp]
     for program in (crowded, roomy):
