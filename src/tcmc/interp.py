@@ -233,8 +233,8 @@ def _region(buf: _Buffer, offsets, sizes, idx, what: str, name: str) -> tuple[sl
         raise ExecutionFault(f"{what} %{name}: slice rank mismatch")
     sl = []
     for d, (o, s) in enumerate(zip(offsets, sizes)):
-        ov = ir.eval_extent(o, idx)
-        sv = ir.eval_extent(s, idx)
+        ov = o if o.__class__ is int else ir.eval_extent(o, idx)
+        sv = s if s.__class__ is int else ir.eval_extent(s, idx)
         if ov < 0 or sv < 1 or ov + sv > shape[d]:
             raise ExecutionFault(f"{what} %{name}: out-of-bounds slice dim {d}: "
                                  f"offset {ov} size {sv} extent {shape[d]}")
@@ -590,17 +590,25 @@ def compare_outputs(
                 return CompareReport(False, "bitexact", name, tuple(int(i) for i in pos),
                                      float(x[pos]), float(y[pos]), None)
         else:
-            denom = np.maximum(np.maximum(np.abs(x), np.abs(y)), np.float32(1e-30))
+            denom = np.abs(x)
+            np.maximum(denom, np.abs(y), out=denom)
+            np.maximum(denom, np.float32(1e-30), out=denom)
+            # |x - y| / denom in f64, each step in place
+            rel = x.astype(np.float64)
             with np.errstate(invalid="ignore"):
-                rel = np.abs(x.astype(np.float64) - y.astype(np.float64)) / denom
+                np.subtract(rel, y, out=rel)
+                np.abs(rel, out=rel)
+                np.divide(rel, denom, out=rel)
             # rel is NaN exactly where x or y is NaN or inf
             odd = np.isnan(rel)
             if odd.any():
                 matched = (x.view(np.uint32) == y.view(np.uint32)) | (np.isnan(x) & np.isnan(y))
                 rel = np.where(odd, np.where(matched, 0.0, np.inf), rel)
-            peak = float(rel.max()) if rel.size else 0.0
+            # no NaN is left, so the first maximum is the peak
+            at = int(np.argmax(rel)) if rel.size else 0
+            peak = float(rel.flat[at]) if rel.size else 0.0
             if worst is None or peak > worst[0]:
-                pos = np.unravel_index(int(np.argmax(rel)), x.shape)
+                pos = np.unravel_index(at, x.shape)
                 worst = (peak, name, tuple(int(i) for i in pos), float(x[pos]), float(y[pos]))
             if peak > tol:
                 return CompareReport(False, f"reltol({tol:g})", worst[1], worst[2],

@@ -172,11 +172,14 @@ _NO_KEY = object()  # equal to no key: the memo before a first evaluation
 
 def eval_extent(e: Extent, env: Mapping[str, int]) -> int:
     """Value of `e` under `env`; KeyError names the first unbound variable."""
-    if isinstance(e, int):
+    cls = e.__class__
+    if cls is int:
         return e
     try:
-        if isinstance(e, IBin):
-            return _evaluator(e)(env)
+        if cls is IBin:
+            return (getattr(e, "_eval", None) or _evaluator(e))(env)
+        if cls is not IVar and isinstance(e, int):
+            return e
         return env[e.name]
     except KeyError as err:
         raise KeyError(f"unbound index variable {err.args[0]}") from None

@@ -296,6 +296,8 @@ class _Threader:
         self.costs: dict[tuple, tuple[GenericOp, float]] = {}
         # and each generic's form is chosen once: (generic, hoisted, env) -> (generic, form)
         self.forms: dict[tuple, tuple[GenericOp, Form]] = {}
+        # a priced hoist -> (hoist, its contexts' classes), where those are known
+        self.classes: dict[int, tuple[ForallOp, tuple]] = {}
 
     @contextmanager
     def scratch(self):
@@ -361,6 +363,8 @@ class _Threader:
         """The form of `g` (d0 of up to `n` indices) that `perf` prices
         cheapest (`form`), the first of whole, strips and forks on a tie."""
         forms = [WHOLE] + [("strips", s) for s in self.strips(g, n) if s]
+        if hoisted and len(forms) == 1:
+            return WHOLE  # no other form to weigh, and no fork in a hoisted body
         costs = [self.form_price(g, f, env) for f in forms]
         threads = self.policy.num_threads
         if not hoisted and min(costs) >= perf.fork_join_floor(self.machine, threads):
@@ -470,7 +474,7 @@ class _Threader:
     def hoisted(self, loop: ForOp, env: dict[str, int]) -> Optional[tuple[Op, ...]]:
         """`loop`, which `qualifies`, forked once over all its trips; None
         where it does not fit."""
-        forall = self.hoist(loop, _whole_trips(loop), env)
+        forall = self.hoist(loop, env)
         return (forall,) if self.fits(forall.body[0]) else None
 
     def cheapest(self, loop: ForOp, env: dict[str, int]) -> tuple[Op, ...]:
@@ -489,6 +493,7 @@ class _Threader:
         per_trip = (self.per_trip(loop, env),)
         if not candidates:
             return per_trip
+        by_extents = _costs_by_trip_extent(loop)
         least, compute, moved, missed = self.price(per_trip, env, piped=True)
         # a hoist moves no fewer bytes and computes the same points; its
         # smaller tiles may escape the window miss factor, but no more
@@ -499,7 +504,12 @@ class _Threader:
             if floor >= least:
                 break
             self.names.reset(start)
-            hoisted = self.hoisted(loop if step == loop.step else _retiled(loop, step), env)
+            # every candidate fits already: a hoist's forms add only views
+            candidate = loop if step == loop.step else _retiled(loop, step)
+            hoisted = (self.hoist(candidate, env),)
+            if by_extents:
+                self.classes[id(hoisted[0])] = (hoisted[0], _context_extents(candidate,
+                                                                             hoisted[0], env))
             price = self.price(hoisted, env, piped=True)[0]
             if price >= least:
                 continue
@@ -514,11 +524,12 @@ class _Threader:
               ) -> tuple[float, float, float, float]:
         """`perf`'s (cycles, compute cycles, bytes moved, compute the window
         miss factor adds) of a loop form as mt leaves it or (`piped`) as db
-        will."""
+        will. A hoist's contexts of the same class are walked once."""
+        hit = self.classes.get(id(ops[0])) if len(ops) == 1 else None
         if piped:
             with self.scratch():
                 ops = double_buffer_ops(ops, self.names, self.info.narrow.__contains__)
-        return self.pricer.price(ops, self.decls, env)
+        return self.pricer.price(ops, self.decls, env, hit and hit[1])
 
     def retile_steps(self, loop: ForOp) -> list[int]:
         """The steps t' besides its own that `loop` is priced hoisted at,
@@ -557,10 +568,11 @@ class _Threader:
             steps.append(balanced)
         return steps
 
-    def hoist(self, loop: ForOp, trips: int, env: dict[str, int]) -> ForallOp:
+    def hoist(self, loop: ForOp, env: dict[str, int]) -> ForallOp:
         """`forall th { for %i over context th's whole tiles { body } }` over
-        all `trips` trips of `loop`; a generic of the body runs whole or as
-        strips on its context."""
+        all trips of `loop`, which `qualifies`; a generic of the body runs
+        whole or as strips on its context."""
+        trips = _whole_trips(loop)
         threads = self.policy.num_threads
         share, extra = divmod(trips, threads)  # the first `extra` contexts run one more
         th = IVar(self.names.fresh("th"))
@@ -582,6 +594,45 @@ class _Threader:
         body = self.walk(loop.body, _first_trip(loop, env), True, hoisted=True)
         inner = replace(loop, lb=lb, ub=ub, step=step, body=body)
         return ForallOp(th.name, threads, (inner,), annotations=frozenset({"virtual_threads"}))
+
+
+def _costs_by_trip_extent(loop: ForOp) -> bool:
+    """Whether every extent of `loop`'s body that `perf` reads (generic
+    domains, loop bounds, slice, alloc, write-back and dma sizes, guard
+    sides) names the loop var only inside the trip extent `min(step, ub -
+    %i)`, as `tile` and `vectorize` build it. The forms mt gives the body
+    and db's stages derive their extents from those, so two contexts of a
+    hoist whose trips have the same extents, in the same order, cost the
+    same (`_context_extents`), the body re-tiled to any step included."""
+    var = loop.var
+    node = ix_min(loop.step, ix_sub(loop.ub, IVar(var)))
+
+    def by_node(e: Extent) -> bool:
+        if isinstance(e, int) or var not in ir._extent_vars(e) or e == node:
+            return True
+        return isinstance(e, ir.IBin) and by_node(e.lhs) and by_node(e.rhs)
+
+    for op, _ in ir.walk_ops(loop.body):
+        if isinstance(op, GenericOp):
+            extents = op.domain
+        elif isinstance(op, ForOp):
+            extents = (op.lb, op.ub, op.step)
+        elif isinstance(op, IfOp):
+            extents = (op.pred.lhs, op.pred.rhs)
+        else:
+            extents = getattr(op, "sizes", ())
+        if not all(by_node(e) for e in extents):
+            return False
+    return True
+
+
+def _context_extents(loop: ForOp, forall: ForallOp, env: dict[str, int]) -> tuple:
+    """For `forall`, `loop` hoisted, each context's trip extents in order."""
+    node = ix_min(loop.step, ix_sub(loop.ub, IVar(loop.var)))
+    (inner,) = forall.body
+    return tuple(tuple(ir.eval_extent(node, {**env, loop.var: i})
+                       for i in ir.trips(inner, {**env, forall.var: t}))
+                 for t in range(forall.threads))
 
 
 def _retiled(loop: ForOp, step: int) -> ForOp:

@@ -481,8 +481,10 @@ def _fuse_tile_loops(ops: list[Op], program: KernelProgram, tcm_bytes: Optional[
     room = None if tcm_bytes is None else tcm_bytes - resident_bytes(program)
 
     def fits(loop: ForOp, contexts: int) -> bool:
+        if room is None:
+            return True
         need = tile_tcm_bytes((loop,), program.is_narrow, db=True)
-        return room is None or (need is not None and contexts * need <= room)
+        return need is not None and contexts * need <= room
 
     out: list[Op] = []
     for op in ops:
@@ -492,8 +494,8 @@ def _fuse_tile_loops(ops: list[Op], program: KernelProgram, tcm_bytes: Optional[
             b = replace(op, body=ir.replace_extent(op.body, IVar(op.var), IVar(prev.var)))
             if _may_merge(prev, b):
                 merged = _merged(prev, b)
-                forked = fits(prev, threads) or fits(op, threads)
-                if fits(merged, threads if forked else 1):
+                if fits(merged, threads) or (fits(merged, 1) and not (
+                        fits(prev, threads) or fits(op, threads))):
                     out[-1] = merged
                     continue
         out.append(op)

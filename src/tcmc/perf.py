@@ -169,20 +169,21 @@ def ideal_overlap_speedup(m: float) -> float:
 
 
 class _Buf:
-    __slots__ = ("shape", "space", "narrow")
+    __slots__ = ("shape", "space", "narrow", "bytes")
 
     def __init__(self, shape, space, narrow=False):
         self.shape = shape
         self.space = space
         self.narrow = narrow
-
-    @property
-    def bytes(self) -> float:
-        b = 2 if self.narrow else 4
-        return float(math.prod(self.shape) * b)
+        self.bytes = float(math.prod(shape) * (2 if narrow else 4))
 
 
-@dataclass
+def _values(extents, env) -> tuple[int, ...]:
+    """Each of `extents` evaluated under `env`, a constant as it is."""
+    return tuple([e if e.__class__ is int else ir.eval_extent(e, env) for e in extents])
+
+
+@dataclass(slots=True)
 class _Acc:
     time: float = 0.0
     compute: float = 0.0
@@ -437,6 +438,9 @@ class _Sim:
         # _LoopPlan | None)
         self.generic_info: dict[int, tuple[GenericOp, float, int, float, bool]] = {}
         self.loop_plans: dict[int, tuple[ForOp, Optional[_LoopPlan]]] = {}
+        # forall -> (forall, each thread's class): the threads of one class
+        # walk the body to the same cost, so one walk serves them all
+        self.thread_classes: dict[int, tuple[ForallOp, tuple]] = {}
         # each op type's walker; an op of a type not here is free (dma_wait:
         # blocking is folded into the db loop's max())
         self.walkers = {
@@ -509,8 +513,11 @@ class _Sim:
 
     def walk_block(self, ops, env, buffers, in_prefetch: bool) -> _Acc:
         acc = _Acc()
+        walkers = self.walkers
         for op in ops:
-            self.walk_op(op, env, buffers, acc, in_prefetch)
+            walk = walkers.get(type(op))
+            if walk is not None:  # remaining ops are free
+                walk(op, env, buffers, acc, in_prefetch)
         return acc
 
     def _move(self, acc: _Acc, bytes_: float, in_prefetch: bool) -> None:
@@ -521,11 +528,6 @@ class _Sim:
             acc.prefetch += c
         else:
             acc.time += c
-
-    def walk_op(self, op: Op, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
-        walk = self.walkers.get(type(op))
-        if walk is not None:  # remaining ops are free
-            walk(op, env, buffers, acc, in_prefetch)
 
     def walk_generic(self, op: GenericOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
         c, missed = self.generic_cost(op, env, buffers)
@@ -551,10 +553,17 @@ class _Sim:
 
     def walk_forall(self, op: ForallOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
         # a spawn per thread, summed as the lowered spawn loop sums its trips
+        classes = self.thread_classes.get(id(op), (None, None))[1]
+        walked: dict = {}
         spawns = 0.0
         bodies = []
         for t in ir.trips(op, env):
-            bodies.append(self.walk_block(op.body, {**env, op.var: t}, dict(buffers), in_prefetch))
+            body = None if classes is None else walked.get(classes[t])
+            if body is None:
+                body = self.walk_block(op.body, {**env, op.var: t}, dict(buffers), in_prefetch)
+                if classes is not None:
+                    walked[classes[t]] = body
+            bodies.append(body)
             spawns += self.cfg.thread_spawn_cycles
         acc.time += spawns
         acc.overhead += spawns
@@ -575,14 +584,13 @@ class _Sim:
     def walk_extract_slice(self, op: ExtractSliceOp, env, buffers, acc: _Acc,
                            in_prefetch: bool) -> None:
         src = buffers[op.source]
-        shape = tuple([ir.eval_extent(s, env) for s in op.sizes])
-        tile = buffers[op.result] = _Buf(shape, op.space or src.space, src.narrow)
+        tile = buffers[op.result] = _Buf(_values(op.sizes, env), op.space or src.space,
+                                         src.narrow)
         if tile.space != src.space:
             self._move(acc, tile.bytes, in_prefetch)
 
     def walk_alloc(self, op: AllocOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
-        shape = tuple([ir.eval_extent(s, env) for s in op.sizes])
-        buffers[op.result] = _Buf(shape, op.space, op.narrow)
+        buffers[op.result] = _Buf(_values(op.sizes, env), op.space, op.narrow)
 
     def walk_dealloc(self, op: DeallocOp, env, buffers, acc: _Acc, in_prefetch: bool) -> None:
         buffers.pop(op.target, None)
@@ -695,18 +703,28 @@ class FragmentPricer:
     def __init__(self, config: MachineConfig):
         self.sim = _Sim(None, config)
 
-    def price(self, ops: tuple[Op, ...], buffers, env) -> tuple[float, float, float, float]:
+    def price(self, ops: tuple[Op, ...], buffers, env,
+              thread_classes: Optional[tuple] = None) -> tuple[float, float, float, float]:
         """(cycles, compute cycles, bytes through the DMA engine, the part of
         the compute cycles the window miss factor adds) of `ops` on their
         own.
 
         `buffers` maps each buffer the ops use but do not create to its
         (shape, space, narrow); `env` binds the loop vars around the ops,
-        and the shapes are evaluated in it.
+        and the shapes are evaluated in it. `thread_classes`, for `ops` a
+        single forall, gives each of its threads a class, where the caller
+        knows that the threads of one class cost the same: one walk of the
+        body then serves a class.
         """
         bufs = {name: _Buf(tuple(ir.eval_extent(s, env) for s in shape), space, narrow)
                 for name, (shape, space, narrow) in buffers.items()}
-        acc = self.sim.walk_block(ops, dict(env), bufs, in_prefetch=False)
+        if thread_classes is not None:
+            (forall,) = ops
+            self.sim.thread_classes[id(forall)] = (forall, thread_classes)
+        try:
+            acc = self.sim.walk_block(ops, dict(env), bufs, in_prefetch=False)
+        finally:
+            self.sim.thread_classes.clear()
         return acc.time, acc.compute, acc.moved, acc.missed
 
 
