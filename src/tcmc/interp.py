@@ -59,6 +59,7 @@ its map skips, which the payload's ufuncs broadcast.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
@@ -242,6 +243,27 @@ def _region(buf: _Buffer, offsets, sizes, idx, what: str, name: str) -> tuple[sl
     return tuple(sl)
 
 
+def _op_region(op: Union[ir.ExtractSliceOp, ir.InsertSliceOp], buf: _Buffer, idx, what: str,
+               name: str) -> tuple[slice, ...]:
+    """`_region` of the slice op `op` on `buf`, from the op's memo where it
+    took that region before: keyed by the values of the vars its offsets
+    and sizes name, and by `buf`'s shape, which `_region` checks."""
+    memo = getattr(op, "_regions", None)
+    if memo is None:
+        names = sorted(set().union(*map(ir._extent_vars, op.offsets + op.sizes)))
+        memo = (operator.itemgetter(*names) if names else (lambda idx: ()), {})
+        object.__setattr__(op, "_regions", memo)
+    values_of, regions = memo
+    try:
+        key = (values_of(idx), buf.data.shape)
+    except KeyError:  # `_region` names the unbound var
+        return _region(buf, op.offsets, op.sizes, idx, what, name)
+    region = regions.get(key)
+    if region is None:
+        region = regions[key] = _region(buf, op.offsets, op.sizes, idx, what, name)
+    return region
+
+
 def _gather(arr: np.ndarray, m: ir.AffineIndexMap, domain: tuple[int, ...], name: str) -> np.ndarray:
     """A view of `arr` through `m` with one axis per domain dim, in domain
     order: extent 1 on each dim `m` does not read, which the payload's
@@ -304,7 +326,7 @@ class _Interp:
 
     def run_extract_slice(self, op: ir.ExtractSliceOp, env: _Env) -> None:
         src = env.lookup(op.source)
-        region = _region(src, op.offsets, op.sizes, env.idx, "extract_slice", op.source)
+        region = _op_region(op, src, env.idx, "extract_slice", op.source)
         data = _read(src, op.source)[region]
         if op.space is None:  # a view: the region read in place
             env.buffers[op.result] = _Buffer(data, src.space, view=True)
@@ -317,7 +339,7 @@ class _Interp:
         if dst.pending_tag is not None:
             raise ExecutionFault(
                 f"insert_slice into %{op.dest} while dma tag=%{dst.pending_tag} is in flight")
-        region = _region(dst, op.offsets, op.sizes, env.idx, "insert_slice", op.dest)
+        region = _op_region(op, dst, env.idx, "insert_slice", op.dest)
         dst.data[region] = _read(src, op.source)
 
     def run_alloc(self, op: ir.AllocOp, env: _Env) -> None:

@@ -35,8 +35,8 @@ class IVar:
 
 
 def _derived():
-    """A cache slot on an IBin, Payload or GenericOp: filled on first use,
-    outside ==, hash and repr."""
+    """A cache slot on an IBin, Payload, GenericOp or slice op: filled on
+    first use, outside ==, hash and repr."""
     return field(init=False, compare=False, hash=False, repr=False)
 
 
@@ -608,7 +608,11 @@ class IfOp:
 @dataclass(frozen=True)
 class ExtractSliceOp:
     """The region of `source` as a new buffer. With no `space` it lives in
-    the source's space (a view); `space="tcm"` stages it into TCM."""
+    the source's space (a view); `space="tcm"` stages it into TCM.
+
+    `_regions` is the interpreter's memo of the regions the op took, derived
+    like a GenericOp's `_plan`: the stages of one compile share most slice
+    ops, and each takes the same regions."""
 
     result: str
     source: str
@@ -616,15 +620,27 @@ class ExtractSliceOp:
     sizes: tuple[Extent, ...]
     space: Optional[Literal["ddr", "tcm"]] = None
     annotations: frozenset[str] = frozenset()
+    _regions: object = _derived()
+
+    def __reduce__(self):  # pickle and copy the op, never the memo
+        return ExtractSliceOp, (self.result, self.source, self.offsets, self.sizes, self.space,
+                                self.annotations)
 
 
 @dataclass(frozen=True)
 class InsertSliceOp:
+    """Writes `source` back into the region of `dest`; `_regions` as on
+    ExtractSliceOp."""
+
     source: str
     dest: str
     offsets: tuple[Extent, ...]
     sizes: tuple[Extent, ...]
     annotations: frozenset[str] = frozenset()
+    _regions: object = _derived()
+
+    def __reduce__(self):  # pickle and copy the op, never the memo
+        return InsertSliceOp, (self.source, self.dest, self.offsets, self.sizes, self.annotations)
 
 
 @dataclass(frozen=True)

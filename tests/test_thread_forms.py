@@ -206,6 +206,30 @@ def test_a_retiled_hoist_may_shed_the_window_miss_factor(monkeypatch, machine, s
     assert forall.body[0].step == step
 
 
+@pytest.mark.parametrize("machine", LOOP_MACHINES)
+def test_a_hoist_priced_once_per_context_class_prices_as_every_context_walked(
+        monkeypatch, machine):
+    # mt walks the contexts of a hoist whose tiles have the same extents
+    # once (`_context_extents`); walked each, every priced hoist costs the same
+    real = mt._Threader.price
+    checked = []
+
+    def price(self, ops, env, piped):
+        got = real(self, ops, env, piped)
+        hit = self.classes.pop(id(ops[0]), None)
+        if hit is not None:
+            assert real(self, ops, env, piped) == got, hit[1]
+            self.classes[id(ops[0])] = hit
+            checked.append(len(set(hit[1])) < len(hit[1]))
+        return got
+
+    monkeypatch.setattr(mt._Threader, "price", price)
+    for _, program, tiles in _programs():
+        opts = pipeline.PipelineOptions(tile_sizes=tiles, machine=LOOP_MACHINES[machine])
+        _compile(program, ("fuse", "tile", "vectorize", "mt"), opts)
+    assert any(checked)  # some hoist had contexts of one class
+
+
 @pytest.mark.parametrize("after_db,before_db,hoists", [
     (90000, 90000, True), (90000, 110000, False), (110000, 90000, False),
     (100000, 90000, False), (90000, 100000, False)])
