@@ -67,7 +67,11 @@ its floor is below the cheapest form priced so far: the
 `perf.fork_join_floor` of (a)'s bytes and of (a)'s compute less the part
 the window miss factor adds, which a hoist's smaller tiles may escape;
 `perf` reports both with (a)'s price. Each form is built from the same
-names, and only the kept one keeps them.
+names, and only the kept one keeps them. Where every extent of the body
+that `perf` reads names %i only inside that trip-extent node, a context's
+cost turns on its trips' extents alone, so `perf` walks the contexts of
+one sequence of extents once (`_context_extents`): a hoist of 127 rows at
+32 walks two contexts of four, one of 131,072 points at 32,768 one.
 
 The loop becomes `forall th { for %i over context th's tiles { the body
 } }`, over all t trips, each generic of the body whole or in strips on

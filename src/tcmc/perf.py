@@ -9,8 +9,9 @@ computed on its first visit, and a loop whose body is self-contained (see
 `_LoopPlan`) walks its body once per iteration class, the iterations that
 agree on the loop-var-dependent extents the cost reads, and replays the
 cached sum for the others. The replay repeats the walk's float additions
-in order, so the report is bit-identical to walking every iteration. The
-rules:
+in order, so the report is bit-identical to walking every iteration.
+`FragmentPricer.price` likewise walks once each class of a forall's
+threads that its caller knows to cost alike (mt's hoists). The rules:
 
 - data movement (extract_slice / insert_slice across memory spaces,
   dma_start) costs latency + bytes/bandwidth; dma_wait itself is free;
