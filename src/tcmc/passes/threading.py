@@ -388,8 +388,20 @@ class _Threader:
                        for name in g.inputs + g.outputs}
             with self.scratch():
                 ops = self.build(g, form)
-            hit = self.costs[key] = (g, self.pricer.price(ops, buffers, env)[0])
+            classes = self.fork_parts(g, env) if form[0] == "fork" else None
+            hit = self.costs[key] = (g, self.pricer.price(ops, buffers, env, classes)[0])
         return hit[1]
+
+    def fork_parts(self, g: GenericOp, env: dict[str, int]) -> Optional[tuple[int, ...]]:
+        """Under block, the d0 indices each thread of `g`'s fork runs: a
+        thread's views, strips and guard are sized by its part alone
+        (`_wrap_generic`), so threads of equal parts cost the same."""
+        if self.policy.kind != "block":
+            return None
+        threads = self.policy.num_threads
+        n = ir.eval_extent(g.domain[0], env)
+        chunk = ir.eval_extent(_block_chunk(g.domain[0], _vector_align(g), threads), env)
+        return tuple(max(0, min(chunk, n - t * chunk)) for t in range(threads))
 
     def build(self, g: GenericOp, form: Form) -> tuple[Op, ...]:
         """The ops that run `g` in `form`."""

@@ -207,27 +207,25 @@ def test_a_retiled_hoist_may_shed_the_window_miss_factor(monkeypatch, machine, s
 
 
 @pytest.mark.parametrize("machine", LOOP_MACHINES)
-def test_a_hoist_priced_once_per_context_class_prices_as_every_context_walked(
-        monkeypatch, machine):
-    # mt walks the contexts of a hoist whose tiles have the same extents
-    # once (`_context_extents`); walked each, every priced hoist costs the same
-    real = mt._Threader.price
+def test_threads_priced_once_per_class_price_as_every_thread_walked(monkeypatch, machine):
+    # mt walks once the contexts of a hoist whose tiles have the same extents
+    # (`_context_extents`) and the threads of a fork with equal parts
+    # (`fork_parts`); walked each, every such form costs the same
+    real = perf.FragmentPricer.price
     checked = []
 
-    def price(self, ops, env, piped):
-        got = real(self, ops, env, piped)
-        hit = self.classes.pop(id(ops[0]), None)
-        if hit is not None:
-            assert real(self, ops, env, piped) == got, hit[1]
-            self.classes[id(ops[0])] = hit
-            checked.append(len(set(hit[1])) < len(hit[1]))
+    def price(self, ops, buffers, env, thread_classes=None):
+        got = real(self, ops, buffers, env, thread_classes)
+        if thread_classes is not None:
+            assert real(self, ops, buffers, env) == got, thread_classes
+            checked.append(len(set(thread_classes)) < len(thread_classes))
         return got
 
-    monkeypatch.setattr(mt._Threader, "price", price)
+    monkeypatch.setattr(perf.FragmentPricer, "price", price)
     for _, program, tiles in _programs():
         opts = pipeline.PipelineOptions(tile_sizes=tiles, machine=LOOP_MACHINES[machine])
         _compile(program, ("fuse", "tile", "vectorize", "mt"), opts)
-    assert any(checked)  # some hoist had contexts of one class
+    assert any(checked)  # some form had threads of one class
 
 
 @pytest.mark.parametrize("after_db,before_db,hoists", [
